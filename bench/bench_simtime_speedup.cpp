@@ -13,13 +13,9 @@
 // ISSRTL_INSTANTS injection instants each): the same engine with the ladder
 // disabled (PR 1's single rolling golden checkpoint) vs enabled (rung
 // restores + convergence cut-off), again with bit-identical outcomes —
-// verified here at 1 and 3 threads on top of the timed run. A fourth
-// section runs that same sweep through the batched lockstep scheduler
-// (ISSRTL_BATCH replica lanes per worker) against the per-site ladder path
-// in this tree and against the committed PR 3 ladder_section reference,
-// with outcomes verified bit-identical at several batch sizes and thread
-// counts. A final section covers the ISS fast path and the mixed-fidelity
-// accelerator: ns/instr of the decoded-basic-block interpreter vs the
+// verified here at 1 and 3 threads on top of the timed run. A final section
+// covers the ISS fast path and the mixed-fidelity accelerator: ns/instr of
+// the decoded-basic-block interpreter vs the
 // single-step reference decoder (end states verified identical), and a
 // stuck-at IU campaign run pure-RTL vs mixed-fidelity (ISS golden prefix +
 // architectural-state transplant), with the mixed run's schedule
@@ -31,8 +27,6 @@
 #include <cstdlib>
 #include <exception>
 #include <string>
-#include <string_view>
-#include <thread>
 
 #include "bench/bench_util.hpp"
 #include "engine/rtl_backend.hpp"
@@ -95,94 +89,12 @@ void BM_RtlCore(benchmark::State& state) {
 }
 BENCHMARK(BM_RtlCore)->Unit(benchmark::kMillisecond);
 
-/// Metrics collected by the report sections, optionally dumped as JSON (see
-/// write_bench_json) so CI can track the kernel perf trajectory.
-struct BenchMetrics {
-  double rtl_ns_per_cycle = 0.0;
-  double iss_ns_per_instr = 0.0;
-  std::size_t samples = 0;
-  unsigned threads = 0;
-  double serial_s = 0.0;
-  double engine_s = 0.0;
-  double injections_per_s = 0.0;
-  double engine_vs_serial_ratio = 0.0;
-  // Ladder section (multi-instant transient sweep).
-  std::string ladder_unit;
-  std::size_t ladder_sites = 0;
-  std::size_t ladder_instants = 0;
-  unsigned ladder_threads = 0;
-  u64 ladder_rungs = 0;
-  u64 ladder_bytes = 0;
-  u64 ladder_convergence_cutoffs = 0;
-  double noladder_s = 0.0;
-  double ladder_s = 0.0;
-  double ladder_vs_noladder_ratio = 0.0;
-  bool ladder_identical = false;  ///< counts + hash, at 1/3/bench threads
-  // Batched section (same sweep, replica-lane lockstep scheduler with the
-  // SIMD lane-slice rounds off — the PR 4 configuration).
-  unsigned batch_lanes = 0;
-  double batch_serial_s = 0.0;   ///< per-site ladder path, this tree
-  double batch_batched_s = 0.0;  ///< batched scheduler (SIMD off), this tree
-  double batched_vs_serial_ratio = 0.0;
-  bool batch_identical = false;  ///< counts + hash, batches x threads
-  // SIMD section (same sweep, lane-interleaved tiles + step-lanes rounds).
-  double simd_flat_s = 0.0;      ///< flat chunked baseline, re-timed here
-  double simd_s = 0.0;           ///< lane-pool scheduler, SIMD rounds on
-  double simd_vs_batched_ratio = 0.0;  ///< SIMD on vs off, same tree
-  bool simd_identical = false;   ///< counts + hash, simd on/off x threads
-  // Vec-eval section (same sweep, node-major lowered latch-transfer kernel
-  // inside the SIMD rounds on vs off, ISSRTL_VECEVAL in the same tree).
-  double veceval_off_s = 0.0;  ///< behavioral per-lane stepping (vec_eval=0)
-  double veceval_on_s = 0.0;   ///< lowered node-major path (vec_eval=1)
-  double veceval_vs_scalar_ratio = 0.0;  ///< off_s / on_s
-  bool veceval_identical = false;  ///< hash, on/off x tile {8,16} x thr {1,3}
-  u64 veceval_rounds = 0;          ///< simd rounds with >= 1 planned lane
-  u64 veceval_lane_cycles = 0;     ///< lane-cycles on the lowered path
-  u64 veceval_escapes = 0;         ///< lane-cycles escaped to behavioral
-  // Pipeline section (same sweep, staged restore→arm→step→classify driver
-  // vs the synchronous loop, ISSRTL_PIPELINE on/off in the same tree).
-  double pipeline_sync_s = 0.0;    ///< synchronous driver (pipeline=0)
-  double pipeline_staged_s = 0.0;  ///< staged 3-thread-per-shard driver
-  double pipeline_vs_sync_ratio = 0.0;  ///< sync_s / staged_s
-  bool pipeline_identical = false;  ///< counts + hash, on/off x threads
-  unsigned pipeline_prefetch_depth = 0;  ///< resolved restore-queue depth
-  // Stage tallies of the timed staged run (fault::ReplayCounters).
-  u64 pipeline_prefetched = 0;     ///< restores served from the prefetcher
-  u64 pipeline_demand = 0;         ///< restores done inline on [S]
-  u64 pipeline_snapshot_waits = 0;
-  u64 pipeline_restore_stalls = 0;
-  u64 pipeline_classify_stalls = 0;
-  u64 pipeline_backlog_peak = 0;
-  // Lane-pool occupancy of the timed SIMD run (fault::ReplayCounters).
-  std::size_t lane_tile = 0;     ///< resolved tile width (env or CPUID)
-  u64 simd_rounds = 0;
-  u64 simd_scalar_rounds = 0;
-  u64 simd_refills = 0;
-  u64 simd_compactions = 0;
-  double simd_mean_live = 0.0;   ///< live_lane_rounds / simd_rounds
-  // ISS section (fast-path interpreter + mixed-fidelity accelerator).
-  std::size_t iss_iterations = 0;
-  double iss_baseline_ns_per_instr = 0.0;  ///< single-step reference decoder
-  double iss_fast_ns_per_instr = 0.0;      ///< dbbcache + lscache fast path
-  double iss_fast_vs_baseline_ratio = 0.0;
-  bool iss_state_identical = false;  ///< instret + memory, fast vs baseline
-  std::size_t mixed_samples = 0;
-  unsigned mixed_threads = 0;
-  double pure_rtl_s = 0.0;  ///< same campaign, all-RTL prefixes
-  double mixed_s = 0.0;     ///< ISS golden prefix + transplant
-  double mixed_vs_pure_ratio = 0.0;
-  bool mixed_schedule_invariant = false;  ///< mixed hash, threads {1,3}
-};
-
 /// Direct wall-clock comparison: same workload, same number of "injection
-/// experiments" (here: plain replays) on each vehicle. Alternating
-/// min-of-N timing (see report_batched_speedup for the rationale): these
-/// two numbers feed every tree-over-tree ratio in the committed snapshot,
-/// so a single-shot reading taken while a neighbour holds the core would
-/// poison the whole trajectory — the committed pre-PR-8 iss_ns_per_instr
-/// (21.56, single-shot) overshot the clean single-step cost (~10 ns/instr
-/// on the reference box) for exactly that reason.
-void report_speedup(BenchMetrics& m) {
+/// experiments" (here: plain replays) on each vehicle. Alternating min-of-N
+/// timing (bench::min_alternating): the two vehicles run interleaved and
+/// each keeps its fastest rep, so a neighbour holding the core for a while
+/// biases neither side.
+void report_speedup() {
   // Replays cost single-digit milliseconds — min-of-9 by default, see
   // report_iss_fastpath for the rationale.
   const int reps =
@@ -204,15 +116,13 @@ void report_speedup(BenchMetrics& m) {
         emu.run();
         iss_instrs = emu.instret();
       });
-  m.rtl_ns_per_cycle =
+  const double rtl_ns_per_cycle =
       rtl_cycles > 0 ? 1e9 * rtl_best / static_cast<double>(rtl_cycles) : 0.0;
-  m.iss_ns_per_instr =
-      iss_instrs > 0 ? 1e9 * iss_best / static_cast<double>(iss_instrs) : 0.0;
   std::printf("\n--- campaign-cost comparison (rspeed, best of %d replays "
               "each) ---\n",
               reps);
   std::printf("RTL:  %.3f s (%.1f ns/cycle)   ISS: %.3f s   ratio: %.0fx\n",
-              rtl_best, m.rtl_ns_per_cycle, iss_best,
+              rtl_best, rtl_ns_per_cycle, iss_best,
               iss_best > 0 ? rtl_best / iss_best : 0.0);
   std::printf("paper: 25,478 CPU-hours (RTL, clusters) vs <300 h (ISS, one "
               "workstation) => ~85x\n");
@@ -223,7 +133,7 @@ void report_speedup(BenchMetrics& m) {
 /// engine's fast path at 4 threads, on the same 200-sample fault list.
 /// Bench-wide knobs apply (here with headline-sized defaults): ISSRTL_SAMPLES
 /// (200), ISSRTL_SEED, ISSRTL_THREADS (4).
-void report_engine_speedup(BenchMetrics& m) {
+void report_engine_speedup() {
   const std::size_t samples = bench::env_size("ISSRTL_SAMPLES", 200);
   const unsigned threads =
       static_cast<unsigned>(bench::env_size("ISSRTL_THREADS", 4));
@@ -260,12 +170,6 @@ void report_engine_speedup(BenchMetrics& m) {
   }
   const double pf_serial = serial.stats_for(rtl::FaultModel::kStuckAt1).pf();
   const double pf_engine = parallel.stats_for(rtl::FaultModel::kStuckAt1).pf();
-  m.samples = samples;
-  m.threads = threads;
-  m.serial_s = ts;
-  m.engine_s = te;
-  m.injections_per_s = te > 0 ? static_cast<double>(samples) / te : 0.0;
-  m.engine_vs_serial_ratio = te > 0 ? ts / te : 0.0;
 
   std::printf("\n--- campaign engine vs seed serial driver (rspeed, %zu "
               "RTL injections @ IU) ---\n", samples);
@@ -308,7 +212,7 @@ bool same_outcomes(const fault::CampaignResult& a,
 /// latent run must still be simulated to completion to prove latency.
 /// Outcome counts and the (outcome, latency) hash are additionally
 /// required to match at 1 and 3 threads.
-void report_ladder_speedup(BenchMetrics& m) {
+void report_ladder_speedup() {
   const std::size_t sites = bench::env_size("ISSRTL_SITES", 25);
   const std::size_t instants = bench::env_size("ISSRTL_INSTANTS", 8);
   const unsigned threads =
@@ -348,412 +252,29 @@ void report_ladder_speedup(BenchMetrics& m) {
         identical && same_outcomes(base, engine::run_rtl_campaign(prog(), cfg, {}, o));
   }
 
-  m.ladder_unit = unit;
-  m.ladder_sites = sites;
-  m.ladder_instants = instants;
-  m.ladder_threads = threads;
-  m.ladder_rungs = fast.replay.ladder_rungs;
-  m.ladder_bytes = fast.replay.ladder_bytes;
-  m.ladder_convergence_cutoffs = fast.replay.convergence_cutoffs;
-  m.noladder_s = std::chrono::duration<double>(t1 - t0).count();
-  m.ladder_s = std::chrono::duration<double>(t2 - t1).count();
-  m.ladder_vs_noladder_ratio =
-      m.ladder_s > 0 ? m.noladder_s / m.ladder_s : 0.0;
-  m.ladder_identical = identical;
+  const double noladder_s = std::chrono::duration<double>(t1 - t0).count();
+  const double ladder_s = std::chrono::duration<double>(t2 - t1).count();
 
   std::printf("\n--- checkpoint ladder vs single golden checkpoint (rspeed, "
               "%zu sites x %zu instants, transient flips @ %s) ---\n",
               sites, instants, unit.c_str());
-  std::printf("no ladder (PR 1 path, %u thr):  %.3f s\n", threads,
-              m.noladder_s);
+  std::printf("no ladder (rolling checkpoint only, %u thr):  %.3f s\n",
+              threads, noladder_s);
   std::printf("ladder    (%llu rungs, %u thr):  %.3f s   "
               "(%llu convergence cutoffs)\n",
-              (unsigned long long)m.ladder_rungs, threads, m.ladder_s,
-              (unsigned long long)m.ladder_convergence_cutoffs);
+              (unsigned long long)fast.replay.ladder_rungs, threads, ladder_s,
+              (unsigned long long)fast.replay.convergence_cutoffs);
   std::printf("speedup: %.2fx   outcomes+hash bit-identical (1/3/%u thr): "
               "%s\n",
-              m.ladder_vs_noladder_ratio, threads,
+              ladder_s > 0 ? noladder_s / ladder_s : 0.0, threads,
               identical ? "yes" : "NO");
-}
-
-/// Batched lockstep evaluation on the ladder sweep: the same 25x8 transient
-/// EX-datapath campaign, run (a) on the per-site serial path (the PR 3
-/// ladder algorithm, batch_lanes = 1) and (b) through the replica-lane
-/// batch scheduler (ISSRTL_BATCH lanes per worker, default 16). Outcomes
-/// must pin bit-identically — additionally spot-checked here at batch
-/// sizes {4, 32} x threads {1, 3} on top of the timed runs. The absolute
-/// comparison against the *PR 3 tree* (kPr3LadderS below) is what the
-/// batched-kernel work is measured by: this PR also rebuilt the cycle
-/// primitives (span-compressed commit, ranged pipe-latch copies, decode
-/// memoization), which speed the in-tree serial baseline as well, so the
-/// in-tree ratio understates the change tree-over-tree.
-void report_batched_speedup(BenchMetrics& m) {
-  const std::size_t sites = bench::env_size("ISSRTL_SITES", 25);
-  const std::size_t instants = bench::env_size("ISSRTL_INSTANTS", 8);
-  const unsigned threads =
-      static_cast<unsigned>(bench::env_size("ISSRTL_THREADS", 4));
-  const unsigned batch =
-      static_cast<unsigned>(bench::env_size("ISSRTL_BATCH", 16));
-  const char* unit_env = std::getenv("ISSRTL_UNIT");
-  const std::string unit =
-      unit_env != nullptr && unit_env[0] != '\0' ? unit_env : "iu.ex";
-
-  fault::CampaignConfig cfg;
-  cfg.unit_prefix = unit;
-  cfg.models = {rtl::FaultModel::kTransientBitFlip};
-  cfg.samples = sites;
-  cfg.instants_per_site = instants;
-  cfg.seed = bench::seed();
-  cfg.inject_time = fault::InjectTime::kUniformRandom;
-
-  engine::EngineOptions serial = engine::options_from_env();
-  serial.threads = threads;
-  serial.batch_lanes = 1;  // the PR 3 per-site ladder path
-
-  engine::EngineOptions batched = serial;
-  batched.batch_lanes = batch;
-  batched.simd_lanes = false;  // PR 4 path: flat lanes, chunked stepping
-
-  // Alternating min-of-N timing (bench::min_alternating): the two configs
-  // run interleaved and each keeps its fastest rep, so slow clock drift
-  // biases neither side.
-  const int reps =
-      static_cast<int>(bench::env_size("ISSRTL_BENCH_REPS", 3));
-  fault::CampaignResult base, fast;
-  const auto [serial_best, batched_best] = bench::min_alternating(
-      reps,
-      [&] { base = engine::run_rtl_campaign(prog(), cfg, {}, serial); },
-      [&] { fast = engine::run_rtl_campaign(prog(), cfg, {}, batched); });
-
-  bool identical = same_outcomes(base, fast);
-  // Determinism spot-check across batch sizes and thread counts (untimed).
-  for (const unsigned t : {1u, 3u}) {
-    for (const unsigned b : {4u, 32u}) {
-      engine::EngineOptions o = batched;
-      o.threads = t;
-      o.batch_lanes = b;
-      identical = identical &&
-                  same_outcomes(base, engine::run_rtl_campaign(prog(), cfg,
-                                                               {}, o));
-    }
-  }
-
-  m.batch_lanes = batch;
-  m.batch_serial_s = serial_best;
-  m.batch_batched_s = batched_best;
-  m.batched_vs_serial_ratio =
-      m.batch_batched_s > 0 ? m.batch_serial_s / m.batch_batched_s : 0.0;
-  m.batch_identical = identical;
-
-  std::printf("\n--- batched lockstep evaluation vs per-site ladder path "
-              "(rspeed, %zu sites x %zu instants, transient flips @ %s) "
-              "---\n",
-              sites, instants, unit.c_str());
-  std::printf("per-site (batch 1, %u thr):     %.3f s\n", threads,
-              m.batch_serial_s);
-  std::printf("batched  (%u lanes, %u thr):    %.3f s\n", batch, threads,
-              m.batch_batched_s);
-  std::printf("in-tree speedup: %.2fx   outcomes+hash bit-identical "
-              "(batch {4,32} x threads {1,3}): %s\n",
-              m.batched_vs_serial_ratio, identical ? "yes" : "NO");
-}
-
-/// SIMD lane-slice evaluation on the same sweep: the batch scheduler with
-/// the interleaved-tile lockstep rounds on (ISSRTL_SIMD=1, the default)
-/// against the PR 4 flat chunked path timed in report_batched_speedup.
-/// Outcomes must pin bit-identically across SIMD on/off at several thread
-/// counts; the wall-clock ratio is recorded either way — the lockstep
-/// rounds share one commit_lanes pass per cycle, the lane pool keeps the
-/// tiles dense through continuous refill and survivor compaction, and only
-/// the final sub-tile stragglers fall back to the scalar flat path. The
-/// occupancy the scheduler actually achieved (mean live lanes per round,
-/// refills, compactions) is recorded alongside the ratio.
-void report_simd_speedup(BenchMetrics& m) {
-  const std::size_t sites = bench::env_size("ISSRTL_SITES", 25);
-  const std::size_t instants = bench::env_size("ISSRTL_INSTANTS", 8);
-  const unsigned threads =
-      static_cast<unsigned>(bench::env_size("ISSRTL_THREADS", 4));
-  const unsigned batch =
-      static_cast<unsigned>(bench::env_size("ISSRTL_BATCH", 16));
-  const char* unit_env = std::getenv("ISSRTL_UNIT");
-  const std::string unit =
-      unit_env != nullptr && unit_env[0] != '\0' ? unit_env : "iu.ex";
-
-  fault::CampaignConfig cfg;
-  cfg.unit_prefix = unit;
-  cfg.models = {rtl::FaultModel::kTransientBitFlip};
-  cfg.samples = sites;
-  cfg.instants_per_site = instants;
-  cfg.seed = bench::seed();
-  cfg.inject_time = fault::InjectTime::kUniformRandom;
-
-  engine::EngineOptions simd = engine::options_from_env();
-  simd.threads = threads;
-  simd.batch_lanes = batch;
-  simd.simd_lanes = true;
-
-  // Baseline: the fixed-batch scheduler this PR replaced — flat lane-major
-  // chunked stepping over batch-sized pieces whose failure tails thin the
-  // pool (lane_refill off reproduces it in-tree, bit-identically). The
-  // ratio therefore measures the lane-pool tentpole end to end: continuous
-  // refill + dense 16-wide tiles vs per-batch occupancy decay.
-  engine::EngineOptions flat = simd;
-  flat.simd_lanes = false;
-  flat.lane_refill = false;
-
-  // Alternating min-of-N, same scheme (and rationale) as the batched
-  // section — and the flat baseline is re-timed *here*, interleaved with
-  // the SIMD runs, rather than reusing the batched section's number from
-  // minutes earlier: the ratio of two adjacent reps survives clock drift
-  // that the ratio of two distant sections does not.
-  const int reps =
-      static_cast<int>(bench::env_size("ISSRTL_BENCH_REPS", 3));
-  fault::CampaignResult fast;
-  const auto [flat_best, simd_best] = bench::min_alternating(
-      reps,
-      [&] { engine::run_rtl_campaign(prog(), cfg, {}, flat); },
-      [&] { fast = engine::run_rtl_campaign(prog(), cfg, {}, simd); });
-
-  bool identical = true;
-  for (const unsigned t : {1u, 3u}) {
-    engine::EngineOptions a = simd, b = flat;
-    a.threads = b.threads = t;
-    identical = identical &&
-                same_outcomes(engine::run_rtl_campaign(prog(), cfg, {}, a),
-                              engine::run_rtl_campaign(prog(), cfg, {}, b));
-  }
-  m.simd_flat_s = flat_best;
-  m.simd_s = simd_best;
-  m.simd_vs_batched_ratio = m.simd_s > 0 ? m.simd_flat_s / m.simd_s : 0.0;
-  m.simd_identical = identical;
-  m.lane_tile =
-      simd.simd_tile != 0 ? simd.simd_tile : rtl::preferred_lane_tile();
-  m.simd_rounds = fast.replay.simd_rounds;
-  m.simd_scalar_rounds = fast.replay.scalar_rounds;
-  m.simd_refills = fast.replay.lane_refills;
-  m.simd_compactions = fast.replay.lane_compactions;
-  m.simd_mean_live =
-      fast.replay.simd_rounds > 0
-          ? static_cast<double>(fast.replay.live_lane_rounds) /
-                static_cast<double>(fast.replay.simd_rounds)
-          : 0.0;
-
-  std::printf("\n--- SIMD lane pool vs fixed-batch flat scheduling "
-              "(rspeed, %zu sites x %zu instants, transient flips @ %s) "
-              "---\n",
-              sites, instants, unit.c_str());
-  std::printf("fixed batches (simd off, refill off, %u thr): %.3f s\n",
-              threads, m.simd_flat_s);
-  std::printf("lane pool     (simd on,  refill on,  %u thr): %.3f s\n",
-              threads, m.simd_s);
-  std::printf("in-tree pool/fixed: %.2fx   outcomes+hash bit-identical "
-              "(pool vs fixed x threads {1,3}): %s\n",
-              m.simd_vs_batched_ratio, identical ? "yes" : "NO");
-  std::printf("lane pool: %llu simd rounds (mean %.1f live lanes), "
-              "%llu scalar rounds, %llu refills, %llu compactions\n",
-              (unsigned long long)m.simd_rounds, m.simd_mean_live,
-              (unsigned long long)m.simd_scalar_rounds,
-              (unsigned long long)m.simd_refills,
-              (unsigned long long)m.simd_compactions);
-}
-
-/// Node-major vector evaluation on/off inside the SIMD lane-pool rounds,
-/// same sweep as the SIMD section. With vec_eval on (the default) every
-/// lane whose next cycle is a pure latch-transfer/bubble cycle is planned
-/// into the lowered micro-netlist program and evaluated node-major across
-/// the whole tile (AVX-512 masked stores when the tile is 16 and the host
-/// has the feature, a portable blend loop otherwise); trap/memory/CTI/
-/// multicycle/window/fetch-miss/armed-fault cycles escape per lane to the
-/// behavioral step. ISSRTL_VECEVAL=0 reproduces the pure behavioral rounds
-/// bit-identically in the same tree, so the ratio isolates exactly what
-/// the lowering buys. Outcomes+hash are additionally pinned across vec
-/// on/off x tile {8,16} x threads {1,3} untimed, and the replay counters
-/// of the timed run record how much of the work actually ran lowered.
-void report_veceval_speedup(BenchMetrics& m) {
-  const std::size_t sites = bench::env_size("ISSRTL_SITES", 25);
-  const std::size_t instants = bench::env_size("ISSRTL_INSTANTS", 8);
-  const unsigned threads =
-      static_cast<unsigned>(bench::env_size("ISSRTL_THREADS", 4));
-  const unsigned batch =
-      static_cast<unsigned>(bench::env_size("ISSRTL_BATCH", 16));
-  const char* unit_env = std::getenv("ISSRTL_UNIT");
-  const std::string unit =
-      unit_env != nullptr && unit_env[0] != '\0' ? unit_env : "iu.ex";
-
-  fault::CampaignConfig cfg;
-  cfg.unit_prefix = unit;
-  cfg.models = {rtl::FaultModel::kTransientBitFlip};
-  cfg.samples = sites;
-  cfg.instants_per_site = instants;
-  cfg.seed = bench::seed();
-  cfg.inject_time = fault::InjectTime::kUniformRandom;
-
-  engine::EngineOptions vec = engine::options_from_env();
-  vec.threads = threads;
-  vec.batch_lanes = batch;
-  vec.simd_lanes = true;
-  vec.vec_eval = true;
-
-  engine::EngineOptions scalar = vec;
-  scalar.vec_eval = false;
-
-  const int reps =
-      static_cast<int>(bench::env_size("ISSRTL_BENCH_REPS", 3));
-  fault::CampaignResult fast;
-  const auto [scalar_best, vec_best] = bench::min_alternating(
-      reps,
-      [&] { engine::run_rtl_campaign(prog(), cfg, {}, scalar); },
-      [&] { fast = engine::run_rtl_campaign(prog(), cfg, {}, vec); });
-
-  bool identical = true;
-  for (const unsigned t : {1u, 3u}) {
-    for (const unsigned tile : {8u, 16u}) {
-      engine::EngineOptions a = vec, b = scalar;
-      a.threads = b.threads = t;
-      a.simd_tile = b.simd_tile = tile;
-      identical = identical &&
-                  same_outcomes(engine::run_rtl_campaign(prog(), cfg, {}, a),
-                                engine::run_rtl_campaign(prog(), cfg, {}, b));
-    }
-  }
-  m.veceval_off_s = scalar_best;
-  m.veceval_on_s = vec_best;
-  m.veceval_vs_scalar_ratio = vec_best > 0 ? scalar_best / vec_best : 0.0;
-  m.veceval_identical = identical;
-  m.veceval_rounds = fast.replay.veceval_rounds;
-  m.veceval_lane_cycles = fast.replay.veceval_lane_cycles;
-  m.veceval_escapes = fast.replay.veceval_escapes;
-
-  const u64 total = m.veceval_lane_cycles + m.veceval_escapes;
-  std::printf("\n--- node-major vector evaluation vs behavioral rounds "
-              "(rspeed, %zu sites x %zu instants, transient flips @ %s) "
-              "---\n",
-              sites, instants, unit.c_str());
-  std::printf("behavioral rounds (vec off, %u thr): %.3f s\n", threads,
-              m.veceval_off_s);
-  std::printf("lowered rounds    (vec on,  %u thr): %.3f s\n", threads,
-              m.veceval_on_s);
-  std::printf("vec/behavioral: %.2fx   outcomes+hash bit-identical "
-              "(on vs off x tile {8,16} x threads {1,3}): %s\n",
-              m.veceval_vs_scalar_ratio, identical ? "yes" : "NO");
-  std::printf("lowered path: %llu rounds, %llu lane-cycles planned / "
-              "%llu escaped (%.1f%% lowered)\n",
-              (unsigned long long)m.veceval_rounds,
-              (unsigned long long)m.veceval_lane_cycles,
-              (unsigned long long)m.veceval_escapes,
-              total > 0 ? 100.0 * static_cast<double>(m.veceval_lane_cycles) /
-                              static_cast<double>(total)
-                        : 0.0);
-}
-
-/// Staged pipeline vs synchronous driver, same sweep as the SIMD section.
-/// The staged driver (the default since this PR) splits each shard into a
-/// restore/prefetch thread, the clone/arm+step thread, and a classify+
-/// report thread joined by bounded queues; ISSRTL_PIPELINE=0 reproduces
-/// the synchronous loop bit-identically in the same tree, so this ratio
-/// measures exactly what the extra threads buy: golden-prefix restores
-/// overlapped with stepping, and classification/journal I/O drained off
-/// the stepping path. On a sweep this small the restore and classify
-/// legs are a modest share of shard wall-clock, so parity (ratio ~1.0)
-/// is an honest outcome here — the floor in scripts/bench_kernel.sh
-/// asserts "no regression", not a win. On a host with fewer cores than
-/// threads x 3 the stages cannot truly overlap at all and the ratio
-/// degenerates to pure coordination overhead (the committed reference
-/// snapshot comes from a single-core box: ~0.9x there, i.e. the staged
-/// driver costs under ~10% when it can buy nothing); host_cores is
-/// recorded in the JSON so a reader can tell which regime a number came
-/// from. The stage tallies of the timed
-/// staged run (prefetched vs demand restores, queue stalls, classify
-/// backlog) are recorded alongside so a parity reading still shows
-/// whether the prefetcher was actually ahead of demand.
-void report_pipeline_speedup(BenchMetrics& m) {
-  const std::size_t sites = bench::env_size("ISSRTL_SITES", 25);
-  const std::size_t instants = bench::env_size("ISSRTL_INSTANTS", 8);
-  const unsigned threads =
-      static_cast<unsigned>(bench::env_size("ISSRTL_THREADS", 4));
-  const unsigned batch =
-      static_cast<unsigned>(bench::env_size("ISSRTL_BATCH", 16));
-  const char* unit_env = std::getenv("ISSRTL_UNIT");
-  const std::string unit =
-      unit_env != nullptr && unit_env[0] != '\0' ? unit_env : "iu.ex";
-
-  fault::CampaignConfig cfg;
-  cfg.unit_prefix = unit;
-  cfg.models = {rtl::FaultModel::kTransientBitFlip};
-  cfg.samples = sites;
-  cfg.instants_per_site = instants;
-  cfg.seed = bench::seed();
-  cfg.inject_time = fault::InjectTime::kUniformRandom;
-
-  engine::EngineOptions staged = engine::options_from_env();
-  staged.threads = threads;
-  staged.batch_lanes = batch;
-  staged.simd_lanes = true;
-  staged.pipeline = true;
-
-  engine::EngineOptions sync = staged;
-  sync.pipeline = false;
-
-  // Alternating min-of-N, same scheme (and rationale) as the SIMD
-  // section: both drivers timed in the same rep so the ratio survives
-  // clock drift and neighbour load.
-  const int reps =
-      static_cast<int>(bench::env_size("ISSRTL_BENCH_REPS", 3));
-  fault::CampaignResult fast;
-  const auto [sync_best, staged_best] = bench::min_alternating(
-      reps,
-      [&] { engine::run_rtl_campaign(prog(), cfg, {}, sync); },
-      [&] { fast = engine::run_rtl_campaign(prog(), cfg, {}, staged); });
-
-  bool identical = true;
-  for (const unsigned t : {1u, 3u}) {
-    engine::EngineOptions a = staged, b = sync;
-    a.threads = b.threads = t;
-    identical = identical &&
-                same_outcomes(engine::run_rtl_campaign(prog(), cfg, {}, a),
-                              engine::run_rtl_campaign(prog(), cfg, {}, b));
-  }
-  m.pipeline_sync_s = sync_best;
-  m.pipeline_staged_s = staged_best;
-  m.pipeline_vs_sync_ratio =
-      staged_best > 0 ? sync_best / staged_best : 0.0;
-  m.pipeline_identical = identical;
-  m.pipeline_prefetch_depth = static_cast<unsigned>(staged.prefetch_depth);
-  m.pipeline_prefetched = fast.replay.restores_prefetched;
-  m.pipeline_demand = fast.replay.restores_demand;
-  m.pipeline_snapshot_waits = fast.replay.snapshot_waits;
-  m.pipeline_restore_stalls = fast.replay.restore_queue_stalls;
-  m.pipeline_classify_stalls = fast.replay.classify_queue_stalls;
-  m.pipeline_backlog_peak = fast.replay.classify_backlog_peak;
-
-  std::printf("\n--- staged pipeline vs synchronous driver "
-              "(rspeed, %zu sites x %zu instants, transient flips @ %s) "
-              "---\n",
-              sites, instants, unit.c_str());
-  std::printf("synchronous (pipeline off, %u thr): %.3f s\n", threads,
-              m.pipeline_sync_s);
-  std::printf("staged      (pipeline on,  %u thr): %.3f s\n", threads,
-              m.pipeline_staged_s);
-  std::printf("staged/sync: %.2fx   outcomes+hash bit-identical "
-              "(on vs off x threads {1,3}): %s\n",
-              m.pipeline_vs_sync_ratio, identical ? "yes" : "NO");
-  std::printf("stages: %llu restores prefetched / %llu demand, "
-              "%llu snapshot waits, stalls %llu restore / %llu classify, "
-              "classify backlog peak %llu (depth %u)\n",
-              (unsigned long long)m.pipeline_prefetched,
-              (unsigned long long)m.pipeline_demand,
-              (unsigned long long)m.pipeline_snapshot_waits,
-              (unsigned long long)m.pipeline_restore_stalls,
-              (unsigned long long)m.pipeline_classify_stalls,
-              (unsigned long long)m.pipeline_backlog_peak,
-              m.pipeline_prefetch_depth);
 }
 
 /// ISS fast path + mixed-fidelity accelerator. Part one times the decoded-
 /// basic-block interpreter (dbbcache + lscache, the default) against the
 /// single-step reference decoder on a longer rspeed run (ISSRTL_ITERS
 /// iterations, default 8, to amortise program load), alternating min-of-N
-/// like the kernel sections; the end states (instret + full memory image)
+/// like the §4.2 section; the end states (instret + full memory image)
 /// must be identical — the fast path is architecturally invisible. Part
 /// two times a stuck-at EX-datapath campaign (ISSRTL_MIXED_SAMPLES
 /// injections, default 24, on rspeed x8, full instant window) pure-RTL vs
@@ -776,13 +297,13 @@ void report_pipeline_speedup(BenchMetrics& m) {
 /// convergence cut-off is idle for both. The mixed run's schedule
 /// invariance (outcome hash at 1 vs 3 threads) is verified untimed on
 /// top.
-void report_iss_fastpath(BenchMetrics& m) {
+void report_iss_fastpath() {
   const std::size_t iters = bench::env_size("ISSRTL_ITERS", 8);
-  m.iss_iterations = iters;
   const isa::Program iss_prog = workloads::build(
       "rspeed", {.iterations = static_cast<unsigned>(iters), .data_seed = 1});
 
   // Untimed equivalence check first: same program, both interpreters.
+  bool state_identical = false;
   {
     Memory mem_fast, mem_base;
     iss::Emulator fast_emu(mem_fast), base_emu(mem_base);
@@ -791,9 +312,8 @@ void report_iss_fastpath(BenchMetrics& m) {
     base_emu.load(iss_prog);
     const auto hf = fast_emu.run();
     const auto hb = base_emu.run();
-    m.iss_state_identical = hf == hb &&
-                            fast_emu.instret() == base_emu.instret() &&
-                            mem_fast.equals(mem_base);
+    state_identical = hf == hb && fast_emu.instret() == base_emu.instret() &&
+                      mem_fast.equals(mem_base);
   }
 
   // A replay costs milliseconds here, so a generous rep count is free
@@ -818,23 +338,18 @@ void report_iss_fastpath(BenchMetrics& m) {
         emu.load(iss_prog);
         emu.run();
       });
-  m.iss_baseline_ns_per_instr =
-      instrs > 0 ? 1e9 * base_best / static_cast<double>(instrs) : 0.0;
-  m.iss_fast_ns_per_instr =
-      instrs > 0 ? 1e9 * fast_best / static_cast<double>(instrs) : 0.0;
-  m.iss_fast_vs_baseline_ratio =
-      fast_best > 0 ? base_best / fast_best : 0.0;
+  const double per_instr = instrs > 0 ? 1e9 / static_cast<double>(instrs) : 0;
 
   std::printf("\n--- ISS fast path vs single-step decoder (rspeed x%zu, "
               "%llu instrs) ---\n",
               iters, (unsigned long long)instrs);
   std::printf("single-step: %.3f s (%.2f ns/instr)   fast path: %.3f s "
               "(%.2f ns/instr)\n",
-              base_best, m.iss_baseline_ns_per_instr, fast_best,
-              m.iss_fast_ns_per_instr);
+              base_best, base_best * per_instr, fast_best,
+              fast_best * per_instr);
   std::printf("speedup: %.2fx   end state identical: %s\n",
-              m.iss_fast_vs_baseline_ratio,
-              m.iss_state_identical ? "yes" : "NO");
+              fast_best > 0 ? base_best / fast_best : 0.0,
+              state_identical ? "yes" : "NO");
 
   // Part two: mixed-fidelity campaign vs pure RTL, same fault list.
   const std::size_t samples = bench::env_size("ISSRTL_MIXED_SAMPLES", 24);
@@ -883,13 +398,6 @@ void report_iss_fastpath(BenchMetrics& m) {
                               engine::run_rtl_campaign(mixed_prog, cfg, {}, o));
   }
 
-  m.mixed_samples = samples;
-  m.mixed_threads = threads;
-  m.pure_rtl_s = pure_best;
-  m.mixed_s = mixed_best;
-  m.mixed_vs_pure_ratio = mixed_best > 0 ? pure_best / mixed_best : 0.0;
-  m.mixed_schedule_invariant = invariant;
-
   std::printf("\n--- mixed-fidelity (ISS prefix + transplant) vs pure RTL "
               "(rspeed x8, %zu stuck-at injections @ iu.ex, full window, "
               "%zu KiB rung budget) ---\n",
@@ -898,294 +406,8 @@ void report_iss_fastpath(BenchMetrics& m) {
   std::printf("mixed    (%u thr):   %.3f s\n", threads, mixed_best);
   std::printf("end-to-end speedup: %.2fx   mixed hash thread-invariant "
               "(1/3/%u thr): %s\n",
-              m.mixed_vs_pure_ratio, threads, invariant ? "yes" : "NO");
-}
-
-/// The PR 7 tree's headline iss_ns_per_instr (rspeed, top-level section)
-/// from the committed BENCH_kernel.json immediately before this PR's
-/// decoded-basic-block fast path — i.e. the decode-per-instruction
-/// interpreter that set_fast_path(false) still reproduces. Single-shot
-/// measurement (alternating min-of-N landed with this PR), reference dev
-/// box only, like the blocks below.
-constexpr double kPr7IssNsPerInstr = 21.56;
-
-/// The PR 1 engine's numbers on this bench's headline section (200 samples,
-/// 4 threads, rspeed, default seed), measured on the reference dev box
-/// immediately before the SoA-kernel/COW-memory rewrite. Only comparable to
-/// runs on that same box, so the baseline block is emitted solely when
-/// ISSRTL_BENCH_BASELINE=pr1 is set explicitly (as it was for the committed
-/// BENCH_kernel.json); CI artifacts carry each runner's raw numbers only.
-constexpr double kPr1SerialS = 5.135;
-constexpr double kPr1EngineS = 3.354;
-constexpr double kPr1RtlNsPerCycle = 158.7;
-
-/// The PR 3 tree's ladder_section wall-clock on the default 25x8 transient
-/// EX-datapath sweep (reference dev box, 4 threads), from the committed
-/// BENCH_kernel.json immediately before this PR's batched-lockstep kernel
-/// work. Like the PR 1 block above, only comparable to runs on that same
-/// box, so it is emitted solely under ISSRTL_BENCH_BASELINE=pr1 and only
-/// for the default sweep shape.
-constexpr double kPr3LadderS = 0.069;
-
-/// The PR 4 tree's batched_section wall-clock on the same default sweep
-/// (reference dev box, 4 threads, 16 lanes), from the committed
-/// BENCH_kernel.json immediately before this PR's SIMD lane-slice and
-/// cycle-primitive work. Reference-box-only, like the blocks above.
-constexpr double kPr4BatchedS = 0.036;
-
-/// The PR 5 tree's simd_section wall-clock on the same default sweep
-/// (reference dev box, 4 threads, 16 lanes), from the committed
-/// BENCH_kernel.json immediately before this PR's lane-pool scheduler
-/// (continuous refill + survivor compaction + runtime tile width).
-/// Reference-box-only, like the blocks above.
-constexpr double kPr5SimdS = 0.026;
-
-/// Write the collected metrics to $ISSRTL_BENCH_JSON (if set) so CI archives
-/// a machine-readable point on the kernel perf trajectory per commit.
-void write_bench_json(const BenchMetrics& m) {
-  const char* path = std::getenv("ISSRTL_BENCH_JSON");
-  if (path == nullptr || path[0] == '\0') return;
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"workload\": \"rspeed\",\n"
-               "  \"rtl_ns_per_cycle\": %.2f,\n"
-               "  \"iss_ns_per_instr\": %.2f,\n"
-               "  \"engine_section\": {\n"
-               "    \"samples\": %zu,\n"
-               "    \"threads\": %u,\n"
-               "    \"serial_s\": %.3f,\n"
-               "    \"engine_s\": %.3f,\n"
-               "    \"injections_per_s\": %.1f,\n"
-               "    \"engine_vs_serial_ratio\": %.2f\n"
-               "  },\n"
-               "  \"ladder_section\": {\n"
-               "    \"unit\": \"%s\",\n"
-               "    \"sites\": %zu,\n"
-               "    \"instants_per_site\": %zu,\n"
-               "    \"injections\": %zu,\n"
-               "    \"threads\": %u,\n"
-               "    \"ladder_rungs\": %llu,\n"
-               "    \"ladder_bytes\": %llu,\n"
-               "    \"convergence_cutoffs\": %llu,\n"
-               "    \"noladder_s\": %.3f,\n"
-               "    \"ladder_s\": %.3f,\n"
-               "    \"ladder_vs_noladder_ratio\": %.2f,\n"
-               "    \"outcomes_identical_1_3_bench_threads\": %s\n"
-               "  }",
-               m.rtl_ns_per_cycle, m.iss_ns_per_instr, m.samples, m.threads,
-               m.serial_s, m.engine_s, m.injections_per_s,
-               m.engine_vs_serial_ratio, m.ladder_unit.c_str(),
-               m.ladder_sites, m.ladder_instants,
-               m.ladder_sites * m.ladder_instants, m.ladder_threads,
-               (unsigned long long)m.ladder_rungs,
-               (unsigned long long)m.ladder_bytes,
-               (unsigned long long)m.ladder_convergence_cutoffs, m.noladder_s,
-               m.ladder_s, m.ladder_vs_noladder_ratio,
-               m.ladder_identical ? "true" : "false");
-  const char* baseline = std::getenv("ISSRTL_BENCH_BASELINE");
-  const bool on_reference_box =
-      baseline != nullptr && std::string_view(baseline) == "pr1";
-  std::fprintf(f,
-               ",\n"
-               "  \"batched_section\": {\n"
-               "    \"unit\": \"%s\",\n"
-               "    \"sites\": %zu,\n"
-               "    \"instants_per_site\": %zu,\n"
-               "    \"threads\": %u,\n"
-               "    \"batch_lanes\": %u,\n"
-               "    \"serial_s\": %.3f,\n"
-               "    \"batched_s\": %.3f,\n"
-               "    \"batched_vs_serial_ratio\": %.2f,\n"
-               "    \"outcomes_identical_batches_4_32_threads_1_3\": %s",
-               m.ladder_unit.c_str(), m.ladder_sites, m.ladder_instants,
-               m.ladder_threads, m.batch_lanes, m.batch_serial_s,
-               m.batch_batched_s, m.batched_vs_serial_ratio,
-               m.batch_identical ? "true" : "false");
-  if (on_reference_box && m.ladder_sites == 25 && m.ladder_instants == 8 &&
-      m.ladder_threads == 4 && m.batch_batched_s > 0) {
-    // Tree-over-tree comparison, only meaningful on the reference box: the
-    // PR 3 ladder path's committed wall-clock on this exact sweep vs the
-    // batched run above (whose tree also carries the span-commit /
-    // ranged-copy / decode-memo cycle primitives the batched kernel
-    // motivated — the in-tree ratio above deliberately excludes those).
-    std::fprintf(f,
-                 ",\n"
-                 "    \"pr3_ladder_s\": %.3f,\n"
-                 "    \"batched_vs_pr3_ladder_ratio\": %.2f",
-                 kPr3LadderS, kPr3LadderS / m.batch_batched_s);
-  }
-  std::fprintf(f, "\n  }");
-  std::fprintf(f,
-               ",\n"
-               "  \"simd_section\": {\n"
-               "    \"unit\": \"%s\",\n"
-               "    \"sites\": %zu,\n"
-               "    \"instants_per_site\": %zu,\n"
-               "    \"threads\": %u,\n"
-               "    \"batch_lanes\": %u,\n"
-               "    \"flat_mode\": \"fixed batches, simd+refill off "
-               "(the pre-pool scheduler, reproduced in-tree via "
-               "lane_refill=false)\",\n"
-               "    \"flat_batched_s\": %.3f,\n"
-               "    \"simd_s\": %.3f,\n"
-               "    \"simd_vs_batched_ratio\": %.2f,\n"
-               "    \"lane_tile\": %zu,\n"
-               "    \"simd_rounds\": %llu,\n"
-               "    \"scalar_rounds\": %llu,\n"
-               "    \"lane_refills\": %llu,\n"
-               "    \"lane_compactions\": %llu,\n"
-               "    \"mean_live_lanes\": %.1f,\n"
-               "    \"outcomes_identical_simd_on_off_threads_1_3\": %s",
-               m.ladder_unit.c_str(), m.ladder_sites, m.ladder_instants,
-               m.ladder_threads, m.batch_lanes, m.simd_flat_s, m.simd_s,
-               m.simd_vs_batched_ratio, m.lane_tile,
-               (unsigned long long)m.simd_rounds,
-               (unsigned long long)m.simd_scalar_rounds,
-               (unsigned long long)m.simd_refills,
-               (unsigned long long)m.simd_compactions, m.simd_mean_live,
-               m.simd_identical ? "true" : "false");
-  if (on_reference_box && m.ladder_sites == 25 && m.ladder_instants == 8 &&
-      m.ladder_threads == 4 && m.simd_s > 0) {
-    // Tree-over-tree: the committed PR 4 batched_section wall-clock on this
-    // exact sweep vs this tree's SIMD-enabled run (which also carries the
-    // pre-scaled handles / sparse-commit / page-cache cycle work), and the
-    // committed PR 5 simd_section wall-clock vs this tree's lane-pool run.
-    std::fprintf(f,
-                 ",\n"
-                 "    \"pr4_batched_s\": %.3f,\n"
-                 "    \"simd_vs_pr4_batched_ratio\": %.2f,\n"
-                 "    \"pr5_simd_s\": %.3f,\n"
-                 "    \"simd_vs_pr5_simd_ratio\": %.2f",
-                 kPr4BatchedS, kPr4BatchedS / m.simd_s, kPr5SimdS,
-                 kPr5SimdS / m.simd_s);
-  }
-  std::fprintf(f, "\n  }");
-  std::fprintf(f,
-               ",\n"
-               "  \"veceval_section\": {\n"
-               "    \"unit\": \"%s\",\n"
-               "    \"sites\": %zu,\n"
-               "    \"instants_per_site\": %zu,\n"
-               "    \"threads\": %u,\n"
-               "    \"batch_lanes\": %u,\n"
-               "    \"lane_tile\": %zu,\n"
-               "    \"scalar_mode\": \"ISSRTL_VECEVAL=0 behavioral rounds, "
-               "kept in-tree as the A/B baseline\",\n"
-               "    \"scalar_s\": %.3f,\n"
-               "    \"veceval_s\": %.3f,\n"
-               "    \"veceval_vs_scalar_ratio\": %.2f,\n"
-               "    \"veceval_rounds\": %llu,\n"
-               "    \"veceval_lane_cycles\": %llu,\n"
-               "    \"veceval_escapes\": %llu,\n"
-               "    \"outcomes_identical_veceval_on_off_tiles_8_16_threads_1_3\""
-               ": %s\n"
-               "  }",
-               m.ladder_unit.c_str(), m.ladder_sites, m.ladder_instants,
-               m.ladder_threads, m.batch_lanes, m.lane_tile,
-               m.veceval_off_s, m.veceval_on_s, m.veceval_vs_scalar_ratio,
-               (unsigned long long)m.veceval_rounds,
-               (unsigned long long)m.veceval_lane_cycles,
-               (unsigned long long)m.veceval_escapes,
-               m.veceval_identical ? "true" : "false");
-  std::fprintf(f,
-               ",\n"
-               "  \"pipeline_section\": {\n"
-               "    \"unit\": \"%s\",\n"
-               "    \"sites\": %zu,\n"
-               "    \"instants_per_site\": %zu,\n"
-               "    \"threads\": %u,\n"
-               "    \"host_cores\": %u,\n"
-               "    \"batch_lanes\": %u,\n"
-               "    \"prefetch_depth\": %u,\n"
-               "    \"sync_mode\": \"ISSRTL_PIPELINE=0 synchronous loop, "
-               "kept in-tree as the A/B baseline\",\n"
-               "    \"sync_s\": %.3f,\n"
-               "    \"staged_s\": %.3f,\n"
-               "    \"staged_vs_sync_ratio\": %.2f,\n"
-               "    \"restores_prefetched\": %llu,\n"
-               "    \"restores_demand\": %llu,\n"
-               "    \"snapshot_waits\": %llu,\n"
-               "    \"restore_queue_stalls\": %llu,\n"
-               "    \"classify_queue_stalls\": %llu,\n"
-               "    \"classify_backlog_peak\": %llu,\n"
-               "    \"outcomes_identical_pipeline_on_off_threads_1_3\": %s\n"
-               "  }",
-               m.ladder_unit.c_str(), m.ladder_sites, m.ladder_instants,
-               m.ladder_threads, std::thread::hardware_concurrency(),
-               m.batch_lanes, m.pipeline_prefetch_depth,
-               m.pipeline_sync_s, m.pipeline_staged_s,
-               m.pipeline_vs_sync_ratio,
-               (unsigned long long)m.pipeline_prefetched,
-               (unsigned long long)m.pipeline_demand,
-               (unsigned long long)m.pipeline_snapshot_waits,
-               (unsigned long long)m.pipeline_restore_stalls,
-               (unsigned long long)m.pipeline_classify_stalls,
-               (unsigned long long)m.pipeline_backlog_peak,
-               m.pipeline_identical ? "true" : "false");
-  std::fprintf(f,
-               ",\n"
-               "  \"iss_section\": {\n"
-               "    \"workload\": \"rspeed\",\n"
-               "    \"iterations\": %zu,\n"
-               "    \"iss_baseline_ns_per_instr\": %.2f,\n"
-               "    \"iss_fast_ns_per_instr\": %.2f,\n"
-               "    \"fast_vs_baseline_ratio\": %.2f,\n"
-               "    \"iss_state_identical\": %s,\n"
-               "    \"mixed_samples\": %zu,\n"
-               "    \"mixed_threads\": %u,\n"
-               "    \"mixed_unit\": \"iu.ex\",\n"
-               "    \"mixed_iterations\": 8,\n"
-               "    \"mixed_instant_window\": \"full\",\n"
-               "    \"mixed_ladder_cap_bytes\": 131072,\n"
-               "    \"pure_rtl_s\": %.3f,\n"
-               "    \"mixed_s\": %.3f,\n"
-               "    \"mixed_vs_pure_ratio\": %.2f,\n"
-               "    \"mixed_schedule_invariant_threads_1_3\": %s",
-               m.iss_iterations, m.iss_baseline_ns_per_instr,
-               m.iss_fast_ns_per_instr, m.iss_fast_vs_baseline_ratio,
-               m.iss_state_identical ? "true" : "false", m.mixed_samples,
-               m.mixed_threads, m.pure_rtl_s, m.mixed_s,
-               m.mixed_vs_pure_ratio,
-               m.mixed_schedule_invariant ? "true" : "false");
-  if (on_reference_box && m.iss_fast_ns_per_instr > 0) {
-    // Tree-over-tree: the committed PR 7 top-level iss_ns_per_instr (the
-    // decode-per-instruction interpreter, before the dbbcache/lscache fast
-    // path) vs this section's min-of-N fast-path ns/instr on the same
-    // workload. The in-tree fast_vs_baseline_ratio above is smaller than
-    // this: the PR also sped up the single-step path (and replaced the
-    // single-shot timing that inflated the committed PR 7 reading).
-    std::fprintf(f,
-                 ",\n"
-                 "    \"pr7_iss_ns_per_instr\": %.2f,\n"
-                 "    \"fast_vs_pr7_iss_ratio\": %.2f",
-                 kPr7IssNsPerInstr,
-                 kPr7IssNsPerInstr / m.iss_fast_ns_per_instr);
-  }
-  std::fprintf(f, "\n  }");
-  if (baseline != nullptr && std::string_view(baseline) == "pr1" &&
-      m.samples == 200 && m.threads == 4) {
-    std::fprintf(f,
-                 ",\n"
-                 "  \"baseline_pr1_engine\": {\n"
-                 "    \"comment\": \"reference dev box, same 200-sample "
-                 "section, PR 1 tree before the SoA-kernel/COW-memory "
-                 "rewrite\",\n"
-                 "    \"serial_s\": %.3f,\n"
-                 "    \"engine_s\": %.3f,\n"
-                 "    \"rtl_ns_per_cycle\": %.1f\n"
-                 "  },\n"
-                 "  \"speedup_vs_pr1_engine\": %.2f",
-                 kPr1SerialS, kPr1EngineS, kPr1RtlNsPerCycle,
-                 m.engine_s > 0 ? kPr1EngineS / m.engine_s : 0.0);
-  }
-  std::fprintf(f, "\n}\n");
-  std::fclose(f);
-  std::printf("bench metrics written to %s\n", path);
+              mixed_best > 0 ? pure_best / mixed_best : 0.0, threads,
+              invariant ? "yes" : "NO");
 }
 
 }  // namespace
@@ -1193,16 +415,10 @@ void write_bench_json(const BenchMetrics& m) {
 int main(int argc, char** argv) try {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  BenchMetrics metrics;
-  report_speedup(metrics);
-  report_engine_speedup(metrics);
-  report_ladder_speedup(metrics);
-  report_batched_speedup(metrics);
-  report_simd_speedup(metrics);
-  report_veceval_speedup(metrics);
-  report_pipeline_speedup(metrics);
-  report_iss_fastpath(metrics);
-  write_bench_json(metrics);
+  report_speedup();
+  report_engine_speedup();
+  report_ladder_speedup();
+  report_iss_fastpath();
   return 0;
 } catch (const std::exception& e) {
   // e.g. a malformed ISSRTL_* environment value rejected by

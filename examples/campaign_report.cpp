@@ -59,7 +59,7 @@ int help() {
       "             the merged report is bit-identical to an uninterrupted\n"
       "             run\n"
       "  --deadline-ms=N  wall-clock budget; on expiry (or SIGINT/SIGTERM)\n"
-      "             in-flight lanes drain, the journal is flushed, and the\n"
+      "             in-flight sites finish, the journal is flushed, and the\n"
       "             partial report is printed with a TRUNCATED banner\n"
       "  --mixed    mixed-fidelity accelerator (same as ISSRTL_MIXED=1):\n"
       "             the fault-free prefix runs on the ISS and only the\n"
@@ -72,12 +72,6 @@ int help() {
       "                      0 disables the ladder. Bit-identical results\n"
       "                      either way.\n"
       "  ISSRTL_CKPT_MB      ladder byte cap in MiB (default 256)\n"
-      "  ISSRTL_BATCH        replica lanes for batched lockstep fault\n"
-      "                      evaluation (default 1 = serial; results are\n"
-      "                      bit-identical at every batch size)\n"
-      "  ISSRTL_SIMD         1 (default) = SIMD lane-slice lockstep rounds,\n"
-      "                      0 = flat per-lane chunked stepping; results\n"
-      "                      are bit-identical either way\n"
       "  ISSRTL_JOURNAL      journal directory (same as --journal)\n"
       "  ISSRTL_RESUME       1 = import journaled sites (same as --resume)\n"
       "  ISSRTL_MIXED        1 = mixed-fidelity accelerator (same as --mixed);\n"
@@ -202,7 +196,7 @@ int main(int argc, char** argv) try {
                  "error: --resume requires --journal=DIR (or ISSRTL_JOURNAL)\n");
     return 2;
   }
-  // Ctrl-C / SIGTERM stop the campaign gracefully: lanes drain, the journal
+  // Ctrl-C / SIGTERM stop the campaign gracefully: sites finish, the journal
   // is flushed, and the partial report below carries a TRUNCATED banner.
   engine::install_signal_stop();
   opts.stop = &engine::signal_stop_flag();
@@ -225,41 +219,6 @@ int main(int argc, char** argv) try {
               static_cast<unsigned long long>(r.replay.cold_resets),
               static_cast<unsigned long long>(r.replay.fast_forward_cycles),
               static_cast<unsigned long long>(r.replay.convergence_cutoffs));
-  if (r.replay.simd_rounds != 0 || r.replay.scalar_rounds != 0) {
-    std::printf("scheduler: %llu simd rounds (mean %.1f live lanes), "
-                "%llu scalar rounds, %llu refills, %llu compactions\n",
-                static_cast<unsigned long long>(r.replay.simd_rounds),
-                r.replay.simd_rounds != 0
-                    ? static_cast<double>(r.replay.live_lane_rounds) /
-                          static_cast<double>(r.replay.simd_rounds)
-                    : 0.0,
-                static_cast<unsigned long long>(r.replay.scalar_rounds),
-                static_cast<unsigned long long>(r.replay.lane_refills),
-                static_cast<unsigned long long>(r.replay.lane_compactions));
-  }
-  if (r.replay.veceval_rounds != 0) {
-    const u64 total = r.replay.veceval_lane_cycles + r.replay.veceval_escapes;
-    std::printf("veceval: %llu rounds, %llu lane-cycles lowered / "
-                "%llu escaped (%.0f%% lowered)\n",
-                static_cast<unsigned long long>(r.replay.veceval_rounds),
-                static_cast<unsigned long long>(r.replay.veceval_lane_cycles),
-                static_cast<unsigned long long>(r.replay.veceval_escapes),
-                total != 0
-                    ? 100.0 * static_cast<double>(r.replay.veceval_lane_cycles) /
-                          static_cast<double>(total)
-                    : 0.0);
-  }
-  if (r.replay.restores_prefetched != 0 || r.replay.restores_demand != 0) {
-    std::printf("pipeline: %llu restores prefetched / %llu demand, "
-                "%llu snapshot waits, stalls %llu restore / %llu classify, "
-                "classify backlog peak %llu\n",
-                static_cast<unsigned long long>(r.replay.restores_prefetched),
-                static_cast<unsigned long long>(r.replay.restores_demand),
-                static_cast<unsigned long long>(r.replay.snapshot_waits),
-                static_cast<unsigned long long>(r.replay.restore_queue_stalls),
-                static_cast<unsigned long long>(r.replay.classify_queue_stalls),
-                static_cast<unsigned long long>(r.replay.classify_backlog_peak));
-  }
   if (r.replay.journal_hits != 0 || r.replay.journal_dropped != 0 ||
       r.replay.sites_retried != 0 || r.replay.sites_engine_error != 0) {
     std::printf("durability: %llu journal hits (%llu dropped), "

@@ -98,13 +98,6 @@ int help() {
       "                      only). Results are bit-identical either way.\n"
       "  ISSRTL_CKPT_MB      ladder byte cap in MiB (default 256); rungs\n"
       "                      are evicted oldest-first beyond it\n"
-      "  ISSRTL_BATCH        replica lanes for batched lockstep fault\n"
-      "                      evaluation (default 1 = serial path; results\n"
-      "                      are bit-identical at every batch size)\n"
-      "  ISSRTL_SIMD         1 (default) steps batched replicas through the\n"
-      "                      SIMD lane-slice rounds, 0 forces the flat\n"
-      "                      per-lane chunked path; results are\n"
-      "                      bit-identical either way\n"
       "  ISSRTL_JOURNAL      campaign journal directory (same as --journal);\n"
       "                      every completed site is appended to a\n"
       "                      checksummed write-ahead journal keyed by\n"
@@ -123,23 +116,15 @@ int help() {
       "                      fast path, 0 forces the single-step decoder;\n"
       "                      results are bit-identical either way\n"
       "  ISSRTL_DEADLINE_MS  wall-clock budget in milliseconds; the engine\n"
-      "                      drains in-flight lanes, flushes the journal and\n"
+      "                      finishes in-flight sites, flushes the journal and\n"
       "                      returns a partial result marked TRUNCATED\n"
-      "  ISSRTL_PIPELINE     1 (default) runs each shard as the staged\n"
-      "                      restore -> step -> classify pipeline (bounded\n"
-      "                      queues, see docs/ARCHITECTURE.md), 0 forces the\n"
-      "                      synchronous loop; results are bit-identical\n"
-      "                      either way\n"
-      "  ISSRTL_PREFETCH_DEPTH  snapshot-queue depth per shard for the staged\n"
-      "                      pipeline, [1, 64] instant groups (default 2);\n"
-      "                      schedule-only, results are bit-identical\n"
       "  ISSRTL_FAIL_SITE    test hook: '<i>' or '<i>:once' (comma list)\n"
       "                      injects a worker fault at site i; an optional\n"
       "                      stage tag (':restore'/':arm'/':step'/':classify')\n"
-      "                      picks the pipeline stage that throws\n"
+      "                      picks the processing stage that throws\n"
       "\n"
-      "SIGINT/SIGTERM during a campaign stop it gracefully: in-flight lanes\n"
-      "drain, the journal is flushed, and the partial result is printed with\n"
+      "SIGINT/SIGTERM during a campaign stop it gracefully: in-flight sites\n"
+      "finish, the journal is flushed, and the partial result is printed with\n"
       "a TRUNCATED banner. Re-run with --journal=DIR --resume to finish.\n"
       "\n"
       "exit codes: 0 success, 1 runtime failure or truncated campaign,\n"
@@ -266,7 +251,7 @@ int cmd_campaign(const std::string& name, const std::string& unit,
                  "error: --resume requires --journal=DIR (or ISSRTL_JOURNAL)\n");
     return kExitUsage;
   }
-  // Ctrl-C / SIGTERM request a graceful stop: drain in-flight lanes, flush
+  // Ctrl-C / SIGTERM request a graceful stop: finish in-flight sites, flush
   // the journal, print the partial result below with a TRUNCATED banner.
   engine::install_signal_stop();
   opts.stop = &engine::signal_stop_flag();
@@ -291,39 +276,6 @@ int cmd_campaign(const std::string& name, const std::string& unit,
               (unsigned long long)rc.cold_resets,
               (unsigned long long)rc.fast_forward_cycles,
               (unsigned long long)rc.convergence_cutoffs);
-  if (rc.simd_rounds != 0 || rc.scalar_rounds != 0) {
-    std::printf("scheduler: %llu simd rounds (mean %.1f live lanes), "
-                "%llu scalar rounds, %llu refills, %llu compactions\n",
-                (unsigned long long)rc.simd_rounds,
-                rc.simd_rounds != 0
-                    ? double(rc.live_lane_rounds) / double(rc.simd_rounds)
-                    : 0.0,
-                (unsigned long long)rc.scalar_rounds,
-                (unsigned long long)rc.lane_refills,
-                (unsigned long long)rc.lane_compactions);
-  }
-  if (rc.veceval_rounds != 0) {
-    const u64 total = rc.veceval_lane_cycles + rc.veceval_escapes;
-    std::printf("veceval: %llu rounds, %llu lane-cycles lowered / "
-                "%llu escaped (%.0f%% lowered)\n",
-                (unsigned long long)rc.veceval_rounds,
-                (unsigned long long)rc.veceval_lane_cycles,
-                (unsigned long long)rc.veceval_escapes,
-                total != 0 ? 100.0 * double(rc.veceval_lane_cycles) /
-                                 double(total)
-                           : 0.0);
-  }
-  if (rc.restores_prefetched != 0 || rc.restores_demand != 0) {
-    std::printf("pipeline: %llu restores prefetched / %llu demand, "
-                "%llu snapshot waits, stalls %llu restore / %llu classify, "
-                "classify backlog peak %llu\n",
-                (unsigned long long)rc.restores_prefetched,
-                (unsigned long long)rc.restores_demand,
-                (unsigned long long)rc.snapshot_waits,
-                (unsigned long long)rc.restore_queue_stalls,
-                (unsigned long long)rc.classify_queue_stalls,
-                (unsigned long long)rc.classify_backlog_peak);
-  }
   if (rc.journal_hits != 0 || rc.journal_dropped != 0 ||
       rc.sites_retried != 0 || rc.sites_engine_error != 0) {
     std::printf("durability: %llu journal hits (%llu dropped), "

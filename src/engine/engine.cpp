@@ -1,6 +1,5 @@
 #include "engine/engine.hpp"
 
-#include <bit>
 #include <cerrno>
 #include <climits>
 #include <csignal>
@@ -178,32 +177,6 @@ EngineOptions options_from_env(EngineOptions base) {
     base.ladder_max_bytes = static_cast<std::size_t>(parse_env_u64(
                                 "ISSRTL_CKPT_MB", v, SIZE_MAX >> 20))
                             << 20;
-  });
-  with_env("ISSRTL_BATCH", [&](const char* v) {
-    base.batch_lanes = static_cast<unsigned>(
-        parse_env_u64("ISSRTL_BATCH", v, kMaxBatchLanes));
-  });
-  with_env("ISSRTL_SIMD", [&](const char* v) {
-    base.simd_lanes = env_flag("ISSRTL_SIMD", v);
-  });
-  with_env("ISSRTL_REFILL", [&](const char* v) {
-    base.lane_refill = env_flag("ISSRTL_REFILL", v);
-  });
-  with_env("ISSRTL_SIMD_MIN_LIVE", [&](const char* v) {
-    base.simd_min_live = static_cast<unsigned>(
-        parse_env_u64("ISSRTL_SIMD_MIN_LIVE", v, kMaxBatchLanes));
-  });
-  with_env("ISSRTL_SIMD_TILE", [&](const char* v) {
-    const u64 tile = env_u64_or_auto("ISSRTL_SIMD_TILE", v, 64, 0);
-    if (tile != 0 && (tile < 2 || !std::has_single_bit(tile))) {
-      throw std::invalid_argument(
-          "ISSRTL_SIMD_TILE: invalid value '" + std::string(v) +
-          "' (expected auto, 0, or a power of two in [2, 64])");
-    }
-    base.simd_tile = static_cast<unsigned>(tile);
-  });
-  with_env("ISSRTL_VECEVAL", [&](const char* v) {
-    base.vec_eval = env_flag("ISSRTL_VECEVAL", v);
   });
   with_env("ISSRTL_JOURNAL", [&](const char* v) { base.journal_dir = v; });
   with_env("ISSRTL_RESUME", [&](const char* v) {

@@ -36,25 +36,16 @@
 //   Record record_from_journal(const JournalEntry&) const;
 //   Record error_record(std::size_t i, const std::string& what) const;
 //
-// Optionally a backend exposes batched (lane-pool) evaluation:
+// Optionally a backend exposes a staged pipeline (engine/pipeline.hpp):
 //
-//   std::size_t batch_size() const;        // replica-lane pool cap
-//     // where W::run_batch(const std::vector<std::size_t>& sites,
-//     //                    on_site(item, Record&&), stop(), counters)
-//     //   delivers each site's Record through on_site as it retires
-//     //   (item = position in `sites`), deterministic per site and
-//     //   bit-identical to run_site outcome-wise. stop() is polled at
-//     //   lockstep-round granularity: once true the worker spawns no new
-//     //   sites, drains its in-flight lanes and returns (undelivered
-//     //   sites stay unevaluated). Per-site throws are contained inside
-//     //   run_batch (retry once, then an error_record), tallied into
-//     //   `counters`.
+//   using Retired = ...; using PrefetchSnapshot = ...;
+//   bool staged_enabled() const;
+//   make_prefetcher(shard), make_classifier()
+//     // where W::run_capture(sites, pipe, stop(), counters) drives the
+//     // capture stage of a whole shard.
 //
-// When batch_size() > 1 the engine hands each worker its *whole* shard in
-// one run_batch call — the worker owns the scheduling (it feeds a lane
-// pool from the instant-sorted queue, refilling retired lanes so SIMD
-// tiles stay dense across what used to be batch boundaries). Records still
-// land in site-index slots, so batching never changes the result layout.
+// The ISS backend is the one backend with a staged driver; the RTL backend
+// runs every site through run_site.
 #pragma once
 
 #include <algorithm>
@@ -67,7 +58,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include <map>
@@ -124,77 +114,6 @@ struct EngineOptions {
   /// are already decided. Permanent faults never take this path (their
   /// armed overlay keeps perturbing the state). Requires the ladder.
   bool converge_cutoff = true;
-  /// Replica-lane pool size per worker for the RTL backend's batched
-  /// evaluation mode: the worker keeps up to this many faulty replica
-  /// lanes in flight (plus one shared fault-free cursor lane that pays the
-  /// golden-prefix positioning — rung restore + fast-forward — once per
-  /// refill), feeding the pool from its shard's instant-sorted work queue
-  /// and refilling each retired lane immediately so the lockstep rounds
-  /// stay dense for the whole shard. <= 1 selects the per-site serial path
-  /// (the reference implementation). Outcomes are bit-identical at every
-  /// pool size. Programmatic values above kMaxBatchLanes are clamped by
-  /// the backend; the ISSRTL_BATCH environment path rejects them outright
-  /// (options_from_env throws, so a typo cannot silently become the cap).
-  /// Backends without batch support ignore this field.
-  unsigned batch_lanes = 1;
-  /// Drive the batched RTL replicas through the SIMD lane-slice path: the
-  /// kernel stores replica lanes as lane-interleaved tiles
-  /// (rtl::LaneLayout::kTiled, cur[node][lane] contiguous) and the batch
-  /// scheduler rotates every live lane through one evaluation per simulated
-  /// cycle, clocking all lanes with a single rtl::SimContext::commit_lanes()
-  /// pass per round (vectorizable u32×8 or u32×16 strips, see simd_tile).
-  /// false selects the flat lane-major layout with per-lane chunked
-  /// stepping (the PR 4 scheduler), which is also what the final
-  /// stragglers fall back to. Outcomes, latencies and fault::outcome_hash
-  /// are bit-identical either way; only the wall-clock differs. No effect
-  /// unless batch_lanes > 1.
-  bool simd_lanes = true;
-  /// Continuous lane refill: true (the default) feeds each worker's pool
-  /// from its shard-local instant-sorted queue, respawning every retired
-  /// lane so occupancy stays dense across what used to be batch
-  /// boundaries. false restores the fixed-batch scheduling of the earlier
-  /// batched mode — the shard is sliced into batch_lanes-sized batches and
-  /// each batch drains completely (its failure tail thinning the pool)
-  /// before the next one spawns. Exists as the A/B baseline for the
-  /// lane-pool scheduler (bench_simtime_speedup's simd section) and as a
-  /// determinism axis: fault::outcome_hash is bit-identical either way.
-  /// ISSRTL_REFILL=0/1 is the environment path. No effect unless
-  /// batch_lanes > 1.
-  bool lane_refill = true;
-  /// Live-lane floor for the SIMD lane-slice rounds: while the work queue
-  /// still holds sites, retired lanes are refilled and the tiles stay
-  /// dense; once the queue drains and a round leaves fewer than this many
-  /// live lanes, the scheduler transposes the survivors back to flat
-  /// storage and finishes them with scalar per-lane stepping (a thinner
-  /// round first compacts survivors into dense tiles, see the RTL
-  /// backend). 0 = auto: one interleave tile (simd_tile lanes). The
-  /// ISSRTL_SIMD_MIN_LIVE environment knob accepts [0, kMaxBatchLanes];
-  /// outcomes are bit-identical at every value — the floor only moves the
-  /// SIMD/scalar boundary.
-  unsigned simd_min_live = 0;
-  /// Lanes per SIMD interleave tile. 0 = auto: runtime CPUID dispatch
-  /// picks 16 (u32×16 strips, one AVX-512 register wide) on hosts
-  /// reporting AVX-512F and the portable 8 elsewhere
-  /// (rtl::preferred_lane_tile). An explicit power of two in [2, 64]
-  /// forces that width — ISSRTL_SIMD_TILE=8 pins the portable path on
-  /// wide hosts (the CI dispatch-fallback smoke). Outcomes are
-  /// bit-identical at every width.
-  unsigned simd_tile = 0;
-  /// Node-major vector evaluation inside the SIMD lockstep rounds: each
-  /// round first *plans* every live lane's cycle (rtlcore escape analysis),
-  /// executes the lowered latch-transfer program once, node-major, over all
-  /// planned lanes' tile slices (rtl/veceval.hpp — AVX-512F masked stores
-  /// behind the same runtime dispatch as simd_tile, portable blend loops
-  /// otherwise), and finishes each planned lane with the unchanged per-lane
-  /// compute hooks; lanes whose cycle is data-dependent (traps, memory,
-  /// CTIs, multicycle, armed faults, fetch misses) escape to the behavioral
-  /// step for that cycle. false keeps every lane on the behavioral
-  /// lane-major step — the A/B baseline. Outcomes, latencies and
-  /// fault::outcome_hash are bit-identical either way (the compute hooks
-  /// are the behavioral code), so the flag stays out of campaign_key().
-  /// ISSRTL_VECEVAL (strict 0/1) is the environment path. No effect unless
-  /// batch_lanes > 1 and simd_lanes is on.
-  bool vec_eval = true;
   /// Called (serialised) as injections finish; every worker reports at
   /// least every `progress_stride` completed sites.
   std::function<void(const EngineProgress&)> on_progress;
@@ -209,8 +128,8 @@ struct EngineOptions {
   /// With a journal_dir: import the journal's chain-valid records instead
   /// of re-simulating their sites. The merged result (outcomes, latencies,
   /// fault::outcome_hash) is bit-identical to an uninterrupted run
-  /// whatever the original run's crash point, thread count or batch/SIMD
-  /// configuration — per-site records depend only on the site and the
+  /// whatever the original run's crash point, thread count or pipeline
+  /// setting — per-site records depend only on the site and the
   /// golden run, so any import/re-simulate partition merges identically.
   /// false (the default) truncates any existing journal file first: a
   /// fresh campaign must not silently merge stale records. ISSRTL_RESUME
@@ -218,16 +137,14 @@ struct EngineOptions {
   bool resume = false;
   /// Wall-clock budget in milliseconds, measured from CampaignEngine::run
   /// entry; 0 = none. On expiry workers stop starting sites, drain their
-  /// in-flight lanes, flush the journal, and the campaign returns a
+  /// in-flight sites, flush the journal, and the campaign returns a
   /// partial result marked truncated (completed/total counts filled in).
   /// ISSRTL_DEADLINE_MS is the environment path.
   u64 deadline_ms = 0;
   /// Cooperative stop flag (optional, not owned): checked alongside the
-  /// deadline at per-site granularity on the serial path and at
-  /// lockstep-round granularity in the batched scheduler. The CLIs point
-  /// this at engine::signal_stop_flag() after install_signal_stop(), which
-  /// is what makes Ctrl-C a graceful truncation instead of a lost
-  /// campaign. A site that already started always finishes (abandoning
+  /// deadline at per-site granularity. The CLIs point this at
+  /// engine::signal_stop_flag() after install_signal_stop(), which is what
+  /// makes Ctrl-C a graceful truncation instead of a lost campaign. A site that already started always finishes (abandoning
   /// mid-site would make the completed set timing-dependent); only
   /// not-yet-started sites are skipped.
   const std::atomic<bool>* stop = nullptr;
@@ -238,14 +155,13 @@ struct EngineOptions {
   /// (Leon3Core::transplant, golden timebase and bus prefix preserved), and
   /// simulate only the faulty suffix at RTL fidelity. The resulting
   /// campaign is schedule-invariant — fault::outcome_hash is bit-identical
-  /// across threads, batch, SIMD and ladder settings — but it is a
-  /// different experiment from a pure-RTL campaign for faults whose effect
-  /// depends on the in-flight pipeline contents at the injection instant
-  /// (the transplanted pipeline starts empty; see docs/ARCHITECTURE.md
+  /// across thread and ladder settings — but it is a different experiment
+  /// from a pure-RTL campaign for faults whose effect depends on the
+  /// in-flight pipeline contents at the injection instant (the
+  /// transplanted pipeline starts empty; see docs/ARCHITECTURE.md
   /// "Mixed-fidelity prefix"), so the RTL backend folds this flag into
-  /// campaign_key(), unlike the schedule knobs above. Forces the serial
-  /// per-site path (batch_lanes is ignored). The ISS backend ignores it.
-  /// ISSRTL_MIXED (strict 0/1) is the environment path.
+  /// campaign_key(), unlike the schedule knobs above. The ISS backend
+  /// ignores it. ISSRTL_MIXED (strict 0/1) is the environment path.
   bool mixed_fidelity = false;
   /// Drive every engine-owned iss::Emulator through its decoded-block fast
   /// path (dbbcache + lscache, see iss/emulator.hpp). false selects the
@@ -257,17 +173,16 @@ struct EngineOptions {
   bool iss_fast_path = true;
   /// Staged campaign pipeline (see engine/pipeline.hpp): run each shard as
   /// restore/prefetch -> clone+arm+step -> classify+report stages decoupled
-  /// by bounded queues, so ladder restores and suffix classification
-  /// overlap the lockstep stepping rounds instead of stalling them. false
-  /// selects the synchronous single-thread-per-shard loop, kept in-tree as
-  /// the A/B baseline and determinism axis (exactly like lane_refill).
-  /// fault::outcome_hash is bit-identical either way, at every thread
-  /// count x batch size x SIMD/tile/refill setting x resume cut-point: the
-  /// prefetcher replays the same deterministic golden prefix the demand
-  /// path replays, per-site records are schedule-invariant, and commit
-  /// order is invisible to site-indexed slots and the dedup-on-import
-  /// journal. Paths without a staged driver (RTL serial batch_lanes <= 1,
-  /// mixed fidelity) degenerate to the synchronous flow even when set.
+  /// by bounded queues, so golden-prefix restores and suffix
+  /// classification overlap the suffix stepping instead of stalling it.
+  /// false selects the synchronous single-thread-per-shard loop, kept
+  /// in-tree as the A/B baseline and determinism axis. fault::outcome_hash
+  /// is bit-identical either way, at every thread count x resume
+  /// cut-point: the prefetcher replays the same deterministic golden
+  /// prefix the demand path replays, per-site records are
+  /// schedule-invariant, and commit order is invisible to site-indexed
+  /// slots and the dedup-on-import journal. Only the ISS backend has a
+  /// staged driver; RTL campaigns run the synchronous loop even when set.
   /// ISSRTL_PIPELINE (strict 0/1) is the environment path.
   bool pipeline = true;
   /// Bounded depth of the restore/prefetch stage's snapshot queue, in
@@ -293,26 +208,10 @@ struct EngineOptions {
   std::string fail_sites;
 };
 
-/// Upper bound on EngineOptions::batch_lanes: far beyond the useful range
-/// (a batch spanning more distinct instants than this just fragments the
-/// lockstep rounds) and small enough that the per-lane node/trace/memory
-/// replicas stay a negligible allocation.
-inline constexpr unsigned kMaxBatchLanes = 1024;
-
 /// `base` with the ISSRTL_* environment knobs folded in: ISSRTL_THREADS
 /// (worker threads), ISSRTL_CKPT_STRIDE ("auto", or rung spacing in
 /// instants; 0 disables the ladder), ISSRTL_CKPT_MB (ladder byte cap in
-/// MiB), ISSRTL_BATCH (replica-lane pool size for batched RTL evaluation;
-/// 0/1 = serial path), ISSRTL_SIMD (1 = lane-interleaved SIMD lockstep
-/// stepping, 0 = flat per-lane chunked stepping; any other value is
-/// rejected), ISSRTL_REFILL (1 = continuous pool refill from the shard
-/// queue, 0 = fixed batch_lanes-sized batches; any other value is
-/// rejected), ISSRTL_SIMD_MIN_LIVE (live-lane floor before the scalar
-/// tail, [0, kMaxBatchLanes]; 0 = auto) and ISSRTL_SIMD_TILE ("auto" or 0
-/// = CPUID dispatch, else a power of two in [2, 64] forcing the interleave
-/// width), ISSRTL_VECEVAL (1 = node-major vector evaluation inside the
-/// SIMD rounds, 0 = behavioral lane-major stepping; any other value is
-/// rejected), ISSRTL_JOURNAL (write-ahead journal directory; any non-empty
+/// MiB), ISSRTL_JOURNAL (write-ahead journal directory; any non-empty
 /// path), ISSRTL_RESUME (1 = import the journal's records, 0 = truncate
 /// it; any other value is rejected), ISSRTL_MIXED (1 = mixed-fidelity
 /// ISS-prefix/RTL-suffix campaigns, 0 = pure RTL; any other value is
@@ -344,7 +243,7 @@ unsigned resolve_threads(unsigned requested, std::size_t sites);
 enum class FailStage : u8 {
   kRestore,   ///< right after golden-prefix positioning for the site
   kArm,       ///< right after the fault is armed (the default)
-  kStep,      ///< at the first stepping round after the site spawns
+  kStep,      ///< as the faulty-suffix stepping starts
   kClassify,  ///< at classification start (skipped by convergence cutoffs)
 };
 
@@ -399,8 +298,9 @@ std::atomic<bool>& signal_stop_flag();
 /// Ctrl-C force-kills as usual.
 void install_signal_stop();
 
-/// Shared retry/containment tallies a batched worker reports into while it
-/// isolates per-site throws (the serial path tallies them directly).
+/// Shared retry/containment tallies a staged capture stage reports into
+/// while it isolates per-site throws (the synchronous loop tallies them
+/// directly).
 struct EngineRunCounters {
   std::atomic<u64> retried{0};        ///< sites re-run after a first throw
   std::atomic<u64> engine_errors{0};  ///< sites whose retry also threw
@@ -456,7 +356,7 @@ class CampaignEngine {
   /// isolation: a site whose simulation throws is retried once on a fresh
   /// restore, then classified via backend.error_record; other sites and
   /// shards are unaffected. Graceful stop (opts.stop / opts.deadline_ms):
-  /// workers stop starting sites, drain in-flight lanes, and run returns a
+  /// workers stop starting sites, drain in-flight sites, and run returns a
   /// partial EngineRun with truncated set. Every completed record is
   /// bit-identical to the uninterrupted run's, whichever of these paths
   /// produced it.
@@ -497,10 +397,6 @@ class CampaignEngine {
     }
 
     const unsigned threads = resolve_threads(opts_.threads, remaining);
-    std::size_t group = 1;
-    if constexpr (requires { backend.batch_size(); }) {
-      group = std::max<std::size_t>(std::size_t{1}, backend.batch_size());
-    }
 
     // Stop control: external flag (signal or embedder) checked every poll,
     // wall-clock deadline alongside it. The latch makes a stop sticky and
@@ -572,7 +468,6 @@ class CampaignEngine {
           out.done[site] = 1;
           report_done(1);
         };
-        using WorkerT = std::remove_reference_t<decltype(*worker)>;
         // Staged pipeline: hand the shard to the three-stage driver when
         // the backend supports it and the options ask for it. The driver
         // reuses the same commit/stop closures, so journaling, progress,
@@ -590,27 +485,6 @@ class CampaignEngine {
             run_staged_shard(backend, *worker, shard, mine, commit,
                              stop_poll, counters, stage_tallies[shard],
                              opts_.prefetch_depth);
-            return;
-          }
-        }
-        constexpr bool kHasBatch =
-            requires(WorkerT& w, const std::vector<std::size_t>& v,
-                     const std::function<void(std::size_t, Record&&)>& f,
-                     const std::function<bool()>& s, EngineRunCounters& c) {
-              w.run_batch(v, f, s, c);
-            };
-        if constexpr (kHasBatch) {
-          if (group > 1) {
-            // Whole-shard handout: the worker schedules the instant-sorted
-            // queue over its lane pool itself, delivering each record as
-            // its site retires; commit scatters them to site-index slots,
-            // so the result layout is identical to the per-site path.
-            worker->run_batch(
-                mine,
-                [&](std::size_t item, Record&& r) {
-                  commit(mine[item], std::move(r));
-                },
-                stop_poll, counters);
             return;
           }
         }

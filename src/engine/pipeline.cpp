@@ -2,8 +2,6 @@
 
 namespace issrtl::engine {
 
-// Moved out of rtl_backend.cpp's anonymous namespace: the staged classify
-// stages of both backends share it with the synchronous lane classifier.
 TraceDivergence compare_suffix_writes(const std::vector<BusRecord>& golden,
                                       std::size_t prefix_writes,
                                       const std::vector<BusRecord>& suffix) {

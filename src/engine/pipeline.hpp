@@ -1,5 +1,6 @@
-// Staged campaign pipeline: restore/prefetch -> clone+arm -> lockstep step
-// -> classify+report, decoupled by small bounded queues.
+// Staged campaign pipeline: restore/prefetch -> arm + step ->
+// classify+report, decoupled by small bounded queues. The ISS backend is the
+// one backend with a staged driver; RTL campaigns run the synchronous loop.
 //
 // The synchronous engine runs all four phases of the paper's methodology on
 // one thread per shard: position a fault-free prefix, arm a fault, simulate
@@ -8,11 +9,11 @@
 //
 //   [R] restore/prefetch   materializes golden-prefix snapshots ahead of
 //                          demand (one per distinct injection instant)
-//   [S] clone+arm + step   the shard's own thread; owns the lane pool and
-//                          SIMD tiles. Clone+arm is fused with stepping —
-//                          the lane-pool slots *are* its input queue — so a
-//                          refill never waits on a queue hop
-//   [C] classify+report    drains retired lanes, runs the suffix compare /
+//   [S] arm + step         the shard's own thread: positions each site's
+//                          golden prefix (adopting a prefetched snapshot
+//                          when one is ready), arms the fault and runs the
+//                          faulty suffix
+//   [C] classify+report    drains retired sites, runs the suffix compare /
 //                          oracle checks and journal appends off the
 //                          stepping path
 //
@@ -152,7 +153,7 @@ struct PrefetchGroup {
 /// The capture stage's strictly non-blocking view of restore_q. Groups are
 /// consumed in list order; acquire(item) drains whatever the prefetcher has
 /// produced so far, discards groups the capture stage has already moved
-/// past (spawn retries re-restore on demand), and returns nullptr whenever
+/// past (retries re-restore on demand), and returns nullptr whenever
 /// the containing group is not available *right now*. By restore-source
 /// invisibility the winner of that race cannot affect outcomes.
 template <class Snapshot>
@@ -193,13 +194,13 @@ class SnapshotSource {
   bool have_ = false;
 };
 
-/// A retired lane on its way to the classify stage. `record` carries the
-/// site/fault identity filled in at spawn; when pre_classified is set
+/// A retired site on its way to the classify stage. `record` carries the
+/// site/fault identity filled in at arm time; when pre_classified is set
 /// (convergence cutoff, isolation error record) it is already final and the
-/// classify stage only commits it. Otherwise the packet carries everything
-/// classification needs — the suffix bus-write trace plus the end-state
-/// oracle verdict captured while the lane's memory image was still
-/// selected — so lane state never crosses the queue.
+/// classify stage only commits it. Otherwise the packet carries everything classification
+/// needs — the suffix bus-write trace plus the end-state oracle verdict
+/// captured while the simulator's memory image was still live — so
+/// simulator state never crosses the queue.
 template <class Record>
 struct RetiredPacket {
   std::size_t item = 0;        ///< index into the shard's handout list
@@ -219,8 +220,8 @@ struct RetiredPacket {
 /// exempt from the determinism contract, exactly like the rest of
 /// fault::ReplayCounters.
 struct StageTallies {
-  u64 restores_prefetched = 0;   ///< spawns that adopted a prefetched snapshot
-  u64 restores_demand = 0;       ///< spawns that paid the rung/cold restore
+  u64 restores_prefetched = 0;   ///< sites that adopted a prefetched snapshot
+  u64 restores_demand = 0;       ///< sites that paid the rung/cold restore
   u64 snapshot_waits = 0;        ///< acquire() found the prefetcher behind
   u64 restore_queue_stalls = 0;  ///< prefetch pushes that found restore_q full
   u64 classify_queue_stalls = 0;  ///< retirements that found retired_q full
@@ -265,8 +266,8 @@ struct StagePipe {
 /// Replay a recorded suffix of bus writes against the golden trace starting
 /// at `prefix_writes` matched records. Returns a divergence whose index and
 /// cycle are golden-absolute, mirroring OffCoreTrace::compare_writes over
-/// the full trace (the restored prefix is golden by construction). Shared
-/// by the synchronous lane classifier and both staged classify stages.
+/// the full trace (the restored prefix is golden by construction). Used by
+/// the staged classify stage.
 TraceDivergence compare_suffix_writes(const std::vector<BusRecord>& golden,
                                       std::size_t prefix_writes,
                                       const std::vector<BusRecord>& suffix);
@@ -279,11 +280,11 @@ TraceDivergence compare_suffix_writes(const std::vector<BusRecord>& golden,
 /// from the classify thread; the driver joins both helper threads before
 /// returning, so every captured frame outlives its use.
 ///
-/// Fault isolation mirrors the synchronous paths stage by stage: restore /
-/// arm / step failures are contained inside run_capture (spawn retry or
-/// per-site retry), classify failures are retried once on the classify
-/// thread and then demoted to an engine-error record — identical counters,
-/// identical record text, pipeline on or off.
+/// Fault isolation mirrors the synchronous path stage by stage: restore /
+/// arm / step failures are contained inside run_capture (per-site retry),
+/// classify failures are retried once on the classify thread and then
+/// demoted to an engine-error record — identical counters, identical record
+/// text, pipeline on or off.
 template <class Backend, class Worker, class Commit, class Stop,
           class Counters>
 void run_staged_shard(const Backend& backend, Worker& worker, unsigned shard,

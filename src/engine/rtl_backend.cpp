@@ -1,7 +1,6 @@
 #include "engine/rtl_backend.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -34,35 +33,6 @@ std::size_t snapshot_bytes(const RtlCampaignBackend::GoldenSnapshot& s) {
   return s.core.node_values.size() * sizeof(u32) +
          s.mem.allocated_pages() * 64 + sizeof(s);
 }
-
-/// Cycles each live replica lane advances per lockstep round. Small enough
-/// that lanes stay within one round of each other (bounded skew — lanes are
-/// independent after arming, so any skew is outcome-neutral), large enough
-/// that the per-round lane switch (a handful of scalar copies and O(1)
-/// trace/memory swaps) is amortised over many simulated cycles.
-constexpr u64 kLockstepChunk = 128;
-
-/// Resolve EngineOptions::simd_tile: 0 = auto (runtime CPUID dispatch via
-/// rtl::preferred_lane_tile — 16-lane u32×16 strips on AVX-512F hosts, the
-/// portable 8 elsewhere); explicit values are passed through (the kernel
-/// validates them).
-std::size_t resolve_simd_tile(unsigned requested) {
-  return requested != 0 ? requested : rtl::preferred_lane_tile();
-}
-
-/// Resolve EngineOptions::simd_min_live, the live-lane floor below which
-/// the SIMD rotation hands the drained-queue survivors to the scalar
-/// chunked loop: 0 = auto (one tile's worth — below that the interleaved
-/// layout's per-access footprint blow-up costs more than the shared commit
-/// pass recovers).
-unsigned resolve_simd_min_live(unsigned requested, std::size_t tile) {
-  return requested != 0 ? requested : static_cast<unsigned>(tile);
-}
-
-// compare_suffix_writes — the suffix-aware equivalent of
-// OffCoreTrace::compare_writes that batched classification relies on —
-// lives in engine/pipeline.{hpp,cpp} now: the staged classify stages of
-// both backends share it with classify_lane below.
 
 }  // namespace
 
@@ -542,909 +512,9 @@ fault::InjectionResult RtlCampaignBackend::Worker::run_site(
   return result;
 }
 
-// ---------------------------------------------------------------------------
-// Batched lockstep evaluation.
-
-void RtlCampaignBackend::Worker::cursor_seek(u64 inject_cycle) {
-  // Precondition: the cursor lane (0) is active and fault-free.
-  const auto* rung =
-      b_.opts_.checkpoint ? b_.ladder_.best_at_or_below(inject_cycle) : nullptr;
-  const bool cursor_usable =
-      b_.opts_.checkpoint && cursor_valid_ && core_.cycles() <= inject_cycle;
-  if (cursor_usable && (rung == nullptr || rung->instant <= core_.cycles())) {
-    // The cursor itself is the rolling checkpoint: just keep stepping.
-    b_.rolling_restores_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    // The cursor would pay a rung restore or a cold reset here; in staged
-    // mode, adopt the restore stage's snapshot instead when it is ready
-    // *right now* (never wait — a demand restore is bit-identical, only
-    // the tallies can tell which side of the race won).
-    const GoldenSnapshot* pf = nullptr;
-    if (pipe_ != nullptr) {
-      pf = pipe_->src.acquire(current_item_, pipe_->tallies.snapshot_waits);
-      if (pf != nullptr && pf->core.cycle != inject_cycle) pf = nullptr;
-    }
-    if (pf != nullptr) {
-      core_.restore(pf->core);
-      mem_ = pf->mem.clone();
-      cursor_writes_ = pf->writes;
-      cursor_reads_ = pf->reads;
-      ++pipe_->tallies.restores_prefetched;
-    } else {
-      if (pipe_ != nullptr) ++pipe_->tallies.restores_demand;
-      if (rung != nullptr) {
-        // checkpoint_lite snapshots carry an empty trace, so this restore
-        // is O(nodes) — the golden-prefix trace exists only as the length
-        // counters below, never as a per-restore O(instant) copy.
-        core_.restore(rung->snap->core);
-        mem_ = rung->snap->mem.clone();
-        cursor_writes_ = rung->snap->writes;
-        cursor_reads_ = rung->snap->reads;
-        b_.ladder_restores_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        mem_ = b_.initial_mem_.clone();
-        core_.reset(b_.prog_.entry);
-        cursor_writes_ = 0;
-        cursor_reads_ = 0;
-        b_.cold_resets_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-  cursor_valid_ = true;
-  u64 stepped = 0;
-  while (core_.cycles() < inject_cycle &&
-         core_.halt_reason() == iss::HaltReason::kRunning) {
-    core_.step();
-    ++stepped;
-  }
-  if (stepped != 0) {
-    b_.fast_forward_cycles_.fetch_add(stepped, std::memory_order_relaxed);
-  }
-  // Fault-free records stepped over are golden records: fold them into the
-  // prefix counters and drop them.
-  core_.drain_trace_counts(cursor_writes_, cursor_reads_);
-}
-
-void RtlCampaignBackend::Worker::spawn_lane(unsigned lane,
-                                            std::size_t site_index) {
-  const fault::FaultSite site = b_.sites_[site_index];
-  cursor_seek(site.inject_cycle);
-  maybe_fail_site(site_index, FailStage::kRestore);
-  core_.clone_active_lane_to(lane);
-  LaneRun& run = lane_runs_[lane - 1];
-  std::vector<u32> probe = std::move(run.probe_nodes);  // keep the buffer
-  run = LaneRun{};
-  run.probe_nodes = std::move(probe);
-  run.site = site;
-  run.prefix_writes = cursor_writes_;
-  run.matched = cursor_writes_;
-  run.converge = b_.opts_.converge_cutoff && b_.ladder_.enabled() &&
-                 site.model == rtl::FaultModel::kTransientBitFlip;
-  run.track_writes = b_.opts_.early_stop || run.converge;
-  run.record.site = site;
-  // Arm the :step hook lazily: it must fire inside the stepping machinery
-  // (mid-flight containment), not here in the spawn path.
-  run.step_hook_pending = !b_.fail_spec_.empty();
-  core_.select_lane(lane);
-  core_.sim().arm_fault(site.node, site.model, site.bit);
-  maybe_fail_site(site_index, FailStage::kArm);
-  run.budget =
-      b_.watchdog_ > core_.cycles() ? b_.watchdog_ - core_.cycles() : 0;
-  core_.select_lane(0);
-}
-
 void RtlCampaignBackend::Worker::maybe_fail_site(std::size_t site_index,
                                                  FailStage stage) {
   maybe_fail_stage(b_.fail_spec_, fail_attempts_, site_index, stage);
-}
-
-bool RtlCampaignBackend::Worker::try_spawn(unsigned slot, std::size_t item) {
-  const std::size_t site_index = (*batch_indices_)[item];
-  current_item_ = item_offset_ + item;  // snapshot-adoption key (staged mode)
-  for (;;) {
-    try {
-      core_.select_lane(0);  // cursor_seek precondition (throw-safe re-park)
-      spawn_lane(slot + 1, site_index);
-      lane_runs_[slot].item = item;
-      return true;
-    } catch (const std::exception& e) {
-      // The replica lane may be half-armed; the next clone into it (the
-      // retry below, or any later respawn) wipes it, so only the retry
-      // budget needs bookkeeping here.
-      if (retried_sites_.insert(site_index).second) {
-        counters_->retried.fetch_add(1, std::memory_order_relaxed);
-        continue;  // one immediate retry on a fresh cursor clone
-      }
-      counters_->engine_errors.fetch_add(1, std::memory_order_relaxed);
-      LaneRun& run = lane_runs_[slot];
-      std::vector<u32> probe = std::move(run.probe_nodes);
-      run = LaneRun{};
-      run.probe_nodes = std::move(probe);
-      run.item = item;
-      run.done = true;
-      run.emit = true;
-      run.record = b_.error_record(site_index, e.what());
-      return false;
-    }
-  }
-}
-
-void RtlCampaignBackend::Worker::handle_lane_failure(unsigned slot,
-                                                     const char* what) {
-  // Isolation epilogue for a mid-flight throw (evaluation, bookkeeping or
-  // scalar stepping): the lane is parked as-is — done, its state garbage
-  // until a respawn clone overwrites it — and only the site's fate is
-  // decided here. Deliberately no lane switching: the surrounding loops
-  // keep their own active-lane discipline.
-  LaneRun& run = lane_runs_[slot];
-  const std::size_t site_index = (*batch_indices_)[run.item];
-  run.done = true;
-  run.just_failed = true;
-  if (retried_sites_.insert(site_index).second) {
-    counters_->retried.fetch_add(1, std::memory_order_relaxed);
-    run.emit = false;
-    retry_queue_.push_back(run.item);  // respawned on a fresh cursor clone
-  } else {
-    counters_->engine_errors.fetch_add(1, std::memory_order_relaxed);
-    run.emit = true;
-    run.pre_classified = true;  // final record: bypasses the classify stage
-    run.record = b_.error_record(site_index, what);
-  }
-}
-
-bool RtlCampaignBackend::Worker::step_lane(LaneRun& run, u64 max_cycles) {
-  if (run.step_hook_pending) {
-    run.step_hook_pending = false;
-    maybe_fail_site((*batch_indices_)[run.item], FailStage::kStep);
-  }
-  const std::vector<BusRecord>& golden_writes = b_.golden_trace_.writes();
-  const u64 rung_stride = b_.ladder_.stride();
-  iss::HaltReason halt = core_.halt_reason();
-  for (u64 k = 0; k < max_cycles; ++k) {
-    if (run.budget == 0 || halt != iss::HaltReason::kRunning ||
-        run.definite_divergence) {
-      break;
-    }
-    core_.step();
-    --run.budget;
-    halt = core_.halt_reason();
-    if (run.track_writes) {
-      // The lane's own trace holds only the faulty suffix; `matched` is a
-      // golden-absolute index, offset by the inherited prefix length.
-      const std::vector<BusRecord>& writes = core_.offcore().writes();
-      while (!run.write_mismatch &&
-             run.matched < run.prefix_writes + writes.size()) {
-        const BusRecord& mine = writes[run.matched - run.prefix_writes];
-        if (run.matched >= golden_writes.size() ||
-            !mine.same_payload(golden_writes[run.matched])) {
-          run.write_mismatch = true;
-          if (b_.opts_.early_stop) run.definite_divergence = true;
-        } else {
-          ++run.matched;
-        }
-      }
-    }
-    if (run.converge && !run.write_mismatch &&
-        halt == iss::HaltReason::kRunning &&
-        core_.cycles() % rung_stride == 0) {
-      if (const auto* rung = b_.ladder_.at(core_.cycles())) {
-        const GoldenSnapshot& g = *rung->snap;
-        const rtlcore::CoreActivityScalars sc = core_.activity_scalars();
-        if (sc.instret == g.core.instret && sc.slot_seq == g.core.slot_seq &&
-            sc.next_fetch_seq == g.core.next_fetch_seq &&
-            sc.redirect_after_seq == g.core.redirect_after_seq &&
-            sc.annul_seq == g.core.annul_seq &&
-            run.prefix_writes + sc.bus_writes == g.writes &&
-            core_.node_values_equal(g.core.node_values) &&
-            core_.memory().equals(g.mem)) {
-          b_.convergence_cutoffs_.fetch_add(1, std::memory_order_relaxed);
-          run.record.outcome = fault::Outcome::kSilent;
-          run.record.halt = iss::HaltReason::kHalted;
-          run.done = true;
-          run.emit = true;
-          return true;
-        }
-      }
-    }
-    if (b_.opts_.hang_fast_forward && halt == iss::HaltReason::kRunning &&
-        core_.cycles() > b_.golden_cycles_) {
-      const rtlcore::CoreActivityScalars scalars = core_.activity_scalars();
-      if (!run.scalars_valid || !(scalars == run.scalars_prev)) {
-        run.scalars_prev = scalars;
-        run.scalars_valid = true;
-        run.nodes_valid = false;
-      } else if (!run.nodes_valid) {
-        core_.save_node_values(run.probe_nodes);
-        run.nodes_valid = true;
-      } else if (core_.node_values_equal(run.probe_nodes)) {
-        halt = iss::HaltReason::kStepLimit;  // stuck: watchdog is certain
-        break;
-      } else {
-        core_.save_node_values(run.probe_nodes);
-      }
-    }
-  }
-  if (run.budget == 0 || halt != iss::HaltReason::kRunning ||
-      run.definite_divergence) {
-    classify_lane(run, halt);
-    run.done = true;
-    return true;
-  }
-  return false;  // round over, lane still in flight
-}
-
-void RtlCampaignBackend::Worker::classify_lane(LaneRun& run,
-                                               iss::HaltReason halt) {
-  if (halt == iss::HaltReason::kRunning && !run.definite_divergence) {
-    halt = iss::HaltReason::kStepLimit;  // watchdog expired
-  }
-  run.emit = true;  // the record below is final: deliver it on finalize
-  if (pipe_ != nullptr) {
-    // Staged capture: record what classification needs while the lane is
-    // still selected — the suffix trace plus the end-state oracle verdict,
-    // which must read this lane's live node/memory state — and hand the
-    // verdict off to the classify stage. states_ok is only evaluated when
-    // it could matter (clean halt, suffix completing the golden trace);
-    // the classifier consults it exactly where the synchronous epilogue
-    // would have called states_match.
-    run.pre_classified = false;
-    run.halt_out = halt;
-    run.suffix = core_.offcore().writes();
-    run.states_valid =
-        halt != iss::HaltReason::kStepLimit && !run.write_mismatch &&
-        run.prefix_writes + run.suffix.size() == b_.golden_trace_.writes().size();
-    run.states_ok = run.states_valid &&
-                    states_match(core_, b_.golden_state_, b_.golden_mem_,
-                                 b_.cfg_.compare_memory);
-    return;
-  }
-  maybe_fail_site((*batch_indices_)[run.item], FailStage::kClassify);
-  run.record.halt = halt;
-  const std::vector<BusRecord>& suffix = core_.offcore().writes();
-  const TraceDivergence div = compare_suffix_writes(
-      b_.golden_trace_.writes(), run.prefix_writes, suffix);
-  if (div.diverged) {
-    run.record.outcome = halt == iss::HaltReason::kStepLimit &&
-                                 div.index >= run.prefix_writes + suffix.size()
-                             ? fault::Outcome::kHang
-                             : fault::Outcome::kFailure;
-    run.record.latency_cycles = div.cycle > run.site.inject_cycle
-                                    ? div.cycle - run.site.inject_cycle
-                                    : 0;
-  } else if (halt == iss::HaltReason::kStepLimit) {
-    run.record.outcome = fault::Outcome::kHang;
-    run.record.latency_cycles = b_.watchdog_ - run.site.inject_cycle;
-  } else if (states_match(core_, b_.golden_state_, b_.golden_mem_,
-                          b_.cfg_.compare_memory)) {
-    run.record.outcome = fault::Outcome::kSilent;
-  } else {
-    run.record.outcome = fault::Outcome::kLatent;
-  }
-}
-
-unsigned RtlCampaignBackend::Worker::step_lanes_round(unsigned n,
-                                                      u64 cursor_target) {
-  // Evaluation pass: one cycle per live lane. The commit is deferred — a
-  // lane's evaluation only reads and writes its own slices, so clocking
-  // every lane after the pass is indistinguishable from per-lane commits.
-  stepped_.assign(core_.lane_count(), 0);
-  unsigned evaluated = 0;
-  const bool vec = b_.opts_.vec_eval;
-  if (cursor_target != 0 && core_.lane_state(0).cycle < cursor_target &&
-      core_.lane_state(0).halt == iss::HaltReason::kRunning) {
-    // The cursor rides the tiles toward the next pending instant: one more
-    // lane in the shared commit is nearly free, and every cycle it gains
-    // here is a strided single-lane fast-forward cycle the next refill no
-    // longer pays. It never passes the instant, so cursor_seek's monotonic
-    // precondition — and the cursor's golden trajectory — are untouched.
-    core_.select_lane_fast(0);
-    if (!vec || core_.plan_vec_cycle() != rtlcore::VecEscape::kNone) {
-      core_.step_no_commit();
-      if (vec) ++stat_veceval_escapes_;
-    }
-    stepped_[0] = 1;
-    ++stat_cursor_ride_cycles_;
-  }
-  for (unsigned j = 0; j < n; ++j) {
-    LaneRun& run = lane_runs_[j];
-    if (run.done || run.definite_divergence || run.budget == 0) continue;
-    if (core_.lane_state(j + 1).halt != iss::HaltReason::kRunning) continue;
-    core_.select_lane_fast(j + 1);
-    // Vector evaluation: try the node-major lowered path first. A planned
-    // cycle mutates only the lane's cycle counter and sequence tags here;
-    // the node work happens in the shared transfer pass + compute hooks
-    // below. An escape leaves the lane exactly as if plan_vec_cycle had
-    // never run, so the behavioral step is a drop-in.
-    if (vec && core_.plan_vec_cycle() == rtlcore::VecEscape::kNone) {
-      stepped_[j + 1] = 1;
-      ++evaluated;
-      --run.budget;
-      continue;
-    }
-    if (vec) ++stat_veceval_escapes_;
-    try {
-      core_.step_no_commit();
-    } catch (const std::exception& e) {
-      // Containment: the lane dies alone (stepped_ stays 0, so the shared
-      // commit skips its half-evaluated state); pool-mates keep going.
-      handle_lane_failure(j, e.what());
-      continue;
-    }
-    stepped_[j + 1] = 1;
-    ++evaluated;
-    --run.budget;
-  }
-  if (vec && !core_.vec_pending_lanes().empty()) {
-    // Phase 2: one node-major pass moves every planned lane's latches.
-    core_.apply_vec_transfers();
-    // Phase 3: the per-lane compute the lowering left behavioral. Same
-    // containment contract as the behavioral step above — a throwing pool
-    // lane dies alone (its stepped_ bit is cleared so the shared commit
-    // skips it); the fault-free cursor is not guarded, matching
-    // step_no_commit on the cursor ride.
-    for (const unsigned lane : core_.vec_pending_lanes()) {
-      core_.select_lane_fast(lane);
-      if (lane == 0) {
-        core_.complete_vec_cycle();
-        continue;
-      }
-      try {
-        core_.complete_vec_cycle();
-      } catch (const std::exception& e) {
-        handle_lane_failure(lane - 1, e.what());
-        stepped_[lane] = 0;
-        continue;
-      }
-    }
-    ++stat_veceval_rounds_;
-    stat_veceval_lane_cycles_ += core_.vec_pending_lanes().size();
-    core_.clear_vec_pending();
-  }
-  // Parking the cursor stages out the last-evaluated lane's sequence tags,
-  // so the bookkeeping pass can read every replica's state directly.
-  core_.select_lane_fast(0);
-  core_.sim().commit_lanes(stepped_);  // one tile pass clocks the live set
-  ++stat_simd_rounds_;
-  stat_live_lane_rounds_ += evaluated;
-  retired_slots_.clear();
-  unsigned retired = 0;
-  for (unsigned j = 0; j < n; ++j) {
-    LaneRun& run = lane_runs_[j];
-    if (run.done) {
-      if (run.just_failed) {  // died in the evaluation pass above
-        run.just_failed = false;
-        ++retired;
-        retired_slots_.push_back(j);
-      }
-      continue;
-    }
-    bool lane_retired = false;
-    try {
-      lane_retired = bookkeep_lane(run, j + 1);
-    } catch (const std::exception& e) {
-      handle_lane_failure(j, e.what());
-      run.just_failed = false;
-      lane_retired = true;
-    }
-    if (lane_retired) {
-      ++retired;
-      retired_slots_.push_back(j);
-    }
-  }
-  return retired;
-}
-
-bool RtlCampaignBackend::Worker::compact_lanes(unsigned n) {
-  const std::size_t tile = core_.sim().lane_tile();
-  const std::size_t lanes = core_.lane_count();
-  std::vector<std::size_t> live_lanes;
-  for (unsigned j = 0; j < n; ++j) {
-    if (!lane_runs_[j].done) live_lanes.push_back(j + 1);
-  }
-  // Tiles the masked commit currently touches (cursor tile 0 included) vs
-  // the minimum that could hold the survivors.
-  std::vector<u8> tile_used((lanes + tile - 1) / tile, 0);
-  tile_used[0] = 1;
-  for (const std::size_t l : live_lanes) tile_used[l / tile] = 1;
-  std::size_t used_tiles = 0;
-  for (const u8 u : tile_used) used_tiles += u;
-  const std::size_t needed_tiles = (live_lanes.size() + 1 + tile - 1) / tile;
-  if (needed_tiles >= used_tiles) return false;
-  // Permutation: cursor stays at lane 0, survivors pack into lanes
-  // 1..live in slot order, displaced dead lanes fill the vacated slots.
-  std::vector<std::size_t> src_of(lanes);
-  std::vector<u8> taken(lanes, 0);
-  src_of[0] = 0;
-  taken[0] = 1;
-  std::size_t dst = 1;
-  for (const std::size_t l : live_lanes) {
-    src_of[dst++] = l;
-    taken[l] = 1;
-  }
-  for (std::size_t l = 1; l < lanes; ++l) {
-    if (!taken[l]) src_of[dst++] = l;
-  }
-  core_.select_lane(0);
-  core_.permute_lanes(src_of);
-  // Pool slot j drives core lane j + 1: reorder the runs to match.
-  std::vector<LaneRun> runs(n);
-  for (unsigned j = 0; j < n; ++j) {
-    runs[j] = std::move(lane_runs_[src_of[j + 1] - 1]);
-  }
-  lane_runs_ = std::move(runs);
-  ++stat_compactions_;
-  return true;
-}
-
-bool RtlCampaignBackend::Worker::bookkeep_lane(LaneRun& run, unsigned lane) {
-  if (run.step_hook_pending) {
-    run.step_hook_pending = false;
-    maybe_fail_site((*batch_indices_)[run.item], FailStage::kStep);
-  }
-  const rtlcore::CoreLaneState& ls = core_.lane_state(lane);
-  const std::vector<BusRecord>& golden_writes = b_.golden_trace_.writes();
-  iss::HaltReason halt = ls.halt;
-  if (run.track_writes) {
-    // The lane's own trace holds only the faulty suffix; `matched` is a
-    // golden-absolute index, offset by the inherited prefix length.
-    const std::vector<BusRecord>& writes = ls.bus.writes();
-    while (!run.write_mismatch &&
-           run.matched < run.prefix_writes + writes.size()) {
-      const BusRecord& mine = writes[run.matched - run.prefix_writes];
-      if (run.matched >= golden_writes.size() ||
-          !mine.same_payload(golden_writes[run.matched])) {
-        run.write_mismatch = true;
-        if (b_.opts_.early_stop) run.definite_divergence = true;
-      } else {
-        ++run.matched;
-      }
-    }
-  }
-  // The cheap scalar half of the fingerprints, rebuilt from the parked lane
-  // state (identical to activity_scalars() with the lane active).
-  auto scalars_of = [&ls]() {
-    rtlcore::CoreActivityScalars sc;
-    sc.slot_seq = ls.slot_seq;
-    sc.next_fetch_seq = ls.next_fetch_seq;
-    sc.redirect_after_seq = ls.redirect_after_seq;
-    sc.annul_seq = ls.annul_seq;
-    sc.instret = ls.instret;
-    sc.bus_writes = ls.bus.writes().size();
-    sc.bus_reads = ls.bus.reads().size();
-    return sc;
-  };
-  if (run.converge && !run.write_mismatch &&
-      halt == iss::HaltReason::kRunning &&
-      ls.cycle % b_.ladder_.stride() == 0) {
-    if (const auto* rung = b_.ladder_.at(ls.cycle)) {
-      const GoldenSnapshot& g = *rung->snap;
-      const rtlcore::CoreActivityScalars sc = scalars_of();
-      if (sc.instret == g.core.instret && sc.slot_seq == g.core.slot_seq &&
-          sc.next_fetch_seq == g.core.next_fetch_seq &&
-          sc.redirect_after_seq == g.core.redirect_after_seq &&
-          sc.annul_seq == g.core.annul_seq &&
-          run.prefix_writes + sc.bus_writes == g.writes) {
-        core_.select_lane(lane);  // node/memory probes need the lane live
-        if (core_.node_values_equal(g.core.node_values) &&
-            core_.memory().equals(g.mem)) {
-          b_.convergence_cutoffs_.fetch_add(1, std::memory_order_relaxed);
-          run.record.outcome = fault::Outcome::kSilent;
-          run.record.halt = iss::HaltReason::kHalted;
-          run.done = true;
-          run.emit = true;
-          return true;
-        }
-      }
-    }
-  }
-  if (b_.opts_.hang_fast_forward && halt == iss::HaltReason::kRunning &&
-      ls.cycle > b_.golden_cycles_) {
-    const rtlcore::CoreActivityScalars scalars = scalars_of();
-    if (!run.scalars_valid || !(scalars == run.scalars_prev)) {
-      run.scalars_prev = scalars;
-      run.scalars_valid = true;
-      run.nodes_valid = false;
-    } else if (!run.nodes_valid) {
-      core_.select_lane(lane);
-      core_.save_node_values(run.probe_nodes);
-      run.nodes_valid = true;
-    } else {
-      core_.select_lane(lane);
-      if (core_.node_values_equal(run.probe_nodes)) {
-        halt = iss::HaltReason::kStepLimit;  // stuck: watchdog is certain
-      } else {
-        core_.save_node_values(run.probe_nodes);
-      }
-    }
-  }
-  if (run.budget == 0 || halt != iss::HaltReason::kRunning ||
-      run.definite_divergence) {
-    core_.select_lane(lane);  // classification reads trace + state + memory
-    classify_lane(run, halt);
-    run.done = true;
-    return true;
-  }
-  return false;
-}
-
-void RtlCampaignBackend::Worker::run_batch(
-    const std::vector<std::size_t>& indices,
-    const std::function<void(std::size_t, Record&&)>& on_site,
-    const std::function<bool()>& stop, EngineRunCounters& counters) {
-  batch_indices_ = &indices;
-  on_site_ = &on_site;
-  counters_ = &counters;
-  retry_queue_.clear();
-  retried_sites_.clear();
-  if (b_.batch_size() <= 1) {  // batching off: plain per-site loop
-    for (std::size_t j = 0; j < indices.size(); ++j) {
-      if (stop()) return;
-      try {
-        on_site(j, run_site(indices[j]));
-      } catch (const std::exception&) {
-        counters.retried.fetch_add(1, std::memory_order_relaxed);
-        try {
-          on_site(j, run_site(indices[j]));  // fresh restore via prepare()
-        } catch (const std::exception& e) {
-          counters.engine_errors.fetch_add(1, std::memory_order_relaxed);
-          on_site(j, b_.error_record(indices[j], e.what()));
-        }
-      }
-    }
-    return;
-  }
-  if (!b_.opts_.lane_refill && indices.size() > b_.batch_size()) {
-    // Fixed-batch scheduling (lane_refill off): slice the shard into
-    // batch-sized pieces and drain each one completely before the next
-    // spawns — a piece never has queue left over, so the pool scheduler
-    // below runs it as one fixed batch whose failure tail thins the pool,
-    // exactly the pre-pool behaviour. The cursor still rides the shared
-    // ladder monotonically (instants arrive sorted across the whole
-    // shard), and outcomes are bit-identical to continuous refill: the
-    // knob only reshapes the schedule.
-    const std::size_t saved_offset = item_offset_;
-    for (std::size_t at = 0; at < indices.size(); at += b_.batch_size()) {
-      if (stop()) return;
-      const std::size_t end = std::min(indices.size(), at + b_.batch_size());
-      const std::vector<std::size_t> part(
-          indices.begin() + static_cast<long>(at),
-          indices.begin() + static_cast<long>(end));
-      // Re-base the slice's item positions so staged packets and snapshot
-      // lookups stay shard-absolute (the sync callback re-bases on_site the
-      // same way).
-      item_offset_ = saved_offset + at;
-      run_batch(
-          part,
-          [&on_site, at](std::size_t item, Record&& r) {
-            on_site(at + item, std::move(r));
-          },
-          stop, counters);
-      item_offset_ = saved_offset;
-    }
-    return;
-  }
-  const std::size_t tile = resolve_simd_tile(b_.opts_.simd_tile);
-  const unsigned min_live =
-      resolve_simd_min_live(b_.opts_.simd_min_live, tile);
-  // Lane 0 is the cursor; the pool holds one replica lane per concurrent
-  // site, sized to the shard's actual need — a short shard never allocates
-  // (or COW-clones) lanes it cannot spawn. The spawn phase (cursor
-  // fast-forward) starts lane-major; the SIMD driver re-tiles around its
-  // dense rounds below.
-  unsigned pool = static_cast<unsigned>(
-      std::min<std::size_t>(b_.batch_size(), indices.size()));
-  // Tile-align the pool for the SIMD rounds: the shared commit copies whole
-  // tiles, so a pool whose lane count (cursor + pool replicas) straddles a
-  // tile boundary pays a full extra tile's memcpy every round for the few
-  // lanes that spill over (e.g. 17 lanes in two 16-wide tiles copies 32
-  // slots per node to clock 17). Trim to the largest size where the lane
-  // count fills tiles exactly; pools smaller than one tile keep their
-  // natural size (the overcopy is then bounded by a single tile).
-  if (b_.opts_.simd_lanes && pool + 1 > tile) {
-    pool = static_cast<unsigned>((pool + 1) / tile * tile - 1);
-  }
-  if (!lanes_ready_ || core_.lane_count() != pool + 1) {
-    if (lanes_ready_) {
-      // Re-sizing an existing pool: retired lanes may still carry armed
-      // overlays (a respawn normally wipes them via the cursor clone), and
-      // enable_lanes rejects those.
-      for (unsigned l = 1; l < core_.lane_count(); ++l) {
-        core_.select_lane(l);
-        core_.sim().clear_faults();
-      }
-      core_.select_lane(0);
-    }
-    core_.enable_lanes(pool + 1, rtl::LaneLayout::kFlat, tile);
-    lane_runs_.assign(pool, LaneRun{});
-    lanes_ready_ = true;
-  }
-  // All slots start parked (nothing spawned, nothing to emit) — the pool
-  // may be inherited from an earlier fixed-batch slice with stale runs.
-  for (LaneRun& run : lane_runs_) {
-    run.done = true;
-    run.emit = false;
-    run.just_failed = false;
-  }
-  // The work queue: the shard tail (next_item onward) plus any items
-  // requeued for their one retry. Retry items respawn behind the cursor;
-  // cursor_seek handles the rewind via a rung restore, so the monotonic
-  // fast-forward of the fresh tail is undisturbed.
-  std::size_t next_item = 0;
-  const auto pending = [&]() {
-    return retry_queue_.size() + (indices.size() - next_item);
-  };
-  const auto peek_instant = [&]() {
-    const std::size_t item =
-        retry_queue_.empty() ? next_item : retry_queue_.front();
-    return b_.sites_[indices[item]].inject_cycle;
-  };
-  const auto take_item = [&]() {
-    if (!retry_queue_.empty()) {
-      const std::size_t item = retry_queue_.front();
-      retry_queue_.pop_front();
-      return item;
-    }
-    return next_item++;
-  };
-  const auto finalize = [&](unsigned slot) {
-    LaneRun& run = lane_runs_[slot];
-    if (!run.emit) return;
-    run.emit = false;
-    if (pipe_ != nullptr) {
-      // Staged capture: ship the retirement to the classify stage instead
-      // of delivering a classified record inline. A failed push means the
-      // classify stage died; folding that into the stop poll drains the
-      // in-flight lanes exactly like a deadline stop.
-      Retired p;
-      p.item = item_offset_ + run.item;
-      p.site_index = (*batch_indices_)[run.item];
-      p.prefix_writes = run.prefix_writes;
-      p.suffix = std::move(run.suffix);
-      p.halt = run.halt_out;
-      p.states_valid = run.states_valid;
-      p.states_ok = run.states_ok;
-      p.pre_classified = run.pre_classified;
-      p.record = std::move(run.record);
-      if (!pipe_->retired_q.push(std::move(p))) sink_closed_ = true;
-      return;
-    }
-    (*on_site_)(run.item, std::move(run.record));
-  };
-  // Initial fill: one monotonic cursor pass over the first `pool` instants
-  // (the engine hands the whole shard sorted by instant), one replica
-  // clone + arm per site.
-  bool stopping = stop();
-  unsigned live = 0;
-  for (unsigned j = 0; j < pool && !stopping && pending() != 0; ++j) {
-    if (try_spawn(j, take_item())) {
-      ++live;
-    } else {
-      finalize(j);
-    }
-    if (stop()) stopping = true;
-  }
-  if (b_.opts_.simd_lanes && (pending() != 0 || live > min_live)) {
-    // SIMD lane-slice rounds over interleaved tiles: every live lane
-    // advances one cycle, all lanes are clocked by one commit_lanes()
-    // pass, and lanes retire individually (divergence / convergence /
-    // halt / hang / watchdog). Interleaved storage only pays while the
-    // tiles are densely occupied, so the scheduler keeps them that way:
-    // every retired lane is refilled from the work queue immediately
-    // (restore-nearest-rung cursor seek + clone + arm into the freed
-    // slot), and once the queue drains the thinning survivors are
-    // compacted into the lowest tiles. Only when the queue is empty and
-    // fewer than min_live lanes survive do the lanes transpose back to
-    // lane-major for the scalar chunk loop below.
-    core_.set_lane_layout(rtl::LaneLayout::kTiled, tile);
-    // A freed slot is not respawned the instant it opens: in the tiled
-    // layout a cursor_seek that has to restore a rung or fast-forward solo
-    // is a strided scatter (one cache line per node), so the scheduler
-    // lets the cursor *ride* there inside the shared rounds instead —
-    // nearly free — and only spawns once the cursor has reached the
-    // instant. Gaps beyond kRideWindow cycles are jumped via the rung
-    // restore as before (riding 1 cycle/round would idle the free slots
-    // longer than the strided restore costs). Which path positions the
-    // cursor is outcome-invisible (restore-source invisibility), so this
-    // is purely a scheduling choice. Free slots are found by scanning the
-    // done flags — a maintained free list would go stale across
-    // compact_lanes' slot permutation.
-    constexpr u64 kRideWindow = 4 * kLockstepChunk;
-    while (live > min_live || (!stopping && pending() != 0 && live != 0)) {
-      if (!stopping && stop()) stopping = true;  // round-granular stop poll
-      const u64 cursor_target =
-          !stopping && pending() != 0 ? peek_instant() : 0;
-      const unsigned retired = step_lanes_round(pool, cursor_target);
-      live -= retired;
-      for (const unsigned slot : retired_slots_) finalize(slot);
-      if (!stopping && pending() != 0) {
-        // Continuous refill: freed slots take the next queued sites, so
-        // the tiles stay dense across what used to be batch boundaries.
-        for (unsigned j = 0; j < pool && pending() != 0; ++j) {
-          if (!lane_runs_[j].done) continue;
-          const u64 inject = peek_instant();
-          const u64 at = core_.lane_state(0).cycle;
-          const bool arrived =
-              at >= inject ||
-              core_.lane_state(0).halt != iss::HaltReason::kRunning;
-          if (!arrived && inject - at <= kRideWindow) break;  // keep riding
-          if (try_spawn(j, take_item())) {
-            ++live;
-            ++stat_refills_;
-          } else {
-            finalize(j);
-          }
-        }
-      } else if (live > min_live) {
-        // Queue drained (or stop requested) and survivors thinning: pack
-        // them into dense tiles so the masked commit keeps skipping dead
-        // tiles instead of dragging half-empty strips (outcome-neutral,
-        // see Leon3Core::permute_lanes).
-        compact_lanes(pool);
-      }
-    }
-    core_.set_lane_layout(rtl::LaneLayout::kFlat);
-  }
-  // Scalar per-lane stepping: the whole shard when the SIMD path is off
-  // (still queue-fed, so the pool stays busy), the final < min_live
-  // stragglers otherwise — and, on a stop request, the drain of whatever
-  // was already in flight (no new spawns). Rounds of kLockstepChunk cycles
-  // per lane; a straggler never holds its pool-mates.
-  while (live != 0 || (!stopping && pending() != 0)) {
-    if (!stopping && stop()) stopping = true;
-    for (unsigned j = 0; j < pool; ++j) {
-      if (lane_runs_[j].done) {
-        if (stopping || pending() == 0) continue;
-        if (try_spawn(j, take_item())) {
-          ++live;
-          ++stat_refills_;
-        } else {
-          finalize(j);
-          continue;
-        }
-      }
-      core_.select_lane(j + 1);
-      ++stat_scalar_rounds_;
-      bool lane_retired = false;
-      try {
-        lane_retired = step_lane(lane_runs_[j], kLockstepChunk);
-      } catch (const std::exception& e) {
-        handle_lane_failure(j, e.what());
-        lane_runs_[j].just_failed = false;
-        lane_retired = true;
-      }
-      if (lane_retired) {
-        --live;
-        finalize(j);
-      }
-    }
-  }
-  core_.select_lane(0);  // leave the cursor live (parks the lane's tags)
-  // Flush the occupancy tallies once per shard (relaxed: informational).
-  b_.simd_rounds_.fetch_add(stat_simd_rounds_, std::memory_order_relaxed);
-  b_.scalar_rounds_.fetch_add(stat_scalar_rounds_,
-                              std::memory_order_relaxed);
-  b_.lane_refills_.fetch_add(stat_refills_, std::memory_order_relaxed);
-  b_.lane_compactions_.fetch_add(stat_compactions_,
-                                 std::memory_order_relaxed);
-  b_.live_lane_rounds_.fetch_add(stat_live_lane_rounds_,
-                                 std::memory_order_relaxed);
-  b_.fast_forward_cycles_.fetch_add(stat_cursor_ride_cycles_,
-                                    std::memory_order_relaxed);
-  b_.veceval_rounds_.fetch_add(stat_veceval_rounds_,
-                               std::memory_order_relaxed);
-  b_.veceval_lane_cycles_.fetch_add(stat_veceval_lane_cycles_,
-                                    std::memory_order_relaxed);
-  b_.veceval_escapes_.fetch_add(stat_veceval_escapes_,
-                                std::memory_order_relaxed);
-  stat_simd_rounds_ = stat_scalar_rounds_ = stat_refills_ = 0;
-  stat_compactions_ = stat_live_lane_rounds_ = stat_cursor_ride_cycles_ = 0;
-  stat_veceval_rounds_ = stat_veceval_lane_cycles_ = stat_veceval_escapes_ = 0;
-}
-
-void RtlCampaignBackend::Worker::run_capture(
-    const std::vector<std::size_t>& indices, Pipe& pipe,
-    const std::function<bool()>& stop, EngineRunCounters& counters) {
-  pipe_ = &pipe;
-  sink_closed_ = false;
-  item_offset_ = 0;
-  // A dead classify stage (push returned false) reads as a stop request:
-  // no new spawns, in-flight lanes drain, the driver rethrows its error.
-  const std::function<bool()> stop_or_closed = [this, &stop]() {
-    return sink_closed_ || stop();
-  };
-  // Every record leaves through the retirement queue while pipe_ is set,
-  // so run_batch's on_site sink is never invoked.
-  const std::function<void(std::size_t, Record&&)> no_sink =
-      [](std::size_t, Record&&) {};
-  try {
-    run_batch(indices, no_sink, stop_or_closed, counters);
-  } catch (...) {
-    pipe_ = nullptr;
-    throw;
-  }
-  pipe_ = nullptr;
-}
-
-RtlCampaignBackend::Prefetcher::Prefetcher(const RtlCampaignBackend& backend)
-    : b_(backend), core_(mem_, backend.core_cfg_) {}
-
-std::shared_ptr<const RtlCampaignBackend::GoldenSnapshot>
-RtlCampaignBackend::Prefetcher::materialize(u64 inject_cycle) {
-  // cursor_seek's three-way positioning on a private fault-free core. The
-  // engine hands each shard's instants sorted, so the rolling branch (just
-  // keep stepping) covers everything but the first instant and retries.
-  const auto* rung =
-      b_.opts_.checkpoint ? b_.ladder_.best_at_or_below(inject_cycle) : nullptr;
-  const bool rolling =
-      b_.opts_.checkpoint && valid_ && core_.cycles() <= inject_cycle;
-  if (rolling && (rung == nullptr || rung->instant <= core_.cycles())) {
-    b_.rolling_restores_.fetch_add(1, std::memory_order_relaxed);
-  } else if (rung != nullptr) {
-    core_.restore(rung->snap->core);
-    mem_ = rung->snap->mem.clone();
-    writes_ = rung->snap->writes;
-    reads_ = rung->snap->reads;
-    b_.ladder_restores_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    mem_ = b_.initial_mem_.clone();
-    core_.reset(b_.prog_.entry);
-    writes_ = 0;
-    reads_ = 0;
-    b_.cold_resets_.fetch_add(1, std::memory_order_relaxed);
-  }
-  valid_ = true;
-  u64 stepped = 0;
-  while (core_.cycles() < inject_cycle &&
-         core_.halt_reason() == iss::HaltReason::kRunning) {
-    core_.step();
-    ++stepped;
-  }
-  if (stepped != 0) {
-    b_.fast_forward_cycles_.fetch_add(stepped, std::memory_order_relaxed);
-  }
-  core_.drain_trace_counts(writes_, reads_);
-  if (core_.cycles() != inject_cycle ||
-      core_.halt_reason() != iss::HaltReason::kRunning) {
-    return nullptr;  // not exactly positioned: the capture stage restores
-  }
-  auto snap = std::make_shared<GoldenSnapshot>();
-  snap->core = core_.checkpoint_lite();
-  // fork_detached, not clone: the snapshot's pages cross the queue to the
-  // capture thread while this core keeps mutating mem_.
-  snap->mem = mem_.fork_detached();
-  snap->writes = writes_;
-  snap->reads = reads_;
-  return snap;
-}
-
-RtlCampaignBackend::Record RtlCampaignBackend::Classifier::classify(
-    const Retired& p) {
-  maybe_fail_stage(b_.fail_spec_, fail_attempts_, p.site_index,
-                   FailStage::kClassify);
-  // run_site's epilogue over the packet instead of the live lane: the
-  // suffix compare is a pure function of the recorded trace, and the
-  // end-state verdict was captured at retirement (states_valid gates the
-  // exact cases where the synchronous path would have run states_match).
-  Record r = p.record;
-  r.halt = p.halt;
-  const TraceDivergence div = compare_suffix_writes(
-      b_.golden_trace_.writes(), p.prefix_writes, p.suffix);
-  if (div.diverged) {
-    r.outcome = p.halt == iss::HaltReason::kStepLimit &&
-                        div.index >= p.prefix_writes + p.suffix.size()
-                    ? fault::Outcome::kHang
-                    : fault::Outcome::kFailure;
-    r.latency_cycles =
-        div.cycle > r.site.inject_cycle ? div.cycle - r.site.inject_cycle : 0;
-  } else if (p.halt == iss::HaltReason::kStepLimit) {
-    r.outcome = fault::Outcome::kHang;
-    r.latency_cycles = b_.watchdog_ - r.site.inject_cycle;
-  } else if (p.states_ok) {
-    r.outcome = fault::Outcome::kSilent;
-  } else {
-    r.outcome = fault::Outcome::kLatent;
-  }
-  return r;
 }
 
 fault::CampaignResult RtlCampaignBackend::finish(EngineRun<Record> run) const {
@@ -1461,24 +531,10 @@ fault::CampaignResult RtlCampaignBackend::finish(EngineRun<Record> run) const {
   result.replay.cold_resets = cold_resets_.load();
   result.replay.fast_forward_cycles = fast_forward_cycles_.load();
   result.replay.convergence_cutoffs = convergence_cutoffs_.load();
-  result.replay.simd_rounds = simd_rounds_.load();
-  result.replay.scalar_rounds = scalar_rounds_.load();
-  result.replay.lane_refills = lane_refills_.load();
-  result.replay.lane_compactions = lane_compactions_.load();
-  result.replay.live_lane_rounds = live_lane_rounds_.load();
-  result.replay.veceval_rounds = veceval_rounds_.load();
-  result.replay.veceval_lane_cycles = veceval_lane_cycles_.load();
-  result.replay.veceval_escapes = veceval_escapes_.load();
   result.replay.journal_hits = run.journal_hits;
   result.replay.journal_dropped = run.journal_dropped;
   result.replay.sites_retried = run.sites_retried;
   result.replay.sites_engine_error = run.engine_errors;
-  result.replay.restores_prefetched = run.stages.restores_prefetched;
-  result.replay.restores_demand = run.stages.restores_demand;
-  result.replay.snapshot_waits = run.stages.snapshot_waits;
-  result.replay.restore_queue_stalls = run.stages.restore_queue_stalls;
-  result.replay.classify_queue_stalls = run.stages.classify_queue_stalls;
-  result.replay.classify_backlog_peak = run.stages.classify_backlog_peak;
   result.truncated = run.truncated;
   result.completed_sites = run.completed;
   result.total_sites = run.records.size();

@@ -7,11 +7,8 @@
 #pragma once
 
 #include <atomic>
-#include <deque>
-#include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -62,74 +59,6 @@ class RtlCampaignBackend {
     return sites_[i].inject_cycle;
   }
 
-  /// Replica-lane pool cap per worker: opts.batch_lanes (clamped to
-  /// kMaxBatchLanes), or 1 — the per-site serial path — when batching is
-  /// off. Workers size their actual pool to min(batch_size(),
-  /// shard size); see Worker::run_batch for the lane-pool algorithm.
-  std::size_t batch_size() const noexcept {
-    // Mixed fidelity pins the serial per-site path: replica lanes clone a
-    // shared RTL cursor's golden prefix, which is exactly the state the
-    // ISS transplant replaces.
-    if (opts_.mixed_fidelity) return 1;
-    const unsigned lanes = std::min(opts_.batch_lanes, kMaxBatchLanes);
-    return lanes > 1 ? lanes : 1;
-  }
-
-  // ---- staged pipeline (see engine/pipeline.hpp) --------------------------
-  using PrefetchSnapshot = GoldenSnapshot;
-  using Retired = RetiredPacket<Record>;
-  using Pipe = StagePipe<GoldenSnapshot, Retired>;
-
-  /// The staged driver covers the lane-pool scheduler only; the serial
-  /// per-site and mixed-fidelity paths keep the synchronous flow (their
-  /// degenerate "single-stage pipeline") even with EngineOptions::pipeline
-  /// on — run_site classifies inline, exactly as before.
-  bool staged_enabled() const noexcept {
-    return !opts_.mixed_fidelity && batch_size() > 1;
-  }
-
-  /// Restore/prefetch stage: owns a private fault-free core + memory and
-  /// materialises one golden-prefix snapshot per distinct injection
-  /// instant, walking the shard's instants monotonically (rung restore /
-  /// cold reset / rolling advance — cursor_seek's three-way choice).
-  /// Runs no ISSRTL_FAIL_SITE hooks: it works per-instant, not per-site.
-  class Prefetcher {
-   public:
-    explicit Prefetcher(const RtlCampaignBackend& backend);
-    /// Snapshot exactly at `inject_cycle`, or nullptr when the position
-    /// cannot be materialised (the capture stage then pays the demand
-    /// restore, which is bit-identical). The Memory is fork_detached() so
-    /// the snapshot can cross the queue to the capture thread.
-    std::shared_ptr<const GoldenSnapshot> materialize(u64 inject_cycle);
-
-   private:
-    const RtlCampaignBackend& b_;
-    Memory mem_;
-    rtlcore::Leon3Core core_;
-    bool valid_ = false;
-    std::size_t writes_ = 0;
-    std::size_t reads_ = 0;
-  };
-
-  /// Classification stage: a pure function of the retired packet (suffix
-  /// trace + capture-time oracle verdict) against the shared golden trace.
-  /// Mirrors run_site's epilogue / the synchronous classify_lane branch.
-  class Classifier {
-   public:
-    explicit Classifier(const RtlCampaignBackend& backend) : b_(backend) {}
-    Record classify(const Retired& p);
-
-   private:
-    const RtlCampaignBackend& b_;
-    std::map<std::size_t, unsigned> fail_attempts_;  ///< ISSRTL_FAIL_SITE
-  };
-
-  std::unique_ptr<Prefetcher> make_prefetcher(unsigned /*shard*/) const {
-    return std::make_unique<Prefetcher>(*this);
-  }
-  std::unique_ptr<Classifier> make_classifier() const {
-    return std::make_unique<Classifier>(*this);
-  }
   const std::vector<fault::FaultSite>& sites() const noexcept {
     return sites_;
   }
@@ -140,7 +69,7 @@ class RtlCampaignBackend {
   /// Campaign identity for the write-ahead journal: an FNV-1a fingerprint
   /// of the workload image, the campaign config (every field that shapes
   /// the fault list or classification), the seed and the golden run.
-  /// Engine options (threads, batch, SIMD, …) are deliberately excluded —
+  /// Engine options (threads, ladder, …) are deliberately excluded —
   /// resuming under a different schedule must hit the same journal file,
   /// because the records are schedule-invariant.
   u64 campaign_key() const;
@@ -161,100 +90,7 @@ class RtlCampaignBackend {
     Worker(const RtlCampaignBackend& backend, unsigned shard);
     Record run_site(std::size_t index);
 
-    /// Lane-pool lockstep evaluation of a whole shard (the engine passes
-    /// `indices` sorted by injection instant; each finished record is
-    /// streamed through `on_site(item, record)` the moment its lane
-    /// retires). Lane 0 of the core is a fault-free *cursor* that walks
-    /// the golden prefix once for the whole shard — restored from the
-    /// best ladder rung when that is closer than its current cycle (the
-    /// rolling-checkpoint analogue) and fast-forwarded monotonically
-    /// through the shard's instants. The pool holds min(batch_size(),
-    /// shard size) replica lanes: each spawn clones the cursor into a
-    /// lane (per-lane node arrays + COW memory; the lane's trace starts
-    /// empty, its golden prefix tracked by length) and arms the site's
-    /// fault on that lane only. Lanes step in lockstep rounds and retire
-    /// individually — on definite write divergence (early stop), golden-
-    /// state convergence at a rung (transients), halt, hang fast-forward
-    /// or watchdog — and every retired lane is refilled from the queue
-    /// *immediately*, so the SIMD tiles stay dense across what used to be
-    /// batch boundaries. Once the queue drains and survivors thin below
-    /// the needed tile count, live lanes are compacted into fresh
-    /// contiguous tiles (Leon3Core::permute_lanes); only the final
-    /// < simd_min_live stragglers (and the simd-off mode) run the flat
-    /// scalar chunk loop. Outcomes, latencies and fault::outcome_hash are
-    /// bit-identical to run_site's for every pool size, tile width,
-    /// min-live floor and thread count. With opts.batch_lanes <= 1 this
-    /// simply loops run_site.
-    ///
-    /// Durability semantics (see engine.hpp): `stop()` is polled once per
-    /// lockstep round — when it turns true no new lane is spawned, the
-    /// in-flight lanes drain to retirement, and the remaining queue is
-    /// abandoned (their on_site callbacks simply never fire). A lane that
-    /// throws is retried once on a fresh clone (counters.retried); a
-    /// second throw produces backend.error_record for that site alone
-    /// (counters.engine_errors) while every other lane continues.
-    void run_batch(const std::vector<std::size_t>& indices,
-                   const std::function<void(std::size_t, Record&&)>& on_site,
-                   const std::function<bool()>& stop,
-                   EngineRunCounters& counters);
-
-    /// Staged-pipeline capture stage: run_batch's scheduler, with three
-    /// differences wired through pipe_ — golden-prefix positioning adopts
-    /// prefetched snapshots when the restore stage has them ready (never
-    /// waiting when it does not), retirement builds a Retired packet
-    /// (suffix trace + capture-time oracle verdict) and pushes it to the
-    /// classify stage instead of classifying inline, and a closed
-    /// retirement queue (dead classify stage) folds into the stop poll so
-    /// the scheduler drains gracefully. Outcome-invisible by construction;
-    /// see pipeline.hpp's boundary invariants.
-    void run_capture(const std::vector<std::size_t>& indices, Pipe& pipe,
-                     const std::function<bool()>& stop,
-                     EngineRunCounters& counters);
-
    private:
-    /// One in-flight replica lane of a batch: the classification state
-    /// run_site keeps in locals, plus the golden-trace prefix lengths the
-    /// lane inherited from the cursor (its own OffCoreTrace records only
-    /// the faulty suffix).
-    struct LaneRun {
-      fault::FaultSite site;
-      std::size_t item = 0;           ///< index into the shard's site list
-      u64 budget = 0;                 ///< remaining faulty-suffix cycles
-      std::size_t prefix_writes = 0;  ///< golden writes before the clone
-      std::size_t matched = 0;        ///< golden-absolute matched writes
-      bool track_writes = false;
-      bool converge = false;
-      bool write_mismatch = false;
-      bool definite_divergence = false;
-      bool scalars_valid = false;
-      bool nodes_valid = false;
-      rtlcore::CoreActivityScalars scalars_prev;
-      std::vector<u32> probe_nodes;
-      bool done = false;
-      /// False while the slot holds no finished record to deliver: the
-      /// initial (never-spawned) state, and a lane whose failure was
-      /// requeued for its one retry. True on normal retirement and on the
-      /// second-failure error record.
-      bool emit = false;
-      /// Set by handle_lane_failure so the round's bookkeeping pass counts
-      /// the slot as retired exactly once; cleared when counted.
-      bool just_failed = false;
-      /// ISSRTL_FAIL_SITE :step hook armed at spawn, consumed at the
-      /// lane's first stepping round (exercises mid-flight containment).
-      bool step_hook_pending = false;
-      // Staged capture (pipe_ set): classify_lane records the lane's
-      // suffix trace and end-state verdict here instead of classifying;
-      // finalize ships them to the classify stage. pre_classified stays
-      // true for records that are already final (convergence cutoffs,
-      // isolation error records).
-      bool pre_classified = true;
-      iss::HaltReason halt_out = iss::HaltReason::kRunning;
-      bool states_valid = false;
-      bool states_ok = false;
-      std::vector<BusRecord> suffix;
-      Record record;
-    };
-
     /// Position core_ (fault-free) exactly at `inject_cycle`: from the
     /// rolling shard checkpoint or the best ladder rung — whichever is not
     /// ahead of us and closer — or from reset when neither exists.
@@ -273,83 +109,13 @@ class RtlCampaignBackend {
     /// Position the worker's ISS emulator (fault-free) at retired
     /// instruction `instret_target`: keep advancing monotonically, restore
     /// the best ISS ladder rung, or reset cold — the ISS analogue of
-    /// cursor_seek's three-way choice.
+    /// prepare()'s three-way choice.
     void position_iss(u64 instret_target);
 
-    /// Batched counterpart of prepare(): position the fault-free cursor
-    /// (lane 0, which must be active) at `inject_cycle`, restoring from a
-    /// ladder rung when one is closer than the cursor's current cycle.
-    /// Folds stepped-over trace records into the cursor prefix counters.
-    void cursor_seek(u64 inject_cycle);
-
-    /// Clone the cursor into replica lane `lane`, arm the fault of site
-    /// `site_index` (a backend-global index) there and initialise its
-    /// LaneRun. Leaves the cursor lane active.
-    void spawn_lane(unsigned lane, std::size_t site_index);
-
-    /// Spawn `item` (an index into *batch_indices_) into pool slot `slot`,
-    /// retrying once on a fresh clone if the spawn throws. Returns true
-    /// when the lane is live; on double failure stores the error record in
-    /// the slot (emit = true, done = true) and returns false.
-    bool try_spawn(unsigned slot, std::size_t item);
-
-    /// Worker-isolation epilogue for a live lane whose evaluation threw:
-    /// park the slot (done, no emit), then either requeue the item for its
-    /// one retry or finalise it as backend.error_record. Restores the
-    /// cursor lane as the active lane.
-    void handle_lane_failure(unsigned slot, const char* what);
-
     /// ISSRTL_FAIL_SITE test hook: called at each processing stage of a
-    /// site (serial and batched paths alike); throws when the spec names
-    /// this backend-global site index at `stage` ("<i>" on every attempt,
-    /// "<i>:once" on the first only).
+    /// site; throws when the spec names this backend-global site index at
+    /// `stage` ("<i>" on every attempt, "<i>:once" on the first only).
     void maybe_fail_site(std::size_t site_index, FailStage stage);
-
-    /// Step the (active) replica lane of `run` by up to `max_cycles`,
-    /// applying the per-cycle divergence / convergence / hang-probe logic.
-    /// Returns true when the lane retired (run.record is final).
-    bool step_lane(LaneRun& run, u64 max_cycles);
-
-    /// One SIMD lockstep round over lanes 1..n: every live lane evaluates
-    /// one cycle (step_no_commit), all lanes are clocked together by a
-    /// single rtl::SimContext::commit_lanes() tile pass, then every live
-    /// lane's divergence / convergence / hang-probe bookkeeping runs at the
-    /// new cycle boundary. When `cursor_target` is nonzero and the cursor
-    /// (lane 0) sits below it, the cursor *rides the round* — evaluates one
-    /// fault-free cycle and joins the shared commit — so it approaches the
-    /// next pending instant at tile cost instead of paying a strided
-    /// single-lane fast-forward at refill time; it never steps past the
-    /// target, preserving cursor_seek's monotonic precondition. Returns the
-    /// number of lanes that retired this round and records their pool slots
-    /// in retired_slots_ (for the refill). Per lane the cycle/check
-    /// sequence is exactly step_lane's, so outcomes stay bit-identical to
-    /// the chunked path. With opts_.vec_eval on, each lane's evaluation
-    /// first tries the node-major lowered path (Leon3Core::plan_vec_cycle);
-    /// planned lanes are finished by one apply_vec_transfers() pass plus
-    /// per-lane complete_vec_cycle() hooks, escaping lanes run the
-    /// behavioral step as before — bit-identical next-state either way.
-    /// Accumulates the occupancy counters (one simd round, live-lane count,
-    /// vec-eval planned/escaped tallies).
-    unsigned step_lanes_round(unsigned n, u64 cursor_target);
-
-    /// Survivor compaction: when the sparse live set occupies more tiles
-    /// than ceil((live + 1) / tile) — cursor included, it shares tile 0 —
-    /// permute the live lanes (in slot order) into the lowest lanes via
-    /// Leon3Core::permute_lanes, reorder lane_runs_ to match, and return
-    /// true. Purely representational: per-lane state, armed overlays and
-    /// record slots move as units, so outcomes are unchanged; only the
-    /// masked-commit grain gets denser.
-    bool compact_lanes(unsigned n);
-
-    /// The per-cycle bookkeeping of step_lane, factored so the lockstep
-    /// round can run it from the parked lane state without switching lanes
-    /// (the node-array and memory probes switch on demand). Returns true
-    /// when the lane retired.
-    bool bookkeep_lane(LaneRun& run, unsigned lane);
-
-    /// Classify a lane whose stepping loop ended (mirrors run_site's
-    /// epilogue, with the write comparison done suffix-aware).
-    void classify_lane(LaneRun& run, iss::HaltReason halt);
 
     // Stochastic per-run behaviour (none today) must draw from
     // engine::shard_stream(cfg.seed, shard) to stay reshard-stable.
@@ -376,48 +142,7 @@ class RtlCampaignBackend {
     std::unique_ptr<iss::Emulator> iss_emu_;
     bool iss_valid_ = false;
     std::size_t iss_writes_base_ = 0;
-    // Batched mode (lazy: allocated on the first run_batch call). The
-    // cursor is valid once it has been positioned; its golden-trace prefix
-    // lengths stand in for the O(instant) trace the serial path rebuilds
-    // per restore.
-    bool lanes_ready_ = false;
-    bool cursor_valid_ = false;
-    std::size_t cursor_writes_ = 0;
-    // Tracked for parity with the serial rolling checkpoint's bookkeeping,
-    // but never consulted: classification deliberately ignores bus reads
-    // (past reads are diagnostics, not state the core evolves from).
-    std::size_t cursor_reads_ = 0;
-    std::vector<LaneRun> lane_runs_;  ///< slot j drives core lane j + 1
-    std::vector<u8> stepped_;         ///< per-round live mask (by core lane)
-    std::vector<unsigned> retired_slots_;  ///< pool slots retired this round
-    // Durability plumbing, valid for the duration of one run_batch call.
-    const std::vector<std::size_t>* batch_indices_ = nullptr;
-    const std::function<void(std::size_t, Record&&)>* on_site_ = nullptr;
-    EngineRunCounters* counters_ = nullptr;
-    // Staged pipeline plumbing, valid for the duration of one run_capture
-    // call (null on the synchronous path). item_offset_ re-bases the
-    // slice-relative items of the fixed-batch (!lane_refill) recursion so
-    // packets and snapshot lookups carry shard-absolute item positions;
-    // current_item_ is the item being spawned (set by try_spawn, read by
-    // cursor_seek's snapshot adoption).
-    Pipe* pipe_ = nullptr;
-    bool sink_closed_ = false;
-    std::size_t item_offset_ = 0;
-    std::size_t current_item_ = 0;
-    std::deque<std::size_t> retry_queue_;  ///< items awaiting their retry
-    std::set<std::size_t> retried_sites_;  ///< sites that spent their retry
     std::map<std::size_t, unsigned> fail_attempts_;  ///< ISSRTL_FAIL_SITE
-    // Scheduler-occupancy tallies, accumulated locally and flushed into the
-    // backend atomics once per run_batch (informational only).
-    u64 stat_simd_rounds_ = 0;
-    u64 stat_cursor_ride_cycles_ = 0;  ///< folded into fast_forward_cycles
-    u64 stat_scalar_rounds_ = 0;
-    u64 stat_refills_ = 0;
-    u64 stat_compactions_ = 0;
-    u64 stat_live_lane_rounds_ = 0;
-    u64 stat_veceval_rounds_ = 0;       ///< rounds with >= 1 planned lane
-    u64 stat_veceval_lane_cycles_ = 0;  ///< lane-cycles on the lowered path
-    u64 stat_veceval_escapes_ = 0;      ///< lane-cycles that fell back
   };
 
   std::unique_ptr<Worker> make_worker(unsigned shard) const;
@@ -465,16 +190,6 @@ class RtlCampaignBackend {
   mutable std::atomic<u64> cold_resets_{0};
   mutable std::atomic<u64> fast_forward_cycles_{0};
   mutable std::atomic<u64> convergence_cutoffs_{0};
-  // Lane-pool scheduler occupancy (see fault::ReplayCounters).
-  mutable std::atomic<u64> simd_rounds_{0};
-  mutable std::atomic<u64> scalar_rounds_{0};
-  mutable std::atomic<u64> lane_refills_{0};
-  mutable std::atomic<u64> lane_compactions_{0};
-  mutable std::atomic<u64> live_lane_rounds_{0};
-  // Node-major vector evaluation occupancy (see fault::ReplayCounters).
-  mutable std::atomic<u64> veceval_rounds_{0};
-  mutable std::atomic<u64> veceval_lane_cycles_{0};
-  mutable std::atomic<u64> veceval_escapes_{0};
 };
 
 /// Full engine-backed RTL campaign. fault::run_campaign is the serial thin

@@ -154,22 +154,6 @@ struct ReplayCounters {
   u64 cold_resets = 0;         ///< resumes that had to re-simulate from 0
   u64 fast_forward_cycles = 0; ///< fault-free instants stepped after restore
   u64 convergence_cutoffs = 0; ///< transient runs proven silent at a rung
-  // Lane-pool scheduler occupancy (batched RTL mode; zero otherwise):
-  // whether the SIMD tiles actually ran dense, observable directly instead
-  // of inferred from wall clock.
-  u64 simd_rounds = 0;         ///< lockstep tile rounds (one cycle per lane)
-  u64 scalar_rounds = 0;       ///< flat per-lane chunk calls (straggler tail)
-  u64 lane_refills = 0;        ///< retired lanes respawned from the queue
-  u64 lane_compactions = 0;    ///< survivor packs into dense tiles
-  u64 live_lane_rounds = 0;    ///< sum of live lanes over all simd rounds
-                               ///  (mean occupancy = / simd_rounds)
-  // Node-major vector evaluation inside the simd rounds (zero with
-  // vec_eval off or outside batched RTL mode): how much of the per-cycle
-  // work actually ran on the lowered node-major path vs escaping to the
-  // behavioral step.
-  u64 veceval_rounds = 0;      ///< simd rounds with >= 1 planned lane
-  u64 veceval_lane_cycles = 0; ///< lane-cycles evaluated on the lowered path
-  u64 veceval_escapes = 0;     ///< lane-cycles that fell back to behavioral
   // Durability / robustness events (see engine/journal.hpp and the
   // worker-isolation retry in CampaignEngine::run; zero on a clean,
   // journal-less run):
@@ -178,12 +162,12 @@ struct ReplayCounters {
                                ///  torn write, site-key mismatch)
   u64 sites_retried = 0;       ///< sites re-run once after a worker throw
   u64 sites_engine_error = 0;  ///< sites whose retry also threw (kEngineError)
-  // Staged-pipeline occupancy (engine/pipeline.hpp; zero with the pipeline
-  // off). These depend on thread scheduling — which side of the snapshot
+  // Staged-pipeline occupancy (engine/pipeline.hpp; ISS campaigns only,
+  // zero with the pipeline off). These depend on thread scheduling — which side of the snapshot
   // adoption race wins, how full the stage queues run — and are, like every
   // counter here, exempt from the determinism contract.
-  u64 restores_prefetched = 0;   ///< spawns that adopted a prefetched snapshot
-  u64 restores_demand = 0;       ///< staged spawns that paid a demand restore
+  u64 restores_prefetched = 0;   ///< sites that adopted a prefetched snapshot
+  u64 restores_demand = 0;       ///< staged sites that paid a demand restore
   u64 snapshot_waits = 0;        ///< snapshot lookups that found [R] behind
   u64 restore_queue_stalls = 0;  ///< prefetch pushes onto a full restore_q
   u64 classify_queue_stalls = 0; ///< retirements pushed onto a full retired_q

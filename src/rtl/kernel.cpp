@@ -5,13 +5,6 @@
 
 namespace issrtl::rtl {
 
-std::size_t preferred_lane_tile() noexcept {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  if (__builtin_cpu_supports("avx512f")) return 16;
-#endif
-  return kLaneTile;
-}
-
 std::string_view fault_model_name(FaultModel m) {
   switch (m) {
     case FaultModel::kStuckAt0: return "stuck-at-0";
@@ -46,10 +39,6 @@ u32 FaultOverlay::apply(u32 raw, u32 bridge_raw) const noexcept {
 
 Sig SimContext::make(const std::string& name, const std::string& unit,
                      u8 width, NodeKind kind) {
-  if (replicas_ != 1 || layout_ != LaneLayout::kFlat) {
-    throw std::logic_error(
-        "SimContext::make: registry is frozen while replicated or tiled");
-  }
   const NodeId id = static_cast<NodeId>(meta_.size());
   const auto [uit, uinserted] =
       unit_index_.try_emplace(unit, static_cast<u32>(units_.size()));
@@ -68,337 +57,17 @@ Sig SimContext::make(const std::string& name, const std::string& unit,
     }
   }
   sparse_pending_ = false;
-  rebind_lane();  // push_back may have reallocated the arrays
-  return Sig(this, id, id);  // flat at registration: slot == id
-}
-
-void SimContext::retile(std::size_t keep, LaneLayout layout,
-                        std::size_t tile) {
-  // Rebuild the hot arrays under `layout` with `tile` lanes per interleave
-  // tile, preserving the first `keep` lanes' values and flags; every other
-  // slot (new lanes, tile padding) is a copy of lane 0 with clean flags.
-  // Armed-overlay lists are untouched — NodeIds and shadow values are
-  // layout-independent.
-  const std::size_t n = meta_.size();
-
-  // Capture the old slot geometry before switching.
-  const LaneLayout old_layout = layout_;
-  const std::size_t old_tile = tile_;
-  auto old_base = [&](std::size_t lane) {
-    if (old_layout == LaneLayout::kFlat) return lane * n;
-    return (lane / old_tile) * (n * old_tile) + (lane % old_tile);
-  };
-  const std::size_t old_shift =
-      old_layout == LaneLayout::kFlat ? 0 : std::countr_zero(old_tile);
-
-  layout_ = layout;
-  tile_ = tile;
-  lane_shift_ = layout == LaneLayout::kFlat
-                    ? 0
-                    : static_cast<u8>(std::countr_zero(tile_));
-  const std::size_t total = storage_lanes() * n;
-
-  // Build the transposed arrays in the member scratch (swapped back in at
-  // the end, so the evicted storage becomes next flip's scratch): every
-  // slot below is written, so stale scratch content never leaks. The
-  // per-lane loop hoists both geometries' strides — the transpose is a
-  // constant-stride copy per lane, and the per-element slot()/shift
-  // arithmetic of the naive form roughly doubled its cost.
-  retile_cur_.resize(total);
-  retile_nxt_.resize(total);
-  retile_flags_.resize(total);
-  const bool to_tiled = layout == LaneLayout::kTiled;
-  const bool from_tiled = old_layout == LaneLayout::kTiled;
-  if (n != 0 && to_tiled != from_tiled) {
-    // flat <-> tiled: stream along the tiled side. A lane-at-a-time copy
-    // touches a different cache line per element on whichever side is
-    // interleaved (stride = tile * 4 bytes), re-fetching every line tile
-    // times; iterating nodes outermost and the tile slot innermost makes
-    // the interleaved side contiguous and turns the flat side into tile
-    // parallel streams — every line moves exactly once each way.
-    const std::size_t T = to_tiled ? tile_ : old_tile;
-    for (std::size_t g = 0; g * T < storage_lanes(); ++g) {
-      const std::size_t lmax = std::min(T, storage_lanes() - g * T);
-      const u32* csrc[kMaxLaneTile];
-      const u32* xsrc[kMaxLaneTile];
-      const u8* fsrc[kMaxLaneTile];
-      bool keepf[kMaxLaneTile];
-      for (std::size_t l = 0; l < lmax; ++l) {
-        const std::size_t lane = g * T + l;
-        const std::size_t src = lane < keep ? lane : 0;
-        const std::size_t sb = old_base(src);
-        csrc[l] = cur_.data() + sb;
-        xsrc[l] = nxt_.data() + sb;
-        fsrc[l] = flags_.data() + sb;
-        keepf[l] = lane < keep;
-      }
-      const std::size_t tb = g * n * T;  // the tiled side's group base
-      // Block the node dimension so the interleaved side's working set for
-      // one (block, lane) pass is a ~kRetileBlock*T*4-byte strip that stays
-      // in L1 across all lmax lanes, while the flat side is one sequential
-      // stream per lane — each cache line moves once in each direction
-      // instead of tile times.
-      constexpr std::size_t kRetileBlock = 16;
-      if (to_tiled) {
-        for (std::size_t id0 = 0; id0 < n; id0 += kRetileBlock) {
-          const std::size_t idm = std::min(n, id0 + kRetileBlock);
-          for (std::size_t l = 0; l < lmax; ++l) {
-            const u32* cs = csrc[l];
-            const u32* xs = xsrc[l];
-            const u8* fs = fsrc[l];
-            const bool kf = keepf[l];
-            for (std::size_t id = id0; id < idm; ++id) {
-              const std::size_t ds = tb + id * T + l;
-              retile_cur_[ds] = cs[id];
-              retile_nxt_[ds] = xs[id];
-              retile_flags_[ds] = kf ? fs[id] : u8{0};
-            }
-          }
-        }
-      } else {
-        u32* cdst[kMaxLaneTile];
-        u32* xdst[kMaxLaneTile];
-        u8* fdst[kMaxLaneTile];
-        for (std::size_t l = 0; l < lmax; ++l) {
-          const std::size_t db = lane_base(g * T + l);
-          cdst[l] = retile_cur_.data() + db;
-          xdst[l] = retile_nxt_.data() + db;
-          fdst[l] = retile_flags_.data() + db;
-        }
-        for (std::size_t id0 = 0; id0 < n; id0 += kRetileBlock) {
-          const std::size_t idm = std::min(n, id0 + kRetileBlock);
-          for (std::size_t l = 0; l < lmax; ++l) {
-            const u32* cs = csrc[l];  // the lane's tiled slice, stride T
-            const u32* xs = xsrc[l];
-            const u8* fs = fsrc[l];
-            const bool kf = keepf[l];
-            for (std::size_t id = id0; id < idm; ++id) {
-              cdst[l][id] = cs[id * T];
-              xdst[l][id] = xs[id * T];
-              fdst[l][id] = kf ? fs[id * T] : u8{0};
-            }
-          }
-        }
-      }
-    }
-  } else if (n != 0) {
-    // Same-layout re-tile (tiled width change): the general constant-
-    // stride copy per lane.
-    const std::size_t sstep = old_shift == 0 ? 1 : old_tile;
-    const std::size_t dstep = lane_shift_ == 0 ? 1 : tile_;
-    for (std::size_t lane = 0; lane < storage_lanes(); ++lane) {
-      const std::size_t src = lane < keep ? lane : 0;
-      const bool copy_flags = lane < keep;
-      std::size_t ss = old_base(src);
-      std::size_t ds = lane_base(lane);
-      for (NodeId id = 0; id < n; ++id, ss += sstep, ds += dstep) {
-        retile_cur_[ds] = cur_[ss];
-        retile_nxt_[ds] = nxt_[ss];
-        retile_flags_[ds] = copy_flags ? flags_[ss] : u8{0};
-      }
-    }
-  }
-  cur_.swap(retile_cur_);
-  nxt_.swap(retile_nxt_);
-  flags_.swap(retile_flags_);
-  rebind_lane();
-}
-
-namespace {
-/// Resolve a caller-supplied tile width against the context's current one:
-/// 0 keeps the current width; anything else must be a power of two in
-/// [2, kMaxLaneTile].
-std::size_t resolve_tile(std::size_t requested, std::size_t current) {
-  if (requested == 0) return current;
-  if (requested < 2 || requested > kMaxLaneTile ||
-      !std::has_single_bit(requested)) {
-    throw std::invalid_argument(
-        "lane tile must be a power of two in [2, 64]");
-  }
-  return requested;
-}
-}  // namespace
-
-void SimContext::set_replicas(std::size_t count, LaneLayout layout,
-                              std::size_t tile) {
-  if (count == 0) {
-    throw std::invalid_argument("set_replicas: need at least one lane");
-  }
-  const std::size_t new_tile = resolve_tile(tile, tile_);
-  for (const std::vector<ArmedFault>& lane : armed_) {
-    if (!lane.empty()) {
-      throw std::logic_error(
-          "set_replicas: clear all armed faults on every lane first");
-    }
-  }
-  const std::size_t n = meta_.size();
-  const std::size_t old_count = replicas_;
-
-  if (layout == layout_ && layout == LaneLayout::kFlat) {
-    // Fast path: lane-major resize in place, exactly the historical
-    // behaviour (existing lanes preserved, new lanes copied from lane 0).
-    // The tile width has no geometric effect while flat; record it for the
-    // next transpose.
-    tile_ = new_tile;
-    replicas_ = count;
-    const std::size_t total = storage_lanes() * n;
-    cur_.resize(total);
-    nxt_.resize(total);
-    flags_.resize(total);
-    if (n != 0) {
-      for (std::size_t lane = old_count; lane < count; ++lane) {
-        std::memcpy(cur_.data() + lane * n, cur_.data(), n * sizeof(u32));
-        std::memcpy(nxt_.data() + lane * n, nxt_.data(), n * sizeof(u32));
-        std::memset(flags_.data() + lane * n, 0, n);
-      }
-    }
-  } else {
-    // Recorded sparse-commit slots are layout-relative: drain them under
-    // the *old* geometry before re-tiling (the callers' contract is a
-    // drained cycle boundary anyway, but a stale flat slot applied to
-    // tiled arrays would silently write the wrong node — see the lane
-    // fuzz test).
-    drain_sparse_all_lanes();
-    replicas_ = count;
-    retile(std::min(old_count, count), layout, new_tile);
-  }
-  armed_.resize(count);
-  sparse_dirty_.resize(count);
-  active_ = 0;
-  rebind_lane();
-}
-
-void SimContext::set_lane_layout(LaneLayout layout, std::size_t tile) {
-  const std::size_t new_tile = resolve_tile(tile, tile_);
-  if (layout == layout_ && new_tile == tile_) return;
-  if (layout == layout_ && layout == LaneLayout::kFlat) {
-    tile_ = new_tile;  // no geometric effect while flat
-    return;
-  }
-  // Layout changes happen at cycle boundaries, where every pending sparse
-  // commit has been drained already; recorded slots are layout-relative,
-  // so drain any stragglers under the old geometry rather than rescale or
-  // drop them.
-  drain_sparse_all_lanes();
-  retile(replicas_, layout, new_tile);
-}
-
-void SimContext::permute_lanes(const std::vector<std::size_t>& src_of) {
-  if (src_of.size() != replicas_) {
-    throw std::invalid_argument(
-        "permute_lanes: permutation size must equal replicas()");
-  }
-  std::vector<u8> seen(replicas_, 0);
-  for (const std::size_t src : src_of) {
-    if (src >= replicas_ || seen[src]) {
-      throw std::invalid_argument(
-          "permute_lanes: src_of is not a permutation of the lanes");
-    }
-    seen[src] = 1;
-  }
-  // Pending sparse-commit slots are lane-relative and identical across
-  // lanes under one layout, so the lists could move with their lanes — but
-  // compaction runs at a cycle boundary where they are drained anyway;
-  // drain stragglers so the moved slices are self-consistent.
-  drain_sparse_all_lanes();
-
-  const std::size_t n = meta_.size();
-  if (n != 0) {
-    // Gather into fresh arrays: dst lane <- src_of[dst], moving cur, nxt
-    // and flags wholesale so overlay-patched values, shadows (in armed_)
-    // and flag bits stay mutually consistent. Padding lanes (tiled storage
-    // beyond replicas_) are refilled from the new lane 0's source so the
-    // unconditional tile passes keep operating on valid values.
-    std::vector<u32> cur(cur_.size()), nxt(nxt_.size());
-    std::vector<u8> flags(flags_.size());
-    for (std::size_t dst = 0; dst < storage_lanes(); ++dst) {
-      const std::size_t src = dst < replicas_ ? src_of[dst] : src_of[0];
-      const std::size_t sb = lane_base(src);
-      const std::size_t db = lane_base(dst);
-      if (layout_ == LaneLayout::kFlat) {
-        std::memcpy(cur.data() + db, cur_.data() + sb, n * sizeof(u32));
-        std::memcpy(nxt.data() + db, nxt_.data() + sb, n * sizeof(u32));
-        std::memcpy(flags.data() + db, flags_.data() + sb, n);
-      } else {
-        for (NodeId id = 0; id < n; ++id) {
-          const std::size_t s = slot(id);
-          cur[db + s] = cur_[sb + s];
-          nxt[db + s] = nxt_[sb + s];
-          flags[db + s] = flags_[sb + s];
-        }
-      }
-    }
-    cur_ = std::move(cur);
-    nxt_ = std::move(nxt);
-    flags_ = std::move(flags);
-  }
-  std::vector<std::vector<ArmedFault>> armed(replicas_);
-  std::vector<std::vector<u32>> dirty(replicas_);
-  for (std::size_t dst = 0; dst < replicas_; ++dst) {
-    armed[dst] = std::move(armed_[src_of[dst]]);
-    dirty[dst] = std::move(sparse_dirty_[src_of[dst]]);
-  }
-  armed_ = std::move(armed);
-  sparse_dirty_ = std::move(dirty);
-  // The active lane follows its content.
-  for (std::size_t dst = 0; dst < replicas_; ++dst) {
-    if (src_of[dst] == active_) {
-      active_ = dst;
-      break;
-    }
-  }
-  rebind_lane();
-  // Re-assert every moved lane's overlays at their destination (the copy
-  // is exact, but this keeps the shadow-from-nxt bulk-operation discipline
-  // uniform with the commit paths).
-  for (std::size_t lane = 0; lane < replicas_; ++lane) {
-    reapply_overlays_for(lane);
-  }
-}
-
-void SimContext::set_active_lane(std::size_t lane) {
-  if (lane >= replicas_) {
-    throw std::out_of_range("set_active_lane: no such lane");
-  }
-  active_ = lane;
-  rebind_lane();
-}
-
-void SimContext::copy_lane(std::size_t dst, std::size_t src) {
-  if (dst >= replicas_ || src >= replicas_) {
-    throw std::out_of_range("copy_lane: no such lane");
-  }
-  if (dst == src) return;
-  const std::size_t n = meta_.size();
-  if (n != 0) {
-    if (layout_ == LaneLayout::kFlat) {
-      std::memcpy(cur_.data() + dst * n, cur_.data() + src * n,
-                  n * sizeof(u32));
-      std::memcpy(nxt_.data() + dst * n, nxt_.data() + src * n,
-                  n * sizeof(u32));
-      std::memcpy(flags_.data() + dst * n, flags_.data() + src * n, n);
-    } else {
-      const std::size_t db = lane_base(dst), sb = lane_base(src);
-      for (NodeId id = 0; id < n; ++id) {
-        const std::size_t s = slot(id);
-        cur_[db + s] = cur_[sb + s];
-        nxt_[db + s] = nxt_[sb + s];
-        flags_[db + s] = flags_[sb + s];
-      }
-    }
-  }
-  armed_[dst] = armed_[src];
-  sparse_dirty_[dst] = sparse_dirty_[src];
+  return Sig(this, id);
 }
 
 u32 SimContext::raw_value(NodeId id) const {
   check_id(id);
-  if (flags_l_[slot(id)] & kFlagOverlay) {
-    for (const ArmedFault& f : armed()) {
+  if (flags_[id] & kFlagOverlay) {
+    for (const ArmedFault& f : armed_) {
       if (f.id == id) return f.shadow;
     }
   }
-  return cur_l_[slot(id)];
+  return cur_[id];
 }
 
 u64 SimContext::injectable_bits(const std::string& unit_prefix) const {
@@ -432,26 +101,25 @@ u32 SimContext::apply_overlay(const ArmedFault& f) const noexcept {
 }
 
 void SimContext::write_slow(NodeId id, u32 masked) noexcept {
-  const std::size_t s = slot(id);
-  nxt_l_[s] = masked;
-  if (flags_l_[s] & kFlagOverlay) {
-    for (ArmedFault& f : armed()) {
+  nxt_[id] = masked;
+  if (flags_[id] & kFlagOverlay) {
+    for (ArmedFault& f : armed_) {
       if (f.id == id) {
         f.shadow = masked;
-        cur_l_[s] = apply_overlay(f);
+        cur_[id] = apply_overlay(f);
         break;
       }
     }
   } else {
-    cur_l_[s] = masked;
+    cur_[id] = masked;
   }
-  if (flags_l_[s] & kFlagBridgeSrc) refresh_bridges_from(id);
+  if (flags_[id] & kFlagBridgeSrc) refresh_bridges_from(id);
 }
 
 void SimContext::refresh_bridges_from(NodeId aggressor) noexcept {
-  for (const ArmedFault& f : armed()) {
+  for (const ArmedFault& f : armed_) {
     if (f.overlay.bridge_src == aggressor) {
-      cur_l_[slot(f.id)] = apply_overlay(f);
+      cur_[f.id] = apply_overlay(f);
     }
   }
 }
@@ -465,122 +133,9 @@ void SimContext::reapply_overlays() noexcept {
   // zero/load bulk ops fill both arrays) — the current-value slot of an
   // armed wire still carries the overlay at this point and must not leak
   // into its shadow.
-  for (ArmedFault& f : armed()) f.shadow = nxt_l_[slot(f.id)];
-  for (const ArmedFault& f : armed()) {
-    cur_l_[slot(f.id)] = apply_overlay(f);
-  }
-}
-
-void SimContext::reapply_overlays_for(std::size_t lane) noexcept {
-  // Lane-addressed variant of reapply_overlays() for the all-lane commit:
-  // identical two-pass discipline, but indexing lane's slice directly
-  // instead of the cached active-lane base. Bridge aggressor raw values are
-  // read from the same lane (a bridge and its aggressor are lane-local).
-  std::vector<ArmedFault>& lane_armed = armed_[lane];
-  if (lane_armed.empty()) return;
-  const std::size_t base = lane_base(lane);
-  for (ArmedFault& f : lane_armed) f.shadow = nxt_[base + slot(f.id)];
-  for (const ArmedFault& f : lane_armed) {
-    u32 bridge_raw = 0;
-    if (f.overlay.bridge_src != kNoNode) {
-      const std::size_t bs = base + slot(f.overlay.bridge_src);
-      bridge_raw = nxt_[bs];  // raw value of the aggressor in this lane
-    }
-    cur_[base + slot(f.id)] = f.overlay.apply(f.shadow, bridge_raw);
-  }
-}
-
-void SimContext::commit_lanes() noexcept {
-  if (meta_.empty()) return;
-  if (layout_ == LaneLayout::kTiled) {
-    const std::size_t tiles = storage_lanes() / tile_;
-    const std::size_t tile_words = meta_.size() * tile_;
-    for (std::size_t t = 0; t < tiles; ++t) {
-      const std::size_t tb = t * tile_words;
-      for (const auto& [begin, end] : commit_spans_) {
-        std::memcpy(cur_.data() + tb + (begin * tile_),
-                    nxt_.data() + tb + (begin * tile_),
-                    (end - begin) * tile_ * sizeof(u32));
-      }
-    }
-  } else {
-    for (std::size_t lane = 0; lane < replicas_; ++lane) {
-      const std::size_t base = lane * meta_.size();
-      for (const auto& [begin, end] : commit_spans_) {
-        std::memcpy(cur_.data() + base + begin, nxt_.data() + base + begin,
-                    (end - begin) * sizeof(u32));
-      }
-    }
-  }
-  drain_sparse_all_lanes();
-  for (std::size_t lane = 0; lane < replicas_; ++lane) {
-    reapply_overlays_for(lane);
-  }
-}
-
-void SimContext::commit_lanes(const std::vector<u8>& live) noexcept {
-  if (meta_.empty()) return;
-  if (layout_ == LaneLayout::kTiled) {
-    const std::size_t tiles = storage_lanes() / tile_;
-    const std::size_t tile_words = meta_.size() * tile_;
-    for (std::size_t t = 0; t < tiles; ++t) {
-      const std::size_t lane0 = t * tile_;
-      bool any = false;
-      for (std::size_t l = lane0; l < lane0 + tile_ && l < replicas_;
-           ++l) {
-        if (l < live.size() && live[l]) {
-          any = true;
-          break;
-        }
-      }
-      if (!any) continue;
-      const std::size_t tb = t * tile_words;
-      for (const auto& [begin, end] : commit_spans_) {
-        std::memcpy(cur_.data() + tb + (begin * tile_),
-                    nxt_.data() + tb + (begin * tile_),
-                    (end - begin) * tile_ * sizeof(u32));
-      }
-    }
-    // Sparse commits drain before overlays re-apply — an armed node may
-    // itself carry a pending sparse write, and the overlay patch must land
-    // on top of the freshly committed raw value.
-    drain_sparse_all_lanes();
-    for (std::size_t lane = 0; lane < replicas_; ++lane) {
-      const std::size_t t0 = (lane / tile_) * tile_;
-      bool tile_live = false;
-      for (std::size_t l = t0; l < t0 + tile_ && l < replicas_; ++l) {
-        if (l < live.size() && live[l]) {
-          tile_live = true;
-          break;
-        }
-      }
-      if (tile_live) reapply_overlays_for(lane);
-    }
-  } else {
-    for (std::size_t lane = 0; lane < replicas_; ++lane) {
-      if (lane >= live.size() || !live[lane]) continue;
-      const std::size_t base = lane * meta_.size();
-      for (const auto& [begin, end] : commit_spans_) {
-        std::memcpy(cur_.data() + base + begin, nxt_.data() + base + begin,
-                    (end - begin) * sizeof(u32));
-      }
-    }
-    drain_sparse_all_lanes();
-    for (std::size_t lane = 0; lane < replicas_; ++lane) {
-      if (lane < live.size() && live[lane]) reapply_overlays_for(lane);
-    }
-  }
-}
-
-void SimContext::drain_sparse_all_lanes() noexcept {
-  // A lane with pending sparse commits necessarily evaluated this round, so
-  // draining every lane is both safe and equivalent to a masked drain.
-  for (std::size_t lane = 0; lane < replicas_; ++lane) {
-    std::vector<u32>& dirty = sparse_dirty_[lane];
-    if (dirty.empty()) continue;
-    const std::size_t base = lane_base(lane);
-    for (const u32 s : dirty) cur_[base + s] = nxt_[base + s];
-    dirty.clear();
+  for (ArmedFault& f : armed_) f.shadow = nxt_[f.id];
+  for (const ArmedFault& f : armed_) {
+    cur_[f.id] = apply_overlay(f);
   }
 }
 
@@ -599,28 +154,27 @@ void SimContext::arm_fault_mask(NodeId id, FaultModel model, u32 mask) {
   if (mask == 0 || (mask & ~mask_[id]) != 0) {
     throw std::out_of_range("arm_fault_mask: mask outside node width");
   }
-  const std::size_t s = slot(id);
-  if (flags_l_[s] & kFlagOverlay) {
+  if (flags_[id] & kFlagOverlay) {
     throw std::logic_error("arm_fault: node already has a fault: " + name(id));
   }
   if (model == FaultModel::kTransientBitFlip) {
     // One-shot: disturb the stored value (and the pending next value for
     // registers, as a particle strike would hit the flop master+slave).
-    cur_l_[s] ^= mask;
-    nxt_l_[s] ^= mask;
-    if (flags_l_[s] & kFlagBridgeSrc) refresh_bridges_from(id);
+    cur_[id] ^= mask;
+    nxt_[id] ^= mask;
+    if (flags_[id] & kFlagBridgeSrc) refresh_bridges_from(id);
     return;
   }
   ArmedFault f;
   f.id = id;
-  f.shadow = cur_l_[s];  // unfaulted until now: the lane holds the raw value
+  f.shadow = cur_[id];  // unfaulted until now: the node holds the raw value
   f.overlay.model = model;
   f.overlay.bit = static_cast<u8>(std::countr_zero(mask));
   f.overlay.mask = mask;
   f.overlay.frozen = f.shadow & mask;
-  flags_l_[s] |= kFlagOverlay;
-  cur_l_[s] = apply_overlay(f);
-  armed().push_back(f);
+  flags_[id] |= kFlagOverlay;
+  cur_[id] = apply_overlay(f);
+  armed_.push_back(f);
 }
 
 void SimContext::arm_bridge(NodeId victim, NodeId aggressor, u32 mask) {
@@ -632,49 +186,41 @@ void SimContext::arm_bridge(NodeId victim, NodeId aggressor, u32 mask) {
   if (mask == 0 || (mask & ~mask_[victim]) != 0) {
     throw std::out_of_range("arm_bridge: mask outside victim width");
   }
-  const std::size_t vs = slot(victim);
-  if (flags_l_[vs] & kFlagOverlay) {
+  if (flags_[victim] & kFlagOverlay) {
     throw std::logic_error("arm_bridge: node already has a fault: " +
                            name(victim));
   }
   ArmedFault f;
   f.id = victim;
-  f.shadow = cur_l_[vs];
+  f.shadow = cur_[victim];
   f.overlay.model = FaultModel::kBridge;
   f.overlay.bit = static_cast<u8>(std::countr_zero(mask));
   f.overlay.mask = mask;
   f.overlay.bridge_src = aggressor;
-  flags_l_[vs] |= kFlagOverlay;
-  flags_l_[slot(aggressor)] |= kFlagBridgeSrc;
-  armed().push_back(f);
-  cur_l_[vs] = apply_overlay(armed().back());
+  flags_[victim] |= kFlagOverlay;
+  flags_[aggressor] |= kFlagBridgeSrc;
+  armed_.push_back(f);
+  cur_[victim] = apply_overlay(armed_.back());
 }
 
 void SimContext::clear_faults() {
-  for (const ArmedFault& f : armed()) {
-    cur_l_[slot(f.id)] = f.shadow;  // restore the raw value
-    flags_l_[slot(f.id)] &= static_cast<u8>(~kFlagOverlay);
+  for (const ArmedFault& f : armed_) {
+    cur_[f.id] = f.shadow;  // restore the raw value
+    flags_[f.id] &= static_cast<u8>(~kFlagOverlay);
     if (f.overlay.bridge_src != kNoNode) {
-      flags_l_[slot(f.overlay.bridge_src)] &=
+      flags_[f.overlay.bridge_src] &=
           static_cast<u8>(~kFlagBridgeSrc);
     }
   }
-  armed().clear();
+  armed_.clear();
 }
 
 void SimContext::zero_all() noexcept {
-  if (!meta_.empty()) {
-    if (lane_shift_ == 0) {
-      std::memset(cur_l_, 0, meta_.size() * sizeof(u32));
-      std::memset(nxt_l_, 0, meta_.size() * sizeof(u32));
-    } else {
-      for (NodeId id = 0; id < meta_.size(); ++id) {
-        cur_l_[slot(id)] = 0;
-        nxt_l_[slot(id)] = 0;
-      }
-    }
+  if (!cur_.empty()) {
+    std::memset(cur_.data(), 0, cur_.size() * sizeof(u32));
+    std::memset(nxt_.data(), 0, nxt_.size() * sizeof(u32));
   }
-  if (!armed().empty()) reapply_overlays();
+  if (!armed_.empty()) reapply_overlays();
 }
 
 std::vector<u32> SimContext::save_values() const {
@@ -684,14 +230,9 @@ std::vector<u32> SimContext::save_values() const {
 }
 
 void SimContext::save_values_into(std::vector<u32>& out) const {
-  out.resize(meta_.size());
-  if (meta_.empty()) return;
-  if (lane_shift_ == 0) {
-    std::memcpy(out.data(), cur_l_, meta_.size() * sizeof(u32));
-  } else {
-    for (NodeId id = 0; id < meta_.size(); ++id) {
-      out[id] = cur_l_[slot(id)];
-    }
+  out.resize(cur_.size());
+  if (!cur_.empty()) {
+    std::memcpy(out.data(), cur_.data(), cur_.size() * sizeof(u32));
   }
 }
 
@@ -700,18 +241,11 @@ void SimContext::load_values(const std::vector<u32>& values) {
     throw std::invalid_argument(
         "load_values: checkpoint taken on a different registry");
   }
-  if (!meta_.empty()) {
-    if (lane_shift_ == 0) {
-      std::memcpy(cur_l_, values.data(), meta_.size() * sizeof(u32));
-      std::memcpy(nxt_l_, values.data(), meta_.size() * sizeof(u32));
-    } else {
-      for (NodeId id = 0; id < meta_.size(); ++id) {
-        cur_l_[slot(id)] = values[id];
-        nxt_l_[slot(id)] = values[id];
-      }
-    }
+  if (!cur_.empty()) {
+    std::memcpy(cur_.data(), values.data(), cur_.size() * sizeof(u32));
+    std::memcpy(nxt_.data(), values.data(), nxt_.size() * sizeof(u32));
   }
-  if (!armed().empty()) reapply_overlays();
+  if (!armed_.empty()) reapply_overlays();
 }
 
 }  // namespace issrtl::rtl

@@ -25,34 +25,6 @@
 // write-through at every point the raw value can change (w/poke on the node,
 // writes to a bridge aggressor, commit_all, zero_all, load_values). A faulted
 // node corrupts every consumer, whether wire or flop, exactly as before.
-//
-// Replica lanes: the hot state optionally carries a batch dimension, in one
-// of two layouts.
-//
-//  * kFlat (lane-major): a context with R replicas stores R lane-major
-//    copies of the cur/nxt/flags arrays (lane l's node id occupies slot
-//    l*N + id). Per-lane bulk operations (commit, save/load/compare) stay
-//    contiguous, which favours stepping one lane for a long stretch.
-//  * kTiled (lane-interleaved tiles): lanes are grouped in tiles of T =
-//    lane_tile() lanes (T = kLaneTile = 8 by default; 16 where the host's
-//    vector width warrants it, see preferred_lane_tile()); within a tile
-//    the T lane values of one node are adjacent (slot = tile_base + id*T +
-//    lane%T, i.e. cur[node][lane] is contiguous). A register-covering span
-//    [b, e) of one tile occupies the contiguous u32 range [b*T, e*T), so
-//    commit_lanes() clocks *every* lane of the design in a single
-//    auto-vectorizable pass per span — the lane-slice evaluation the
-//    batched lockstep scheduler drives — and the probe primitives compare
-//    a full tile's lane values of a node from adjacent cache lines.
-//
-// In both layouts the cold side table, the name index and the width masks
-// stay shared, exactly one lane is *active* at a time, and every accessor —
-// Sig reads and writes, commit_all, save/load/compare, fault arming —
-// addresses the active lane through a cached base pointer plus a per-context
-// lane shift (0 when flat, 3 when tiled), so the unfaulted hot path is one
-// shifted indexed load. Armed faults are per-lane (each lane has its own
-// overlay list and flag slice), which is what lets a batched campaign
-// evaluate N different fault sites against replicas of the same netlist in
-// lockstep.
 #pragma once
 
 #include <cstring>
@@ -69,44 +41,12 @@ namespace issrtl::rtl {
 
 enum class NodeKind : u8 { kWire, kReg };
 
-/// Replica-lane storage layout (see the file comment).
-enum class LaneLayout : u8 { kFlat, kTiled };
-
-/// Default lanes per interleave tile in LaneLayout::kTiled: eight u32 lane
-/// slices = one 32-byte strip, the natural width for both compiler
-/// auto-vectorization and explicit u32×8 passes, and half a cache line so
-/// two nodes' lane groups share a line. The tile width is a runtime
-/// property of the context (SimContext::lane_tile()); 16 widens the strip
-/// to a full u32×16 (one AVX-512 register) where that pays.
-inline constexpr std::size_t kLaneTile = 8;
-
-/// Widest tile the kernel accepts (one strip must stay a small bounded
-/// number of cache lines; the lane-shift fits comfortably in u8).
-inline constexpr std::size_t kMaxLaneTile = 64;
-
-/// Tile width the host's SIMD units favour: 16 (u32×16, one 512-bit
-/// register per strip) when the CPU reports AVX-512F at runtime, else the
-/// portable default kLaneTile. Pure CPUID dispatch — the binary carries no
-/// AVX-512 code paths, it just widens the memcpy strips the compiler
-/// already vectorizes.
-std::size_t preferred_lane_tile() noexcept;
-
 class SimContext;
 
-/// Lightweight handle to a single W<=32-bit node: a (context, NodeId) pair
-/// plus the node's pre-scaled slot offset in the current lane layout (id
-/// when flat, id * lane_tile() when tiled). Copyable and 16 bytes; modules
-/// store handles by value. All accessors index the SimContext's packed
-/// value arrays through the pre-scaled offset — the unfaulted read path is
-/// a single array load with no branches and no per-access stride math,
-/// whatever the layout.
-///
-/// Handle invalidation: because the scale is baked in at mint time, a lane
-/// layout change (set_replicas with a different layout or tile width,
-/// set_lane_layout) invalidates outstanding handles — re-mint them via
-/// SimContext::node().
-/// Leon3Core refreshes its module handles internally, so core users never
-/// observe this; it only concerns code driving a raw SimContext.
+/// Lightweight handle to a single W<=32-bit node: a (context, NodeId) pair.
+/// Copyable and 16 bytes; modules store handles by value. All accessors
+/// index the SimContext's packed value arrays — the unfaulted read path is
+/// a single array load with no branches.
 class Sig {
  public:
   Sig() = default;
@@ -124,8 +64,8 @@ class Sig {
   void n(u32 v) noexcept;
 
   /// Schedule a sparse-commit register's next value (SimContext::reg_sparse
-  /// nodes): like n(), plus records the pending slot on the active lane's
-  /// dirty list so the clock edge commits it outside the span copies.
+  /// nodes): like n(), plus records the node on the dirty list so the clock
+  /// edge commits it outside the span copies.
   void ns(u32 v) noexcept;
 
   /// Raw (un-faulted) value — used by state inspection only.
@@ -138,12 +78,10 @@ class Sig {
 
  private:
   friend class SimContext;
-  Sig(SimContext* ctx, NodeId id, u32 scaled) noexcept
-      : ctx_(ctx), id_(id), scaled_(scaled) {}
+  Sig(SimContext* ctx, NodeId id) noexcept : ctx_(ctx), id_(id) {}
 
   SimContext* ctx_ = nullptr;
   NodeId id_ = 0;
-  u32 scaled_ = 0;  ///< id << lane_shift at mint time (slot offset)
 };
 
 /// Registry of all nodes plus the armed-fault bookkeeping.
@@ -157,9 +95,7 @@ class SimContext {
 
   /// Create a node. `unit` is a hierarchical tag like "iu.alu" or
   /// "cmem.dcache"; the top-level component (before the dot) groups nodes
-  /// for the IU/CMEM campaigns and for α_m computation. The registry is
-  /// frozen while replicas() > 1 (throws std::logic_error): growing it
-  /// would re-stride every lane.
+  /// for the IU/CMEM campaigns and for α_m computation.
   Sig make(const std::string& name, const std::string& unit, u8 width,
            NodeKind kind);
 
@@ -172,7 +108,7 @@ class SimContext {
 
   /// A register committed through the per-cycle dirty list instead of the
   /// span copy: writers must use Sig::ns() (next-sparse) so the pending
-  /// slot is recorded. The right choice for large, rarely written arrays —
+  /// node is recorded. The right choice for large, rarely written arrays —
   /// the register file's 136 entries see at most two writes per cycle, and
   /// copying the whole span every clock edge was the single largest share
   /// of commit_all(). Reads, faults, checkpoints and probes behave exactly
@@ -185,127 +121,10 @@ class SimContext {
 
   std::size_t node_count() const noexcept { return meta_.size(); }
 
-  // ---- replica lanes (batched evaluation) ----------------------------------
-
-  /// Number of replica lanes (1 unless set_replicas() grew the context).
-  std::size_t replicas() const noexcept { return replicas_; }
-
-  /// Lane all accessors currently address.
-  std::size_t active_lane() const noexcept { return active_; }
-
-  /// Storage layout of the replica dimension.
-  LaneLayout lane_layout() const noexcept { return layout_; }
-
-  /// Lanes per interleave tile in the kTiled layout (kLaneTile unless a
-  /// wider tile was requested via set_replicas / set_lane_layout).
-  std::size_t lane_tile() const noexcept { return tile_; }
-
-  /// Grow (or shrink) the hot state to `count` replica lanes in `layout`.
-  /// Existing lanes (below the old count) keep their values across both a
-  /// resize and a layout change; new lanes start as copies of lane 0; the
-  /// cold side table and the width masks stay shared. Requires a fully
-  /// built registry with no armed fault on any lane (throws
-  /// std::logic_error otherwise — an overlay's shadow slot is lane state
-  /// and must not be duplicated implicitly); node registration is frozen
-  /// while replicas() > 1. The active lane is reset to 0. With kTiled the
-  /// storage is padded to a whole number of lane_tile()-lane tiles;
-  /// padding lanes hold copies of lane 0, are never addressable, and exist
-  /// so the tile passes below are unconditional full-strip operations.
-  /// `tile` selects the interleave width: 0 keeps the current tile,
-  /// otherwise a power of two in [2, kMaxLaneTile] (throws
-  /// std::invalid_argument). The tile width participates in the slot
-  /// scaling, so changing it invalidates handles like a layout change.
-  void set_replicas(std::size_t count, LaneLayout layout = LaneLayout::kFlat,
-                    std::size_t tile = 0);
-
-  /// Re-tile the existing lanes into `layout` (and optionally a new tile
-  /// width; 0 keeps the current one) without changing the lane count: a
-  /// pure representation transpose. Every lane's values, flags and
-  /// armed-overlay lists (NodeIds and shadows are layout-independent) are
-  /// preserved exactly, as is the active lane — no observable behaviour
-  /// changes, only the memory order of the hot arrays. The batch scheduler
-  /// uses this to run the dense phase of a batch on interleaved tiles and
-  /// the sparse straggler tail on the flat layout (a lone lane's working
-  /// set in tiled storage spans lane_tile() times the cache footprint,
-  /// which is exactly when lane-major wins). Cost: O(nodes * lanes) word
-  /// copies.
-  void set_lane_layout(LaneLayout layout, std::size_t tile = 0);
-
-  /// Rearrange whole lanes in place: after the call, lane `dst` holds
-  /// exactly what lane `src_of[dst]` held before — current and next
-  /// values, flags, armed-overlay list (shadows included) and pending
-  /// sparse commits move as a unit, so armed faults stay attached to their
-  /// lane's state. `src_of` must be a true permutation of [0, replicas())
-  /// of size replicas() (throws std::invalid_argument otherwise). The
-  /// active lane follows its content (active becomes the slot its old
-  /// content moved to). Layout and tile width are unchanged; handles stay
-  /// valid. This is the survivor-compaction primitive: the lane-pool
-  /// scheduler permutes thinning live lanes into the low tiles so the
-  /// masked commit keeps operating on dense strips. Each moved lane's
-  /// overlays are re-applied into its destination slice afterwards
-  /// (reapply_overlays_for), preserving the shadow-from-nxt discipline at
-  /// the cycle boundary where compaction runs. Cost: O(nodes * lanes).
-  void permute_lanes(const std::vector<std::size_t>& src_of);
-
-  /// Switch every accessor (Sig reads/writes, commit/save/load/compare,
-  /// fault arming) to lane `lane`. O(1): swaps the cached lane base
-  /// pointers. Throws std::out_of_range on a bad lane.
-  void set_active_lane(std::size_t lane);
-
-  /// Unchecked set_active_lane for the lockstep round loop, which switches
-  /// lanes every evaluated cycle: the scheduler validates its pool once, so
-  /// the per-switch bounds check (and its throw path, which blocks inlining
-  /// here) is pure overhead. `lane` must be < replicas().
-  void set_active_lane_fast(std::size_t lane) noexcept {
-    active_ = lane;
-    rebind_lane();
-  }
-
-  /// Overwrite lane `dst` with a full copy of lane `src`: current and next
-  /// values, flags and the armed-overlay list (shadow slots included), so
-  /// `dst` becomes bit-identical to `src` — including any armed faults.
-  /// The active lane is unchanged. Throws std::out_of_range on bad lanes.
-  void copy_lane(std::size_t dst, std::size_t src);
-
-  /// Handle to an existing node in the *current* lane layout; throws
-  /// std::out_of_range on a bad id. Handles minted before a layout change
-  /// are stale — re-mint them here (see the Sig class comment).
+  /// Handle to an existing node; throws std::out_of_range on a bad id.
   Sig node(NodeId id) {
     check_id(id);
-    return Sig(this, id, static_cast<u32>(slot(id)));
-  }
-
-  // ---- tiled lane-slice access (node-major vector evaluation) --------------
-
-  /// Number of interleave tiles the hot arrays are sized for (kTiled only;
-  /// includes the padding tile, whose lanes are never addressable).
-  std::size_t tile_count() const noexcept {
-    return layout_ == LaneLayout::kTiled ? storage_lanes() / tile_ : 0;
-  }
-
-  /// Contiguous u32×lane_tile() slice holding node `id`'s current values
-  /// for every lane of interleave tile `tile` (kTiled only — the lane
-  /// slice the node-major vector evaluator reads). No bounds check: the
-  /// evaluator validates its tile list once per round.
-  const u32* cur_tile_ptr(NodeId id, std::size_t tile) const noexcept {
-    return cur_.data() + tile * (meta_.size() * tile_) + slot(id);
-  }
-
-  /// Next-value counterpart of cur_tile_ptr — the slice the vector pass
-  /// writes. Values stored here must already be within the node's width
-  /// mask (the masked-copy/zero ops only move committed values, exactly
-  /// like copy_next_range); armed overlays are re-applied at commit like
-  /// for any other next write.
-  u32* nxt_tile_ptr(NodeId id, std::size_t tile) noexcept {
-    return nxt_.data() + tile * (meta_.size() * tile_) + slot(id);
-  }
-
-  /// Number of faults armed on the active lane — the escape predicate of
-  /// the vector evaluator (a lane carrying an overlay always takes the
-  /// behavioral scalar step, so the write-through patching scheme never
-  /// interacts with masked vector stores).
-  std::size_t armed_fault_count() const noexcept {
-    return armed_[active_].size();
+    return Sig(this, id);
   }
 
   // ---- cold metadata (side table, never touched by the simulation loop) ----
@@ -316,25 +135,14 @@ class SimContext {
   u8 width(NodeId id) const { return meta_.at(id).width; }
   NodeKind kind(NodeId id) const { return meta_.at(id).kind; }
 
-  /// Node value as consumers see it / raw (unfaulted) node value, read from
-  /// the active lane.
-  u32 value(NodeId id) const {
-    check_id(id);
-    return cur_l_[slot(id)];
-  }
+  /// Node value as consumers see it / raw (unfaulted) node value.
+  u32 value(NodeId id) const { return cur_.at(id); }
   u32 raw_value(NodeId id) const;
 
-  /// Pre-scaled slot offset of `id` in the current lane layout — lets a
-  /// module with a dense Sig array (e.g. the cache tag/data nodes, which
-  /// are registered consecutively) precompute base offsets and read via
-  /// value_at() without per-access handle loads. Offsets go stale on a
-  /// lane-layout change, exactly like Sig handles.
-  u32 slot_of(NodeId id) const noexcept {
-    return static_cast<u32>(slot(id));
-  }
-
-  /// Unchecked active-lane read by pre-scaled slot offset (see slot_of).
-  u32 value_at(u32 scaled) const noexcept { return cur_l_[scaled]; }
+  /// Unchecked read by NodeId — lets a module with a dense node array (e.g.
+  /// the cache tag/data nodes, which are registered consecutively) index
+  /// by base id plus offset without per-access handle loads.
+  u32 value_at(NodeId id) const noexcept { return cur_[id]; }
 
   /// Total injectable bits in nodes whose unit starts with `unit_prefix`
   /// (empty prefix = whole design). This is the paper's "number of fault
@@ -355,12 +163,10 @@ class SimContext {
   /// and no overlay stays armed, which is what makes the engine's
   /// golden-state convergence cut-off sound for transients).
   ///
-  /// Single-armed-fault invariant: at most one overlay per node *per lane*
-  /// — arming a node that already carries one in the active lane throws
-  /// std::logic_error. The write-through patching scheme stores exactly one
-  /// shadow raw value per armed node; a second overlay would corrupt the
-  /// shadow on clear. Faults armed on one lane are invisible to every other
-  /// lane (each lane has its own flag slice and overlay list). Campaign
+  /// Single-armed-fault invariant: at most one overlay per node — arming a
+  /// node that already carries one throws std::logic_error. The write-
+  /// through patching scheme stores exactly one shadow raw value per armed
+  /// node; a second overlay would corrupt the shadow on clear. Campaign
   /// code upholds the stronger form (one armed fault per *run*, cleared
   /// via clear_faults() before the next prepare), matching the paper's
   /// single-fault assumption.
@@ -375,82 +181,44 @@ class SimContext {
   /// that requires saboteur instrumentation in VHDL flows [2].
   void arm_bridge(NodeId victim, NodeId aggressor, u32 mask);
 
-  /// Remove all faults armed on the active lane (between campaign runs).
+  /// Remove all armed faults (between campaign runs).
   void clear_faults();
 
-  /// Commit every register of the active lane (clock edge). Wires always
-  /// satisfy cur == nxt — w()/poke() write through both arrays, and n() is
-  /// meaningful only for registers — so the commit copies just the
-  /// register-covering NodeId spans (registers cluster by construction
-  /// order, so this is a handful of memcpys over a fraction of the array
-  /// instead of one full-array copy; in the tiled layout the same spans are
-  /// strided per lane). The lane's armed overlays are re-applied afterwards
-  /// (the copy exposes raw next values).
+  /// Commit every register (clock edge). Wires always satisfy cur == nxt —
+  /// w()/poke() write through both arrays, and n() is meaningful only for
+  /// registers — so the commit copies just the register-covering NodeId
+  /// spans (registers cluster by construction order, so this is a handful
+  /// of memcpys over a fraction of the array instead of one full-array
+  /// copy), then the sparse registers on the dirty list. Armed overlays are
+  /// re-applied afterwards (the copy exposes raw next values).
   void commit_all() noexcept {
-    if (lane_shift_ == 0) {
-      for (const auto& [begin, end] : commit_spans_) {
-        std::memcpy(cur_l_ + begin, nxt_l_ + begin,
-                    (end - begin) * sizeof(u32));
-      }
-    } else {
-      for (const auto& [begin, end] : commit_spans_) {
-        for (NodeId id = begin; id < end; ++id) {
-          cur_l_[slot(id)] = nxt_l_[slot(id)];
-        }
-      }
+    for (const auto& [begin, end] : commit_spans_) {
+      std::memcpy(cur_.data() + begin, nxt_.data() + begin,
+                  (end - begin) * sizeof(u32));
     }
-    std::vector<u32>& dirty = sparse_dirty_[active_];
-    if (!dirty.empty()) {
-      for (const u32 s : dirty) cur_l_[s] = nxt_l_[s];
-      dirty.clear();
+    if (!sparse_dirty_.empty()) {
+      for (const NodeId id : sparse_dirty_) cur_[id] = nxt_[id];
+      sparse_dirty_.clear();
     }
-    if (!armed().empty()) reapply_overlays();
+    if (!armed_.empty()) reapply_overlays();
   }
 
-  /// Clock edge for *every* lane at once — the per-cycle primitive of the
-  /// batched lockstep driver. In the tiled layout a register span [b, e) of
-  /// one tile is the contiguous u32 range [b*T, e*T) for T = lane_tile(),
-  /// so this is one full-width memcpy per span per tile, vectorized across
-  /// all T lane slices; in the flat layout it loops the per-lane span
-  /// copies. Safe to
-  /// include lanes that did not evaluate this round: an idle lane sits at a
-  /// cycle boundary where every register already satisfies cur == nxt, so
-  /// re-committing it is the identity. Each committed lane's armed overlays
-  /// are re-applied into its own slice afterwards.
-  void commit_lanes() noexcept;
-
-  /// Masked variant: clock only the lanes marked in `live` (indexed by
-  /// lane, size >= replicas()). In the tiled layout whole tiles are the
-  /// commit grain, so every lane sharing a tile with a live lane is
-  /// committed too (idle-lane commits are the identity, see above); tiles
-  /// with no live lane are skipped entirely, which is what keeps the
-  /// per-round cost proportional to the surviving batch, not the batch
-  /// capacity. Overlays are re-applied for every lane the pass committed.
-  void commit_lanes(const std::vector<u8>& live) noexcept;
-
-  /// Reset the active lane's node values to zero (does not clear faults).
+  /// Reset all node values to zero (does not clear faults).
   void zero_all() noexcept;
 
-  /// Schedule zero into `count` registers starting at `begin` on the active
-  /// lane: nxt[begin+i] = 0 — equivalent to count n(0) calls (zero is
-  /// within every width mask). One memset in the flat layout, a strided
-  /// pass in the tiled one. Bounds-checked.
+  /// Schedule zero into `count` registers starting at `begin`: nxt[begin+i]
+  /// = 0 — equivalent to count n(0) calls (zero is within every width
+  /// mask), as one memset. Bounds-checked.
   void zero_next_range(NodeId begin, std::size_t count) {
     if (count == 0) return;
     check_id(static_cast<NodeId>(begin + count - 1));
-    if (lane_shift_ == 0) {
-      std::memset(nxt_l_ + begin, 0, count * sizeof(u32));
-    } else {
-      for (std::size_t i = 0; i < count; ++i) {
-        nxt_l_[slot(static_cast<NodeId>(begin + i))] = 0;
-      }
-    }
+    std::memset(nxt_.data() + begin, 0, count * sizeof(u32));
   }
 
-  /// Values of every node of the active lane in registry order — the node
-  /// half of a core checkpoint. Meaningful only at a cycle boundary (after
-  /// commit_all), where registers satisfy cur == nxt. With no fault armed
-  /// (the checkpoint contract) these are raw values; with faults armed the
+  /// Values of every node in registry order — the node half of a core
+  /// checkpoint. Meaningful only at a cycle boundary (after commit_all),
+  /// where registers satisfy cur == nxt. With no fault armed (the
+  /// checkpoint contract) these are raw values; with faults armed the
   /// armed nodes' entries are their as-read values, which is exactly what
   /// the per-cycle fixed-point probe wants to compare.
   std::vector<u32> save_values() const;
@@ -458,52 +226,33 @@ class SimContext {
   /// Allocation-free variant for per-cycle probing (hang fast-forward).
   void save_values_into(std::vector<u32>& out) const;
 
-  /// Comparison of the active lane against a save_values() capture: one
-  /// per-lane memcmp (flat) or an early-exit strided pass (tiled), no copy.
+  /// Comparison against a save_values() capture: one memcmp, no copy.
   /// A size mismatch (foreign registry) compares unequal.
   bool values_equal(const std::vector<u32>& values) const noexcept {
-    if (values.size() != meta_.size()) return false;
-    if (meta_.empty()) return true;
-    if (lane_shift_ == 0) {
-      return std::memcmp(values.data(), cur_l_,
-                         meta_.size() * sizeof(u32)) == 0;
-    }
-    for (NodeId id = 0; id < meta_.size(); ++id) {
-      if (cur_l_[slot(id)] != values[id]) return false;
-    }
-    return true;
+    return values.size() == cur_.size() &&
+           (cur_.empty() ||
+            std::memcmp(values.data(), cur_.data(),
+                        cur_.size() * sizeof(u32)) == 0);
   }
 
-  /// Schedule a ranged register copy on the active lane: nxt[dst+i] =
-  /// cur[src+i] for i in [0, count). Equivalent to count next(dst+i,
-  /// cur[src+i]) calls for module layouts where the two ranges pair nodes
-  /// of equal width (current values are always within their width mask, so
-  /// no re-masking is needed) — the pipeline-latch copy, vectorized in the
-  /// flat layout and strided (still branch-free) in the tiled one.
-  /// Reads see the source's fault overlay (cur is the as-consumed value);
-  /// an overlay on a destination register is re-applied at commit exactly
-  /// like for next(). Bounds-checked; width pairing is the caller's
+  /// Schedule a ranged register copy: nxt[dst+i] = cur[src+i] for i in
+  /// [0, count). Equivalent to count n() calls for module layouts where the
+  /// two ranges pair nodes of equal width (current values are always within
+  /// their width mask, so no re-masking is needed) — the pipeline-latch
+  /// copy. Reads see the source's fault overlay (cur is the as-consumed
+  /// value); an overlay on a destination register is re-applied at commit
+  /// exactly like for n(). Bounds-checked; width pairing is the caller's
   /// contract.
   void copy_next_range(NodeId dst, NodeId src, std::size_t count) {
     if (count == 0) return;
     check_id(static_cast<NodeId>(dst + count - 1));
     check_id(static_cast<NodeId>(src + count - 1));
-    if (lane_shift_ == 0) {
-      for (std::size_t i = 0; i < count; ++i) {
-        nxt_l_[dst + i] = cur_l_[src + i];
-      }
-    } else {
-      const std::size_t d0 = slot(dst), s0 = slot(src);
-      for (std::size_t i = 0; i < count; ++i) {
-        nxt_l_[d0 + (i << lane_shift_)] = cur_l_[s0 + (i << lane_shift_)];
-      }
-    }
+    for (std::size_t i = 0; i < count; ++i) nxt_[dst + i] = cur_[src + i];
   }
 
-  /// Restore the active lane's node values from a save_values() capture
-  /// taken on an identical registry (same module construction order). Does
-  /// not touch armed faults; callers clear_faults() first. Throws
-  /// std::invalid_argument on a size mismatch.
+  /// Restore node values captured by save_values() on an identical registry
+  /// (same module construction order). Does not touch armed faults; callers
+  /// clear_faults() first. Throws std::invalid_argument on a size mismatch.
   void load_values(const std::vector<u32>& values);
 
  private:
@@ -528,94 +277,37 @@ class SimContext {
 
   void check_id(NodeId id) const { (void)meta_.at(id); }
 
-  /// Armed-overlay list of the active lane.
-  std::vector<ArmedFault>& armed() noexcept { return armed_[active_]; }
-  const std::vector<ArmedFault>& armed() const noexcept {
-    return armed_[active_];
-  }
-
-  /// Offset of node `id` relative to the active-lane base pointers: the
-  /// plain id when flat, id * lane_tile() when tiled.
-  std::size_t slot(NodeId id) const noexcept {
-    return static_cast<std::size_t>(id) << lane_shift_;
-  }
-
-  /// Start of lane `lane`'s slice relative to the start of the arrays.
-  std::size_t lane_base(std::size_t lane) const noexcept {
-    if (layout_ == LaneLayout::kFlat) return lane * meta_.size();
-    return (lane / tile_) * (meta_.size() * tile_) + (lane % tile_);
-  }
-
-  /// Re-derive the cached active-lane base pointers (after registration,
-  /// reallocation, or a lane switch).
-  void rebind_lane() noexcept {
-    const std::size_t base = lane_base(active_);
-    cur_l_ = cur_.data() + base;
-    nxt_l_ = nxt_.data() + base;
-    flags_l_ = flags_.data() + base;
-  }
-
   // Hot per-node write: fast path is two stores; only armed nodes and
-  // bridge aggressors (flags != 0 in the active lane) take the overlay
-  // slow path. `scaled` is the caller's pre-scaled slot offset (Sig bakes
-  // it in at mint time so the fast path has no stride math).
-  void write_at(NodeId id, u32 scaled, u32 v) noexcept {
+  // bridge aggressors (flags_ != 0) take the overlay slow path.
+  void write(NodeId id, u32 v) noexcept {
     v &= mask_[id];
-    if (flags_l_[scaled] != 0) [[unlikely]] {
+    if (flags_[id] != 0) [[unlikely]] {
       write_slow(id, v);
       return;
     }
-    cur_l_[scaled] = v;
-    nxt_l_[scaled] = v;
+    cur_[id] = v;
+    nxt_[id] = v;
   }
-  void next_at(NodeId id, u32 scaled, u32 v) noexcept {
-    nxt_l_[scaled] = v & mask_[id];
-  }
-  void next_sparse_at(NodeId id, u32 scaled, u32 v) noexcept {
-    nxt_l_[scaled] = v & mask_[id];
-    sparse_dirty_[active_].push_back(scaled);
+  void next(NodeId id, u32 v) noexcept { nxt_[id] = v & mask_[id]; }
+  void next_sparse(NodeId id, u32 v) noexcept {
+    nxt_[id] = v & mask_[id];
+    sparse_dirty_.push_back(id);
   }
 
-  void retile(std::size_t keep, LaneLayout layout, std::size_t tile);
-  void drain_sparse_all_lanes() noexcept;
   void write_slow(NodeId id, u32 masked) noexcept;
   void reapply_overlays() noexcept;
-  void reapply_overlays_for(std::size_t lane) noexcept;
   void refresh_bridges_from(NodeId aggressor) noexcept;
   u32 apply_overlay(const ArmedFault& f) const noexcept;
 
-  /// Lanes the hot arrays are sized for (replicas_, rounded up to whole
-  /// tiles when tiled).
-  std::size_t storage_lanes() const noexcept {
-    if (layout_ == LaneLayout::kFlat) return replicas_;
-    return (replicas_ + tile_ - 1) / tile_ * tile_;
-  }
-
-  // Hot structure-of-arrays state: storage_lanes() lane slices in layout_
-  // order (see lane_base). The *_l_ pointers cache the active lane's base
-  // so the unfaulted read path stays one shifted indexed load.
+  // Hot structure-of-arrays state, indexed by NodeId.
   std::vector<u32> cur_;   ///< value consumers see (overlay pre-applied)
   std::vector<u32> nxt_;   ///< raw next value (mirrors cur_ for wires)
+  std::vector<u32> mask_;  ///< low_mask64(width)
   std::vector<u8> flags_;
-  std::vector<u32> mask_;  ///< low_mask64(width); shared by every lane
-  // Retile scratch: the transposed arrays are built here and swapped with
-  // the hot arrays, so the batch scheduler's per-shard layout flips
-  // (kFlat -> kTiled -> kFlat around the lockstep rounds) reuse one
-  // allocation instead of paying a fresh zero-initialised vector each way.
-  std::vector<u32> retile_cur_, retile_nxt_;
-  std::vector<u8> retile_flags_;
-  u32* cur_l_ = nullptr;
-  u32* nxt_l_ = nullptr;
-  u8* flags_l_ = nullptr;
-  std::size_t replicas_ = 1;
-  std::size_t active_ = 0;
-  LaneLayout layout_ = LaneLayout::kFlat;
-  std::size_t tile_ = kLaneTile;  ///< lanes per interleave tile when tiled
-  u8 lane_shift_ = 0;  ///< 0 flat, log2(lane_tile()) tiled
 
-  // Cold side table + name index (shared by every lane). Unit strings are
-  // interned: a design has ~dozen distinct units across ~1k nodes, and
-  // registration cost is visible in campaign setup.
+  // Cold side table + name index. Unit strings are interned: a design has
+  // ~dozen distinct units across ~1k nodes, and registration cost is
+  // visible in campaign setup.
   std::vector<NodeMeta> meta_;
   std::vector<std::string> units_;
   std::unordered_map<std::string, u32> unit_index_;
@@ -625,20 +317,17 @@ class SimContext {
   // the only part of the value arrays a clock edge must copy.
   std::vector<std::pair<NodeId, NodeId>> commit_spans_;
 
-  std::vector<std::vector<ArmedFault>> armed_{1};  ///< one list per lane
-  /// Pending sparse-register commits (pre-scaled slots), one list per lane;
-  /// drained by every commit flavour.
-  std::vector<std::vector<u32>> sparse_dirty_{1};
+  std::vector<ArmedFault> armed_;
+  /// Pending sparse-register commits, drained by commit_all().
+  std::vector<NodeId> sparse_dirty_;
   bool sparse_pending_ = false;  ///< next make() call is a sparse register
 };
 
-inline u32 Sig::r() const noexcept { return ctx_->cur_l_[scaled_]; }
-inline void Sig::w(u32 v) noexcept { ctx_->write_at(id_, scaled_, v); }
-inline void Sig::n(u32 v) noexcept { ctx_->next_at(id_, scaled_, v); }
-inline void Sig::ns(u32 v) noexcept {
-  ctx_->next_sparse_at(id_, scaled_, v);
-}
+inline u32 Sig::r() const noexcept { return ctx_->cur_[id_]; }
+inline void Sig::w(u32 v) noexcept { ctx_->write(id_, v); }
+inline void Sig::n(u32 v) noexcept { ctx_->next(id_, v); }
+inline void Sig::ns(u32 v) noexcept { ctx_->next_sparse(id_, v); }
 inline u32 Sig::raw() const noexcept { return ctx_->raw_value(id_); }
-inline void Sig::poke(u32 v) noexcept { ctx_->write_at(id_, scaled_, v); }
+inline void Sig::poke(u32 v) noexcept { ctx_->write(id_, v); }
 
 }  // namespace issrtl::rtl

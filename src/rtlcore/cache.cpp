@@ -9,8 +9,8 @@ Cache::Cache(rtl::SimContext& ctx, const std::string& unit,
              const CacheConfig& cfg, Memory& mem, OffCoreTrace& bus)
     : cfg_(cfg),
       ctx_(&ctx),
-      mem_(&mem),
-      bus_(&bus),
+      mem_(mem),
+      bus_(bus),
       lines_(cfg.size_bytes / cfg.line_bytes),
       words_per_line_(cfg.line_bytes / 4),
       busy_(ctx.reg(unit.substr(unit.find('.') + 1) + "_busy", unit, 4)),
@@ -32,43 +32,29 @@ Cache::Cache(rtl::SimContext& ctx, const std::string& unit,
   for (u32 i = 0; i < lines_ * words_per_line_; ++i) {
     data_.push_back(ctx.wire("data" + std::to_string(i), unit, 32));
   }
-  recompute_slot_bases();
-}
-
-void Cache::recompute_slot_bases() {
-  tag0s_ = ctx_->slot_of(tags_[0].id());
-  valid0s_ = ctx_->slot_of(valids_[0].id());
-  data0s_ = ctx_->slot_of(data_[0].id());
-  s1_ = ctx_->slot_of(1);  // slot stride of one NodeId step
-}
-
-void Cache::refresh(rtl::SimContext& ctx) {
-  for (rtl::Sig& s : tags_) s = ctx.node(s.id());
-  for (rtl::Sig& s : valids_) s = ctx.node(s.id());
-  for (rtl::Sig& s : data_) s = ctx.node(s.id());
-  busy_ = ctx.node(busy_.id());
-  pending_addr_ = ctx.node(pending_addr_.id());
-  recompute_slot_bases();
+  tag0_ = tags_[0].id();
+  valid0_ = valids_[0].id();
+  data0_ = data_[0].id();
 }
 
 bool Cache::hit(u32 addr) const {
   // Tag i and valid i are 2 NodeIds apart (registered pairwise); data words
   // are consecutive. value_at skips the per-node handle loads.
   const u32 idx = line_index(addr);
-  return ctx_->value_at(valid0s_ + 2 * idx * s1_) != 0 &&
-         ctx_->value_at(tag0s_ + 2 * idx * s1_) == tag_of(addr);
+  return ctx_->value_at(valid0_ + 2 * idx) != 0 &&
+         ctx_->value_at(tag0_ + 2 * idx) == tag_of(addr);
 }
 
 u32 Cache::read_word(u32 addr) const {
-  return ctx_->value_at(data0s_ + word_slot(addr) * s1_);
+  return ctx_->value_at(data0_ + word_slot(addr));
 }
 
 void Cache::fill_line(u64 cycle, u32 addr) {
   const u32 idx = line_index(addr);
   const u32 base = addr & ~(cfg_.line_bytes - 1);
   for (u32 w = 0; w < words_per_line_; ++w) {
-    const u32 v = mem_->load_u32(base + 4 * w);
-    bus_->record_read(cycle, base + 4 * w, 4, v);
+    const u32 v = mem_.load_u32(base + 4 * w);
+    bus_.record_read(cycle, base + 4 * w, 4, v);
     data_[idx * words_per_line_ + w].w(v);
   }
   tags_[idx].w(tag_of(addr));
@@ -100,11 +86,11 @@ bool Cache::step_load(u64 cycle, u32 addr, u32& out) {
 void Cache::store(u64 cycle, u32 addr, u8 size, u32 value) {
   // Bus write first (write-through), then update the line if present.
   const u64 masked = value & low_mask64(8u * size);
-  bus_->record_write(cycle, addr, size, masked);
+  bus_.record_write(cycle, addr, size, masked);
   switch (size) {
-    case 1: mem_->store_u8(addr, static_cast<u8>(value)); break;
-    case 2: mem_->store_u16(addr, static_cast<u16>(value)); break;
-    default: mem_->store_u32(addr, value); break;
+    case 1: mem_.store_u8(addr, static_cast<u8>(value)); break;
+    case 2: mem_.store_u16(addr, static_cast<u16>(value)); break;
+    default: mem_.store_u32(addr, value); break;
   }
   if (!hit(addr)) return;  // no-allocate
   rtl::Sig& word = data_[word_slot(addr)];

@@ -26,19 +26,6 @@ class Cache {
   Cache(rtl::SimContext& ctx, const std::string& unit, const CacheConfig& cfg,
         Memory& mem, OffCoreTrace& bus);
 
-  /// Re-point the cache at another memory image / bus trace — the replica-
-  /// lane switch. O(1): the tag/valid/data arrays live in the node registry
-  /// and follow the SimContext's active lane on their own; only the
-  /// off-core side needs rebinding.
-  void rebind(Memory& mem, OffCoreTrace& bus) noexcept {
-    mem_ = &mem;
-    bus_ = &bus;
-  }
-
-  /// Re-mint the tag/valid/data/busy handles after a lane-layout change
-  /// (pre-scaled slot offsets go stale — see the rtl::Sig class comment).
-  void refresh(rtl::SimContext& ctx);
-
   /// Advance one cycle while an access is pending. Returns true when the
   /// pending (or newly issued) access at `addr` completes this cycle, with
   /// the loaded 32-bit word in `out`. Pass the core cycle for bus records.
@@ -50,15 +37,6 @@ class Cache {
 
   /// True while a refill is in progress (pipeline must stall).
   bool busy() const { return busy_.r() != 0; }
-
-  /// Pure probe: would a load issued at `addr` complete this cycle? True
-  /// exactly when step_load would return true without touching any state —
-  /// no refill countdown, no bus record, no hit/miss counter update. The
-  /// vector evaluator's escape predicate uses this to decide whether a
-  /// lane's fetch can stay on the lowered path (step_load mutates the
-  /// busy/pending nodes on a miss and while counting down, so the planned
-  /// path may only ever issue guaranteed hits).
-  bool would_hit(u32 addr) const { return busy_.r() == 0 && hit(addr); }
 
   /// Abandon an in-flight refill (fetch redirect); the line stays invalid.
   void abort() { busy_.n(0); }
@@ -84,22 +62,20 @@ class Cache {
   bool hit(u32 addr) const;
   void fill_line(u64 cycle, u32 addr);
   u32 read_word(u32 addr) const;
-  void recompute_slot_bases();
 
   CacheConfig cfg_;
   rtl::SimContext* ctx_;
-  Memory* mem_;
-  OffCoreTrace* bus_;
+  Memory& mem_;
+  OffCoreTrace& bus_;
   u32 lines_;
   u32 words_per_line_;
   std::vector<rtl::Sig> tags_;
   std::vector<rtl::Sig> valids_;
   std::vector<rtl::Sig> data_;
-  // Pre-scaled slot bases for the hit/read fast path: the tag/valid pairs
-  // and the data words are registered consecutively, so a lookup is one
-  // value_at() with a strided offset instead of a Sig-handle load per node.
-  // Recomputed with the handles on a lane-layout change.
-  u32 tag0s_ = 0, valid0s_ = 0, data0s_ = 0, s1_ = 1;
+  // First NodeIds of the hit/read fast path: the tag/valid pairs and the
+  // data words are registered consecutively, so a lookup is one value_at()
+  // at an offset instead of a Sig-handle load per node.
+  rtl::NodeId tag0_ = 0, valid0_ = 0, data0_ = 0;
   rtl::Sig busy_;
   rtl::Sig pending_addr_;
   u64 hits_ = 0;

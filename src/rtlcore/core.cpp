@@ -1,7 +1,6 @@
 #include "rtlcore/core.hpp"
 
 #include <stdexcept>
-#include <utility>
 
 namespace issrtl::rtlcore {
 
@@ -35,13 +34,6 @@ PipeSlot PipeSlot::create(rtl::SimContext& ctx, const std::string& stage) {
   return slot;
 }
 
-void PipeSlot::refresh(rtl::SimContext& ctx) {
-  rtl::Sig* fields[] = {&valid, &pc,     &inst, &a,     &b,    &sdata,
-                        &sdata2, &dphys, &dphys2, &wreg, &wreg2, &res,
-                        &res2,   &addr,  &trap, &tcode};
-  for (rtl::Sig* f : fields) *f = ctx.node(f->id());
-}
-
 void PipeSlot::bubble() { valid.n(0); }
 
 void PipeSlot::hold() { /* registers hold by default (nxt == cur) */ }
@@ -55,7 +47,7 @@ void PipeSlot::load_from(rtl::SimContext& ctx, const PipeSlot& src) {
 // Construction / reset
 
 Leon3Core::Leon3Core(Memory& mem, const CoreConfig& cfg)
-    : ext_mem_(mem),
+    : mem_(mem),
       cfg_(cfg),
       icc_(ctx_.reg("icc", "iu.special", 4)),
       y_(ctx_.reg("y", "iu.special", 32)),
@@ -83,25 +75,19 @@ Leon3Core::Leon3Core(Memory& mem, const CoreConfig& cfg)
       me_(PipeSlot::create(ctx_, "me")),
       xc_(PipeSlot::create(ctx_, "xc")),
       wb_(PipeSlot::create(ctx_, "wb")) {
-  lanes_.resize(1);
-  lane_ = &lanes_[0];
-  mem_ = &ext_mem_;
   rf_ = std::make_unique<RegFile>(ctx_);
   icache_ =
-      std::make_unique<Cache>(ctx_, "cmem.icache", cfg.icache, *mem_,
-                              lane_->bus);
+      std::make_unique<Cache>(ctx_, "cmem.icache", cfg.icache, mem_, bus_);
   dcache_ =
-      std::make_unique<Cache>(ctx_, "cmem.dcache", cfg.dcache, *mem_,
-                              lane_->bus);
+      std::make_unique<Cache>(ctx_, "cmem.dcache", cfg.dcache, mem_, bus_);
   // Seed the decode memo so the all-zero entries are genuine (word 0 is a
   // real encoding — UNIMP — and must not alias the default-constructed
   // DecodedInst).
   for (DecodeEntry& e : decode_cache_) e.inst = isa::decode(0);
-  build_veceval_program();
 }
 
 void Leon3Core::load(const isa::Program& prog) {
-  prog.load_into(*mem_);
+  prog.load_into(mem_);
   reset(prog.entry);
 }
 
@@ -109,17 +95,17 @@ void Leon3Core::reset(u32 entry) {
   ctx_.zero_all();
   icache_->invalidate_all();
   dcache_->invalidate_all();
-  lane_->bus.clear();
+  bus_.clear();
   rf_->poke_phys(isa::phys_reg_index(isa::reg_num(isa::kSp), 0),
                  isa::kDefaultStackTop);
   fetch_pc_.poke(entry);
-  lane_->cycle = 0;
-  lane_->instret = 0;
-  lane_->next_fetch_seq = 1;
-  lane_->redirect_after_seq = 0;
-  lane_->annul_seq = 0;
-  lane_->halt = HaltReason::kRunning;
-  lane_->trap_code = 0;
+  cycle_ = 0;
+  instret_ = 0;
+  next_fetch_seq_ = 1;
+  redirect_after_seq_ = 0;
+  annul_seq_ = 0;
+  halt_ = HaltReason::kRunning;
+  trap_code_ = 0;
   de_.seq = ra_.seq = ex_.seq = me_.seq = xc_.seq = wb_.seq = 0;
   kill_valid_ = false;
   annul_exact_valid_ = false;
@@ -166,8 +152,8 @@ u8 mem_align(const DecodedInst& d) {
 }  // namespace
 
 void Leon3Core::halt_with(HaltReason r, u8 code) {
-  lane_->halt = r;
-  lane_->trap_code = code;
+  halt_ = r;
+  trap_code_ = code;
 }
 
 // ---------------------------------------------------------------------------
@@ -177,7 +163,7 @@ void Leon3Core::eval_wb() {
   if (!wb_.valid.rb()) return;
   if (wb_.wreg.rb()) rf_->write_phys(wb_.dphys.r(), wb_.res.r());
   if (wb_.wreg2.rb()) rf_->write_phys(wb_.dphys2.r(), wb_.res2.r());
-  ++lane_->instret;
+  ++instret_;
 }
 
 // ---------------------------------------------------------------------------
@@ -187,7 +173,7 @@ bool Leon3Core::eval_xc() {
   if (xc_.valid.rb()) {
     const auto trap = static_cast<TrapKind>(xc_.trap.r());
     if (trap != TrapKind::kNone) {
-      ++lane_->instret;  // the trapping instruction executed (ISS counts it)
+      ++instret_;  // the trapping instruction executed (ISS counts it)
       switch (trap) {
         case TrapKind::kHalt: halt_with(HaltReason::kHalted, 0); break;
         case TrapKind::kSoftTrap:
@@ -247,10 +233,10 @@ void Leon3Core::eval_me(bool /*xc_free*/) {
   const bool needs_load = d.iclass != InstClass::kStore;
   if (needs_load) {
     if (io) {
-      w0 = mem_->load_u32(word_addr);
-      lane_->bus.record_read(lane_->cycle, word_addr, 4, w0);
+      w0 = mem_.load_u32(word_addr);
+      bus_.record_read(cycle_, word_addr, 4, w0);
     } else {
-      done = dcache_->step_load(lane_->cycle, word_addr, w0);
+      done = dcache_->step_load(cycle_, word_addr, w0);
     }
   }
   if (!done) {
@@ -262,13 +248,12 @@ void Leon3Core::eval_me(bool /*xc_free*/) {
 
   auto dstore = [&](u32 saddr, u8 size, u32 val) {
     if (saddr >= isa::kIoBase) {
-      lane_->bus.record_write(lane_->cycle, saddr, size,
-                              val & low_mask64(8u * size));
-      if (size == 1) mem_->store_u8(saddr, static_cast<u8>(val));
-      else if (size == 2) mem_->store_u16(saddr, static_cast<u16>(val));
-      else mem_->store_u32(saddr, val);
+      bus_.record_write(cycle_, saddr, size, val & low_mask64(8u * size));
+      if (size == 1) mem_.store_u8(saddr, static_cast<u8>(val));
+      else if (size == 2) mem_.store_u16(saddr, static_cast<u16>(val));
+      else mem_.store_u32(saddr, val);
     } else {
-      dcache_->store(lane_->cycle, saddr, size, val);
+      dcache_->store(cycle_, saddr, size, val);
     }
   };
 
@@ -286,10 +271,10 @@ void Leon3Core::eval_me(bool /*xc_free*/) {
     case Opcode::kLDD: {
       u32 w1 = 0;
       if (io) {
-        w1 = mem_->load_u32(word_addr + 4);
-        lane_->bus.record_read(lane_->cycle, word_addr + 4, 4, w1);
+        w1 = mem_.load_u32(word_addr + 4);
+        bus_.record_read(cycle_, word_addr + 4, 4, w1);
       } else {
-        dcache_->step_load(lane_->cycle, word_addr + 4, w1);  // same line: hit
+        dcache_->step_load(cycle_, word_addr + 4, w1);  // same line: hit
       }
       xc_.res.n(w0);
       xc_.res2.n(w1);
@@ -326,7 +311,7 @@ void Leon3Core::resolve_cti(const DecodedInst& d, u32 /*pc*/, bool taken,
   const bool eff_taken = br_taken_.rb();
   const u32 eff_target = br_target_.r();
   const u64 ds = ex_.seq + 1;  // sequence number of the delay slot
-  const bool ds_issued = lane_->next_fetch_seq > ds;
+  const bool ds_issued = next_fetch_seq_ > ds;
   const bool ba_annul = d.opcode == Opcode::kBA && d.annul;
 
   if (ba_annul) {
@@ -347,7 +332,7 @@ void Leon3Core::resolve_cti(const DecodedInst& d, u32 /*pc*/, bool taken,
     } else {
       redirect_pending_.n(1);
       redirect_target_.n(eff_target);
-      lane_->redirect_after_seq = ds;
+      redirect_after_seq_ = ds;
     }
     return;
   }
@@ -358,7 +343,7 @@ void Leon3Core::resolve_cti(const DecodedInst& d, u32 /*pc*/, bool taken,
       annul_exact_seq_ = ds;
     } else {
       annul_pending_.n(1);
-      lane_->annul_seq = ds;
+      annul_seq_ = ds;
     }
   }
 }
@@ -747,11 +732,6 @@ void Leon3Core::eval_ra(bool ex_free) {
 
   // Read operands and resolve destination mapping.
   ex_.load_from(ctx_, ra_);
-  ra_issue_fields(d, cwp);
-  ra_consumed_ = true;
-}
-
-void Leon3Core::ra_issue_fields(const DecodedInst& d, unsigned cwp) {
   ex_.a.n(rf_->read(d.rs1, cwp));
   ex_.b.n(d.uses_imm ? static_cast<u32>(d.simm13) : rf_->read(d.rs2, cwp));
   if (d.iclass == InstClass::kStore || d.iclass == InstClass::kAtomic) {
@@ -785,6 +765,7 @@ void Leon3Core::ra_issue_fields(const DecodedInst& d, unsigned cwp) {
   }
   ex_.wreg.n(writes ? 1 : 0);
   ex_.wreg2.n(d.opcode == Opcode::kLDD ? 1 : 0);
+  ra_consumed_ = true;
 }
 
 // ---------------------------------------------------------------------------
@@ -823,21 +804,17 @@ void Leon3Core::eval_fe(bool de_free) {
     return;
   }
   if (!de_free) return;
-  fe_fetch();
-}
-
-void Leon3Core::fe_fetch() {
   const u32 pc = fetch_pc_.r();
   u32 word = 0;
-  if (!icache_->step_load(lane_->cycle, pc, word)) {
+  if (!icache_->step_load(cycle_, pc, word)) {
     de_.bubble();
     return;
   }
 
-  const u64 seq = lane_->next_fetch_seq++;
+  const u64 seq = next_fetch_seq_++;
   bool valid = true;
   if (kill_valid_ && seq >= kill_min_seq_) valid = false;
-  if (annul_pending_.rb() && seq == lane_->annul_seq) {
+  if (annul_pending_.rb() && seq == annul_seq_) {
     valid = false;
     annul_pending_.n(0);
   }
@@ -853,7 +830,7 @@ void Leon3Core::fe_fetch() {
   ctx_.zero_next_range(de_.a.id(), PipeSlot::kFieldCount - 3);
   de_.seq = seq;
 
-  if (redirect_pending_.rb() && seq == lane_->redirect_after_seq) {
+  if (redirect_pending_.rb() && seq == redirect_after_seq_) {
     fetch_pc_.n(redirect_target_.r());
     redirect_pending_.n(0);
   } else {
@@ -872,7 +849,7 @@ void Leon3Core::icache_abort_() {
 // Top-level cycle.
 
 void Leon3Core::step_eval() {
-  ++lane_->cycle;
+  ++cycle_;
   kill_valid_ = false;
   annul_exact_valid_ = false;
   immediate_redirect_ = false;
@@ -892,233 +869,16 @@ void Leon3Core::step_eval() {
 
 HaltReason Leon3Core::run(u64 max_cycles) {
   for (u64 i = 0; i < max_cycles; ++i) {
-    if (lane_->halt != HaltReason::kRunning) return lane_->halt;
+    if (halt_ != HaltReason::kRunning) return halt_;
     step();
   }
-  if (lane_->halt == HaltReason::kRunning) lane_->halt = HaltReason::kStepLimit;
-  return lane_->halt;
-}
-
-// ---------------------------------------------------------------------------
-// Node-major vector evaluation (see rtl/veceval.hpp and the protocol comment
-// in core.hpp). The lowering covers exactly the structural latch actions of
-// step_eval — advance (16-field ranged copy) and bubble (zero the valid bit)
-// for the wb/xc/me/ex/ra latches — while everything data-dependent stays on
-// the per-lane behavioral code, either as an escape (the whole cycle falls
-// back to step_no_commit) or as a planned compute hook (the same eval_*
-// helpers run on the advancing packet after the vector pass).
-
-void Leon3Core::build_veceval_program() {
-  vec_program_.ops.clear();
-  // ctl rows 0-4: advance masks of wb/xc/me/ex/ra; rows 5-9: bubble masks.
-  vec_program_.ctl_count = 10;
-  const struct {
-    const PipeSlot* dst;
-    const PipeSlot* src;
-  } latches[5] = {
-      {&wb_, &xc_}, {&xc_, &me_}, {&me_, &ex_}, {&ex_, &ra_}, {&ra_, &de_}};
-  for (u8 i = 0; i < 5; ++i) {
-    const rtl::NodeId d0 = latches[i].dst->valid.id();
-    const rtl::NodeId s0 = latches[i].src->valid.id();
-    // Advance: the vector image of PipeSlot::load_from's ranged copy. All
-    // reads are cur and all writes nxt, so op order across latches is
-    // immaterial; emit downstream-first to mirror the behavioral order.
-    for (rtl::NodeId f = 0; f < PipeSlot::kFieldCount; ++f) {
-      vec_program_.ops.push_back({rtl::VecOp::Kind::kMaskedCopy, i,
-                                  static_cast<rtl::NodeId>(d0 + f),
-                                  static_cast<rtl::NodeId>(s0 + f), 0});
-    }
-    // Bubble: PipeSlot::bubble() zeroes only the valid bit (stale payload
-    // fields are dont-care behind valid == 0, same as the behavioral path).
-    vec_program_.ops.push_back(
-        {rtl::VecOp::Kind::kMaskedZero, static_cast<u8>(5 + i), d0, 0, 0});
-  }
-  // DE needs no vector ops: a planned fetch writes the de_ fields directly
-  // in fe_fetch (valid/pc/inst plus one ranged zero), and a fetch that
-  // cannot complete this cycle escapes the lane instead.
-}
-
-VecEscape Leon3Core::plan_vec_cycle() {
-  // step_eval recomputes the handshake scratch every cycle; clear it here
-  // unconditionally so a lane whose previous behavioral step left kill /
-  // annul / stall flags behind cannot poison this cycle's planned compute
-  // (select_lane_fast clears on a switch, but not when the lane is already
-  // active).
-  clear_cycle_scratch();
-  if (lane_->halt != HaltReason::kRunning) return VecEscape::kHalted;
-  // Armed overlays patch reads lane-locally through the scalar write-through
-  // scheme; the vector pass must never store into a patched lane.
-  if (ctx_.armed_fault_count() != 0) return VecEscape::kArmedFault;
-
-  VecLanePlan p{};
-
-  // XC: a committing trap halts the core this cycle.
-  const bool xc_valid = xc_.valid.rb();
-  if (xc_valid && xc_.trap.r() != 0) return VecEscape::kTrap;
-  if (xc_valid) p.wb_adv = true; else p.wb_bub = true;
-
-  // ME: memory-class packets drive cache/bus transactions, and a trapped
-  // packet in ME makes EX's trap_pending fire — both leave the lowered path.
-  const bool me_valid = me_.valid.rb();
-  if (me_valid) {
-    if (me_.trap.r() != 0) return VecEscape::kTrap;
-    const DecodedInst& dme = decode_cached(me_.inst.r());
-    if (dme.iclass == InstClass::kLoad || dme.iclass == InstClass::kStore ||
-        dme.iclass == InstClass::kAtomic) {
-      return VecEscape::kMemOp;
-    }
-    p.xc_adv = true;
-  } else {
-    p.xc_bub = true;
-  }
-
-  // EX: CTIs (same-cycle kill/annul/redirect scratch), multicycle ops (the
-  // ex_busy countdown) and window-trapping save/restore escape; every other
-  // class completes inline via the unchanged do_ex_compute. A packet
-  // carrying a decode-stage trap advances without compute, exactly like
-  // eval_ex. (me_free is unconditionally true here: only a memory ME stalls,
-  // and that escaped above; trap_pending is false for the same reason.)
-  const bool ex_valid = ex_.valid.rb();
-  bool ex_is_save_restore = false;
-  if (ex_valid) {
-    if (ex_.trap.r() == 0) {
-      const DecodedInst& dex = decode_cached(ex_.inst.r());
-      if (is_multicycle(dex)) return VecEscape::kMulticycle;
-      switch (dex.iclass) {
-        case InstClass::kBranch:
-        case InstClass::kCall:
-        case InstClass::kJmpl:
-          return VecEscape::kCti;
-        case InstClass::kSaveRestore: {
-          const bool is_save = dex.opcode == Opcode::kSAVE;
-          const u32 depth = wdepth_.r();
-          if ((is_save && depth + 1 >= isa::kNumWindows) ||
-              (!is_save && depth == 0)) {
-            return VecEscape::kWindow;
-          }
-          ex_is_save_restore = true;
-          break;
-        }
-        default:
-          break;
-      }
-      p.ex_compute = true;
-    }
-    p.me_adv = true;
-  } else {
-    p.me_bub = true;
-  }
-
-  // RA: eval_ra with ex_free == true and no kill in flight. Interlock and
-  // scoreboard stalls stay on the lowered path (they are pure latch
-  // actions); only the operand read of an issuing packet becomes compute.
-  bool ra_consumed;
-  if (!ra_.valid.rb()) {
-    p.ex_bub = true;
-    ra_consumed = true;
-  } else if (ex_is_save_restore) {
-    // Save-in-EX interlock: the pending CWP update serialises register
-    // access, so RA holds and EX is fed a bubble.
-    p.ex_bub = true;
-    ra_consumed = false;
-  } else {
-    const DecodedInst& dra = decode_cached(ra_.inst.r());
-    std::array<unsigned, 4> srcs{};
-    unsigned nsrc = 0;
-    gather_sources(dra, cwp_.r(), srcs, nsrc);
-    if (scoreboard_blocks(srcs, nsrc)) {
-      p.ex_bub = true;
-      ra_consumed = false;
-    } else {
-      p.ex_adv = true;
-      p.ra_compute = true;
-      ra_consumed = true;
-    }
-  }
-
-  // DE: pure latch action (killed == false without a CTI in EX).
-  bool de_consumed;
-  if (ra_consumed || !ra_.valid.rb()) {
-    if (de_.valid.rb()) p.ra_adv = true; else p.ra_bub = true;
-    de_consumed = true;
-  } else {
-    de_consumed = false;
-  }
-
-  // FE: fetches only when DE is free, and the fetch must be a same-cycle
-  // icache hit — Cache::step_load mutates the refill countdown on a miss or
-  // while busy, so the planned path may only issue guaranteed hits.
-  if (de_consumed || !de_.valid.rb()) {
-    if (!icache_->would_hit(fetch_pc_.r())) return VecEscape::kFetchMiss;
-    p.fe_fetch = true;
-  }
-
-  // Commit the plan: the only host mutations step_eval would make besides
-  // node writes are the cycle counter and the latch sequence tags — apply
-  // them now (downstream-first, the behavioral load_from order).
-  ++lane_->cycle;
-  if (p.wb_adv) wb_.seq = xc_.seq;
-  if (p.xc_adv) xc_.seq = me_.seq;
-  if (p.me_adv) me_.seq = ex_.seq;
-  if (p.ex_adv) ex_.seq = ra_.seq;
-  if (p.ra_adv) ra_.seq = de_.seq;
-  if (vec_plans_.size() < lanes_.size()) vec_plans_.resize(lanes_.size());
-  vec_plans_[active_lane_] = p;
-  vec_pending_.push_back(active_lane_);
-  return VecEscape::kNone;
-}
-
-void Leon3Core::apply_vec_transfers() {
-  if (vec_pending_.empty()) return;
-  if (ctx_.lane_layout() != rtl::LaneLayout::kTiled) {
-    throw std::logic_error(
-        "Leon3Core::apply_vec_transfers: requires the kTiled lane layout");
-  }
-  const std::size_t T = ctx_.lane_tile();
-  // Pass 1: the touched-tile list. Pending lanes arrive in planning order,
-  // so equal tiles form runs; pass 2 below advances its cursor on exactly
-  // the same run boundaries, which keeps the mapping correct for any order.
-  vec_tiles_.clear();
-  for (const unsigned lane : vec_pending_) {
-    const u32 tile = static_cast<u32>(lane / T);
-    if (vec_tiles_.empty() || vec_tiles_.back() != tile) {
-      vec_tiles_.push_back(tile);
-    }
-  }
-  const std::size_t nt = vec_tiles_.size();
-  vec_masks_.assign(static_cast<std::size_t>(vec_program_.ctl_count) * nt, 0);
-  // Pass 2: scatter each lane's latch actions into its tile's mask rows.
-  std::size_t ti = 0;
-  for (const unsigned lane : vec_pending_) {
-    const u32 tile = static_cast<u32>(lane / T);
-    if (vec_tiles_[ti] != tile) ++ti;  // same run structure as pass 1
-    const u64 bit = u64{1} << (lane % T);
-    const VecLanePlan& p = vec_plans_[lane];
-    const bool adv[5] = {p.wb_adv, p.xc_adv, p.me_adv, p.ex_adv, p.ra_adv};
-    const bool bub[5] = {p.wb_bub, p.xc_bub, p.me_bub, p.ex_bub, p.ra_bub};
-    for (std::size_t i = 0; i < 5; ++i) {
-      if (adv[i]) vec_masks_[i * nt + ti] |= bit;
-      if (bub[i]) vec_masks_[(5 + i) * nt + ti] |= bit;
-    }
-  }
-  rtl::vec_execute(ctx_, vec_program_, vec_tiles_, vec_masks_);
-}
-
-void Leon3Core::complete_vec_cycle() {
-  const VecLanePlan& p = vec_plans_[active_lane_];
-  // The behavioral stage order with the latch transfers removed. Every read
-  // below is a current value, untouched by the vector pass (which writes
-  // next values only), so each hook sees exactly what its eval_* caller
-  // would have seen.
-  eval_wb();
-  if (p.ex_compute) do_ex_compute(ex_, decode_cached(ex_.inst.r()));
-  if (p.ra_compute) ra_issue_fields(decode_cached(ra_.inst.r()), cwp_.r());
-  if (p.fe_fetch) fe_fetch();
+  if (halt_ == HaltReason::kRunning) halt_ = HaltReason::kStepLimit;
+  return halt_;
 }
 
 CoreCheckpoint Leon3Core::checkpoint() const {
   CoreCheckpoint ck = checkpoint_lite();
-  ck.offcore = lane_->bus;
+  ck.offcore = bus_;
   return ck;
 }
 
@@ -1126,13 +886,13 @@ CoreCheckpoint Leon3Core::checkpoint_lite() const {
   CoreCheckpoint ck;
   ck.node_values = ctx_.save_values();
   ck.slot_seq = {de_.seq, ra_.seq, ex_.seq, me_.seq, xc_.seq, wb_.seq};
-  ck.cycle = lane_->cycle;
-  ck.instret = lane_->instret;
-  ck.next_fetch_seq = lane_->next_fetch_seq;
-  ck.redirect_after_seq = lane_->redirect_after_seq;
-  ck.annul_seq = lane_->annul_seq;
-  ck.halt = lane_->halt;
-  ck.trap_code = lane_->trap_code;
+  ck.cycle = cycle_;
+  ck.instret = instret_;
+  ck.next_fetch_seq = next_fetch_seq_;
+  ck.redirect_after_seq = redirect_after_seq_;
+  ck.annul_seq = annul_seq_;
+  ck.halt = halt_;
+  ck.trap_code = trap_code_;
   ck.icache_hits = icache_->hits();
   ck.icache_misses = icache_->misses();
   ck.dcache_hits = dcache_->hits();
@@ -1143,7 +903,7 @@ CoreCheckpoint Leon3Core::checkpoint_lite() const {
 void Leon3Core::restore(const CoreCheckpoint& ck, const OffCoreTrace& trace_src,
                         std::size_t writes, std::size_t reads) {
   restore(ck);
-  lane_->bus.assign_prefix(trace_src, writes, reads);
+  bus_.assign_prefix(trace_src, writes, reads);
 }
 
 void Leon3Core::restore(const CoreCheckpoint& ck) {
@@ -1154,16 +914,16 @@ void Leon3Core::restore(const CoreCheckpoint& ck) {
   me_.seq = ck.slot_seq[3];
   xc_.seq = ck.slot_seq[4];
   wb_.seq = ck.slot_seq[5];
-  lane_->cycle = ck.cycle;
-  lane_->instret = ck.instret;
-  lane_->next_fetch_seq = ck.next_fetch_seq;
-  lane_->redirect_after_seq = ck.redirect_after_seq;
-  lane_->annul_seq = ck.annul_seq;
-  lane_->halt = ck.halt;
-  lane_->trap_code = ck.trap_code;
+  cycle_ = ck.cycle;
+  instret_ = ck.instret;
+  next_fetch_seq_ = ck.next_fetch_seq;
+  redirect_after_seq_ = ck.redirect_after_seq;
+  annul_seq_ = ck.annul_seq;
+  halt_ = ck.halt;
+  trap_code_ = ck.trap_code;
   icache_->restore_stats(ck.icache_hits, ck.icache_misses);
   dcache_->restore_stats(ck.dcache_hits, ck.dcache_misses);
-  lane_->bus = ck.offcore;
+  bus_ = ck.offcore;
   // Per-cycle handshake scratch: recomputed at the top of every step();
   // cleared here so a restored core is indistinguishable from one that
   // reached this cycle by stepping.
@@ -1190,10 +950,10 @@ void Leon3Core::transplant(const iss::ArchState& st, u64 cycle, u64 instret,
   wdepth_.poke(st.window_depth);
   // Golden-run coordinates of the boundary: keep the latency/instret
   // arithmetic downstream on the golden timebase instead of restarting at 0.
-  lane_->cycle = cycle;
-  lane_->instret = instret;
-  lane_->halt = halt;
-  lane_->trap_code = trap_code;
+  cycle_ = cycle;
+  instret_ = instret;
+  halt_ = halt;
+  trap_code_ = trap_code;
 }
 
 void Leon3Core::transplant(const iss::ArchState& st, u64 cycle, u64 instret,
@@ -1201,148 +961,18 @@ void Leon3Core::transplant(const iss::ArchState& st, u64 cycle, u64 instret,
                            const OffCoreTrace& trace_src, std::size_t writes,
                            std::size_t reads) {
   transplant(st, cycle, instret, halt, trap_code);
-  lane_->bus.assign_prefix(trace_src, writes, reads);
-}
-
-void Leon3Core::rebind_active() noexcept {
-  lane_ = &lanes_[active_lane_];
-  mem_ = &lane_memory(active_lane_);
-  icache_->rebind(*mem_, lane_->bus);
-  dcache_->rebind(*mem_, lane_->bus);
-}
-
-void Leon3Core::refresh_node_handles() {
-  rtl::Sig* named[] = {&icc_,    &y_,       &cwp_,      &wdepth_,
-                       &fetch_pc_, &redirect_pending_, &redirect_target_,
-                       &annul_pending_, &alu_a_, &alu_b_, &alu_res_,
-                       &alu_cc_, &sh_res_,  &mul_lo_,   &mul_hi_,
-                       &div_q_,  &br_taken_, &br_target_, &agu_addr_,
-                       &ex_busy_};
-  for (rtl::Sig* s : named) *s = ctx_.node(s->id());
-  de_.refresh(ctx_);
-  ra_.refresh(ctx_);
-  ex_.refresh(ctx_);
-  me_.refresh(ctx_);
-  xc_.refresh(ctx_);
-  wb_.refresh(ctx_);
-  rf_->refresh(ctx_);
-  icache_->refresh(ctx_);
-  dcache_->refresh(ctx_);
-}
-
-void Leon3Core::enable_lanes(unsigned count, rtl::LaneLayout layout,
-                             std::size_t tile) {
-  const rtl::LaneLayout before = ctx_.lane_layout();
-  const std::size_t before_tile = ctx_.lane_tile();
-  // validates count>=1, tile, no armed faults
-  ctx_.set_replicas(count, layout, tile);
-  if (layout != before || ctx_.lane_tile() != before_tile) {
-    refresh_node_handles();
-  }
-  lanes_.resize(count);
-  active_lane_ = 0;
-  rebind_active();  // lanes_ may have reallocated
-}
-
-void Leon3Core::permute_lanes(const std::vector<std::size_t>& src_of) {
-  if (src_of.size() != lanes_.size() || src_of.empty() || src_of[0] != 0) {
-    throw std::invalid_argument(
-        "permute_lanes: need a whole-core permutation with src_of[0] == 0");
-  }
-  // Park the active lane's staged fields (pipe-slot sequence tags, cache
-  // counters) so its CoreLaneState slot is authoritative before slots move.
-  CoreLaneState& out = lanes_[active_lane_];
-  out.slot_seq = {de_.seq, ra_.seq, ex_.seq, me_.seq, xc_.seq, wb_.seq};
-  out.icache_hits = icache_->hits();
-  out.icache_misses = icache_->misses();
-  out.dcache_hits = dcache_->hits();
-  out.dcache_misses = dcache_->misses();
-
-  ctx_.permute_lanes(src_of);  // validates the permutation, moves node state
-
-  // Move the host-side slots to match: traces and per-lane memory images
-  // travel with their CoreLaneState (lane 0's slot stays put — src_of[0] is
-  // pinned — so the external-Memory binding is untouched).
-  std::vector<CoreLaneState> moved(lanes_.size());
-  for (std::size_t dst = 0; dst < lanes_.size(); ++dst) {
-    moved[dst] = std::move(lanes_[src_of[dst]]);
-  }
-  lanes_ = std::move(moved);
-  for (std::size_t dst = 0; dst < src_of.size(); ++dst) {
-    if (src_of[dst] == active_lane_) {
-      active_lane_ = static_cast<unsigned>(dst);
-      break;
-    }
-  }
-  rebind_active();
-  // Stage the (possibly relocated) active lane's fields back into the
-  // evaluation path, exactly like select_lane().
-  de_.seq = lane_->slot_seq[0];
-  ra_.seq = lane_->slot_seq[1];
-  ex_.seq = lane_->slot_seq[2];
-  me_.seq = lane_->slot_seq[3];
-  xc_.seq = lane_->slot_seq[4];
-  wb_.seq = lane_->slot_seq[5];
-  icache_->restore_stats(lane_->icache_hits, lane_->icache_misses);
-  dcache_->restore_stats(lane_->dcache_hits, lane_->dcache_misses);
-  clear_cycle_scratch();
-}
-
-void Leon3Core::select_lane(unsigned lane) {
-  if (lane >= lanes_.size()) {
-    throw std::out_of_range("select_lane: no such lane");
-  }
-  // Stage out the evaluation-path copies of the outgoing lane's state (the
-  // pipe-slot sequence tags and the cache counters — everything else already
-  // lives in its CoreLaneState slot), stage in the incoming lane's, rebind
-  // the lane/memory/cache/SimContext bindings, and clear the per-cycle
-  // handshake scratch so a lane switch lands on a clean cycle boundary
-  // (exactly as restore() does).
-  select_lane_fast(lane);
-}
-
-void Leon3Core::clone_active_lane_to(unsigned dst) {
-  if (dst >= lanes_.size()) {
-    throw std::out_of_range("clone_active_lane_to: no such lane");
-  }
-  if (dst == active_lane_) return;
-  ctx_.copy_lane(dst, active_lane_);
-  CoreLaneState& slot = lanes_[dst];
-  // Live values, not the active lane's (stale) parked copies.
-  slot.slot_seq = {de_.seq, ra_.seq, ex_.seq, me_.seq, xc_.seq, wb_.seq};
-  slot.cycle = lane_->cycle;
-  slot.instret = lane_->instret;
-  slot.next_fetch_seq = lane_->next_fetch_seq;
-  slot.redirect_after_seq = lane_->redirect_after_seq;
-  slot.annul_seq = lane_->annul_seq;
-  slot.halt = lane_->halt;
-  slot.trap_code = lane_->trap_code;
-  slot.icache_hits = icache_->hits();
-  slot.icache_misses = icache_->misses();
-  slot.dcache_hits = dcache_->hits();
-  slot.dcache_misses = dcache_->misses();
-  slot.bus.clear();
-  // Through lane_memory, not slot.mem: lane 0's image is the externally
-  // owned Memory, and cloning into its (unused) slot instead would leave a
-  // lane whose registers reflect the source but whose loads see stale data.
-  lane_memory(dst) = mem_->clone();
-}
-
-void Leon3Core::drain_trace_counts(std::size_t& writes, std::size_t& reads) {
-  writes += lane_->bus.writes().size();
-  reads += lane_->bus.reads().size();
-  lane_->bus.clear();
+  bus_.assign_prefix(trace_src, writes, reads);
 }
 
 CoreActivityScalars Leon3Core::activity_scalars() const {
   CoreActivityScalars s;
   s.slot_seq = {de_.seq, ra_.seq, ex_.seq, me_.seq, xc_.seq, wb_.seq};
-  s.next_fetch_seq = lane_->next_fetch_seq;
-  s.redirect_after_seq = lane_->redirect_after_seq;
-  s.annul_seq = lane_->annul_seq;
-  s.instret = lane_->instret;
-  s.bus_writes = lane_->bus.writes().size();
-  s.bus_reads = lane_->bus.reads().size();
+  s.next_fetch_seq = next_fetch_seq_;
+  s.redirect_after_seq = redirect_after_seq_;
+  s.annul_seq = annul_seq_;
+  s.instret = instret_;
+  s.bus_writes = bus_.writes().size();
+  s.bus_reads = bus_.reads().size();
   return s;
 }
 

@@ -10,14 +10,6 @@
 // cache array entry is a named node in a rtl::SimContext, so the whole
 // design is a fault-injection surface comparable to a structural VHDL
 // description of the Leon3 IU + CMEM (paper Fig. 2).
-//
-// Replica lanes: the per-lane half of the core state that is *not* in the
-// node registry — cycle/instret counters, fetch bookkeeping, halt status,
-// the off-core trace and the memory image — lives in CoreLaneState slots,
-// and the evaluation path reads it through one active-lane pointer. A lane
-// switch is therefore a handful of pointer rebinds plus the pipe-slot
-// sequence tags and cache counters (a dozen scalar copies), cheap enough
-// for the batched driver to rotate lanes every simulated cycle.
 #pragma once
 
 #include <array>
@@ -32,28 +24,10 @@
 #include "iss/state.hpp"   // HaltReason lives with the ISS; reused for parity
 #include "iss/emulator.hpp"
 #include "rtl/kernel.hpp"
-#include "rtl/veceval.hpp"
 #include "rtlcore/cache.hpp"
 #include "rtlcore/regfile.hpp"
 
 namespace issrtl::rtlcore {
-
-/// Why a lane dropped out of the node-major vector pass for one cycle (see
-/// Leon3Core::plan_vec_cycle). kNone means the cycle was planned onto the
-/// lowered path; every other value sends the lane to the unchanged
-/// behavioral scalar step, which is always exact — escapes cost vector
-/// coverage, never correctness.
-enum class VecEscape : u8 {
-  kNone = 0,
-  kHalted,      ///< lane already halted (callers normally filter these)
-  kArmedFault,  ///< armed overlay on the lane: scalar write-through path
-  kTrap,        ///< trap in flight (ME/XC) or committing this cycle
-  kMemOp,       ///< load/store/atomic in ME: cache/bus transaction
-  kCti,         ///< branch/call/jmpl in EX: same-cycle kill/redirect scratch
-  kMulticycle,  ///< mul/div in EX: ex_busy countdown
-  kWindow,      ///< save/restore in EX that will raise a window trap
-  kFetchMiss,   ///< FE wants to fetch but the icache is busy or would miss
-};
 
 /// Trap codes carried down the pipe to the XC stage.
 enum class TrapKind : u8 {
@@ -97,9 +71,6 @@ struct PipeSlot {
   u64 seq = 0;
 
   static PipeSlot create(rtl::SimContext& ctx, const std::string& stage);
-  /// Re-mint the 16 field handles after a lane-layout change (pre-scaled
-  /// slot offsets go stale — see the rtl::Sig class comment).
-  void refresh(rtl::SimContext& ctx);
   void bubble();               ///< schedule this latch to be empty next cycle
   /// Schedule a copy of src's packet. The 16 latch fields are consecutive
   /// registry nodes in identical order (create() registers them
@@ -154,31 +125,6 @@ struct CoreActivityScalars {
   bool operator==(const CoreActivityScalars&) const = default;
 };
 
-/// Host-side half of one replica lane: everything a Leon3Core cycle reads
-/// besides the node registry. The active lane's slot is *live* — the core
-/// reads and writes it in place through its active-lane pointer — so
-/// scheduler code may inspect any lane's scalars and trace without
-/// switching lanes. Exceptions: the six pipe-slot sequence tags and the
-/// cache hit/miss counters are staged in the evaluation hot path (PipeSlot
-/// / Cache members) and are copied in and out on a lane switch, so
-/// slot_seq / *_hits / *_misses of the *active* lane's slot are stale
-/// between switches. `mem` backs every lane except lane 0, which stays
-/// bound to the externally owned Memory passed to the constructor.
-struct CoreLaneState {
-  std::array<u64, 6> slot_seq{};  ///< fetch-order tags of de/ra/ex/me/xc/wb
-  u64 cycle = 0;
-  u64 instret = 0;
-  u64 next_fetch_seq = 1;
-  u64 redirect_after_seq = 0;
-  u64 annul_seq = 0;
-  iss::HaltReason halt = iss::HaltReason::kRunning;
-  u8 trap_code = 0;
-  u64 icache_hits = 0, icache_misses = 0;
-  u64 dcache_hits = 0, dcache_misses = 0;
-  OffCoreTrace bus;  ///< per-lane trace (suffix since the lane clone)
-  Memory mem;        ///< per-lane memory image (unused for lane 0)
-};
-
 /// The RTL core + CMEM + bus, executing the same programs as iss::Emulator.
 class Leon3Core {
  public:
@@ -189,32 +135,22 @@ class Leon3Core {
 
   /// Advance one clock cycle.
   void step() {
-    if (lane_->halt != iss::HaltReason::kRunning) return;
+    if (halt_ != iss::HaltReason::kRunning) return;
     step_eval();
     ctx_.commit_all();
-  }
-
-  /// Advance one clock cycle *without* the register commit — the batched
-  /// lockstep driver evaluates every live lane first and then clocks all
-  /// lanes in one rtl::SimContext::commit_lanes() pass. The caller owns the
-  /// commit; every observable (trace, halt, counters, node values after the
-  /// deferred commit) is bit-identical to step().
-  void step_no_commit() {
-    if (lane_->halt != iss::HaltReason::kRunning) return;
-    step_eval();
   }
 
   /// Run until halt or the cycle watchdog expires.
   iss::HaltReason run(u64 max_cycles = 50'000'000);
 
   // ---- observers ----------------------------------------------------------
-  iss::HaltReason halt_reason() const noexcept { return lane_->halt; }
-  u8 trap_code() const noexcept { return lane_->trap_code; }
-  u64 cycles() const noexcept { return lane_->cycle; }
-  u64 instret() const noexcept { return lane_->instret; }
-  const OffCoreTrace& offcore() const noexcept { return lane_->bus; }
-  Memory& memory() noexcept { return *mem_; }
-  const Memory& memory() const noexcept { return *mem_; }
+  iss::HaltReason halt_reason() const noexcept { return halt_; }
+  u8 trap_code() const noexcept { return trap_code_; }
+  u64 cycles() const noexcept { return cycle_; }
+  u64 instret() const noexcept { return instret_; }
+  const OffCoreTrace& offcore() const noexcept { return bus_; }
+  Memory& memory() noexcept { return mem_; }
+  const Memory& memory() const noexcept { return mem_; }
   rtl::SimContext& sim() noexcept { return ctx_; }
   const rtl::SimContext& sim() const noexcept { return ctx_; }
   const Cache& icache() const noexcept { return *icache_; }
@@ -270,123 +206,8 @@ class Leon3Core {
                   const OffCoreTrace& trace_src, std::size_t writes,
                   std::size_t reads);
 
-  /// The cheap half of the activity fingerprint (no node traversal). In
-  /// batched mode the bus counters are relative to the active lane's trace,
-  /// which holds only the records since the lane was cloned; callers that
-  /// compare against golden-absolute counts add the lane's prefix length.
+  /// The cheap half of the activity fingerprint (no node traversal).
   CoreActivityScalars activity_scalars() const;
-
-  // ---- batched lockstep evaluation (replica lanes) -------------------------
-
-  /// Grow the core to `count` replica lanes (node state in the SimContext's
-  /// replica arrays under `layout`, host state in CoreLaneState slots).
-  /// Lane 0 stays active and keeps the current state; new lanes start as
-  /// copies of it with an empty trace and an empty memory image — populate
-  /// them with clone_active_lane_to(). Requires no armed fault on any lane.
-  /// rtl::LaneLayout::kTiled selects the lane-interleaved tile layout whose
-  /// commit_lanes() pass the step-lanes driver amortises; kFlat keeps the
-  /// lane-major layout that favours long per-lane stretches. `tile` selects
-  /// the interleave width (0 keeps the current one; see
-  /// rtl::SimContext::set_replicas).
-  void enable_lanes(unsigned count,
-                    rtl::LaneLayout layout = rtl::LaneLayout::kFlat,
-                    std::size_t tile = 0);
-
-  /// Re-tile the replica storage (rtl::SimContext::set_lane_layout): a pure
-  /// representation change preserving every lane's node values, armed
-  /// faults, host state and the active lane. The batch scheduler switches
-  /// to tiles for the dense lockstep rounds and back to flat for the
-  /// straggler tail. Re-mints every module's node handles when the slot
-  /// geometry changed (their pre-scaled offsets depend on layout and tile
-  /// width).
-  void set_lane_layout(rtl::LaneLayout layout, std::size_t tile = 0) {
-    const rtl::LaneLayout before = ctx_.lane_layout();
-    const std::size_t before_tile = ctx_.lane_tile();
-    ctx_.set_lane_layout(layout, tile);
-    if (ctx_.lane_layout() != before || ctx_.lane_tile() != before_tile) {
-      refresh_node_handles();
-    }
-  }
-
-  /// Compact / reorder whole replica lanes: after the call, lane `dst`
-  /// holds what lane `src_of[dst]` held before — node values and armed
-  /// faults (rtl::SimContext::permute_lanes), host scalars, trace and
-  /// memory image all move as a unit, so a live faulted lane is completely
-  /// relocated. `src_of` must be a permutation of [0, lane_count()) with
-  /// src_of[0] == 0: lane 0 is pinned because it is bound to the external
-  /// Memory (and it is the scheduler's fault-free cursor anyway). The
-  /// active lane follows its content. This is the survivor-compaction
-  /// primitive behind the lane-pool scheduler's dense tiles.
-  void permute_lanes(const std::vector<std::size_t>& src_of);
-
-  /// Number of replica lanes (1 unless enable_lanes() grew the core).
-  unsigned lane_count() const noexcept {
-    return static_cast<unsigned>(ctx_.replicas());
-  }
-
-  /// Lane the core currently evaluates.
-  unsigned active_lane() const noexcept { return active_lane_; }
-
-  /// Switch evaluation to `lane`: rebind the active-lane pointer, the cache
-  /// memory/bus bindings and the SimContext lane base, and stage the six
-  /// pipe-slot sequence tags plus the cache counters — about two dozen
-  /// scalar moves, no node or trace copy. Cheap enough to rotate lanes
-  /// every simulated cycle (the step-lanes driver's requirement). The
-  /// per-cycle handshake scratch is cleared, exactly as restore() does.
-  void select_lane(unsigned lane);
-
-  /// select_lane without the bounds check, inlined for the lockstep round
-  /// loop. The round loop pays one lane switch per evaluated lane-cycle, so
-  /// the out-of-line call plus throw-path spills of select_lane() are a
-  /// measurable fraction of a behavioural cycle (~20ns of a ~45ns cycle on
-  /// the reference box). Bit-identical to select_lane() for any valid lane;
-  /// `lane` must be < lane_count().
-  void select_lane_fast(unsigned lane) noexcept {
-    if (lane == active_lane_) return;
-    CoreLaneState& out = lanes_[active_lane_];
-    out.slot_seq = {de_.seq, ra_.seq, ex_.seq, me_.seq, xc_.seq, wb_.seq};
-    out.icache_hits = icache_->hits();
-    out.icache_misses = icache_->misses();
-    out.dcache_hits = dcache_->hits();
-    out.dcache_misses = dcache_->misses();
-    active_lane_ = lane;
-    lane_ = &lanes_[lane];
-    mem_ = &lane_memory(lane);
-    icache_->rebind(*mem_, lane_->bus);
-    dcache_->rebind(*mem_, lane_->bus);
-    de_.seq = lane_->slot_seq[0];
-    ra_.seq = lane_->slot_seq[1];
-    ex_.seq = lane_->slot_seq[2];
-    me_.seq = lane_->slot_seq[3];
-    xc_.seq = lane_->slot_seq[4];
-    wb_.seq = lane_->slot_seq[5];
-    icache_->restore_stats(lane_->icache_hits, lane_->icache_misses);
-    dcache_->restore_stats(lane_->dcache_hits, lane_->dcache_misses);
-    ctx_.set_active_lane_fast(lane);
-    clear_cycle_scratch();
-  }
-
-  /// Direct read-only view of any lane's host state (see CoreLaneState for
-  /// the staleness caveats on the active lane's staged fields). Lets the
-  /// batch scheduler track every lane's trace and halt status without
-  /// switching lanes between bookkeeping passes.
-  const CoreLaneState& lane_state(unsigned lane) const {
-    return lanes_.at(lane);
-  }
-
-  /// Make lane `dst` a replica of the active lane: node values and armed
-  /// faults via rtl::SimContext::copy_lane, host scalars copied, memory
-  /// COW-cloned — but the replica's trace starts *empty*. The caller owns
-  /// the prefix bookkeeping: a lane cloned from a fault-free cursor at
-  /// cycle C has, by construction, the golden trace prefix at C, so only
-  /// its length needs remembering (same argument as checkpoint_lite()).
-  void clone_active_lane_to(unsigned dst);
-
-  /// Fold the active lane's recorded trace into the caller's prefix
-  /// counters and clear it. Only meaningful while the lane's history is a
-  /// golden-trace prefix (fault-free cursor lanes); used by the batch
-  /// scheduler to keep cursor traces O(1) instead of O(instant).
-  void drain_trace_counts(std::size_t& writes, std::size_t& reads);
 
   /// Node half of the fingerprint: capture into / compare against a reused
   /// buffer. node_values_equal early-exits without copying.
@@ -395,52 +216,6 @@ class Leon3Core {
   }
   bool node_values_equal(const std::vector<u32>& values) const {
     return ctx_.values_equal(values);
-  }
-
-  // ---- node-major vector evaluation (rtl/veceval.hpp) ----------------------
-  //
-  // A vector round replaces the active lane's step_no_commit() with three
-  // phases: (1) plan_vec_cycle() per lane — a pure read of the current
-  // values that either records a latch-action plan (advancing the cycle
-  // counter and sequence tags, exactly the host mutations step_eval makes)
-  // or returns an escape reason with *no* state touched, so the caller can
-  // run the unchanged behavioral step instead; (2) apply_vec_transfers() —
-  // one node-major masked pass executing the lowered latch program over
-  // every planned lane's tile slices; (3) complete_vec_cycle() per planned
-  // lane — the per-lane compute the lowering left behavioral (WB retire,
-  // EX datapath, RA operand read, FE fetch on a guaranteed icache hit),
-  // reusing the exact eval_* code so the final next-state is bit-identical
-  // to step_no_commit() by construction. The caller then commits all
-  // stepped lanes in one commit_lanes() pass as before.
-
-  /// Phase 1: plan the active lane's next cycle onto the lowered path, or
-  /// return the escape reason without mutating anything (the behavioral
-  /// step then runs as if plan_vec_cycle had never been called).
-  VecEscape plan_vec_cycle();
-
-  /// Lanes whose current cycle is planned (in planning order). Cleared by
-  /// clear_vec_pending() after the round's compute phase.
-  const std::vector<unsigned>& vec_pending_lanes() const noexcept {
-    return vec_pending_;
-  }
-
-  /// Phase 2: execute the lowered latch-transfer program node-major over
-  /// the pending lanes' tiles. Requires the kTiled layout (throws
-  /// std::logic_error otherwise). Lane selection is irrelevant here — the
-  /// pass addresses every pending lane's slices directly.
-  void apply_vec_transfers();
-
-  /// Phase 3: run the planned per-lane compute for the *active* lane
-  /// (callers select_lane_fast() each pending lane first).
-  void complete_vec_cycle();
-
-  /// Forget the round's plans (after compute + commit).
-  void clear_vec_pending() noexcept { vec_pending_.clear(); }
-
-  /// The lowered latch-transfer program (built once at construction) — for
-  /// tests and diagnostics.
-  const rtl::VecProgram& veceval_program() const noexcept {
-    return vec_program_;
   }
 
  private:
@@ -465,48 +240,9 @@ class Leon3Core {
   void do_ex_compute(PipeSlot& s, const isa::DecodedInst& d);
   void icache_abort_();
 
-  /// Operand-read half of eval_ra (everything after the ex_ <- ra_ latch
-  /// copy): shared verbatim between the behavioral step and the vector
-  /// compute phase so the issued packet is bit-identical on both paths.
-  void ra_issue_fields(const isa::DecodedInst& d, unsigned cwp);
-
-  /// Fetch half of eval_fe (everything after the redirect/de_free gates):
-  /// shared verbatim between the behavioral step and the vector compute
-  /// phase. On the planned path the icache access is a guaranteed hit
-  /// (plan_vec_cycle escapes otherwise), so the miss branch is never taken
-  /// there.
-  void fe_fetch();
-
-  /// Lower the structural latch transfers into the node-major program
-  /// (called once at construction; see docs/ARCHITECTURE.md).
-  void build_veceval_program();
-
-  /// One lane's planned latch actions + compute selections for a vector
-  /// cycle. A latch with neither flag set holds (nxt == cur).
-  struct VecLanePlan {
-    bool wb_adv = false, xc_adv = false, me_adv = false, ex_adv = false,
-         ra_adv = false;
-    bool wb_bub = false, xc_bub = false, me_bub = false, ex_bub = false,
-         ra_bub = false;
-    bool ex_compute = false;  ///< run do_ex_compute on the advancing packet
-    bool ra_compute = false;  ///< run ra_issue_fields on the issued packet
-    bool fe_fetch = false;    ///< run fe_fetch (guaranteed icache hit)
-  };
-
-  /// Memory image backing `lane` (lane 0 is the external one).
-  Memory& lane_memory(unsigned lane) noexcept {
-    return lane == 0 ? ext_mem_ : lanes_[lane].mem;
-  }
-
-  /// Re-derive lane_/mem_/cache bindings after lanes_ may have moved.
-  void rebind_active() noexcept;
-
-  /// Re-mint every module's Sig handles after a lane-layout change.
-  void refresh_node_handles();
-
   /// Clear the per-cycle handshake scratch (recomputed at the top of every
-  /// step(); cleared after restore / lane switch so a resumed core is
-  /// indistinguishable from one that reached this cycle by stepping).
+  /// step(); cleared after restore so a resumed core is indistinguishable
+  /// from one that reached this cycle by stepping).
   void clear_cycle_scratch() noexcept {
     kill_valid_ = false;
     annul_exact_valid_ = false;
@@ -517,7 +253,7 @@ class Leon3Core {
     de_consumed_ = false;
   }
 
-  Memory& ext_mem_;  ///< caller-owned image, permanently bound to lane 0
+  Memory& mem_;  ///< caller-owned image
   CoreConfig cfg_;
   rtl::SimContext ctx_;
 
@@ -551,14 +287,24 @@ class Leon3Core {
   // Pipeline latches (named by the stage they feed).
   PipeSlot de_, ra_, ex_, me_, xc_, wb_;
 
+  // Host-side state outside the node registry: counters, fetch
+  // bookkeeping, halt status and the off-core trace.
+  u64 cycle_ = 0;
+  u64 instret_ = 0;
+  u64 next_fetch_seq_ = 1;
+  u64 redirect_after_seq_ = 0;
+  u64 annul_seq_ = 0;
+  iss::HaltReason halt_ = iss::HaltReason::kRunning;
+  u8 trap_code_ = 0;
+  OffCoreTrace bus_;
+
   std::unique_ptr<Cache> icache_;
   std::unique_ptr<Cache> dcache_;
 
   // Decode memo: isa::decode is a pure function of the instruction word,
   // and the pipeline re-derives the decode in RA/EX/ME every cycle, so a
   // small direct-mapped cache turns the per-stage decode into a lookup.
-  // Shared by every replica lane (word -> decode is lane-independent) and
-  // deterministic: a hit returns byte-identical fields to a fresh decode.
+  // Deterministic: a hit returns byte-identical fields to a fresh decode.
   struct DecodeEntry {
     u32 word = 0;
     isa::DecodedInst inst;
@@ -574,23 +320,6 @@ class Leon3Core {
     }
     return e.inst;
   }
-
-  // Node-major vector evaluation state: the lowered latch program (static
-  // after construction) plus per-round scratch. vec_masks_ is row-major
-  // [ctl row][touched tile]: rows 0-4 are the advance masks of the wb/xc/
-  // me/ex/ra latches, rows 5-9 the bubble masks.
-  rtl::VecProgram vec_program_;
-  std::vector<VecLanePlan> vec_plans_;   ///< indexed by lane
-  std::vector<unsigned> vec_pending_;    ///< lanes planned this round
-  std::vector<u32> vec_tiles_;           ///< scratch: touched tiles
-  std::vector<u64> vec_masks_;           ///< scratch: per-tile lane masks
-
-  // Per-lane host state; lane_ points at the active slot, mem_ at the
-  // active image. Always at least one lane (serial mode = lane 0 only).
-  std::vector<CoreLaneState> lanes_;
-  CoreLaneState* lane_ = nullptr;
-  Memory* mem_ = nullptr;
-  unsigned active_lane_ = 0;
 
   // Kill decisions made by EX this cycle, consumed by younger stages.
   bool kill_valid_ = false;

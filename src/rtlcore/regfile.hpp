@@ -25,12 +25,6 @@ class RegFile {
     return 8 + isa::kWindowedRegs;
   }
 
-  /// Re-mint the register handles after a lane-layout change (pre-scaled
-  /// slot offsets go stale — see the rtl::Sig class comment).
-  void refresh(rtl::SimContext& ctx) {
-    for (rtl::Sig& s : regs_) s = ctx.node(s.id());
-  }
-
   /// Combinational read port (fault overlay applied). `phys` can carry a
   /// fault (e.g. a stuck bit in a dphys latch) and exceed the table; the
   /// address decoder aliases out-of-range indices back into it, like
@@ -48,7 +42,7 @@ class RegFile {
   void write_phys(unsigned phys, u32 value) {
     phys = wrap(phys);
     if (phys == 0) return;  // %g0
-    regs_[phys].ns(value);  // sparse-commit: record the pending slot
+    regs_[phys].ns(value);  // sparse-commit: record the pending node
   }
 
   /// Backdoor initialisation (reset state), bypassing the clock.

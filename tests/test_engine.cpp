@@ -4,6 +4,7 @@
 // (checkpointing, early divergence cut-off) with the naive serial algorithm.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -219,6 +220,37 @@ TEST(Engine, ResultsBitIdenticalToPreRefactorBaseline) {
   }
 }
 
+// InstantWindow::kFull draws instants over the whole golden run; the legacy
+// default never goes past golden/2.
+TEST(Engine, InstantWindowFullReachesSecondHalf) {
+  const auto prog = small_workload();
+  CampaignConfig cfg;
+  cfg.unit_prefix = "iu.fe";
+  cfg.samples = 40;
+  cfg.instants_per_site = 3;
+  cfg.models = {FaultModel::kTransientBitFlip, FaultModel::kStuckAt0};
+  cfg.inject_time = fault::InjectTime::kUniformRandom;
+  CampaignConfig full = cfg;
+  full.instant_window = fault::InstantWindow::kFull;
+
+  EngineOptions opts;
+  opts.threads = 1;
+  const CampaignResult rh = run_rtl_campaign(prog, cfg, {}, opts);
+  const CampaignResult rf = run_rtl_campaign(prog, full, {}, opts);
+
+  u64 half_max = 0, full_max = 0;
+  for (const auto& run : rh.runs) {
+    half_max = std::max(half_max, run.site.inject_cycle);
+  }
+  for (const auto& run : rf.runs) {
+    full_max = std::max(full_max, run.site.inject_cycle);
+  }
+  // Each of the ~240 full-window draws lands in the second half with
+  // probability 1/2.
+  EXPECT_LE(half_max, rh.golden_cycles / 2);
+  EXPECT_GT(full_max, rf.golden_cycles / 2);
+}
+
 // ---- checkpoint correctness -------------------------------------------------
 
 TEST(Checkpoint, RtlCoreResumesToIdenticalRun) {
@@ -382,12 +414,10 @@ TEST(Engine, OptionsFromEnvParsesValidValues) {
   ScopedEnv t("ISSRTL_THREADS", "6");
   ScopedEnv s("ISSRTL_CKPT_STRIDE", "977");
   ScopedEnv m("ISSRTL_CKPT_MB", "64");
-  ScopedEnv b("ISSRTL_BATCH", "16");
   const EngineOptions opts = options_from_env();
   EXPECT_EQ(opts.threads, 6u);
   EXPECT_EQ(opts.ladder_stride, 977u);
   EXPECT_EQ(opts.ladder_max_bytes, std::size_t{64} << 20);
-  EXPECT_EQ(opts.batch_lanes, 16u);
 }
 
 TEST(Engine, OptionsFromEnvAcceptsAutoStrideAndZero) {
@@ -430,10 +460,6 @@ TEST(Engine, OptionsFromEnvRejectsMalformedValues) {
     EXPECT_THROW(options_from_env(), std::invalid_argument);
   }
   {
-    ScopedEnv b("ISSRTL_BATCH", "lots");
-    EXPECT_THROW(options_from_env(), std::invalid_argument);
-  }
-  {
     // Error messages must name the offending variable, or the user cannot
     // tell which of the four knobs to fix.
     ScopedEnv t("ISSRTL_THREADS", "abc");
@@ -447,106 +473,6 @@ TEST(Engine, OptionsFromEnvRejectsMalformedValues) {
       EXPECT_NE(std::string(e.what()).find("abc"), std::string::npos)
           << e.what();
     }
-  }
-}
-
-TEST(Engine, OptionsFromEnvRejectsOversizedBatch) {
-  ScopedEnv b("ISSRTL_BATCH", "1000000");
-  EXPECT_THROW(options_from_env(), std::invalid_argument);
-}
-
-TEST(Engine, OptionsFromEnvParsesSimdFlag) {
-  {
-    ScopedEnv s("ISSRTL_SIMD", "0");
-    EXPECT_FALSE(options_from_env().simd_lanes);
-  }
-  {
-    ScopedEnv s("ISSRTL_SIMD", "1");
-    EXPECT_TRUE(options_from_env().simd_lanes);
-  }
-  {
-    ScopedEnv s("ISSRTL_SIMD", nullptr);
-    EngineOptions base;
-    base.simd_lanes = false;
-    EXPECT_FALSE(options_from_env(base).simd_lanes);  // unset: untouched
-  }
-  for (const char* v : {"2", "yes", "on", "-1", "true"}) {
-    ScopedEnv s("ISSRTL_SIMD", v);
-    EXPECT_THROW(options_from_env(), std::invalid_argument) << v;
-  }
-}
-
-TEST(Engine, OptionsFromEnvParsesRefillFlag) {
-  {
-    ScopedEnv s("ISSRTL_REFILL", "0");
-    EXPECT_FALSE(options_from_env().lane_refill);
-  }
-  {
-    ScopedEnv s("ISSRTL_REFILL", "1");
-    EXPECT_TRUE(options_from_env().lane_refill);
-  }
-  {
-    ScopedEnv s("ISSRTL_REFILL", nullptr);
-    EngineOptions base;
-    base.lane_refill = false;
-    EXPECT_FALSE(options_from_env(base).lane_refill);  // unset: untouched
-  }
-  for (const char* v : {"2", "off", "-1", "true"}) {
-    ScopedEnv s("ISSRTL_REFILL", v);
-    EXPECT_THROW(options_from_env(), std::invalid_argument) << v;
-  }
-}
-
-TEST(Engine, OptionsFromEnvParsesSimdMinLive) {
-  {
-    ScopedEnv s("ISSRTL_SIMD_MIN_LIVE", "12");
-    EXPECT_EQ(options_from_env().simd_min_live, 12u);
-  }
-  {
-    ScopedEnv s("ISSRTL_SIMD_MIN_LIVE", "0");  // 0 = auto (one tile)
-    EXPECT_EQ(options_from_env().simd_min_live, 0u);
-  }
-  {
-    ScopedEnv s("ISSRTL_SIMD_MIN_LIVE", nullptr);
-    EngineOptions base;
-    base.simd_min_live = 7;
-    EXPECT_EQ(options_from_env(base).simd_min_live, 7u);  // unset: untouched
-  }
-  {
-    ScopedEnv s("ISSRTL_SIMD_MIN_LIVE", "1025");  // > kMaxBatchLanes
-    EXPECT_THROW(options_from_env(), std::invalid_argument);
-  }
-  for (const char* v : {"abc", "-4", "8x", " 8", "0x8"}) {
-    ScopedEnv s("ISSRTL_SIMD_MIN_LIVE", v);
-    EXPECT_THROW(options_from_env(), std::invalid_argument) << v;
-  }
-}
-
-TEST(Engine, OptionsFromEnvParsesSimdTile) {
-  for (const unsigned tile : {2u, 8u, 16u, 64u}) {
-    ScopedEnv s("ISSRTL_SIMD_TILE", std::to_string(tile).c_str());
-    EXPECT_EQ(options_from_env().simd_tile, tile);
-  }
-  {
-    ScopedEnv s("ISSRTL_SIMD_TILE", "auto");  // CPUID dispatch
-    EngineOptions base;
-    base.simd_tile = 16;
-    EXPECT_EQ(options_from_env(base).simd_tile, 0u);
-  }
-  {
-    ScopedEnv s("ISSRTL_SIMD_TILE", "0");  // numeric spelling of auto
-    EXPECT_EQ(options_from_env().simd_tile, 0u);
-  }
-  {
-    ScopedEnv s("ISSRTL_SIMD_TILE", nullptr);
-    EngineOptions base;
-    base.simd_tile = 8;
-    EXPECT_EQ(options_from_env(base).simd_tile, 8u);  // unset: untouched
-  }
-  // Non-power-of-two, too small, too large, trailing junk, non-numeric.
-  for (const char* v : {"3", "1", "65", "128", "16x", "wide", "-8"}) {
-    ScopedEnv s("ISSRTL_SIMD_TILE", v);
-    EXPECT_THROW(options_from_env(), std::invalid_argument) << v;
   }
 }
 

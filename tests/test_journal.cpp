@@ -1,12 +1,11 @@
 // Durability-layer tests: crash-and-resume determinism of the write-ahead
-// outcome journal (kill points including mid-batch and mid-compaction
-// retirement orders, torn and corrupted records), graceful shutdown via the
-// cooperative stop flag and the wall-clock deadline, and worker fault
-// isolation (the ISSRTL_FAIL_SITE throw hook exercising the retry →
-// kEngineError path on the serial, batched and SIMD schedulers).
+// outcome journal (kill points including multi-threaded retirement orders,
+// torn and corrupted records), graceful shutdown via the cooperative stop
+// flag and the wall-clock deadline, and worker fault isolation (the
+// ISSRTL_FAIL_SITE throw hook exercising the retry → kEngineError path).
 //
 // The load-bearing claim everywhere: a campaign interrupted at ANY point
-// and resumed under ANY (threads, batch, SIMD) configuration merges into a
+// and resumed under ANY thread count merges into a
 // result bit-identical — outcomes, latencies, fault::outcome_hash — to an
 // uninterrupted run, because per-site records depend only on the site and
 // the golden run.
@@ -118,12 +117,9 @@ void expect_identical(const CampaignResult& a, const CampaignResult& b) {
 }
 
 EngineOptions journal_opts(const std::string& dir, bool resume,
-                           unsigned threads = 1, unsigned batch = 1,
-                           bool simd = true) {
+                           unsigned threads = 1) {
   EngineOptions opts;
   opts.threads = threads;
-  opts.batch_lanes = batch;
-  opts.simd_lanes = simd;
   opts.journal_dir = dir;
   opts.resume = resume;
   return opts;
@@ -209,9 +205,9 @@ TEST(Journal, DifferentCampaignKeysUseDifferentFiles) {
 // ---- crash-and-resume determinism -------------------------------------------
 
 // The acceptance matrix: a campaign killed at several journal cut points —
-// including cuts of a batched/SIMD run's retirement order, i.e. mid-batch
-// and mid-compaction crashes — and resumed under every (threads, batch,
-// SIMD) combination must be bit-identical to the uninterrupted run.
+// including cuts of a multi-threaded run's interleaved retirement order —
+// and resumed at every thread count must be bit-identical to the
+// uninterrupted run.
 TEST(JournalResume, KillPointsTimesScheduleMatrix) {
   const auto prog = small_workload();
   const auto cfg = small_cfg();
@@ -221,12 +217,12 @@ TEST(JournalResume, KillPointsTimesScheduleMatrix) {
   ASSERT_EQ(ref.runs.size(), 24u);
   EXPECT_FALSE(ref.truncated);
 
-  // Produce a complete journal under the batched SIMD scheduler with 3
-  // threads: the file's record order is the pool's retirement order, so a
-  // prefix of it is exactly what a crash mid-batch / mid-compaction leaves.
+  // Produce a complete journal with 3 threads: the file's record order is
+  // the shards' interleaved retirement order, so a prefix of it is exactly
+  // what a crash mid-campaign leaves.
   const std::string full_dir = scratch_dir("full");
   const CampaignResult journaled =
-      run_rtl_campaign(prog, cfg, {}, journal_opts(full_dir, false, 3, 32, true));
+      run_rtl_campaign(prog, cfg, {}, journal_opts(full_dir, false, 3));
   expect_identical(ref, journaled);
   const fs::path full_file = journal_file_in(full_dir);
   const auto lines = read_lines(full_file);
@@ -245,29 +241,26 @@ TEST(JournalResume, KillPointsTimesScheduleMatrix) {
     std::string content = join_lines(lines, 1 + cut.records);
     if (cut.torn) content += lines[1 + cut.records].substr(0, 30);
     for (const unsigned threads : {1u, 3u}) {
-      for (const unsigned batch : {1u, 32u}) {
-        for (const bool simd : {true, false}) {
-          const std::string tag = std::string(cut.tag) + "_t" +
-                                  std::to_string(threads) + "_b" +
-                                  std::to_string(batch) + (simd ? "_s1" : "_s0");
-          const std::string dir = scratch_dir(tag);
-          write_file(fs::path(dir) / full_file.filename(), content);
-          const CampaignResult r = run_rtl_campaign(
-              prog, cfg, {}, journal_opts(dir, true, threads, batch, simd));
-          SCOPED_TRACE(tag);
-          expect_identical(ref, r);
-          EXPECT_FALSE(r.truncated);
-          EXPECT_EQ(r.completed_sites, 24u);
-          EXPECT_EQ(r.replay.journal_hits, cut.records);
-          if (cut.torn) EXPECT_GE(r.replay.journal_dropped, 1u);
-          // The resumed run's journal is complete again: a second resume
-          // imports everything.
-          const CampaignResult again =
-              run_rtl_campaign(prog, cfg, {}, journal_opts(dir, true));
-          expect_identical(ref, again);
-          EXPECT_EQ(again.replay.journal_hits, 24u);
-        }
+      const std::string tag =
+          std::string(cut.tag) + "_t" + std::to_string(threads);
+      const std::string dir = scratch_dir(tag);
+      write_file(fs::path(dir) / full_file.filename(), content);
+      const CampaignResult r =
+          run_rtl_campaign(prog, cfg, {}, journal_opts(dir, true, threads));
+      SCOPED_TRACE(tag);
+      expect_identical(ref, r);
+      EXPECT_FALSE(r.truncated);
+      EXPECT_EQ(r.completed_sites, 24u);
+      EXPECT_EQ(r.replay.journal_hits, cut.records);
+      if (cut.torn) {
+        EXPECT_GE(r.replay.journal_dropped, 1u);
       }
+      // The resumed run's journal is complete again: a second resume
+      // imports everything.
+      const CampaignResult again =
+          run_rtl_campaign(prog, cfg, {}, journal_opts(dir, true));
+      expect_identical(ref, again);
+      EXPECT_EQ(again.replay.journal_hits, 24u);
     }
   }
 }
@@ -339,33 +332,9 @@ TEST(Shutdown, StopFlagTruncatesThenResumeCompletes) {
   // The journal holds what completed; a resumed run finishes the rest and
   // merges bit-identically.
   const CampaignResult resumed =
-      run_rtl_campaign(prog, cfg, {}, journal_opts(dir, true, 3, 32, true));
+      run_rtl_campaign(prog, cfg, {}, journal_opts(dir, true, 3));
   expect_identical(ref, resumed);
   EXPECT_FALSE(resumed.truncated);
-  EXPECT_EQ(resumed.replay.journal_hits, cut.completed_sites);
-}
-
-TEST(Shutdown, StopFlagTruncatesBatchedScheduler) {
-  const auto prog = small_workload();
-  const auto cfg = small_cfg();
-  const CampaignResult ref = run_rtl_campaign(prog, cfg, {}, {});
-
-  const std::string dir = scratch_dir("stop_batched");
-  std::atomic<bool> stop{false};
-  EngineOptions opts = journal_opts(dir, false, 1, 8, true);
-  opts.stop = &stop;
-  opts.progress_stride = 1;
-  opts.on_progress = [&stop](const EngineProgress& p) {
-    if (p.completed >= 2) stop.store(true, std::memory_order_relaxed);
-  };
-  const CampaignResult cut = run_rtl_campaign(prog, cfg, {}, opts);
-  EXPECT_TRUE(cut.truncated);
-  EXPECT_GE(cut.completed_sites, 2u);
-  EXPECT_LT(cut.completed_sites, cut.total_sites);
-
-  const CampaignResult resumed =
-      run_rtl_campaign(prog, cfg, {}, journal_opts(dir, true));
-  expect_identical(ref, resumed);
   EXPECT_EQ(resumed.replay.journal_hits, cut.completed_sites);
 }
 
@@ -438,23 +407,20 @@ TEST(FaultIsolation, TransientThrowRetriesToIdenticalResult) {
   EXPECT_EQ(r.replay.sites_engine_error, 0u);
 }
 
-// Every retirement path of the batched scheduler must contain the throw:
-// spawn-time (SIMD refill and scalar drain), mid-flight eval rounds, and
-// the retry re-spawn behind the cursor.
-TEST(FaultIsolation, BatchedAndSimdSchedulersContainThrows) {
+// Several throwing sites in one shard, persistent and transient mixed, at
+// one and three threads: each is contained to its own site.
+TEST(FaultIsolation, MultipleThrowsContainedPerSite) {
   const auto prog = small_workload();
   const auto cfg = small_cfg();
   const CampaignResult ref = run_rtl_campaign(prog, cfg, {}, {});
 
-  for (const bool simd : {true, false}) {
+  for (const unsigned threads : {1u, 3u}) {
     for (const char* spec : {"3", "3:once", "0,9:once,17"}) {
       EngineOptions opts;
-      opts.threads = 1;
-      opts.batch_lanes = 8;
-      opts.simd_lanes = simd;
+      opts.threads = threads;
       opts.fail_sites = spec;
       const CampaignResult r = run_rtl_campaign(prog, cfg, {}, opts);
-      SCOPED_TRACE(std::string(spec) + (simd ? " simd" : " scalar"));
+      SCOPED_TRACE(std::string(spec) + " threads=" + std::to_string(threads));
       ASSERT_EQ(r.runs.size(), ref.runs.size());
       const FailSiteSpec parsed = parse_fail_sites(spec);
       std::size_t expect_errors = 0;

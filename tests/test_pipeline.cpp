@@ -1,11 +1,12 @@
-// Staged-pipeline tests (engine/pipeline.hpp): the restore -> clone/arm ->
-// step -> classify driver must be an implementation detail of *scheduling*,
-// never of *results*. The load-bearing claim: fault::outcome_hash — and
-// every per-record field behind it — is bit-identical pipeline on or off,
-// at every thread count x batch size x SIMD setting x prefetch depth, for
-// both backends, across journal-resume cuts that cross the pipeline
-// boundary, under graceful truncation, and with ISSRTL_FAIL_SITE throws
-// landing on each stage.
+// Staged-pipeline tests (engine/pipeline.hpp): the restore -> arm/step ->
+// classify driver must be an implementation detail of *scheduling*, never
+// of *results*. The ISS backend is the one backend with a staged driver, so
+// the staged cases run ISS campaigns. The load-bearing claim: every
+// per-record field is bit-identical pipeline on or off, at every thread
+// count x prefetch depth, across journal-resume cuts that cross the
+// pipeline boundary, under graceful truncation, and with ISSRTL_FAIL_SITE
+// throws landing on each stage. RTL campaigns run the synchronous loop
+// whatever the flag says; their fail-site cases close the file.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -43,21 +44,45 @@ CampaignConfig small_cfg() {
   return cfg;
 }
 
-fault::IssCampaignConfig iss_cfg() {
+/// Stuck-at sites are never pre-classified (no convergence cut-off), so
+/// every one of them crosses the classify stage; bit-flips add the
+/// pre-classified path.
+fault::IssCampaignConfig iss_cfg(std::size_t samples = 24) {
   fault::IssCampaignConfig cfg;
-  cfg.samples = 24;
-  cfg.models = {iss::IssFaultModel::kBitFlip};
+  cfg.samples = samples;
+  cfg.models = {iss::IssFaultModel::kStuckAt1, iss::IssFaultModel::kBitFlip};
   return cfg;
 }
 
-EngineOptions pipe_opts(bool pipeline, unsigned threads = 1,
-                        unsigned batch = 1, bool simd = true) {
+EngineOptions pipe_opts(bool pipeline, unsigned threads = 1) {
   EngineOptions opts;
   opts.pipeline = pipeline;
   opts.threads = threads;
-  opts.batch_lanes = batch;
-  opts.simd_lanes = simd;
   return opts;
+}
+
+void expect_identical(const fault::IssCampaignResult& a,
+                      const fault::IssCampaignResult& b) {
+  ASSERT_EQ(a.runs.size(), b.runs.size());
+  for (std::size_t i = 0; i < a.runs.size(); ++i) {
+    const fault::IssInjectionResult& x = a.runs[i];
+    const fault::IssInjectionResult& y = b.runs[i];
+    EXPECT_EQ(x.fault.phys_reg, y.fault.phys_reg) << i;
+    EXPECT_EQ(x.fault.bit, y.fault.bit) << i;
+    EXPECT_EQ(x.fault.model, y.fault.model) << i;
+    EXPECT_EQ(x.fault.inject_at_instr, y.fault.inject_at_instr) << i;
+    EXPECT_EQ(x.failure, y.failure) << i;
+    EXPECT_EQ(x.latent, y.latent) << i;
+    EXPECT_EQ(x.latency_instr, y.latency_instr) << i;
+    EXPECT_EQ(x.engine_error, y.engine_error) << i;
+    EXPECT_EQ(x.error, y.error) << i;
+  }
+  ASSERT_EQ(a.per_model.size(), b.per_model.size());
+  for (std::size_t m = 0; m < a.per_model.size(); ++m) {
+    EXPECT_EQ(a.per_model[m].failures, b.per_model[m].failures);
+    EXPECT_EQ(a.per_model[m].latent, b.per_model[m].latent);
+    EXPECT_EQ(a.per_model[m].errors, b.per_model[m].errors);
+  }
 }
 
 void expect_identical(const CampaignResult& a, const CampaignResult& b) {
@@ -105,6 +130,18 @@ void write_file(const fs::path& file, const std::string& content) {
   std::ofstream out(file, std::ios::trunc);
   ASSERT_TRUE(out.good()) << file;
   out << content;
+}
+
+/// Cut a journal file down to its header plus the first `records` records.
+void truncate_journal(const fs::path& file, std::size_t records) {
+  const auto lines = read_lines(file);
+  ASSERT_GE(lines.size(), 1 + records);
+  std::string kept;
+  for (std::size_t i = 0; i < 1 + records; ++i) {
+    kept += lines[i];
+    kept += '\n';
+  }
+  write_file(file, kept);
 }
 
 // ---- the bounded queue underneath every stage boundary ----------------------
@@ -177,45 +214,6 @@ TEST(SuffixCompare, MatchesFullTraceCompareSemantics) {
 
 // ---- determinism: pipeline on == pipeline off -------------------------------
 
-TEST(Pipeline, RtlBitIdenticalOnOffAcrossScheduleMatrix) {
-  const auto prog = small_workload();
-  const auto cfg = small_cfg();
-  const CampaignResult ref =
-      run_rtl_campaign(prog, cfg, {}, pipe_opts(false));
-  const u64 ref_hash = fault::outcome_hash(ref);
-
-  for (const unsigned threads : {1u, 3u}) {
-    for (const unsigned batch : {1u, 32u}) {
-      for (const bool simd : {true, false}) {
-        for (const bool pipeline : {true, false}) {
-          SCOPED_TRACE("threads=" + std::to_string(threads) +
-                       " batch=" + std::to_string(batch) +
-                       " simd=" + std::to_string(simd) +
-                       " pipeline=" + std::to_string(pipeline));
-          const CampaignResult r = run_rtl_campaign(
-              prog, cfg, {}, pipe_opts(pipeline, threads, batch, simd));
-          EXPECT_EQ(fault::outcome_hash(r), ref_hash);
-          expect_identical(ref, r);
-        }
-      }
-    }
-  }
-}
-
-TEST(Pipeline, PrefetchDepthIsOutcomeNeutral) {
-  const auto prog = small_workload();
-  const auto cfg = small_cfg();
-  const CampaignResult ref =
-      run_rtl_campaign(prog, cfg, {}, pipe_opts(false));
-  for (const std::size_t depth : {std::size_t{1}, std::size_t{8}}) {
-    EngineOptions opts = pipe_opts(true, 3, 32);
-    opts.prefetch_depth = depth;
-    const CampaignResult r = run_rtl_campaign(prog, cfg, {}, opts);
-    SCOPED_TRACE(depth);
-    expect_identical(ref, r);
-  }
-}
-
 TEST(Pipeline, IssBitIdenticalOnOffAcrossThreads) {
   const auto prog = small_workload();
   const auto cfg = iss_cfg();
@@ -224,29 +222,32 @@ TEST(Pipeline, IssBitIdenticalOnOffAcrossThreads) {
     for (const bool pipeline : {true, false}) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " pipeline=" + std::to_string(pipeline));
-      const auto r =
-          run_iss_campaign_engine(prog, cfg, pipe_opts(pipeline, threads));
-      ASSERT_EQ(r.runs.size(), ref.runs.size());
-      for (std::size_t i = 0; i < r.runs.size(); ++i) {
-        EXPECT_EQ(r.runs[i].failure, ref.runs[i].failure) << i;
-        EXPECT_EQ(r.runs[i].latent, ref.runs[i].latent) << i;
-        EXPECT_EQ(r.runs[i].latency_instr, ref.runs[i].latency_instr) << i;
-        EXPECT_EQ(r.runs[i].engine_error, ref.runs[i].engine_error) << i;
-      }
+      expect_identical(
+          ref, run_iss_campaign_engine(prog, cfg, pipe_opts(pipeline, threads)));
     }
+  }
+}
+
+TEST(Pipeline, PrefetchDepthIsOutcomeNeutral) {
+  const auto prog = small_workload();
+  const auto cfg = iss_cfg();
+  const auto ref = run_iss_campaign_engine(prog, cfg, pipe_opts(false));
+  for (const std::size_t depth : {std::size_t{1}, std::size_t{8}}) {
+    EngineOptions opts = pipe_opts(true, 3);
+    opts.prefetch_depth = depth;
+    SCOPED_TRACE(depth);
+    expect_identical(ref, run_iss_campaign_engine(prog, cfg, opts));
   }
 }
 
 TEST(Pipeline, StageTalliesSurfaceOnlyWhenStaged) {
   const auto prog = small_workload();
-  const auto cfg = small_cfg();
-  const CampaignResult on =
-      run_rtl_campaign(prog, cfg, {}, pipe_opts(true, 1, 8));
-  // Every staged spawn is either an adoption or a demand restore.
+  const auto cfg = iss_cfg();
+  const auto on = run_iss_campaign_engine(prog, cfg, pipe_opts(true));
+  // Every staged site is either an adoption or a demand restore.
   EXPECT_GT(on.replay.restores_prefetched + on.replay.restores_demand, 0u);
 
-  const CampaignResult off =
-      run_rtl_campaign(prog, cfg, {}, pipe_opts(false, 1, 8));
+  const auto off = run_iss_campaign_engine(prog, cfg, pipe_opts(false));
   EXPECT_EQ(off.replay.restores_prefetched, 0u);
   EXPECT_EQ(off.replay.restores_demand, 0u);
   EXPECT_EQ(off.replay.snapshot_waits, 0u);
@@ -255,58 +256,46 @@ TEST(Pipeline, StageTalliesSurfaceOnlyWhenStaged) {
   EXPECT_EQ(off.replay.classify_backlog_peak, 0u);
 }
 
-// ---- journal resume across the pipeline boundary ----------------------------
-
-TEST(Pipeline, JournalResumeCrossesPipelineBoundary) {
+TEST(Pipeline, RtlRunsTheSynchronousLoopWhateverTheFlag) {
   const auto prog = small_workload();
   const auto cfg = small_cfg();
   const CampaignResult ref =
       run_rtl_campaign(prog, cfg, {}, pipe_opts(false));
-
-  // Staged run journals; cut mid-run; the synchronous loop resumes.
-  {
-    const std::string dir = scratch_dir("on_to_off");
-    EngineOptions opts = pipe_opts(true, 1, 8);
-    opts.journal_dir = dir;
-    run_rtl_campaign(prog, cfg, {}, opts);
-    const fs::path file = journal_file_in(dir);
-    const auto lines = read_lines(file);
-    ASSERT_EQ(lines.size(), 1u + ref.runs.size());
-    std::string half;
-    for (std::size_t i = 0; i < 1 + ref.runs.size() / 2; ++i) {
-      half += lines[i];
-      half += '\n';
-    }
-    write_file(file, half);
-    EngineOptions resume = pipe_opts(false, 3);
-    resume.journal_dir = dir;
-    resume.resume = true;
-    const CampaignResult r = run_rtl_campaign(prog, cfg, {}, resume);
+  for (const unsigned threads : {1u, 3u}) {
+    SCOPED_TRACE(threads);
+    const CampaignResult r =
+        run_rtl_campaign(prog, cfg, {}, pipe_opts(true, threads));
     expect_identical(ref, r);
-    EXPECT_EQ(r.replay.journal_hits, ref.runs.size() / 2);
+    EXPECT_EQ(r.replay.restores_prefetched + r.replay.restores_demand, 0u);
   }
+}
 
-  // And the reverse cut: synchronous run journals, the staged driver
-  // resumes (on a different schedule, for good measure).
-  {
-    const std::string dir = scratch_dir("off_to_on");
-    EngineOptions opts = pipe_opts(false);
+// ---- journal resume across the pipeline boundary ----------------------------
+
+TEST(Pipeline, JournalResumeCrossesPipelineBoundary) {
+  const auto prog = small_workload();
+  const auto cfg = iss_cfg();
+  const auto ref = run_iss_campaign_engine(prog, cfg, pipe_opts(false));
+  const std::size_t half = ref.runs.size() / 2;
+
+  // Staged run journals; cut mid-run; the synchronous loop resumes. Then
+  // the reverse cut: synchronous run journals, the staged driver resumes
+  // (on a different schedule, for good measure).
+  for (const bool staged_first : {true, false}) {
+    SCOPED_TRACE(staged_first ? "on_to_off" : "off_to_on");
+    const std::string dir = scratch_dir(staged_first ? "on_to_off" : "off_to_on");
+    EngineOptions opts = pipe_opts(staged_first);
     opts.journal_dir = dir;
-    run_rtl_campaign(prog, cfg, {}, opts);
+    run_iss_campaign_engine(prog, cfg, opts);
     const fs::path file = journal_file_in(dir);
-    const auto lines = read_lines(file);
-    std::string half;
-    for (std::size_t i = 0; i < 1 + ref.runs.size() / 2; ++i) {
-      half += lines[i];
-      half += '\n';
-    }
-    write_file(file, half);
-    EngineOptions resume = pipe_opts(true, 3, 32);
+    ASSERT_EQ(read_lines(file).size(), 1u + ref.runs.size());
+    truncate_journal(file, half);
+    EngineOptions resume = pipe_opts(!staged_first, 3);
     resume.journal_dir = dir;
     resume.resume = true;
-    const CampaignResult r = run_rtl_campaign(prog, cfg, {}, resume);
+    const auto r = run_iss_campaign_engine(prog, cfg, resume);
     expect_identical(ref, r);
-    EXPECT_EQ(r.replay.journal_hits, ref.runs.size() / 2);
+    EXPECT_EQ(r.replay.journal_hits, half);
   }
 }
 
@@ -314,28 +303,27 @@ TEST(Pipeline, JournalResumeCrossesPipelineBoundary) {
 
 TEST(Pipeline, StopFlagTruncatesStagedDriverThenResumeCompletes) {
   const auto prog = small_workload();
-  const auto cfg = small_cfg();
-  const CampaignResult ref =
-      run_rtl_campaign(prog, cfg, {}, pipe_opts(false));
+  const auto cfg = iss_cfg();
+  const auto ref = run_iss_campaign_engine(prog, cfg, pipe_opts(false));
 
   const std::string dir = scratch_dir("stop");
   std::atomic<bool> stop{false};
-  EngineOptions opts = pipe_opts(true, 1, 8);
+  EngineOptions opts = pipe_opts(true);
   opts.journal_dir = dir;
   opts.stop = &stop;
   opts.progress_stride = 1;
   opts.on_progress = [&stop](const EngineProgress& p) {
     if (p.completed >= 3) stop.store(true, std::memory_order_relaxed);
   };
-  const CampaignResult cut = run_rtl_campaign(prog, cfg, {}, opts);
+  const auto cut = run_iss_campaign_engine(prog, cfg, opts);
   EXPECT_TRUE(cut.truncated);
   EXPECT_GE(cut.completed_sites, 3u);
   EXPECT_LT(cut.completed_sites, cut.total_sites);
 
-  EngineOptions resume = pipe_opts(true, 3, 32);
+  EngineOptions resume = pipe_opts(true, 3);
   resume.journal_dir = dir;
   resume.resume = true;
-  const CampaignResult r = run_rtl_campaign(prog, cfg, {}, resume);
+  const auto r = run_iss_campaign_engine(prog, cfg, resume);
   expect_identical(ref, r);
   EXPECT_FALSE(r.truncated);
   EXPECT_EQ(r.replay.journal_hits, cut.completed_sites);
@@ -343,62 +331,19 @@ TEST(Pipeline, StopFlagTruncatesStagedDriverThenResumeCompletes) {
 
 TEST(Pipeline, DeadlineTruncatesStagedDriver) {
   const auto prog = small_workload();
-  const auto cfg = small_cfg();
-  EngineOptions opts = pipe_opts(true, 1, 8);
-  opts.deadline_ms = 1;  // expires long before 24 RTL sites can finish
-  const CampaignResult r = run_rtl_campaign(prog, cfg, {}, opts);
+  EngineOptions opts = pipe_opts(true);
+  opts.deadline_ms = 1;  // expires long before thousands of sites can finish
+  const auto r = run_iss_campaign_engine(prog, iss_cfg(2000), opts);
   EXPECT_TRUE(r.truncated);
   EXPECT_LT(r.completed_sites, r.total_sites);
 }
 
 // ---- ISSRTL_FAIL_SITE isolation on every stage ------------------------------
 
-// A deterministic throw at each stage must classify that site kEngineError
-// — with a byte-identical error record (including the retry-attempt count)
-// pipeline on or off — and a :once throw must retry to a clean campaign.
-TEST(Pipeline, FailSiteLandsOnEveryStageRtl) {
-  const auto prog = small_workload();
-  const auto cfg = small_cfg();
-  const CampaignResult ref =
-      run_rtl_campaign(prog, cfg, {}, pipe_opts(false));
-
-  for (const char* stage : {"restore", "arm", "step", "classify"}) {
-    SCOPED_TRACE(stage);
-    std::string error_on;
-    std::string error_off;
-    for (const bool pipeline : {true, false}) {
-      EngineOptions opts = pipe_opts(pipeline, 1, 8);
-      opts.fail_sites = std::string("3:") + stage;
-      const CampaignResult r = run_rtl_campaign(prog, cfg, {}, opts);
-      ASSERT_EQ(r.runs.size(), ref.runs.size());
-      for (std::size_t i = 0; i < r.runs.size(); ++i) {
-        if (i == 3) {
-          EXPECT_EQ(r.runs[i].outcome, Outcome::kEngineError) << pipeline;
-          EXPECT_NE(r.runs[i].error.find("ISSRTL_FAIL_SITE"),
-                    std::string::npos)
-              << r.runs[i].error;
-          (pipeline ? error_on : error_off) = r.runs[i].error;
-        } else {
-          EXPECT_EQ(r.runs[i].outcome, ref.runs[i].outcome) << i;
-          EXPECT_EQ(r.runs[i].latency_cycles, ref.runs[i].latency_cycles)
-              << i;
-        }
-      }
-      EXPECT_EQ(r.replay.sites_retried, 1u) << pipeline;
-      EXPECT_EQ(r.replay.sites_engine_error, 1u) << pipeline;
-    }
-    EXPECT_EQ(error_on, error_off);
-
-    // Transient (:once): the retry succeeds and the campaign is clean.
-    EngineOptions once = pipe_opts(true, 1, 8);
-    once.fail_sites = std::string("3:once:") + stage;
-    const CampaignResult r = run_rtl_campaign(prog, cfg, {}, once);
-    expect_identical(ref, r);
-    EXPECT_EQ(r.replay.sites_retried, 1u);
-    EXPECT_EQ(r.replay.sites_engine_error, 0u);
-  }
-}
-
+// A deterministic throw at each stage must classify that site as an engine
+// error — with a byte-identical error record (including the retry-attempt
+// count) pipeline on or off — and a :once throw must retry to a clean
+// campaign.
 TEST(Pipeline, FailSiteLandsOnEveryStageIss) {
   const auto prog = small_workload();
   const auto cfg = iss_cfg();
@@ -431,14 +376,46 @@ TEST(Pipeline, FailSiteLandsOnEveryStageIss) {
     EngineOptions once = pipe_opts(true);
     once.fail_sites = std::string("2:once:") + stage;
     const auto r = run_iss_campaign_engine(prog, cfg, once);
-    ASSERT_EQ(r.runs.size(), ref.runs.size());
-    for (std::size_t i = 0; i < r.runs.size(); ++i) {
-      EXPECT_FALSE(r.runs[i].engine_error) << i;
-      EXPECT_EQ(r.runs[i].failure, ref.runs[i].failure) << i;
-      EXPECT_EQ(r.runs[i].latency_instr, ref.runs[i].latency_instr) << i;
-    }
+    expect_identical(ref, r);
     EXPECT_EQ(r.replay.sites_retried, 1u);
     EXPECT_EQ(r.replay.sites_engine_error, 0u);
+  }
+}
+
+// The same stage tags on the RTL synchronous loop: every tag fires at its
+// counterpart point of run_site.
+TEST(Pipeline, FailSiteLandsOnEveryStageRtl) {
+  const auto prog = small_workload();
+  const auto cfg = small_cfg();
+  const CampaignResult ref =
+      run_rtl_campaign(prog, cfg, {}, pipe_opts(false));
+
+  for (const char* stage : {"restore", "arm", "step", "classify"}) {
+    SCOPED_TRACE(stage);
+    EngineOptions opts = pipe_opts(false);
+    opts.fail_sites = std::string("3:") + stage;
+    const CampaignResult r = run_rtl_campaign(prog, cfg, {}, opts);
+    ASSERT_EQ(r.runs.size(), ref.runs.size());
+    for (std::size_t i = 0; i < r.runs.size(); ++i) {
+      if (i == 3) {
+        EXPECT_EQ(r.runs[i].outcome, Outcome::kEngineError);
+        EXPECT_NE(r.runs[i].error.find("ISSRTL_FAIL_SITE"), std::string::npos)
+            << r.runs[i].error;
+      } else {
+        EXPECT_EQ(r.runs[i].outcome, ref.runs[i].outcome) << i;
+        EXPECT_EQ(r.runs[i].latency_cycles, ref.runs[i].latency_cycles) << i;
+      }
+    }
+    EXPECT_EQ(r.replay.sites_retried, 1u);
+    EXPECT_EQ(r.replay.sites_engine_error, 1u);
+
+    // Transient (:once): the retry succeeds and the campaign is clean.
+    EngineOptions once = pipe_opts(false);
+    once.fail_sites = std::string("3:once:") + stage;
+    const CampaignResult clean = run_rtl_campaign(prog, cfg, {}, once);
+    expect_identical(ref, clean);
+    EXPECT_EQ(clean.replay.sites_retried, 1u);
+    EXPECT_EQ(clean.replay.sites_engine_error, 0u);
   }
 }
 
