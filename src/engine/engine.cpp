@@ -19,8 +19,7 @@ namespace {
 /// which would silently run a campaign with a mangled configuration), and
 /// the result must fit `max_value`. Throws std::invalid_argument naming the
 /// variable otherwise.
-u64 parse_env_u64(const char* name, const char* value, u64 max_value,
-                  u64 min_value = 0) {
+u64 parse_env_u64(const char* name, const char* value, u64 max_value) {
   const auto reject = [&](const char* why) {
     throw std::invalid_argument(std::string(name) + ": invalid value '" +
                                 value + "' (" + why + ")");
@@ -32,7 +31,7 @@ u64 parse_env_u64(const char* name, const char* value, u64 max_value,
   char* end = nullptr;
   const unsigned long long parsed = std::strtoull(value, &end, 10);
   if (*end != '\0') reject("trailing junk after the number");
-  if (errno == ERANGE || parsed > max_value || parsed < min_value) {
+  if (errno == ERANGE || parsed > max_value) {
     reject("value out of range");
   }
   return static_cast<u64>(parsed);
@@ -182,21 +181,11 @@ EngineOptions options_from_env(EngineOptions base) {
   with_env("ISSRTL_RESUME", [&](const char* v) {
     base.resume = env_flag("ISSRTL_RESUME", v);
   });
-  with_env("ISSRTL_MIXED", [&](const char* v) {
-    base.mixed_fidelity = env_flag("ISSRTL_MIXED", v);
-  });
   with_env("ISSRTL_ISS_FAST", [&](const char* v) {
     base.iss_fast_path = env_flag("ISSRTL_ISS_FAST", v);
   });
   with_env("ISSRTL_DEADLINE_MS", [&](const char* v) {
     base.deadline_ms = parse_env_u64("ISSRTL_DEADLINE_MS", v, ~0ull);
-  });
-  with_env("ISSRTL_PIPELINE", [&](const char* v) {
-    base.pipeline = env_flag("ISSRTL_PIPELINE", v);
-  });
-  with_env("ISSRTL_PREFETCH_DEPTH", [&](const char* v) {
-    base.prefetch_depth = static_cast<std::size_t>(
-        parse_env_u64("ISSRTL_PREFETCH_DEPTH", v, 64, 1));
   });
   with_env("ISSRTL_FAIL_SITE", [&](const char* v) {
     parse_fail_sites(v);  // validate eagerly: a typo fails here, by name

@@ -35,17 +35,6 @@
 //   JournalEntry journal_entry(std::size_t i, const Record&) const;
 //   Record record_from_journal(const JournalEntry&) const;
 //   Record error_record(std::size_t i, const std::string& what) const;
-//
-// Optionally a backend exposes a staged pipeline (engine/pipeline.hpp):
-//
-//   using Retired = ...; using PrefetchSnapshot = ...;
-//   bool staged_enabled() const;
-//   make_prefetcher(shard), make_classifier()
-//     // where W::run_capture(sites, pipe, stop(), counters) drives the
-//     // capture stage of a whole shard.
-//
-// The ISS backend is the one backend with a staged driver; the RTL backend
-// runs every site through run_site.
 #pragma once
 
 #include <algorithm>
@@ -67,7 +56,6 @@
 #include "common/types.hpp"
 #include "engine/journal.hpp"
 #include "engine/ladder.hpp"
-#include "engine/pipeline.hpp"
 
 namespace issrtl::engine {
 
@@ -128,9 +116,9 @@ struct EngineOptions {
   /// With a journal_dir: import the journal's chain-valid records instead
   /// of re-simulating their sites. The merged result (outcomes, latencies,
   /// fault::outcome_hash) is bit-identical to an uninterrupted run
-  /// whatever the original run's crash point, thread count or pipeline
-  /// setting — per-site records depend only on the site and the
-  /// golden run, so any import/re-simulate partition merges identically.
+  /// whatever the original run's crash point or thread count — per-site
+  /// records depend only on the site and the golden run, so any
+  /// import/re-simulate partition merges identically.
   /// false (the default) truncates any existing journal file first: a
   /// fresh campaign must not silently merge stale records. ISSRTL_RESUME
   /// (strict 0/1) is the environment path.
@@ -148,21 +136,6 @@ struct EngineOptions {
   /// mid-site would make the completed set timing-dependent); only
   /// not-yet-started sites are skipped.
   const std::atomic<bool>* stop = nullptr;
-  /// Mixed-fidelity golden-prefix acceleration for the RTL backend: run the
-  /// fault-free prefix of every injection on the ISS (decoded-block fast
-  /// path), transplant the architectural state into the RTL core at the
-  /// last retirement boundary at or before the injection instant
-  /// (Leon3Core::transplant, golden timebase and bus prefix preserved), and
-  /// simulate only the faulty suffix at RTL fidelity. The resulting
-  /// campaign is schedule-invariant — fault::outcome_hash is bit-identical
-  /// across thread and ladder settings — but it is a different experiment
-  /// from a pure-RTL campaign for faults whose effect depends on the
-  /// in-flight pipeline contents at the injection instant (the
-  /// transplanted pipeline starts empty; see docs/ARCHITECTURE.md
-  /// "Mixed-fidelity prefix"), so the RTL backend folds this flag into
-  /// campaign_key(), unlike the schedule knobs above. The ISS backend
-  /// ignores it. ISSRTL_MIXED (strict 0/1) is the environment path.
-  bool mixed_fidelity = false;
   /// Drive every engine-owned iss::Emulator through its decoded-block fast
   /// path (dbbcache + lscache, see iss/emulator.hpp). false selects the
   /// reference decode-per-instruction path. The caches are
@@ -171,28 +144,6 @@ struct EngineOptions {
   /// differential-testing axis. ISSRTL_ISS_FAST (strict 0/1) is the
   /// environment path.
   bool iss_fast_path = true;
-  /// Staged campaign pipeline (see engine/pipeline.hpp): run each shard as
-  /// restore/prefetch -> clone+arm+step -> classify+report stages decoupled
-  /// by bounded queues, so golden-prefix restores and suffix
-  /// classification overlap the suffix stepping instead of stalling it.
-  /// false selects the synchronous single-thread-per-shard loop, kept
-  /// in-tree as the A/B baseline and determinism axis. fault::outcome_hash
-  /// is bit-identical either way, at every thread count x resume
-  /// cut-point: the prefetcher replays the same deterministic golden
-  /// prefix the demand path replays, per-site records are
-  /// schedule-invariant, and commit order is invisible to site-indexed
-  /// slots and the dedup-on-import journal. Only the ISS backend has a
-  /// staged driver; RTL campaigns run the synchronous loop even when set.
-  /// ISSRTL_PIPELINE (strict 0/1) is the environment path.
-  bool pipeline = true;
-  /// Bounded depth of the restore/prefetch stage's snapshot queue, in
-  /// instant-groups ahead of demand per shard (the retirement queue sizes
-  /// itself at twice this). [1, 64]; higher values trade memory (one
-  /// golden-prefix snapshot per slot) for more slack between the stages.
-  /// Schedule-only: outcomes are bit-identical at every depth.
-  /// ISSRTL_PREFETCH_DEPTH is the environment path. No effect unless
-  /// pipeline is on.
-  std::size_t prefetch_depth = 2;
   /// Test-only fault-injection hook (ISSRTL_FAIL_SITE): comma-separated
   /// site indices whose host simulation throws while being processed —
   /// "<i>" throws on every attempt (deterministic failure: the retry also
@@ -200,9 +151,8 @@ struct EngineOptions {
   /// first attempt only (transient host trouble: the fresh-restore retry
   /// succeeds). An optional stage tag ("<i>:step", "<i>:once:classify")
   /// moves the throw from fault-arm time (the default, ":arm") to the
-  /// restore, stepping or classification stage, so isolation can be
-  /// exercised on every stage of the staged pipeline — and, identically,
-  /// on the corresponding points of the synchronous loop. Exercises every
+  /// restore, stepping or classification point of the per-site loop, so
+  /// isolation can be exercised on every stage of a site. Exercises every
   /// retirement path of the worker-isolation machinery; empty (the
   /// default) disables it.
   std::string fail_sites;
@@ -213,19 +163,14 @@ struct EngineOptions {
 /// instants; 0 disables the ladder), ISSRTL_CKPT_MB (ladder byte cap in
 /// MiB), ISSRTL_JOURNAL (write-ahead journal directory; any non-empty
 /// path), ISSRTL_RESUME (1 = import the journal's records, 0 = truncate
-/// it; any other value is rejected), ISSRTL_MIXED (1 = mixed-fidelity
-/// ISS-prefix/RTL-suffix campaigns, 0 = pure RTL; any other value is
-/// rejected), ISSRTL_ISS_FAST (1 = decoded-block ISS fast path, 0 = the
-/// reference decode-per-instruction path; any other value is rejected),
-/// ISSRTL_DEADLINE_MS (wall-clock budget in milliseconds; 0 = none),
-/// ISSRTL_PIPELINE (1 = staged restore/step/classify pipeline, 0 = the
-/// synchronous loop; any other value is rejected), ISSRTL_PREFETCH_DEPTH
-/// (snapshot queue depth per shard, [1, 64]) and
-/// ISSRTL_FAIL_SITE (test-only throw hook, comma-separated "<site>" /
-/// "<site>:once" with an optional ":restore"/":arm"/":step"/":classify"
-/// stage tag). Unset or empty variables
-/// leave the corresponding field of `base` untouched; front ends apply
-/// explicit command-line arguments on top. A set variable must parse in
+/// it; any other value is rejected), ISSRTL_ISS_FAST (1 = decoded-block
+/// ISS fast path, 0 = the reference decode-per-instruction path; any other
+/// value is rejected), ISSRTL_DEADLINE_MS (wall-clock budget in
+/// milliseconds; 0 = none) and ISSRTL_FAIL_SITE (test-only throw hook,
+/// comma-separated "<site>" / "<site>:once" with an optional
+/// ":restore"/":arm"/":step"/":classify" stage tag). Unset or empty
+/// variables leave the corresponding field of `base` untouched; front ends
+/// apply explicit command-line arguments on top. A set variable must parse in
 /// full — plain decimal digits (plus the literal "auto" for
 /// ISSRTL_CKPT_STRIDE) with no sign, whitespace or trailing junk — and fit
 /// the target field; anything else throws std::invalid_argument naming the
@@ -236,10 +181,7 @@ EngineOptions options_from_env(EngineOptions base = {});
 /// Threads actually used for `sites` fault sites under `requested`.
 unsigned resolve_threads(unsigned requested, std::size_t sites);
 
-/// Which processing stage an ISSRTL_FAIL_SITE entry throws in. The stages
-/// exist as explicit threads only in the staged pipeline, but every one has
-/// an exact counterpart in the synchronous loop (the hook fires at the same
-/// logical point either way, so records and retry counters match).
+/// Which processing stage of a site an ISSRTL_FAIL_SITE entry throws in.
 enum class FailStage : u8 {
   kRestore,   ///< right after golden-prefix positioning for the site
   kArm,       ///< right after the fault is armed (the default)
@@ -272,9 +214,8 @@ FailSiteSpec parse_fail_sites(const std::string& spec);
 
 /// Shared ISSRTL_FAIL_SITE trigger: throws std::runtime_error when `spec`
 /// names `site_index` at `stage` (respecting :once against this holder's
-/// per-site attempt map). Both backends' workers and the staged classify
-/// stages call this so the error text — including the attempt number — is
-/// identical pipeline on or off.
+/// per-site attempt map). Both backends' workers call this, so the error
+/// text — including the attempt number — is identical across backends.
 inline void maybe_fail_stage(const FailSiteSpec& spec,
                              std::map<std::size_t, unsigned>& attempts,
                              std::size_t site_index, FailStage stage) {
@@ -298,14 +239,6 @@ std::atomic<bool>& signal_stop_flag();
 /// Ctrl-C force-kills as usual.
 void install_signal_stop();
 
-/// Shared retry/containment tallies a staged capture stage reports into
-/// while it isolates per-site throws (the synchronous loop tallies them
-/// directly).
-struct EngineRunCounters {
-  std::atomic<u64> retried{0};        ///< sites re-run after a first throw
-  std::atomic<u64> engine_errors{0};  ///< sites whose retry also threw
-};
-
 /// What CampaignEngine::run hands back: site-indexed records plus the
 /// durability metadata backends fold into their CampaignResult. Only slots
 /// with done[i] != 0 hold a valid record; completed counts them. truncated
@@ -321,10 +254,6 @@ struct EngineRun {
   u64 journal_dropped = 0;  ///< journal records rejected (chain/site-key)
   u64 sites_retried = 0;
   u64 engine_errors = 0;
-  /// Staged-pipeline occupancy/stall tallies summed over shards (peaks are
-  /// maxed). All zero when the pipeline was off or degenerate. Observability
-  /// only — schedule-dependent, exempt from determinism comparisons.
-  StageTallies stages;
 };
 
 /// Deterministic per-shard RNG stream: decorrelated from the campaign seed
@@ -416,12 +345,12 @@ class CampaignEngine {
       return false;
     };
 
-    EngineRunCounters counters;
+    std::atomic<u64> retried{0};        // sites re-run after a first throw
+    std::atomic<u64> engine_errors{0};  // sites whose retry also threw
     std::mutex journal_mu;
     std::mutex progress_mu;
     std::size_t reported = 0;  // highest count delivered, under progress_mu
     std::vector<std::exception_ptr> errors(threads);
-    std::vector<StageTallies> stage_tallies(threads);
 
     auto run_shard = [&](unsigned shard) {
       try {
@@ -438,56 +367,6 @@ class CampaignEngine {
                          });
         auto worker = backend.make_worker(shard);
         std::size_t unreported = 0;
-        auto report_done = [&](std::size_t n) {
-          const std::size_t done = completed.fetch_add(n) + n;
-          unreported += n;
-          if (opts_.on_progress &&
-              (unreported >= opts_.progress_stride || done == total)) {
-            unreported = 0;
-            const std::lock_guard<std::mutex> lock(progress_mu);
-            // Re-read under the lock and deliver only new maxima, so the
-            // callback sees a monotonic count even when workers race
-            // between their fetch_add and this critical section.
-            const std::size_t now = completed.load();
-            if (now > reported) {
-              reported = now;
-              opts_.on_progress({now, total});
-            }
-          }
-        };
-        // Write-ahead commit: journal first, then publish the record and
-        // its done bit. A crash between the two re-simulates the site on
-        // resume and re-appends an identical record (first-wins dedupe on
-        // import makes the duplicate harmless).
-        auto commit = [&](std::size_t site, Record&& r) {
-          if (journal) {
-            const std::lock_guard<std::mutex> lock(journal_mu);
-            journal->append(backend.journal_entry(site, r));
-          }
-          out.records[site] = std::move(r);
-          out.done[site] = 1;
-          report_done(1);
-        };
-        // Staged pipeline: hand the shard to the three-stage driver when
-        // the backend supports it and the options ask for it. The driver
-        // reuses the same commit/stop closures, so journaling, progress,
-        // truncation and isolation semantics are unchanged — commit just
-        // runs on the shard's classify thread instead of its main one.
-        constexpr bool kHasStaged = requires(const Backend& b, unsigned s) {
-          typename Backend::Retired;
-          typename Backend::PrefetchSnapshot;
-          b.staged_enabled();
-          b.make_prefetcher(s);
-          b.make_classifier();
-        };
-        if constexpr (kHasStaged) {
-          if (opts_.pipeline && backend.staged_enabled()) {
-            run_staged_shard(backend, *worker, shard, mine, commit,
-                             stop_poll, counters, stage_tallies[shard],
-                             opts_.prefetch_depth);
-            return;
-          }
-        }
         for (const std::size_t i : mine) {
           if (stop_poll()) return;
           // Worker isolation: one fresh-restore retry distinguishes
@@ -499,18 +378,41 @@ class CampaignEngine {
           try {
             r = worker->run_site(i);
           } catch (...) {
-            counters.retried.fetch_add(1, std::memory_order_relaxed);
+            retried.fetch_add(1, std::memory_order_relaxed);
             try {
               r = worker->run_site(i);
             } catch (const std::exception& e) {
-              counters.engine_errors.fetch_add(1, std::memory_order_relaxed);
+              engine_errors.fetch_add(1, std::memory_order_relaxed);
               r = backend.error_record(i, e.what());
             } catch (...) {
-              counters.engine_errors.fetch_add(1, std::memory_order_relaxed);
+              engine_errors.fetch_add(1, std::memory_order_relaxed);
               r = backend.error_record(i, "unknown exception");
             }
           }
-          commit(i, std::move(r));
+          // Write-ahead commit: journal first, then publish the record and
+          // its done bit. A crash between the two re-simulates the site on
+          // resume and re-appends an identical record (first-wins dedupe
+          // on import makes the duplicate harmless).
+          if (journal) {
+            const std::lock_guard<std::mutex> lock(journal_mu);
+            journal->append(backend.journal_entry(i, r));
+          }
+          out.records[i] = std::move(r);
+          out.done[i] = 1;
+          const std::size_t done = completed.fetch_add(1) + 1;
+          if (opts_.on_progress &&
+              (++unreported >= opts_.progress_stride || done == total)) {
+            unreported = 0;
+            const std::lock_guard<std::mutex> lock(progress_mu);
+            // Re-read under the lock and deliver only new maxima, so the
+            // callback sees a monotonic count even when workers race
+            // between their fetch_add and this critical section.
+            const std::size_t now = completed.load();
+            if (now > reported) {
+              reported = now;
+              opts_.on_progress({now, total});
+            }
+          }
         }
       } catch (...) {
         errors[shard] = std::current_exception();
@@ -530,9 +432,8 @@ class CampaignEngine {
     }
     out.completed = completed.load();
     out.truncated = out.completed < total;
-    out.sites_retried = counters.retried.load();
-    out.engine_errors = counters.engine_errors.load();
-    for (const StageTallies& t : stage_tallies) out.stages.merge(t);
+    out.sites_retried = retried.load();
+    out.engine_errors = engine_errors.load();
     return out;
   }
 

@@ -36,12 +36,13 @@ IssCampaignBackend::IssCampaignBackend(const isa::Program& prog,
   iss::Emulator golden(golden_mem_);
   golden.set_fast_path(opts_.iss_fast_path);
   golden.reset(prog_.entry);
-  // The golden run, stepped manually so the ladder can snapshot it on the
-  // stride grid (same 10M-instruction watchdog as Emulator::run's default).
+  // The golden run, block-walked from one rung grid point to the next so
+  // the ladder can snapshot it on the stride grid (same 10M-instruction
+  // watchdog as Emulator::run's default). Every step short of the halt
+  // retires one instruction, so each walk stops exactly on the grid.
   constexpr u64 kGoldenMaxSteps = 10'000'000;
-  for (u64 i = 0;
-       i < kGoldenMaxSteps && golden.halt_reason() == iss::HaltReason::kRunning;
-       ++i) {
+  while (golden.instret() < kGoldenMaxSteps &&
+         golden.halt_reason() == iss::HaltReason::kRunning) {
     if (ladder_.wants(golden.instret())) {
       auto snap = std::make_shared<GoldenSnapshot>();
       snap->emu = golden.checkpoint_lite();
@@ -51,7 +52,14 @@ IssCampaignBackend::IssCampaignBackend(const isa::Program& prog,
       const std::size_t bytes = snapshot_bytes(*snap);
       ladder_.record(golden.instret(), std::move(snap), bytes);
     }
-    golden.step();
+    // The stride is re-read every lap: the auto ladder doubles it as it
+    // thins itself.
+    u64 target = kGoldenMaxSteps;
+    if (ladder_.enabled()) {
+      const u64 stride = ladder_.stride();
+      target = std::min(target, (golden.instret() / stride + 1) * stride);
+    }
+    golden.advance(target - golden.instret());
   }
   if (golden.halt_reason() != iss::HaltReason::kHalted) {
     throw std::runtime_error("ISS golden run did not halt cleanly");
@@ -160,24 +168,15 @@ IssCampaignBackend::Worker::Worker(const IssCampaignBackend& backend,
   emu_.set_fast_path(backend.opts_.iss_fast_path);
 }
 
-void IssCampaignBackend::Worker::prepare(u64 inject_at_instr,
-                                         const GoldenSnapshot* pf) {
+void IssCampaignBackend::Worker::prepare(u64 inject_at_instr) {
   emu_.clear_faults();
   const auto* rung = b_.opts_.checkpoint
                          ? b_.ladder_.best_at_or_below(inject_at_instr)
                          : nullptr;
   const bool rolling_usable = b_.opts_.checkpoint && have_checkpoint_ &&
                               checkpoint_.instret <= inject_at_instr;
-  if (pf != nullptr) {
-    // Staged mode: adopt the prefetched snapshot (already verified to sit
-    // exactly at the instant). The prefetcher replayed the same
-    // deterministic golden prefix any branch below would replay, so the
-    // adopted state is bit-identical — restore-source invisibility; only
-    // the stage tallies can tell which restore source won.
-    emu_.restore(pf->emu, b_.golden_trace_, pf->writes, pf->reads);
-    mem_ = pf->mem.clone();
-  } else if (rolling_usable &&
-             (rung == nullptr || rung->instant <= checkpoint_.instret)) {
+  if (rolling_usable &&
+      (rung == nullptr || rung->instant <= checkpoint_.instret)) {
     emu_.restore(checkpoint_, b_.golden_trace_, checkpoint_writes_,
                  checkpoint_reads_);
     mem_ = checkpoint_mem_.clone();
@@ -193,14 +192,15 @@ void IssCampaignBackend::Worker::prepare(u64 inject_at_instr,
     have_checkpoint_ = false;
     b_.cold_resets_.fetch_add(1, std::memory_order_relaxed);
   }
-  u64 stepped = 0;
-  while (emu_.instret() < inject_at_instr &&
-         emu_.halt_reason() == iss::HaltReason::kRunning) {
-    emu_.step();
-    ++stepped;
-  }
-  if (stepped != 0) {
-    b_.fast_forward_instrs_.fetch_add(stepped, std::memory_order_relaxed);
+  // Every instant lies inside the golden run, which retires an
+  // instruction per step until it halts, so the block walk lands exactly
+  // on the instant and the instret delta is the step count.
+  if (emu_.instret() < inject_at_instr &&
+      emu_.halt_reason() == iss::HaltReason::kRunning) {
+    const u64 before = emu_.instret();
+    emu_.advance(inject_at_instr - before);
+    b_.fast_forward_instrs_.fetch_add(emu_.instret() - before,
+                                      std::memory_order_relaxed);
   }
   if (b_.opts_.checkpoint &&
       (!have_checkpoint_ || checkpoint_.instret != emu_.instret())) {
@@ -212,19 +212,16 @@ void IssCampaignBackend::Worker::prepare(u64 inject_at_instr,
   }
 }
 
-IssCampaignBackend::Retired IssCampaignBackend::Worker::capture_site(
-    std::size_t index, const GoldenSnapshot* pf) {
+fault::IssInjectionResult IssCampaignBackend::Worker::run_site(
+    std::size_t index) {
   const iss::IssFault fault = b_.faults_[index];
-  prepare(fault.inject_at_instr, pf);
+  prepare(fault.inject_at_instr);
   maybe_fail_site(index, FailStage::kRestore);
   emu_.arm_fault(fault);
   maybe_fail_site(index, FailStage::kArm);
 
-  Retired p;
-  p.site_index = index;
-  p.record.fault = fault;
-  p.prefix_writes = emu_.offcore().writes().size();
-
+  Record r;
+  r.fault = fault;
   // The serial driver gave run() the whole watchdog from reset; the prefix
   // consumed inject_at_instr steps of it. A prefix already at or past the
   // watchdog gets no further steps (same off-by-one as the RTL backend).
@@ -232,7 +229,8 @@ IssCampaignBackend::Retired IssCampaignBackend::Worker::capture_site(
                    ? b_.watchdog_ - emu_.instret()
                    : 0;
   const std::vector<BusRecord>& golden_writes = b_.golden_trace_.writes();
-  std::size_t matched = p.prefix_writes;
+  // Every prefix write replayed the golden run, so matching resumes here.
+  std::size_t matched = emu_.offcore().writes().size();
   // A bit-flip is applied once and never enforced again, so a faulty run
   // whose architectural state and memory coincide with the golden run at
   // the same retired-instruction count is provably identical from there
@@ -268,10 +266,9 @@ IssCampaignBackend::Retired IssCampaignBackend::Worker::capture_site(
         const GoldenSnapshot& g = *rung->snap;
         if (emu_.offcore().writes().size() == g.writes &&
             emu_.state() == g.emu.state && emu_.memory().equals(g.mem)) {
+          // Silent on the spot: failure/latent stay false.
           b_.convergence_cutoffs_.fetch_add(1, std::memory_order_relaxed);
-          // Silent on the spot: failure/latent stay false and the packet
-          // stays pre_classified — the classify stage only commits it.
-          return p;
+          return r;
         }
       }
     }
@@ -279,142 +276,22 @@ IssCampaignBackend::Retired IssCampaignBackend::Worker::capture_site(
   if (halt == iss::HaltReason::kRunning && !definite_divergence) {
     halt = iss::HaltReason::kStepLimit;
   }
-  p.pre_classified = false;
-  p.halt = halt;
-  const std::vector<BusRecord>& writes = emu_.offcore().writes();
-  p.suffix.assign(writes.begin() + static_cast<std::ptrdiff_t>(p.prefix_writes),
-                  writes.end());
-  // Clean halt with matching writes classifies latent on a register
-  // mismatch; capture that verdict here, where the emulator state is live.
-  p.states_valid = halt == iss::HaltReason::kHalted;
-  if (p.states_valid) {
-    const iss::ArchState& fs = emu_.state();
-    p.states_ok = fs.regs == b_.golden_state_.regs &&
-                  fs.icc == b_.golden_state_.icc && fs.y == b_.golden_state_.y;
-  }
-  return p;
-}
-
-fault::IssInjectionResult IssCampaignBackend::Worker::run_site(
-    std::size_t index) {
-  Retired p = capture_site(index, nullptr);
-  if (p.pre_classified) return std::move(p.record);  // convergence cutoff
   maybe_fail_site(index, FailStage::kClassify);
-  return b_.classify_packet(p);
-}
 
-fault::IssInjectionResult IssCampaignBackend::classify_packet(
-    const Retired& p) const {
-  Record r = p.record;
-  const TraceDivergence div = compare_suffix_writes(
-      golden_trace_.writes(), p.prefix_writes, p.suffix);
-  if (div.diverged || p.halt != iss::HaltReason::kHalted) {
+  const TraceDivergence div = emu_.offcore().compare_writes(b_.golden_trace_);
+  if (div.diverged || halt != iss::HaltReason::kHalted) {
     r.failure = true;
-    r.latency_instr = div.diverged && div.cycle > r.fault.inject_at_instr
-                          ? div.cycle - r.fault.inject_at_instr
+    r.latency_instr = div.diverged && div.cycle > fault.inject_at_instr
+                          ? div.cycle - fault.inject_at_instr
                           : 0;
   } else {
     // Clean halt with matching writes: latent if any register differs.
-    r.latent = !p.states_ok;
+    const iss::ArchState& fs = emu_.state();
+    r.latent = fs.regs != b_.golden_state_.regs ||
+               !(fs.icc == b_.golden_state_.icc) ||
+               fs.y != b_.golden_state_.y;
   }
   return r;
-}
-
-void IssCampaignBackend::Worker::run_capture(
-    const std::vector<std::size_t>& indices, Pipe& pipe,
-    const std::function<bool()>& stop, EngineRunCounters& counters) {
-  for (std::size_t j = 0; j < indices.size(); ++j) {
-    if (stop()) return;
-    const std::size_t index = indices[j];
-    const GoldenSnapshot* pf =
-        pipe.src.acquire(j, pipe.tallies.snapshot_waits);
-    if (pf != nullptr &&
-        pf->emu.instret != b_.faults_[index].inject_at_instr) {
-      pf = nullptr;  // never adopt a mispositioned snapshot
-    }
-    if (pf != nullptr) {
-      ++pipe.tallies.restores_prefetched;
-    } else {
-      ++pipe.tallies.restores_demand;
-    }
-    Retired p;
-    try {
-      p = capture_site(index, pf);
-    } catch (const std::exception&) {
-      counters.retried.fetch_add(1, std::memory_order_relaxed);
-      try {
-        p = capture_site(index, nullptr);  // retry on a fresh demand restore
-      } catch (const std::exception& e) {
-        counters.engine_errors.fetch_add(1, std::memory_order_relaxed);
-        p = Retired{};
-        p.site_index = index;
-        p.record = b_.error_record(index, e.what());  // stays pre_classified
-      }
-    }
-    p.item = j;
-    if (!pipe.retired_q.push(std::move(p))) return;  // classify stage died
-  }
-}
-
-IssCampaignBackend::Prefetcher::Prefetcher(const IssCampaignBackend& backend)
-    : b_(backend), emu_(mem_) {
-  emu_.set_fast_path(backend.opts_.iss_fast_path);
-}
-
-std::shared_ptr<const IssCampaignBackend::GoldenSnapshot>
-IssCampaignBackend::Prefetcher::materialize(u64 inject_at_instr) {
-  // prepare()'s three-way positioning on a private fault-free emulator. The
-  // engine hands each shard's instants sorted, so the rolling branch (just
-  // keep advancing) covers everything but the first instant and retries.
-  const auto* rung = b_.opts_.checkpoint
-                         ? b_.ladder_.best_at_or_below(inject_at_instr)
-                         : nullptr;
-  const bool rolling =
-      b_.opts_.checkpoint && valid_ && emu_.instret() <= inject_at_instr;
-  if (rolling && (rung == nullptr || rung->instant <= emu_.instret())) {
-    b_.rolling_restores_.fetch_add(1, std::memory_order_relaxed);
-  } else if (rung != nullptr) {
-    mem_ = rung->snap->mem.clone();
-    // checkpoint_lite rungs carry an empty trace; the inherited golden
-    // prefix exists only as the length base tracked below.
-    emu_.restore(rung->snap->emu);
-    writes_ = rung->snap->writes;
-    reads_ = rung->snap->reads;
-    b_.ladder_restores_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    mem_ = b_.initial_mem_.clone();
-    emu_.reset(b_.prog_.entry);
-    writes_ = 0;
-    reads_ = 0;
-    b_.cold_resets_.fetch_add(1, std::memory_order_relaxed);
-  }
-  valid_ = true;
-  if (emu_.instret() < inject_at_instr &&
-      emu_.halt_reason() == iss::HaltReason::kRunning) {
-    const u64 before = emu_.instret();
-    emu_.advance(inject_at_instr - before);
-    b_.fast_forward_instrs_.fetch_add(emu_.instret() - before,
-                                      std::memory_order_relaxed);
-  }
-  if (emu_.instret() != inject_at_instr ||
-      emu_.halt_reason() != iss::HaltReason::kRunning) {
-    return nullptr;  // not exactly positioned: the capture stage restores
-  }
-  auto snap = std::make_shared<GoldenSnapshot>();
-  snap->emu = emu_.checkpoint_lite();
-  // fork_detached, not clone: the snapshot's pages cross the queue to the
-  // capture thread while this emulator keeps mutating mem_.
-  snap->mem = mem_.fork_detached();
-  snap->writes = writes_ + emu_.offcore().writes().size();
-  snap->reads = reads_ + emu_.offcore().reads().size();
-  return snap;
-}
-
-IssCampaignBackend::Record IssCampaignBackend::Classifier::classify(
-    const Retired& p) {
-  maybe_fail_stage(b_.fail_spec_, fail_attempts_, p.site_index,
-                   FailStage::kClassify);
-  return b_.classify_packet(p);
 }
 
 void IssCampaignBackend::Worker::maybe_fail_site(std::size_t site_index,
@@ -438,12 +315,6 @@ fault::IssCampaignResult IssCampaignBackend::finish(EngineRun<Record> run) const
   result.replay.journal_dropped = run.journal_dropped;
   result.replay.sites_retried = run.sites_retried;
   result.replay.sites_engine_error = run.engine_errors;
-  result.replay.restores_prefetched = run.stages.restores_prefetched;
-  result.replay.restores_demand = run.stages.restores_demand;
-  result.replay.snapshot_waits = run.stages.snapshot_waits;
-  result.replay.restore_queue_stalls = run.stages.restore_queue_stalls;
-  result.replay.classify_queue_stalls = run.stages.classify_queue_stalls;
-  result.replay.classify_backlog_peak = run.stages.classify_backlog_peak;
   result.truncated = run.truncated;
   result.completed_sites = run.completed;
   result.total_sites = run.records.size();

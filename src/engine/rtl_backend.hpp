@@ -16,7 +16,6 @@
 #include "engine/journal.hpp"
 #include "engine/ladder.hpp"
 #include "fault/campaign.hpp"
-#include "iss/emulator.hpp"
 
 namespace issrtl::engine {
 
@@ -33,17 +32,6 @@ class RtlCampaignBackend {
     Memory mem;
     std::size_t writes = 0;
     std::size_t reads = 0;
-  };
-
-  /// Mixed fidelity: one ISS ladder rung — the fault-free prefix at a
-  /// retired-instruction boundary. `emu` is a checkpoint_lite() (no trace
-  /// copy); `writes` the off-core write count at the boundary, which the
-  /// lockstep validation in the constructor proves equal to the RTL golden
-  /// write count at the same retirement.
-  struct IssGoldenSnapshot {
-    iss::EmuCheckpoint emu;
-    Memory mem;
-    std::size_t writes = 0;
   };
 
   /// Runs the golden reference (recording ladder rungs every
@@ -96,22 +84,6 @@ class RtlCampaignBackend {
     /// ahead of us and closer — or from reset when neither exists.
     void prepare(u64 inject_cycle);
 
-    /// Mixed-fidelity counterpart of prepare(): walk the fault-free prefix
-    /// on the ISS up to the last retirement boundary at or before
-    /// `inject_cycle` (forward-adjusted out of delay slots), transplant the
-    /// architectural state into core_ on the golden timebase with the
-    /// golden bus prefix, then step the core at RTL fidelity up to the
-    /// nominal instant (refilling the pipeline). Returns the cycle at
-    /// which the fault should be considered injected — `inject_cycle`,
-    /// unless the forward adjustment pushed the boundary past it.
-    u64 prepare_mixed(u64 inject_cycle);
-
-    /// Position the worker's ISS emulator (fault-free) at retired
-    /// instruction `instret_target`: keep advancing monotonically, restore
-    /// the best ISS ladder rung, or reset cold — the ISS analogue of
-    /// prepare()'s three-way choice.
-    void position_iss(u64 instret_target);
-
     /// ISSRTL_FAIL_SITE test hook: called at each processing stage of a
     /// site; throws when the spec names this backend-global site index at
     /// `stage` ("<i>" on every attempt, "<i>:once" on the first only).
@@ -133,15 +105,6 @@ class RtlCampaignBackend {
     std::size_t checkpoint_reads_ = 0;
     // Scratch buffer for the hang fast-forward fixed-point probe.
     std::vector<u32> probe_nodes_;
-    // Mixed-fidelity positioning (lazy: allocated on the first
-    // prepare_mixed call). The ISS walks the fault-free prefix;
-    // iss_writes_base_ + the emulator's own trace length is the golden
-    // write count at its boundary (rung restores load a trace-less
-    // checkpoint_lite, so the base tracks the inherited prefix).
-    Memory iss_mem_;
-    std::unique_ptr<iss::Emulator> iss_emu_;
-    bool iss_valid_ = false;
-    std::size_t iss_writes_base_ = 0;
     std::map<std::size_t, unsigned> fail_attempts_;  ///< ISSRTL_FAIL_SITE
   };
 
@@ -169,14 +132,6 @@ class RtlCampaignBackend {
   Memory initial_mem_;  ///< loaded program image, COW ancestor of all runs
   Memory golden_mem_;
   CheckpointLadder<GoldenSnapshot> ladder_;
-  // Mixed fidelity only (empty/disabled otherwise): golden retirement
-  // boundaries — retire_cycle_[k] is the cycle at which instruction k+1
-  // retired, so upper_bound(inject_cycle) is the count of instructions
-  // retired at or before the instant — plus the ISS golden image and an
-  // ISS checkpoint ladder on the retired-instruction grid.
-  std::vector<u64> retire_cycle_;
-  Memory iss_golden_mem_;
-  CheckpointLadder<IssGoldenSnapshot> iss_ladder_;
   std::vector<fault::FaultSite> sites_;
   FailSiteSpec fail_spec_;  ///< parsed from opts_.fail_sites (test hook)
   // Node metadata snapshot (NodeId-indexed) for labelling results in

@@ -162,16 +162,13 @@ struct ReplayCounters {
                                ///  torn write, site-key mismatch)
   u64 sites_retried = 0;       ///< sites re-run once after a worker throw
   u64 sites_engine_error = 0;  ///< sites whose retry also threw (kEngineError)
-  // Staged-pipeline occupancy (engine/pipeline.hpp; ISS campaigns only,
-  // zero with the pipeline off). These depend on thread scheduling — which side of the snapshot
-  // adoption race wins, how full the stage queues run — and are, like every
-  // counter here, exempt from the determinism contract.
-  u64 restores_prefetched = 0;   ///< sites that adopted a prefetched snapshot
-  u64 restores_demand = 0;       ///< staged sites that paid a demand restore
-  u64 snapshot_waits = 0;        ///< snapshot lookups that found [R] behind
-  u64 restore_queue_stalls = 0;  ///< prefetch pushes onto a full restore_q
-  u64 classify_queue_stalls = 0; ///< retirements pushed onto a full retired_q
-  u64 classify_backlog_peak = 0; ///< high-water mark of retired_q depth
+  // Always zero: the engine runs one synchronous per-site loop and has no
+  // snapshot prefetch or classify queue. Kept only because the campaign
+  // benchmark still reads them; to be removed with its next revision.
+  u64 restores_prefetched = 0;
+  u64 restores_demand = 0;
+  u64 snapshot_waits = 0;
+  u64 classify_queue_stalls = 0;
 };
 
 struct CampaignResult {

@@ -503,35 +503,6 @@ TEST(Engine, OptionsFromEnvParsesJournalAndResume) {
   }
 }
 
-TEST(Engine, OptionsFromEnvParsesMixedFidelity) {
-  {
-    ScopedEnv m("ISSRTL_MIXED", "1");
-    EXPECT_TRUE(options_from_env().mixed_fidelity);
-  }
-  {
-    ScopedEnv m("ISSRTL_MIXED", "0");
-    EXPECT_FALSE(options_from_env().mixed_fidelity);
-  }
-  {
-    ScopedEnv m("ISSRTL_MIXED", nullptr);
-    EngineOptions base;
-    base.mixed_fidelity = true;
-    EXPECT_TRUE(options_from_env(base).mixed_fidelity);  // unset: untouched
-  }
-  // Mixed fidelity changes the experiment (it is folded into the campaign
-  // key) — a typo must not silently pick which experiment ran.
-  for (const char* v : {"2", "x", "yes", "-1", "true", "01x", " 1"}) {
-    ScopedEnv m("ISSRTL_MIXED", v);
-    try {
-      options_from_env();
-      FAIL() << "expected std::invalid_argument for '" << v << "'";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("ISSRTL_MIXED"), std::string::npos)
-          << e.what();
-    }
-  }
-}
-
 TEST(Engine, OptionsFromEnvParsesIssFastPath) {
   {
     ScopedEnv f("ISSRTL_ISS_FAST", "0");
@@ -571,57 +542,6 @@ TEST(Engine, OptionsFromEnvParsesDeadline) {
   }
   for (const char* v : {"-1", "1x", "abc", " 5", "0x10", "1.5"}) {
     ScopedEnv d("ISSRTL_DEADLINE_MS", v);
-    EXPECT_THROW(options_from_env(), std::invalid_argument) << v;
-  }
-}
-
-TEST(Engine, OptionsFromEnvParsesPipeline) {
-  {
-    ScopedEnv p("ISSRTL_PIPELINE", "0");
-    EXPECT_FALSE(options_from_env().pipeline);
-  }
-  {
-    ScopedEnv p("ISSRTL_PIPELINE", "1");
-    EXPECT_TRUE(options_from_env().pipeline);
-  }
-  {
-    ScopedEnv p("ISSRTL_PIPELINE", nullptr);
-    EngineOptions base;
-    base.pipeline = false;
-    EXPECT_FALSE(options_from_env(base).pipeline);  // unset: untouched
-  }
-  for (const char* v : {"2", "staged", "-1", "true", "01x", " 1"}) {
-    ScopedEnv p("ISSRTL_PIPELINE", v);
-    try {
-      options_from_env();
-      FAIL() << "expected std::invalid_argument for '" << v << "'";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("ISSRTL_PIPELINE"),
-                std::string::npos)
-          << e.what();
-    }
-  }
-}
-
-TEST(Engine, OptionsFromEnvParsesPrefetchDepth) {
-  {
-    ScopedEnv d("ISSRTL_PREFETCH_DEPTH", "8");
-    EXPECT_EQ(options_from_env().prefetch_depth, 8u);
-  }
-  {
-    ScopedEnv d("ISSRTL_PREFETCH_DEPTH", "1");  // the minimum legal depth
-    EXPECT_EQ(options_from_env().prefetch_depth, 1u);
-  }
-  {
-    ScopedEnv d("ISSRTL_PREFETCH_DEPTH", nullptr);
-    EngineOptions base;
-    base.prefetch_depth = 5;
-    EXPECT_EQ(options_from_env(base).prefetch_depth, 5u);  // unset: untouched
-  }
-  // 0 would deadlock a bounded queue and 65 is past the documented cap —
-  // both are range errors, not schedule choices.
-  for (const char* v : {"0", "65", "4x", "abc", "-2", " 4", "0x4"}) {
-    ScopedEnv d("ISSRTL_PREFETCH_DEPTH", v);
     EXPECT_THROW(options_from_env(), std::invalid_argument) << v;
   }
 }

@@ -2,7 +2,8 @@
 // outcome journal (kill points including multi-threaded retirement orders,
 // torn and corrupted records), graceful shutdown via the cooperative stop
 // flag and the wall-clock deadline, and worker fault isolation (the
-// ISSRTL_FAIL_SITE throw hook exercising the retry → kEngineError path).
+// ISSRTL_FAIL_SITE throw hook exercising the retry → kEngineError path at
+// every stage of a site). Shutdown and isolation run on both backends.
 //
 // The load-bearing claim everywhere: a campaign interrupted at ANY point
 // and resumed under ANY thread count merges into a
@@ -45,6 +46,21 @@ CampaignConfig small_cfg() {
   cfg.inject_time = fault::InjectTime::kUniformRandom;
   return cfg;
 }
+
+/// Stuck-at sites come first and are never cut off by convergence, so a
+/// fail-site hook on one of them reaches every stage; the bit-flips add
+/// convergence-cutoff sites to the mix.
+fault::IssCampaignConfig iss_cfg(std::size_t samples = 24) {
+  fault::IssCampaignConfig cfg;
+  cfg.samples = samples;
+  cfg.models = {iss::IssFaultModel::kStuckAt1, iss::IssFaultModel::kBitFlip};
+  return cfg;
+}
+
+/// The ISSRTL_FAIL_SITE stage tags: none (the ":arm" default) plus every
+/// explicit stage of a site.
+constexpr const char* kStageTags[] = {"", ":restore", ":arm", ":step",
+                                      ":classify"};
 
 /// Fresh per-test scratch directory under the gtest temp root.
 std::string scratch_dir(const std::string& tag) {
@@ -113,6 +129,29 @@ void expect_identical(const CampaignResult& a, const CampaignResult& b) {
     EXPECT_EQ(a.per_model[m].errors, b.per_model[m].errors);
     EXPECT_EQ(a.per_model[m].max_latency, b.per_model[m].max_latency);
     EXPECT_DOUBLE_EQ(a.per_model[m].mean_latency, b.per_model[m].mean_latency);
+  }
+}
+
+void expect_identical(const fault::IssCampaignResult& a,
+                      const fault::IssCampaignResult& b) {
+  ASSERT_EQ(a.runs.size(), b.runs.size());
+  for (std::size_t i = 0; i < a.runs.size(); ++i) {
+    const fault::IssInjectionResult& x = a.runs[i];
+    const fault::IssInjectionResult& y = b.runs[i];
+    EXPECT_EQ(x.fault.phys_reg, y.fault.phys_reg) << i;
+    EXPECT_EQ(x.fault.bit, y.fault.bit) << i;
+    EXPECT_EQ(x.fault.inject_at_instr, y.fault.inject_at_instr) << i;
+    EXPECT_EQ(x.failure, y.failure) << i;
+    EXPECT_EQ(x.latent, y.latent) << i;
+    EXPECT_EQ(x.latency_instr, y.latency_instr) << i;
+    EXPECT_EQ(x.engine_error, y.engine_error) << i;
+    EXPECT_EQ(x.error, y.error) << i;
+  }
+  ASSERT_EQ(a.per_model.size(), b.per_model.size());
+  for (std::size_t m = 0; m < a.per_model.size(); ++m) {
+    EXPECT_EQ(a.per_model[m].failures, b.per_model[m].failures);
+    EXPECT_EQ(a.per_model[m].latent, b.per_model[m].latent);
+    EXPECT_EQ(a.per_model[m].errors, b.per_model[m].errors);
   }
 }
 
@@ -305,12 +344,13 @@ TEST(JournalResume, FreshRunTruncatesStaleJournal) {
 
 // ---- graceful shutdown ------------------------------------------------------
 
-TEST(Shutdown, StopFlagTruncatesThenResumeCompletes) {
-  const auto prog = small_workload();
-  const auto cfg = small_cfg();
-  const CampaignResult ref = run_rtl_campaign(prog, cfg, {}, {});
+/// Stop a journaled campaign once three sites are done, then resume it at
+/// three threads: the cut is a valid partial result and the resumed run
+/// merges bit-identically. `run(opts)` runs one backend's campaign.
+template <class Run>
+void stop_then_resume(const std::string& dir, const Run& run) {
+  const auto ref = run(EngineOptions{});
 
-  const std::string dir = scratch_dir("stop");
   std::atomic<bool> stop{false};
   EngineOptions opts = journal_opts(dir, false);
   opts.stop = &stop;
@@ -318,11 +358,11 @@ TEST(Shutdown, StopFlagTruncatesThenResumeCompletes) {
   opts.on_progress = [&stop](const EngineProgress& p) {
     if (p.completed >= 3) stop.store(true, std::memory_order_relaxed);
   };
-  const CampaignResult cut = run_rtl_campaign(prog, cfg, {}, opts);
+  const auto cut = run(opts);
   EXPECT_TRUE(cut.truncated);
   EXPECT_LT(cut.completed_sites, cut.total_sites);
   EXPECT_GE(cut.completed_sites, 3u);
-  EXPECT_EQ(cut.total_sites, 24u);
+  EXPECT_EQ(cut.total_sites, ref.runs.size());
   // Truncated results hold the completed records only, each bit-identical
   // to its uninterrupted counterpart... and the stats cover exactly them.
   std::size_t runs = 0;
@@ -331,23 +371,42 @@ TEST(Shutdown, StopFlagTruncatesThenResumeCompletes) {
 
   // The journal holds what completed; a resumed run finishes the rest and
   // merges bit-identically.
-  const CampaignResult resumed =
-      run_rtl_campaign(prog, cfg, {}, journal_opts(dir, true, 3));
+  const auto resumed = run(journal_opts(dir, true, 3));
   expect_identical(ref, resumed);
   EXPECT_FALSE(resumed.truncated);
   EXPECT_EQ(resumed.replay.journal_hits, cut.completed_sites);
 }
 
+TEST(Shutdown, StopFlagTruncatesThenResumeCompletes) {
+  const auto prog = small_workload();
+  {
+    SCOPED_TRACE("rtl");
+    stop_then_resume(scratch_dir("stop_rtl"), [&](const EngineOptions& o) {
+      return run_rtl_campaign(prog, small_cfg(), {}, o);
+    });
+  }
+  {
+    SCOPED_TRACE("iss");
+    stop_then_resume(scratch_dir("stop_iss"), [&](const EngineOptions& o) {
+      return run_iss_campaign_engine(prog, iss_cfg(), o);
+    });
+  }
+}
+
 TEST(Shutdown, DeadlineTruncates) {
   const auto prog = small_workload();
-  const auto cfg = small_cfg();
   EngineOptions opts;
   opts.threads = 1;
   opts.deadline_ms = 1;  // expires long before 24 RTL sites can finish
-  const CampaignResult r = run_rtl_campaign(prog, cfg, {}, opts);
+  const CampaignResult r = run_rtl_campaign(prog, small_cfg(), {}, opts);
   EXPECT_TRUE(r.truncated);
   EXPECT_LT(r.completed_sites, r.total_sites);
   EXPECT_EQ(r.total_sites, 24u);
+  // ISS sites are orders of magnitude cheaper: give it thousands.
+  const auto ri = run_iss_campaign_engine(prog, iss_cfg(2000), opts);
+  EXPECT_TRUE(ri.truncated);
+  EXPECT_LT(ri.completed_sites, ri.total_sites);
+  EXPECT_EQ(ri.total_sites, 4000u);
 }
 
 TEST(Shutdown, SignalStopFlagIsSticky) {
@@ -363,34 +422,39 @@ TEST(Shutdown, SignalStopFlagIsSticky) {
 
 // ---- worker fault isolation -------------------------------------------------
 
+// A persistent throw at any stage of a site classifies that site as an
+// engine error after one retry; every other site is untouched.
 TEST(FaultIsolation, PersistentThrowClassifiesEngineErrorThatSiteOnly) {
   const auto prog = small_workload();
   const auto cfg = small_cfg();
   const CampaignResult ref = run_rtl_campaign(prog, cfg, {}, {});
 
-  EngineOptions opts;
-  opts.threads = 1;
-  opts.fail_sites = "3";
-  const CampaignResult r = run_rtl_campaign(prog, cfg, {}, opts);
-  ASSERT_EQ(r.runs.size(), ref.runs.size());
-  for (std::size_t i = 0; i < r.runs.size(); ++i) {
-    if (i == 3) {
-      EXPECT_EQ(r.runs[i].outcome, Outcome::kEngineError);
-      EXPECT_NE(r.runs[i].error.find("ISSRTL_FAIL_SITE"), std::string::npos)
-          << r.runs[i].error;
-    } else {
-      EXPECT_EQ(r.runs[i].outcome, ref.runs[i].outcome) << i;
-      EXPECT_EQ(r.runs[i].latency_cycles, ref.runs[i].latency_cycles) << i;
+  for (const char* tag : kStageTags) {
+    SCOPED_TRACE(std::string("3") + tag);
+    EngineOptions opts;
+    opts.threads = 1;
+    opts.fail_sites = std::string("3") + tag;
+    const CampaignResult r = run_rtl_campaign(prog, cfg, {}, opts);
+    ASSERT_EQ(r.runs.size(), ref.runs.size());
+    for (std::size_t i = 0; i < r.runs.size(); ++i) {
+      if (i == 3) {
+        EXPECT_EQ(r.runs[i].outcome, Outcome::kEngineError);
+        EXPECT_NE(r.runs[i].error.find("ISSRTL_FAIL_SITE"), std::string::npos)
+            << r.runs[i].error;
+      } else {
+        EXPECT_EQ(r.runs[i].outcome, ref.runs[i].outcome) << i;
+        EXPECT_EQ(r.runs[i].latency_cycles, ref.runs[i].latency_cycles) << i;
+      }
     }
+    EXPECT_EQ(r.replay.sites_retried, 1u);
+    EXPECT_EQ(r.replay.sites_engine_error, 1u);
+    EXPECT_EQ(r.per_model[0].errors, 1u);
+    EXPECT_FALSE(r.truncated);
+    // kEngineError is not a verdict about the fault: pf() excludes it from
+    // the denominator instead of diluting the failure rate.
+    EXPECT_DOUBLE_EQ(r.per_model[0].pf(),
+                     static_cast<double>(r.per_model[0].failures) / 23.0);
   }
-  EXPECT_EQ(r.replay.sites_retried, 1u);
-  EXPECT_EQ(r.replay.sites_engine_error, 1u);
-  EXPECT_EQ(r.per_model[0].errors, 1u);
-  EXPECT_FALSE(r.truncated);
-  // kEngineError is not a verdict about the fault: pf() excludes it from
-  // the denominator instead of diluting the failure rate.
-  EXPECT_DOUBLE_EQ(r.per_model[0].pf(),
-                   static_cast<double>(r.per_model[0].failures) / 23.0);
 }
 
 TEST(FaultIsolation, TransientThrowRetriesToIdenticalResult) {
@@ -398,13 +462,16 @@ TEST(FaultIsolation, TransientThrowRetriesToIdenticalResult) {
   const auto cfg = small_cfg();
   const CampaignResult ref = run_rtl_campaign(prog, cfg, {}, {});
 
-  EngineOptions opts;
-  opts.threads = 1;
-  opts.fail_sites = "5:once";
-  const CampaignResult r = run_rtl_campaign(prog, cfg, {}, opts);
-  expect_identical(ref, r);
-  EXPECT_EQ(r.replay.sites_retried, 1u);
-  EXPECT_EQ(r.replay.sites_engine_error, 0u);
+  for (const char* tag : kStageTags) {
+    SCOPED_TRACE(std::string("5:once") + tag);
+    EngineOptions opts;
+    opts.threads = 1;
+    opts.fail_sites = std::string("5:once") + tag;
+    const CampaignResult r = run_rtl_campaign(prog, cfg, {}, opts);
+    expect_identical(ref, r);
+    EXPECT_EQ(r.replay.sites_retried, 1u);
+    EXPECT_EQ(r.replay.sites_engine_error, 0u);
+  }
 }
 
 // Several throwing sites in one shard, persistent and transient mixed, at
@@ -463,9 +530,7 @@ TEST(FaultIsolation, EngineErrorSitesJournalAndResume) {
 
 TEST(IssJournal, ResumeMergesBitIdentically) {
   const auto prog = small_workload();
-  fault::IssCampaignConfig cfg;
-  cfg.samples = 40;
-  cfg.models = {iss::IssFaultModel::kStuckAt1, iss::IssFaultModel::kBitFlip};
+  const auto cfg = iss_cfg(40);
   const auto ref = run_iss_campaign_engine(prog, cfg, {});
 
   const std::string dir = scratch_dir("iss");
@@ -494,31 +559,38 @@ TEST(IssJournal, ResumeMergesBitIdentically) {
   }
 }
 
+// One persistent and one transient throw at every stage: the persistent
+// site classifies as an engine error, the transient one retries to its
+// reference record.
 TEST(IssJournal, FailSiteIsolatesOneSite) {
   const auto prog = small_workload();
-  fault::IssCampaignConfig cfg;
-  cfg.samples = 20;
-  cfg.models = {iss::IssFaultModel::kBitFlip};
+  const auto cfg = iss_cfg(20);
   const auto ref = run_iss_campaign_engine(prog, cfg, {});
 
-  EngineOptions opts;
-  opts.threads = 1;
-  opts.fail_sites = "2,11:once";
-  const auto r = run_iss_campaign_engine(prog, cfg, opts);
-  ASSERT_EQ(r.runs.size(), ref.runs.size());
-  for (std::size_t i = 0; i < r.runs.size(); ++i) {
-    if (i == 2) {
-      EXPECT_TRUE(r.runs[i].engine_error);
-      EXPECT_NE(r.runs[i].error.find("ISSRTL_FAIL_SITE"), std::string::npos);
-    } else {
-      EXPECT_FALSE(r.runs[i].engine_error) << i;
-      EXPECT_EQ(r.runs[i].failure, ref.runs[i].failure) << i;
-      EXPECT_EQ(r.runs[i].latency_instr, ref.runs[i].latency_instr) << i;
+  for (const char* tag : kStageTags) {
+    const std::string spec =
+        std::string("2") + tag + ",11:once" + tag;
+    SCOPED_TRACE(spec);
+    EngineOptions opts;
+    opts.threads = 1;
+    opts.fail_sites = spec;
+    const auto r = run_iss_campaign_engine(prog, cfg, opts);
+    ASSERT_EQ(r.runs.size(), ref.runs.size());
+    for (std::size_t i = 0; i < r.runs.size(); ++i) {
+      if (i == 2) {
+        EXPECT_TRUE(r.runs[i].engine_error);
+        EXPECT_NE(r.runs[i].error.find("ISSRTL_FAIL_SITE"), std::string::npos);
+      } else {
+        EXPECT_FALSE(r.runs[i].engine_error) << i;
+        EXPECT_EQ(r.runs[i].failure, ref.runs[i].failure) << i;
+        EXPECT_EQ(r.runs[i].latent, ref.runs[i].latent) << i;
+        EXPECT_EQ(r.runs[i].latency_instr, ref.runs[i].latency_instr) << i;
+      }
     }
+    EXPECT_EQ(r.replay.sites_retried, 2u);
+    EXPECT_EQ(r.replay.sites_engine_error, 1u);
+    EXPECT_EQ(r.per_model[0].errors, 1u);
   }
-  EXPECT_EQ(r.replay.sites_retried, 2u);
-  EXPECT_EQ(r.replay.sites_engine_error, 1u);
-  EXPECT_EQ(r.per_model[0].errors, 1u);
 }
 
 }  // namespace

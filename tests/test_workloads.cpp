@@ -1,9 +1,10 @@
 // Workload suite tests: every kernel must run to a clean halt on the ISS,
-// be deterministic, and reproduce the Table 1 characterisation shape the
-// correlation study depends on.
+// agree with the RTL core's golden run, be deterministic, and reproduce the
+// Table 1 characterisation shape the correlation study depends on.
 #include <gtest/gtest.h>
 
 #include "iss/emulator.hpp"
+#include "rtlcore/core.hpp"
 #include "workloads/workload.hpp"
 
 namespace issrtl::workloads {
@@ -47,6 +48,35 @@ TEST_P(AllWorkloads, RunsToCleanHalt) {
   EXPECT_EQ(o.halt, HaltReason::kHalted);
   EXPECT_GT(o.writes, 0u);
   EXPECT_GT(o.total, 100u);
+}
+
+// The two injection vehicles must agree on the fault-free run, or their
+// campaigns would answer different questions: same halt, retirement count,
+// off-core writes, architectural end state and memory image.
+TEST_P(AllWorkloads, IssAndRtlGoldenRunsAgree) {
+  const isa::Program prog = build(GetParam());
+  Memory iss_mem;
+  Emulator emu(iss_mem);
+  emu.load(prog);
+  emu.run(50'000'000);
+  Memory rtl_mem;
+  rtlcore::Leon3Core core(rtl_mem);
+  core.load(prog);
+  core.run();
+
+  EXPECT_EQ(emu.halt_reason(), HaltReason::kHalted);
+  EXPECT_EQ(core.halt_reason(), emu.halt_reason());
+  EXPECT_EQ(core.instret(), emu.instret());
+  const TraceDivergence div = core.offcore().compare_writes(emu.offcore());
+  EXPECT_FALSE(div.diverged) << div.detail;
+  const iss::ArchState rs = core.arch_state();
+  const iss::ArchState& is = emu.state();
+  EXPECT_EQ(rs.regs, is.regs);
+  EXPECT_TRUE(rs.icc == is.icc);
+  EXPECT_EQ(rs.y, is.y);
+  EXPECT_EQ(rs.cwp, is.cwp);
+  EXPECT_EQ(rs.window_depth, is.window_depth);
+  EXPECT_TRUE(rtl_mem.equals(iss_mem));
 }
 
 TEST_P(AllWorkloads, Deterministic) {
