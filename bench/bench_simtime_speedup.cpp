@@ -6,23 +6,16 @@
 // A second section compares the unified campaign engine against the naive
 // serial driver it replaced: a 200-sample RTL campaign run (a) the old way
 // (one thread, golden prefix re-simulated per fault, every run simulated to
-// halt/watchdog) and (b) on the engine with golden-prefix checkpointing,
+// halt/watchdog) and (b) on the engine with the checkpoint ladder,
 // early divergence cut-off and 4 worker threads — same pf() per model,
-// bit-identical outcomes. A third section measures the checkpoint ladder on
-// a multi-instant transient sweep (ISSRTL_SITES fault sites x
-// ISSRTL_INSTANTS injection instants each): the same engine with the ladder
-// disabled (PR 1's single rolling golden checkpoint) vs enabled (rung
-// restores + convergence cut-off), again with bit-identical outcomes —
-// verified here at 1 and 3 threads on top of the timed run. A final section
-// times the ISS fast path: ns/instr of the decoded-basic-block interpreter
-// vs the single-step reference decoder (end states verified identical).
+// bit-identical outcomes. A final section times the ISS fast path: ns/instr
+// of the decoded-basic-block interpreter vs the single-step reference
+// decoder (end states verified identical).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
-#include <string>
 
 #include "bench/bench_util.hpp"
 #include "engine/rtl_backend.hpp"
@@ -125,7 +118,7 @@ void report_speedup() {
 }
 
 /// Campaign-engine comparison: the seed repo's serial algorithm (expressed
-/// as engine options: 1 thread, no checkpointing, no early stop) vs the
+/// as engine options: 1 thread, no ladder, no early stop) vs the
 /// engine's fast path at 4 threads, on the same 200-sample fault list.
 /// Bench-wide knobs apply (here with headline-sized defaults): ISSRTL_SAMPLES
 /// (200), ISSRTL_SEED, ISSRTL_THREADS (4).
@@ -143,7 +136,7 @@ void report_engine_speedup() {
 
   engine::EngineOptions naive;
   naive.threads = 1;
-  naive.checkpoint = false;
+  naive.ladder_stride = 0;
   naive.early_stop = false;
   naive.hang_fast_forward = false;
 
@@ -176,94 +169,6 @@ void report_engine_speedup() {
   std::printf("speedup: %.2fx   outcomes bit-identical: %s   pf match: %s\n",
               te > 0 ? ts / te : 0.0, identical ? "yes" : "NO",
               pf_serial == pf_engine ? "yes" : "NO");
-}
-
-bool same_outcomes(const fault::CampaignResult& a,
-                   const fault::CampaignResult& b) {
-  if (a.runs.size() != b.runs.size()) return false;
-  if (fault::outcome_hash(a) != fault::outcome_hash(b)) return false;
-  if (a.per_model.size() != b.per_model.size()) return false;
-  for (std::size_t m = 0; m < a.per_model.size(); ++m) {
-    if (a.per_model[m].failures != b.per_model[m].failures ||
-        a.per_model[m].hangs != b.per_model[m].hangs ||
-        a.per_model[m].latent != b.per_model[m].latent ||
-        a.per_model[m].silent != b.per_model[m].silent) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Checkpoint-ladder comparison on the workload class it exists for: a
-/// multi-instant transient sweep (every sampled fault site injected at
-/// ISSRTL_INSTANTS uniform-random instants — the per-instant sensitivity
-/// study of §5's transient extension). Baseline is the same engine with
-/// the ladder disabled — PR 1's single rolling golden checkpoint per
-/// worker — so the measured gap is exactly the rung restores plus the
-/// golden-state convergence cut-off. The default target is the EX-stage
-/// datapath (ISSRTL_UNIT=iu.ex), where a masked transient is overwritten
-/// within cycles and the cut-off classifies nearly every silent run at the
-/// first rung; latent-heavy populations (e.g. the whole IU, where a flip
-/// can lodge in a register that is never rewritten) gain less because a
-/// latent run must still be simulated to completion to prove latency.
-/// Outcome counts and the (outcome, latency) hash are additionally
-/// required to match at 1 and 3 threads.
-void report_ladder_speedup() {
-  const std::size_t sites = bench::env_size("ISSRTL_SITES", 25);
-  const std::size_t instants = bench::env_size("ISSRTL_INSTANTS", 8);
-  const unsigned threads =
-      static_cast<unsigned>(bench::env_size("ISSRTL_THREADS", 4));
-  const char* unit_env = std::getenv("ISSRTL_UNIT");
-  const std::string unit =
-      unit_env != nullptr && unit_env[0] != '\0' ? unit_env : "iu.ex";
-
-  fault::CampaignConfig cfg;
-  cfg.unit_prefix = unit;
-  cfg.models = {rtl::FaultModel::kTransientBitFlip};
-  cfg.samples = sites;
-  cfg.instants_per_site = instants;
-  cfg.seed = bench::seed();
-  cfg.inject_time = fault::InjectTime::kUniformRandom;
-
-  // ISSRTL_CKPT_STRIDE / ISSRTL_CKPT_MB apply to the ladder side; the
-  // baseline is that same configuration with the ladder forced off.
-  engine::EngineOptions ladder = engine::options_from_env();
-  ladder.threads = threads;
-
-  engine::EngineOptions noladder = ladder;
-  noladder.ladder_stride = 0;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto base = engine::run_rtl_campaign(prog(), cfg, {}, noladder);
-  const auto t1 = std::chrono::steady_clock::now();
-  const auto fast = engine::run_rtl_campaign(prog(), cfg, {}, ladder);
-  const auto t2 = std::chrono::steady_clock::now();
-
-  bool identical = same_outcomes(base, fast);
-  // Determinism spot-check across thread counts (untimed).
-  for (const unsigned t : {1u, 3u}) {
-    engine::EngineOptions o = ladder;
-    o.threads = t;
-    identical =
-        identical && same_outcomes(base, engine::run_rtl_campaign(prog(), cfg, {}, o));
-  }
-
-  const double noladder_s = std::chrono::duration<double>(t1 - t0).count();
-  const double ladder_s = std::chrono::duration<double>(t2 - t1).count();
-
-  std::printf("\n--- checkpoint ladder vs single golden checkpoint (rspeed, "
-              "%zu sites x %zu instants, transient flips @ %s) ---\n",
-              sites, instants, unit.c_str());
-  std::printf("no ladder (rolling checkpoint only, %u thr):  %.3f s\n",
-              threads, noladder_s);
-  std::printf("ladder    (%llu rungs, %u thr):  %.3f s   "
-              "(%llu convergence cutoffs)\n",
-              (unsigned long long)fast.replay.ladder_rungs, threads, ladder_s,
-              (unsigned long long)fast.replay.convergence_cutoffs);
-  std::printf("speedup: %.2fx   outcomes+hash bit-identical (1/3/%u thr): "
-              "%s\n",
-              ladder_s > 0 ? noladder_s / ladder_s : 0.0, threads,
-              identical ? "yes" : "NO");
 }
 
 /// ISS fast path: times the decoded-basic-block interpreter (dbbcache +
@@ -334,12 +239,11 @@ int main(int argc, char** argv) try {
   benchmark::RunSpecifiedBenchmarks();
   report_speedup();
   report_engine_speedup();
-  report_ladder_speedup();
   report_iss_fastpath();
   return 0;
 } catch (const std::exception& e) {
-  // e.g. a malformed ISSRTL_* environment value rejected by
-  // engine::options_from_env — report it instead of std::terminate.
+  // e.g. a golden run that does not halt — report it instead of
+  // std::terminate.
   std::fprintf(stderr, "error: %s\n", e.what());
   return 1;
 }

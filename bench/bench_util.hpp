@@ -8,11 +8,6 @@
 //   ISSRTL_SEED     — campaign seed; default 2015
 //   ISSRTL_THREADS  — engine worker threads; default 0 = all hardware
 //                     threads (results are bit-identical for any count)
-// The checkpoint-ladder knobs are also honoured where noted:
-//   ISSRTL_CKPT_STRIDE — rung spacing in cycles ('auto' default, 0 = off)
-//   ISSRTL_CKPT_MB     — ladder byte cap in MiB (default 256)
-//   ISSRTL_SITES / ISSRTL_INSTANTS — multi-instant sweep shape of the
-//                     bench_simtime_speedup ladder section (25 x 8)
 #pragma once
 
 #include <chrono>

@@ -66,8 +66,8 @@ int help() {
       "  ISSRTL_THREADS      worker threads when [threads] is absent\n"
       "  ISSRTL_CKPT_STRIDE  checkpoint-ladder rung spacing in cycles;\n"
       "                      'auto' (default) adapts to the golden run,\n"
-      "                      0 disables the ladder. Bit-identical results\n"
-      "                      either way.\n"
+      "                      0 re-simulates every prefix from reset.\n"
+      "                      Bit-identical results either way.\n"
       "  ISSRTL_CKPT_MB      ladder byte cap in MiB (default 256)\n"
       "  ISSRTL_JOURNAL      journal directory (same as --journal)\n"
       "  ISSRTL_RESUME       1 = import journaled sites (same as --resume)\n"
@@ -196,31 +196,7 @@ int main(int argc, char** argv) try {
               workload.c_str(), r.runs.size(),
               static_cast<unsigned long long>(r.golden_cycles),
               static_cast<unsigned long long>(r.golden_instret));
-  std::printf("replay: ladder %llu rungs (%.1f KiB, %llu evicted), restores "
-              "%llu ladder / %llu rolling / %llu cold, fast-forward %llu "
-              "cycles, %llu convergence cutoffs\n",
-              static_cast<unsigned long long>(r.replay.ladder_rungs),
-              r.replay.ladder_bytes / 1024.0,
-              static_cast<unsigned long long>(r.replay.ladder_evicted),
-              static_cast<unsigned long long>(r.replay.ladder_restores),
-              static_cast<unsigned long long>(r.replay.rolling_restores),
-              static_cast<unsigned long long>(r.replay.cold_resets),
-              static_cast<unsigned long long>(r.replay.fast_forward_cycles),
-              static_cast<unsigned long long>(r.replay.convergence_cutoffs));
-  if (r.replay.journal_hits != 0 || r.replay.journal_dropped != 0 ||
-      r.replay.sites_retried != 0 || r.replay.sites_engine_error != 0) {
-    std::printf("durability: %llu journal hits (%llu dropped), "
-                "%llu sites retried, %llu engine errors\n",
-                static_cast<unsigned long long>(r.replay.journal_hits),
-                static_cast<unsigned long long>(r.replay.journal_dropped),
-                static_cast<unsigned long long>(r.replay.sites_retried),
-                static_cast<unsigned long long>(r.replay.sites_engine_error));
-  }
-  if (r.truncated) {
-    std::printf("TRUNCATED: %zu/%zu sites completed; re-run with "
-                "--journal=DIR --resume to finish\n",
-                r.completed_sites, r.total_sites);
-  }
+  fault::print_replay_summary(r);
   std::printf("\n");
 
   fault::TextTable t({"model", "Pf", "failures", "hangs", "latent", "silent",

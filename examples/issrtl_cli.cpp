@@ -94,8 +94,8 @@ int help() {
       "                      (0 = all hardware threads)\n"
       "  ISSRTL_CKPT_STRIDE  checkpoint-ladder rung spacing in cycles;\n"
       "                      'auto' (default) adapts to the golden run,\n"
-      "                      0 disables the ladder (rolling checkpoint\n"
-      "                      only). Results are bit-identical either way.\n"
+      "                      0 re-simulates every prefix from reset.\n"
+      "                      Results are bit-identical either way.\n"
       "  ISSRTL_CKPT_MB      ladder byte cap in MiB (default 256); rungs\n"
       "                      are evicted oldest-first beyond it\n"
       "  ISSRTL_JOURNAL      campaign journal directory (same as --journal);\n"
@@ -255,34 +255,8 @@ int cmd_campaign(const std::string& name, const std::string& unit,
               name.c_str(), unit.empty() ? "<all>" : unit.c_str(),
               model.c_str(), s.runs, 100.0 * s.pf(), s.failures, s.hangs,
               s.latent, s.silent, s.errors, (unsigned long long)s.max_latency);
-  const fault::ReplayCounters& rc = r.replay;
-  std::printf("replay: ladder %llu rungs (%.1f KiB, %llu evicted), restores "
-              "%llu ladder / %llu rolling / %llu cold, fast-forward %llu "
-              "cycles, %llu convergence cutoffs\n",
-              (unsigned long long)rc.ladder_rungs,
-              rc.ladder_bytes / 1024.0,
-              (unsigned long long)rc.ladder_evicted,
-              (unsigned long long)rc.ladder_restores,
-              (unsigned long long)rc.rolling_restores,
-              (unsigned long long)rc.cold_resets,
-              (unsigned long long)rc.fast_forward_cycles,
-              (unsigned long long)rc.convergence_cutoffs);
-  if (rc.journal_hits != 0 || rc.journal_dropped != 0 ||
-      rc.sites_retried != 0 || rc.sites_engine_error != 0) {
-    std::printf("durability: %llu journal hits (%llu dropped), "
-                "%llu sites retried, %llu engine errors\n",
-                (unsigned long long)rc.journal_hits,
-                (unsigned long long)rc.journal_dropped,
-                (unsigned long long)rc.sites_retried,
-                (unsigned long long)rc.sites_engine_error);
-  }
-  if (r.truncated) {
-    std::printf("TRUNCATED: %zu/%zu sites completed; re-run with "
-                "--journal=DIR --resume to finish\n",
-                r.completed_sites, r.total_sites);
-    return kExitRuntime;
-  }
-  return 0;
+  fault::print_replay_summary(r);
+  return r.truncated ? kExitRuntime : 0;
 }
 
 int cmd_avf(const std::string& name) {

@@ -7,11 +7,11 @@
 // Pages are copy-on-write: clone() (and the copy constructor) duplicate only
 // the page table — O(pages) shared_ptr copies — and a page's bytes are
 // copied the first time a store lands on a page that is still shared. That
-// turns the campaign engine's per-injection checkpoint_mem_.clone() from a
-// full deep copy into a pointer copy, and lets equals() short-circuit pages
-// two images still share. Sharing is confined to one clone lineage, which in
-// the engine is always owned by a single worker thread; the shared_ptr
-// control block makes the (read-only) cross-thread golden image safe too.
+// turns the campaign engine's per-injection clone of a ladder rung's memory
+// from a full deep copy into a pointer copy, and lets equals() short-circuit
+// pages two images still share. Each worker owns its clones; the shared_ptr
+// control block makes the read-only golden images (rungs, the golden end
+// state) safe to clone from every worker thread.
 #pragma once
 
 #include <array>

@@ -6,10 +6,9 @@
 // against a golden run. CampaignEngine owns that shape once, behind a
 // backend concept, and makes it fast:
 //
-//  * checkpointing — backends snapshot the golden prefix at each distinct
-//    injection instant (Leon3Core/Emulator checkpoint() + Memory::clone),
-//    so the prefix is simulated once per instant per worker instead of once
-//    per fault;
+//  * checkpointing — backends record a ladder of golden-run snapshots
+//    (engine/ladder.hpp) and resume each fault-free prefix from the
+//    nearest rung at or below its injection instant instead of from reset;
 //  * parallelism — a pool of worker threads executes deterministically
 //    sharded fault lists. Site i always belongs to shard i % threads and
 //    its record always lands in slot i, so an N-thread run is bit-identical
@@ -70,8 +69,6 @@ struct EngineOptions {
   /// Worker threads. 0 means std::thread::hardware_concurrency(). Results
   /// are bit-identical for every thread count.
   unsigned threads = 1;
-  /// Reuse golden-prefix checkpoints instead of re-simulating from reset.
-  bool checkpoint = true;
   /// Abandon a faulty run as soon as its off-core write sequence definitely
   /// diverges from the golden one (a wrong or extra write can never heal;
   /// classification is unchanged). Records of early-stopped runs keep
@@ -85,9 +82,10 @@ struct EngineOptions {
   bool hang_fast_forward = true;
   /// Rung spacing of the checkpoint ladder recorded during the golden run
   /// (cycles for the RTL backend, retired instructions for the ISS one).
-  /// kLadderStrideAuto picks ~512 rungs across the golden span
-  /// (resolve_ladder_stride); 0 disables the ladder, leaving only the
-  /// per-worker rolling checkpoint (the PR 1 behaviour). Results are
+  /// kLadderStrideAuto starts at kAutoInitialStride and doubles the stride
+  /// as the ladder fills, adapting it to the golden span; 0 disables the
+  /// ladder, so every site re-simulates its fault-free prefix from reset —
+  /// the reference path. Results are
   /// bit-identical for every stride, including 0 — the ladder only changes
   /// where fault-free prefixes are resumed from.
   u64 ladder_stride = kLadderStrideAuto;
@@ -95,13 +93,6 @@ struct EngineOptions {
   /// cap bounds host memory, not correctness (a missing rung just means a
   /// longer fast-forward or a cold reset).
   std::size_t ladder_max_bytes = std::size_t{256} << 20;
-  /// Classify a transient-fault run as silent the moment it crosses a rung
-  /// instant with state bit-identical to the golden rung and every off-core
-  /// write matched so far: from identical state, the remainder of the run
-  /// is provably identical to the golden run, so outcome, latency and halt
-  /// are already decided. Permanent faults never take this path (their
-  /// armed overlay keeps perturbing the state). Requires the ladder.
-  bool converge_cutoff = true;
   /// Called (serialised) as injections finish; every worker reports at
   /// least every `progress_stride` completed sites.
   std::function<void(const EngineProgress&)> on_progress;
@@ -160,12 +151,12 @@ struct EngineOptions {
 
 /// `base` with the ISSRTL_* environment knobs folded in: ISSRTL_THREADS
 /// (worker threads), ISSRTL_CKPT_STRIDE ("auto", or rung spacing in
-/// instants; 0 disables the ladder), ISSRTL_CKPT_MB (ladder byte cap in
-/// MiB), ISSRTL_JOURNAL (write-ahead journal directory; any non-empty
-/// path), ISSRTL_RESUME (1 = import the journal's records, 0 = truncate
-/// it; any other value is rejected), ISSRTL_ISS_FAST (1 = decoded-block
-/// ISS fast path, 0 = the reference decode-per-instruction path; any other
-/// value is rejected), ISSRTL_DEADLINE_MS (wall-clock budget in
+/// instants; 0 re-simulates every prefix from reset), ISSRTL_CKPT_MB
+/// (ladder byte cap in MiB), ISSRTL_JOURNAL (write-ahead journal
+/// directory; any non-empty path), ISSRTL_RESUME (1 = import the journal's
+/// records, 0 = truncate it; any other value is rejected), ISSRTL_ISS_FAST
+/// (1 = decoded-block ISS fast path, 0 = the reference
+/// decode-per-instruction path; any other value is rejected), ISSRTL_DEADLINE_MS (wall-clock budget in
 /// milliseconds; 0 = none) and ISSRTL_FAIL_SITE (test-only throw hook,
 /// comma-separated "<site>" / "<site>:once" with an optional
 /// ":restore"/":arm"/":step"/":classify" stage tag). Unset or empty
@@ -274,7 +265,7 @@ class CampaignEngine {
 
   /// Execute every site of `backend` and return the records in site order.
   /// Shard w owns sites {i : i % threads == w} and replays them sorted by
-  /// injection instant (so its checkpoint only ever moves forward); the
+  /// injection instant (so the sites of one instant run back to back); the
   /// slot a record lands in depends only on its site index, which makes the
   /// result independent of thread count and scheduling.
   ///

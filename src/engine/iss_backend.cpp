@@ -27,8 +27,8 @@ IssCampaignBackend::IssCampaignBackend(const isa::Program& prog,
     : prog_(prog),
       cfg_(cfg),
       opts_(opts),
-      ladder_(opts.checkpoint ? initial_ladder_stride(opts.ladder_stride) : 0,
-              opts.ladder_max_bytes, ladder_rung_limit(opts.ladder_stride)) {
+      ladder_(initial_ladder_stride(opts.ladder_stride), opts.ladder_max_bytes,
+              ladder_rung_limit(opts.ladder_stride)) {
   // Load the image once; the golden run and every worker reset clone from
   // it so untouched pages stay COW-shared across the whole campaign.
   prog_.load_into(initial_mem_);
@@ -170,18 +170,7 @@ IssCampaignBackend::Worker::Worker(const IssCampaignBackend& backend,
 
 void IssCampaignBackend::Worker::prepare(u64 inject_at_instr) {
   emu_.clear_faults();
-  const auto* rung = b_.opts_.checkpoint
-                         ? b_.ladder_.best_at_or_below(inject_at_instr)
-                         : nullptr;
-  const bool rolling_usable = b_.opts_.checkpoint && have_checkpoint_ &&
-                              checkpoint_.instret <= inject_at_instr;
-  if (rolling_usable &&
-      (rung == nullptr || rung->instant <= checkpoint_.instret)) {
-    emu_.restore(checkpoint_, b_.golden_trace_, checkpoint_writes_,
-                 checkpoint_reads_);
-    mem_ = checkpoint_mem_.clone();
-    b_.rolling_restores_.fetch_add(1, std::memory_order_relaxed);
-  } else if (rung != nullptr) {
+  if (const auto* rung = b_.ladder_.best_at_or_below(inject_at_instr)) {
     emu_.restore(rung->snap->emu, b_.golden_trace_, rung->snap->writes,
                  rung->snap->reads);
     mem_ = rung->snap->mem.clone();
@@ -189,7 +178,6 @@ void IssCampaignBackend::Worker::prepare(u64 inject_at_instr) {
   } else {
     mem_ = b_.initial_mem_.clone();
     emu_.reset(b_.prog_.entry);
-    have_checkpoint_ = false;
     b_.cold_resets_.fetch_add(1, std::memory_order_relaxed);
   }
   // Every instant lies inside the golden run, which retires an
@@ -201,14 +189,6 @@ void IssCampaignBackend::Worker::prepare(u64 inject_at_instr) {
     emu_.advance(inject_at_instr - before);
     b_.fast_forward_instrs_.fetch_add(emu_.instret() - before,
                                       std::memory_order_relaxed);
-  }
-  if (b_.opts_.checkpoint &&
-      (!have_checkpoint_ || checkpoint_.instret != emu_.instret())) {
-    checkpoint_ = emu_.checkpoint_lite();
-    checkpoint_mem_ = mem_.clone();
-    checkpoint_writes_ = emu_.offcore().writes().size();
-    checkpoint_reads_ = emu_.offcore().reads().size();
-    have_checkpoint_ = true;
   }
 }
 
@@ -235,7 +215,7 @@ fault::IssInjectionResult IssCampaignBackend::Worker::run_site(
   // whose architectural state and memory coincide with the golden run at
   // the same retired-instruction count is provably identical from there
   // on: compare against ladder rungs as they are crossed.
-  const bool converge = b_.opts_.converge_cutoff && b_.ladder_.enabled() &&
+  const bool converge = b_.ladder_.enabled() &&
                         fault.model == iss::IssFaultModel::kBitFlip;
   const bool track_writes = b_.opts_.early_stop || converge;
   const u64 rung_stride = b_.ladder_.stride();
@@ -307,7 +287,6 @@ fault::IssCampaignResult IssCampaignBackend::finish(EngineRun<Record> run) const
   result.replay.ladder_bytes = ladder_.total_bytes();
   result.replay.ladder_evicted = ladder_.evicted_count();
   result.replay.ladder_restores = ladder_restores_.load();
-  result.replay.rolling_restores = rolling_restores_.load();
   result.replay.cold_resets = cold_resets_.load();
   result.replay.fast_forward_cycles = fast_forward_instrs_.load();
   result.replay.convergence_cutoffs = convergence_cutoffs_.load();

@@ -63,10 +63,9 @@ class IssCampaignBackend {
     Record run_site(std::size_t index);
 
    private:
-    /// Position the emulator fault-free at `inject_at_instr`: from the
-    /// rolling shard checkpoint or the best ladder rung — whichever is not
-    /// ahead of us and closer — or from reset when neither exists, then
-    /// block-walk the remaining golden prefix.
+    /// Position the emulator fault-free at `inject_at_instr`: restore the
+    /// highest ladder rung at or below it (or reset when there is none),
+    /// then block-walk the rest of the golden prefix.
     void prepare(u64 inject_at_instr);
 
     /// ISSRTL_FAIL_SITE test hook: throws at processing stage `stage` of a
@@ -79,13 +78,6 @@ class IssCampaignBackend {
     const IssCampaignBackend& b_;
     Memory mem_;
     iss::Emulator emu_;
-    // Rolling checkpoint: checkpoint_lite() + golden-trace prefix lengths
-    // (fault-free prefixes only, so the trace is a golden prefix).
-    bool have_checkpoint_ = false;
-    iss::EmuCheckpoint checkpoint_;
-    Memory checkpoint_mem_;
-    std::size_t checkpoint_writes_ = 0;
-    std::size_t checkpoint_reads_ = 0;
     std::map<std::size_t, unsigned> fail_attempts_;  ///< ISSRTL_FAIL_SITE
   };
 
@@ -114,7 +106,6 @@ class IssCampaignBackend {
   FailSiteSpec fail_spec_;  ///< parsed from opts_.fail_sites (test hook)
   // Replay economics (informational only — see fault::ReplayCounters).
   mutable std::atomic<u64> ladder_restores_{0};
-  mutable std::atomic<u64> rolling_restores_{0};
   mutable std::atomic<u64> cold_resets_{0};
   mutable std::atomic<u64> fast_forward_instrs_{0};
   mutable std::atomic<u64> convergence_cutoffs_{0};

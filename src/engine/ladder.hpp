@@ -1,14 +1,14 @@
 // Checkpoint ladder: periodic golden-run snapshots shared by every worker.
 //
-// PR 1's engine kept one *rolling* checkpoint per worker: the golden prefix
-// was re-simulated from the previous injection instant up to the next one,
-// so each shard still paid O(max instant) fault-free cycles per campaign —
-// per worker, and again for every thread added. The ladder removes that
-// cost class: while the backend runs the golden reference (which it does
-// exactly once anyway), it records a full snapshot — "rung" — every
-// `stride` instants. Each injection then restores from the highest rung at
-// or below its instant and fast-forwards only `instant mod stride` cycles,
+// Without it, every injection re-simulates its fault-free golden prefix
+// from reset, O(instant) cycles per site. While the backend runs the golden
+// reference (which it does exactly once anyway), the ladder records a full
+// snapshot — "rung" — every `stride` instants. Each injection then
+// restores from the highest rung at or below its instant (or resets when
+// there is none) and fast-forwards only `instant mod stride` cycles,
 // independent of thread count and of how the instants are distributed.
+// A rung or a reset is the only restore source; stride 0 disables the
+// ladder and leaves the from-reset reference path.
 //
 // Rungs are cheap because of the PR 2 state layout: the RTL node half is a
 // 4·N-byte memcpy (rtl::SimContext::save_values), the memory half is a

@@ -43,8 +43,8 @@ RtlCampaignBackend::RtlCampaignBackend(const isa::Program& prog,
       cfg_(cfg),
       core_cfg_(core_cfg),
       opts_(opts),
-      ladder_(opts.checkpoint ? initial_ladder_stride(opts.ladder_stride) : 0,
-              opts.ladder_max_bytes, ladder_rung_limit(opts.ladder_stride)) {
+      ladder_(initial_ladder_stride(opts.ladder_stride), opts.ladder_max_bytes,
+              ladder_rung_limit(opts.ladder_stride)) {
   // Load the program image once; the golden memory and every worker reset
   // clone from it, so pages neither run touches stay COW-shared and the
   // latent check's Memory::equals can short-circuit them by pointer.
@@ -187,17 +187,7 @@ RtlCampaignBackend::Worker::Worker(const RtlCampaignBackend& backend,
 
 void RtlCampaignBackend::Worker::prepare(u64 inject_cycle) {
   core_.sim().clear_faults();
-  const auto* rung =
-      b_.opts_.checkpoint ? b_.ladder_.best_at_or_below(inject_cycle) : nullptr;
-  const bool rolling_usable = b_.opts_.checkpoint && have_checkpoint_ &&
-                              checkpoint_.cycle <= inject_cycle;
-  if (rolling_usable &&
-      (rung == nullptr || rung->instant <= checkpoint_.cycle)) {
-    core_.restore(checkpoint_, b_.golden_trace_, checkpoint_writes_,
-                  checkpoint_reads_);
-    mem_ = checkpoint_mem_.clone();
-    b_.rolling_restores_.fetch_add(1, std::memory_order_relaxed);
-  } else if (rung != nullptr) {
+  if (const auto* rung = b_.ladder_.best_at_or_below(inject_cycle)) {
     core_.restore(rung->snap->core, b_.golden_trace_, rung->snap->writes,
                   rung->snap->reads);
     mem_ = rung->snap->mem.clone();
@@ -205,7 +195,6 @@ void RtlCampaignBackend::Worker::prepare(u64 inject_cycle) {
   } else {
     mem_ = b_.initial_mem_.clone();
     core_.reset(b_.prog_.entry);
-    have_checkpoint_ = false;
     b_.cold_resets_.fetch_add(1, std::memory_order_relaxed);
   }
   u64 stepped = 0;
@@ -216,14 +205,6 @@ void RtlCampaignBackend::Worker::prepare(u64 inject_cycle) {
   }
   if (stepped != 0) {
     b_.fast_forward_cycles_.fetch_add(stepped, std::memory_order_relaxed);
-  }
-  if (b_.opts_.checkpoint &&
-      (!have_checkpoint_ || checkpoint_.cycle != core_.cycles())) {
-    checkpoint_ = core_.checkpoint_lite();
-    checkpoint_mem_ = mem_.clone();
-    checkpoint_writes_ = core_.offcore().writes().size();
-    checkpoint_reads_ = core_.offcore().reads().size();
-    have_checkpoint_ = true;
   }
 }
 
@@ -248,7 +229,7 @@ fault::InjectionResult RtlCampaignBackend::Worker::run_site(
   // full state coincides with the golden state at the same cycle is
   // provably identical from there on: compare against ladder rungs as they
   // are crossed and classify silent on the spot.
-  const bool converge = b_.opts_.converge_cutoff && b_.ladder_.enabled() &&
+  const bool converge = b_.ladder_.enabled() &&
                         site.model == rtl::FaultModel::kTransientBitFlip;
   const bool track_writes = b_.opts_.early_stop || converge;
   const u64 rung_stride = b_.ladder_.stride();
@@ -374,7 +355,6 @@ fault::CampaignResult RtlCampaignBackend::finish(EngineRun<Record> run) const {
   result.replay.ladder_bytes = ladder_.total_bytes();
   result.replay.ladder_evicted = ladder_.evicted_count();
   result.replay.ladder_restores = ladder_restores_.load();
-  result.replay.rolling_restores = rolling_restores_.load();
   result.replay.cold_resets = cold_resets_.load();
   result.replay.fast_forward_cycles = fast_forward_cycles_.load();
   result.replay.convergence_cutoffs = convergence_cutoffs_.load();

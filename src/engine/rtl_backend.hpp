@@ -1,9 +1,8 @@
 // RTL fault backend for CampaignEngine: enumerate sites with
 // fault::build_fault_list, record a checkpoint ladder while running the
-// golden reference, then run each faulty suffix from the nearest snapshot
-// and classify against the golden run — the §4.1 methodology, minus both
-// the per-fault golden-prefix re-simulation the serial driver paid and the
-// per-worker prefix re-simulation the PR 1 rolling checkpoint still paid.
+// golden reference, then run each faulty suffix from the nearest rung and
+// classify against the golden run — the §4.1 methodology, minus the
+// per-fault golden-prefix re-simulation from reset.
 #pragma once
 
 #include <atomic>
@@ -70,18 +69,17 @@ class RtlCampaignBackend {
   /// Outcome::kEngineError carrying the exception text.
   Record error_record(std::size_t i, const std::string& what) const;
 
-  /// One per worker thread: owns a core + memory and a rolling golden-prefix
-  /// checkpoint; restores whichever of {rolling checkpoint, ladder rung} is
-  /// closest below each injection instant.
+  /// One per worker thread: owns a core + memory and positions them for
+  /// each site from the shared ladder.
   class Worker {
    public:
     Worker(const RtlCampaignBackend& backend, unsigned shard);
     Record run_site(std::size_t index);
 
    private:
-    /// Position core_ (fault-free) exactly at `inject_cycle`: from the
-    /// rolling shard checkpoint or the best ladder rung — whichever is not
-    /// ahead of us and closer — or from reset when neither exists.
+    /// Position core_ (fault-free) exactly at `inject_cycle`: restore the
+    /// highest ladder rung at or below it (or reset when there is none),
+    /// then step the rest of the golden prefix.
     void prepare(u64 inject_cycle);
 
     /// ISSRTL_FAIL_SITE test hook: called at each processing stage of a
@@ -94,15 +92,6 @@ class RtlCampaignBackend {
     const RtlCampaignBackend& b_;
     Memory mem_;
     rtlcore::Leon3Core core_;
-    // Rolling checkpoint: a checkpoint_lite() plus golden-trace prefix
-    // lengths — it is only ever taken on fault-free prefixes, whose bus
-    // trace is by construction a prefix of the golden trace, so the
-    // O(instant) trace copy is skipped exactly like for ladder rungs.
-    bool have_checkpoint_ = false;
-    rtlcore::CoreCheckpoint checkpoint_;
-    Memory checkpoint_mem_;
-    std::size_t checkpoint_writes_ = 0;
-    std::size_t checkpoint_reads_ = 0;
     // Scratch buffer for the hang fast-forward fixed-point probe.
     std::vector<u32> probe_nodes_;
     std::map<std::size_t, unsigned> fail_attempts_;  ///< ISSRTL_FAIL_SITE
@@ -141,7 +130,6 @@ class RtlCampaignBackend {
   // Replay economics, accumulated relaxed by the workers (informational
   // only — see fault::ReplayCounters).
   mutable std::atomic<u64> ladder_restores_{0};
-  mutable std::atomic<u64> rolling_restores_{0};
   mutable std::atomic<u64> cold_resets_{0};
   mutable std::atomic<u64> fast_forward_cycles_{0};
   mutable std::atomic<u64> convergence_cutoffs_{0};

@@ -142,15 +142,15 @@ struct CampaignStats {
 /// Host-side replay economics of a campaign (how the engine *reached* each
 /// injection instant, and how often it proved a suffix instead of
 /// simulating it). Purely informational: outcomes are bit-identical
-/// whatever these read. Unlike the outcome statistics they are not
-/// thread-count-invariant — e.g. every worker pays at least one cold
-/// reset — so they are excluded from determinism comparisons.
+/// whatever these read. They depend on the ladder options, so they are
+/// excluded from determinism comparisons. Every simulated site (and every
+/// retry) is positioned exactly once, from a rung or by a reset:
+/// ladder_restores + cold_resets == simulated sites + sites_retried.
 struct ReplayCounters {
   u64 ladder_rungs = 0;        ///< rungs alive at the end of the golden run
   u64 ladder_bytes = 0;        ///< estimated bytes held by those rungs
   u64 ladder_evicted = 0;      ///< rungs dropped by the byte cap
   u64 ladder_restores = 0;     ///< prefix resumes served by a ladder rung
-  u64 rolling_restores = 0;    ///< resumes served by a worker's rolling ckpt
   u64 cold_resets = 0;         ///< resumes that had to re-simulate from 0
   u64 fast_forward_cycles = 0; ///< fault-free instants stepped after restore
   u64 convergence_cutoffs = 0; ///< transient runs proven silent at a rung
@@ -162,9 +162,11 @@ struct ReplayCounters {
                                ///  torn write, site-key mismatch)
   u64 sites_retried = 0;       ///< sites re-run once after a worker throw
   u64 sites_engine_error = 0;  ///< sites whose retry also threw (kEngineError)
-  // Always zero: the engine runs one synchronous per-site loop and has no
-  // snapshot prefetch or classify queue. Kept only because the campaign
-  // benchmark still reads them; to be removed with its next revision.
+  // Always zero: the engine runs one synchronous per-site loop with no
+  // snapshot prefetch or classify queue, and keeps no per-worker rolling
+  // checkpoint. Kept only because the campaign benchmark still reads them;
+  // to be removed with its next revision.
+  u64 rolling_restores = 0;
   u64 restores_prefetched = 0;
   u64 restores_demand = 0;
   u64 snapshot_waits = 0;

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+
+#include "fault/campaign.hpp"
 
 namespace issrtl::fault {
 
@@ -66,6 +69,34 @@ std::string TextTable::render() const {
 
 std::ostream& operator<<(std::ostream& os, const TextTable& t) {
   return os << t.render();
+}
+
+void print_replay_summary(const CampaignResult& r) {
+  const ReplayCounters& rc = r.replay;
+  std::printf("replay: ladder %llu rungs (%.1f KiB, %llu evicted), restores "
+              "%llu ladder / %llu cold, fast-forward %llu cycles, %llu "
+              "convergence cutoffs\n",
+              static_cast<unsigned long long>(rc.ladder_rungs),
+              rc.ladder_bytes / 1024.0,
+              static_cast<unsigned long long>(rc.ladder_evicted),
+              static_cast<unsigned long long>(rc.ladder_restores),
+              static_cast<unsigned long long>(rc.cold_resets),
+              static_cast<unsigned long long>(rc.fast_forward_cycles),
+              static_cast<unsigned long long>(rc.convergence_cutoffs));
+  if (rc.journal_hits != 0 || rc.journal_dropped != 0 ||
+      rc.sites_retried != 0 || rc.sites_engine_error != 0) {
+    std::printf("durability: %llu journal hits (%llu dropped), "
+                "%llu sites retried, %llu engine errors\n",
+                static_cast<unsigned long long>(rc.journal_hits),
+                static_cast<unsigned long long>(rc.journal_dropped),
+                static_cast<unsigned long long>(rc.sites_retried),
+                static_cast<unsigned long long>(rc.sites_engine_error));
+  }
+  if (r.truncated) {
+    std::printf("TRUNCATED: %zu/%zu sites completed; re-run with "
+                "--journal=DIR --resume to finish\n",
+                r.completed_sites, r.total_sites);
+  }
 }
 
 }  // namespace issrtl::fault

@@ -30,4 +30,13 @@ class TextTable {
 
 std::ostream& operator<<(std::ostream& os, const TextTable& t);
 
+struct CampaignResult;
+
+/// Print the campaign's host-side summary to stdout, as both CLIs show it:
+/// the `replay:` line (ladder size, restore sources, fast-forward,
+/// convergence cut-offs), a `durability:` line when any journal or
+/// worker-isolation counter is nonzero, and a `TRUNCATED:` banner when the
+/// campaign stopped early.
+void print_replay_summary(const CampaignResult& r);
+
 }  // namespace issrtl::fault

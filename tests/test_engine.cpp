@@ -1,7 +1,8 @@
 // Campaign-engine tests: determinism under sharding (N-thread runs must be
 // bit-identical to serial), checkpoint/restore correctness for both
 // simulation vehicles, and equivalence of the engine's fast paths
-// (checkpointing, early divergence cut-off) with the naive serial algorithm.
+// (checkpoint ladder, early divergence cut-off) with the naive serial
+// algorithm.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,7 +32,7 @@ CampaignConfig rtl_cfg(std::size_t samples) {
   CampaignConfig cfg;
   cfg.samples = samples;
   cfg.models = {FaultModel::kStuckAt1, FaultModel::kOpenLine};
-  // Spread inject instants so the rolling checkpoint actually has to move.
+  // Spread inject instants so sites restore from many different rungs.
   cfg.inject_time = fault::InjectTime::kUniformRandom;
   return cfg;
 }
@@ -126,11 +127,10 @@ TEST(Engine, CheckpointingDoesNotChangeResults) {
   const auto cfg = rtl_cfg(30);
   EngineOptions naive;
   naive.threads = 1;
-  naive.checkpoint = false;
+  naive.ladder_stride = 0;  // every prefix re-simulated from reset
   naive.early_stop = false;
   EngineOptions checkpointed;
   checkpointed.threads = 1;
-  checkpointed.checkpoint = true;
   checkpointed.early_stop = false;
   expect_identical(run_rtl_campaign(prog, cfg, {}, naive),
                    run_rtl_campaign(prog, cfg, {}, checkpointed));

@@ -181,7 +181,8 @@ TEST(Ladder, MultiInstantCampaignStrideInvariant) {
 
 // The default (auto-stride) ladder must actually be used — and the
 // transient convergence cut-off must actually fire — on a campaign sized
-// like the real ones, or the perf story silently regresses to PR 1.
+// like the real ones. Each site is positioned exactly once, from a rung or
+// by a reset; with the ladder disabled every site resets.
 TEST(Ladder, ReplayCountersShowLadderAtWork) {
   const auto prog = workloads::build("a2time_x", {.iterations = 1,
                                                   .data_seed = 1});
@@ -198,6 +199,8 @@ TEST(Ladder, ReplayCountersShowLadderAtWork) {
   EXPECT_GT(r.replay.ladder_bytes, 0u);
   EXPECT_GT(r.replay.ladder_restores, 0u);
   EXPECT_GT(r.replay.convergence_cutoffs, 0u);
+  EXPECT_EQ(r.replay.ladder_restores + r.replay.cold_resets, r.runs.size());
+  EXPECT_EQ(r.replay.rolling_restores, 0u);
   // The naive path reports a dead ladder.
   EngineOptions naive;
   naive.threads = 2;
@@ -206,6 +209,8 @@ TEST(Ladder, ReplayCountersShowLadderAtWork) {
   EXPECT_EQ(n.replay.ladder_rungs, 0u);
   EXPECT_EQ(n.replay.ladder_restores, 0u);
   EXPECT_EQ(n.replay.convergence_cutoffs, 0u);
+  EXPECT_EQ(n.replay.cold_resets, n.runs.size());
+  EXPECT_EQ(n.replay.rolling_restores, 0u);
   EXPECT_EQ(outcome_hash(n), outcome_hash(r));
 }
 
@@ -226,6 +231,13 @@ TEST(Ladder, IssCampaignLadderInvariant) {
       opts.threads = threads;
       opts.ladder_stride = stride;
       const auto r = run_iss_campaign_engine(prog, cfg, opts);
+      // Each site is positioned exactly once, from a rung or by a reset.
+      EXPECT_EQ(r.replay.ladder_restores + r.replay.cold_resets,
+                r.runs.size());
+      EXPECT_EQ(r.replay.rolling_restores, 0u);
+      if (stride == 0) {
+        EXPECT_EQ(r.replay.cold_resets, r.runs.size());
+      }
       if (!have_reference) {
         reference = r;
         have_reference = true;
