@@ -37,7 +37,7 @@ int main() {
     cfg.models = {rtl::FaultModel::kStuckAt1};
     cfg.samples = bench::samples();
     cfg.seed = bench::seed();
-    const auto r = fault::run_campaign(prog, cfg);
+    const auto r = engine::run_rtl_campaign(prog, cfg);
     s.total_pf = r.stats_for(rtl::FaultModel::kStuckAt1).pf();
     std::vector<core::UnitObservation> obs;
     obs.reserve(r.runs.size());

@@ -36,7 +36,7 @@ int main() {
     cfg.seed = bench::seed();
     cfg.inject_time = fault::InjectTime::kFixedCycle;
     cfg.fixed_cycle = static_cast<u64>(frac * static_cast<double>(cycles));
-    const auto r = fault::run_campaign(prog, cfg);
+    const auto r = engine::run_rtl_campaign(prog, cfg);
     const double tr =
         r.stats_for(rtl::FaultModel::kTransientBitFlip).pf();
     const double sa = r.stats_for(rtl::FaultModel::kStuckAt1).pf();

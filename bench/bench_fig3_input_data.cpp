@@ -32,7 +32,7 @@ int main() {
       cfg.models = {rtl::FaultModel::kStuckAt1};
       cfg.samples = bench::samples() * 5;  // excerpts are tiny; sample densely
       cfg.seed = bench::seed();
-      const auto r = fault::run_campaign(prog, cfg);
+      const auto r = engine::run_rtl_campaign(prog, cfg);
       const double pf = r.stats_for(rtl::FaultModel::kStuckAt1).pf();
       lo = std::min(lo, pf);
       hi = std::max(hi, pf);

@@ -24,7 +24,7 @@ int main() {
     cfg.models = {rtl::FaultModel::kStuckAt1};
     cfg.samples = bench::samples() * 2;  // latency tails need more trials
     cfg.seed = bench::seed();
-    const auto r = fault::run_campaign(prog, cfg);
+    const auto r = engine::run_rtl_campaign(prog, cfg);
     const auto& s = r.stats_for(rtl::FaultModel::kStuckAt1);
     pf_min = std::min(pf_min, s.pf());
     pf_max = std::max(pf_max, s.pf());

@@ -11,8 +11,9 @@
 //
 // Campaigns run on the parallel engine; threads=0 (the default) uses every
 // hardware thread and produces the same result as any other thread count.
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <stdexcept>
@@ -64,11 +65,10 @@ int help() {
       "\n"
       "environment:\n"
       "  ISSRTL_THREADS      worker threads when [threads] is absent\n"
-      "  ISSRTL_CKPT_STRIDE  checkpoint-ladder rung spacing in cycles;\n"
-      "                      'auto' (default) adapts to the golden run,\n"
-      "                      0 re-simulates every prefix from reset.\n"
-      "                      Bit-identical results either way.\n"
-      "  ISSRTL_CKPT_MB      ladder byte cap in MiB (default 256)\n"
+      "  ISSRTL_CKPT_STRIDE  initial checkpoint-ladder rung spacing in\n"
+      "                      cycles (default 64; the stride doubles past\n"
+      "                      1024 rungs); 0 re-simulates every prefix from\n"
+      "                      reset. Bit-identical results either way.\n"
       "  ISSRTL_JOURNAL      journal directory (same as --journal)\n"
       "  ISSRTL_RESUME       1 = import journaled sites (same as --resume)\n"
       "  ISSRTL_ISS_FAST     1 (default) = ISS decoded-basic-block fast path,\n"
@@ -77,8 +77,10 @@ int help() {
       "  ISSRTL_FAIL_SITE    test hook: '<i>' or '<i>:once' (comma list)\n"
       "                      injects a worker fault at site i\n"
       "\n"
+      "Numeric arguments and flags must be plain unsigned decimals.\n"
+      "\n"
       "exit codes: 0 success, 1 runtime failure or truncated campaign,\n"
-      "2 usage/configuration error\n"
+      "2 usage/configuration error (including a malformed number)\n"
       "\n"
       "Prints per-model Pf, outcome breakdown, per-functional-unit P_mf\n"
       "with the alpha_m area weights (Eq. 1) and the replay-economics\n"
@@ -120,15 +122,9 @@ int main(int argc, char** argv) try {
       continue;
     }
     if (a.rfind("--deadline-ms=", 0) == 0) {
-      const std::string v = a.substr(std::strlen("--deadline-ms="));
-      if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr,
-                     "error: --deadline-ms=N needs a non-negative integer, "
-                     "got '%s'\n", v.c_str());
-        return 2;
-      }
       have_deadline = true;
-      deadline_ms = std::strtoull(v.c_str(), nullptr, 10);
+      deadline_ms = engine::parse_u64(
+          "--deadline-ms", a.substr(std::strlen("--deadline-ms=")), ~0ull);
       continue;
     }
     if (a.rfind("--", 0) == 0) {
@@ -137,19 +133,23 @@ int main(int argc, char** argv) try {
     }
     pos.push_back(argv[i]);
   }
+  // Strict numeric positional: malformed input is a usage error (exit 2),
+  // never a silently different campaign.
+  const auto num = [&pos](std::size_t i, const char* name, u64 max_value,
+                          u64 absent) {
+    return pos.size() > i ? engine::parse_u64(name, pos[i], max_value)
+                          : absent;
+  };
   const std::string workload = pos.size() > 0 ? pos[0] : "rspeed";
-  const long long samples_arg = pos.size() > 1 ? std::atoll(pos[1]) : 120;
-  if (samples_arg < 0) {
-    // Would wrap to a ~1.8e19-site campaign via size_t.
-    std::fprintf(stderr, "error: [samples] must be non-negative\n");
-    return 2;
-  }
-  const std::size_t samples = static_cast<std::size_t>(samples_arg);
-  // Negative or garbage thread counts fall back to 0 (= all hardware).
-  const int threads_arg = pos.size() > 2 ? std::atoi(pos[2]) : 0;
-  const unsigned threads =
-      threads_arg > 0 ? static_cast<unsigned>(threads_arg) : 0;
-  const long long instants_arg = pos.size() > 3 ? std::atoll(pos[3]) : 1;
+  const auto samples =
+      static_cast<std::size_t>(num(1, "[samples]", SIZE_MAX, 120));
+  // 0 threads = all hardware threads.
+  const auto threads =
+      static_cast<unsigned>(num(2, "[threads]", UINT_MAX, 0));
+  // 0 instants is passed through: build_fault_list rejects it loudly
+  // instead of this front end silently resizing the campaign.
+  const auto instants =
+      static_cast<std::size_t>(num(3, "[instants]", SIZE_MAX, 1));
 
   const auto prog = workloads::build(workload, {.iterations = 1});
 
@@ -158,14 +158,8 @@ int main(int argc, char** argv) try {
   cfg.models = {rtl::FaultModel::kStuckAt1, rtl::FaultModel::kStuckAt0,
                 rtl::FaultModel::kOpenLine};
   cfg.samples = samples;
-  if (instants_arg < 0) {
-    std::fprintf(stderr, "error: [instants] must be a positive integer\n");
-    return 2;
-  }
-  // 0 is passed through: build_fault_list rejects it loudly instead of
-  // this front end silently resizing the campaign.
-  cfg.instants_per_site = static_cast<std::size_t>(instants_arg);
-  if (instants_arg > 1) cfg.inject_time = fault::InjectTime::kUniformRandom;
+  cfg.instants_per_site = instants;
+  if (instants > 1) cfg.inject_time = fault::InjectTime::kUniformRandom;
   if (pos.size() > 4) {
     const std::string w = pos[4];
     if (w == "full") cfg.instant_window = fault::InstantWindow::kFull;
@@ -271,8 +265,9 @@ int main(int argc, char** argv) try {
   }
   return r.truncated ? 1 : 0;
 } catch (const std::invalid_argument& e) {
-  // Configuration the library rejected (bad unit prefix, zero instants,
-  // malformed ISSRTL_* values): a usage error, not a runtime failure.
+  // Configuration rejected by the library or the numeric parser (bad unit
+  // prefix, zero instants, malformed numbers or ISSRTL_* values): a usage
+  // error, not a runtime failure.
   std::fprintf(stderr, "error: %s\n", e.what());
   return 2;
 } catch (const std::exception& e) {

@@ -13,8 +13,9 @@
 //   issrtl_cli avf <workload>                register-file AVF
 //   issrtl_cli asm <file.s>                  assemble + run a text program
 //   issrtl_cli nodes [unit]                  list injectable RTL nodes
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -92,12 +93,10 @@ int help() {
       "environment (campaign command):\n"
       "  ISSRTL_THREADS      worker threads when [threads] is absent\n"
       "                      (0 = all hardware threads)\n"
-      "  ISSRTL_CKPT_STRIDE  checkpoint-ladder rung spacing in cycles;\n"
-      "                      'auto' (default) adapts to the golden run,\n"
-      "                      0 re-simulates every prefix from reset.\n"
-      "                      Results are bit-identical either way.\n"
-      "  ISSRTL_CKPT_MB      ladder byte cap in MiB (default 256); rungs\n"
-      "                      are evicted oldest-first beyond it\n"
+      "  ISSRTL_CKPT_STRIDE  initial checkpoint-ladder rung spacing in\n"
+      "                      cycles (default 64; the stride doubles past\n"
+      "                      1024 rungs); 0 re-simulates every prefix from\n"
+      "                      reset. Results are bit-identical either way.\n"
       "  ISSRTL_JOURNAL      campaign journal directory (same as --journal);\n"
       "                      every completed site is appended to a\n"
       "                      checksummed write-ahead journal keyed by\n"
@@ -120,8 +119,10 @@ int help() {
       "finish, the journal is flushed, and the partial result is printed with\n"
       "a TRUNCATED banner. Re-run with --journal=DIR --resume to finish.\n"
       "\n"
+      "Numeric arguments and flags must be plain unsigned decimals.\n"
+      "\n"
       "exit codes: 0 success, 1 runtime failure or truncated campaign,\n"
-      "2 usage/configuration error\n");
+      "2 usage/configuration error (including a malformed number)\n");
   return 0;
 }
 
@@ -230,8 +231,8 @@ int cmd_campaign(const std::string& name, const std::string& unit,
   else if (model == "open") cfg.models = {rtl::FaultModel::kOpenLine};
   else if (model == "flip") cfg.models = {rtl::FaultModel::kTransientBitFlip};
   else return usage();
-  // Environment knobs first (ISSRTL_THREADS / _CKPT_STRIDE / _CKPT_MB /
-  // _JOURNAL / _RESUME / _DEADLINE_MS), explicit arguments on top.
+  // Environment knobs first (ISSRTL_THREADS / _CKPT_STRIDE / _JOURNAL /
+  // _RESUME / _DEADLINE_MS), explicit arguments on top.
   engine::EngineOptions opts = engine::options_from_env();
   if (threads != 0) opts.threads = threads;
   if (!flags.journal.empty()) opts.journal_dir = flags.journal;
@@ -307,7 +308,7 @@ int cmd_nodes(const std::string& unit) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   if (cmd == "help" || cmd == "--help" || cmd == "-h") return help();
@@ -328,16 +329,9 @@ int main(int argc, char** argv) {
         return kExitUsage;
       }
     } else if (a.rfind("--deadline-ms=", 0) == 0) {
-      const std::string v = a.substr(std::strlen("--deadline-ms="));
-      if (v.empty() ||
-          v.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr,
-                     "error: --deadline-ms=N needs a non-negative integer, "
-                     "got '%s'\n", v.c_str());
-        return kExitUsage;
-      }
       flags.have_deadline = true;
-      flags.deadline_ms = std::strtoull(v.c_str(), nullptr, 10);
+      flags.deadline_ms = engine::parse_u64(
+          "--deadline-ms", a.substr(std::strlen("--deadline-ms=")), ~0ull);
     } else {
       std::fprintf(stderr, "error: unknown flag '%s'\n", a.c_str());
       return usage();
@@ -352,56 +346,52 @@ int main(int argc, char** argv) {
   const auto arg = [&pos](std::size_t i) -> const std::string& {
     return pos[i];
   };
-  try {
-    if (cmd == "list") return cmd_list();
-    if (cmd == "run" && pos.size() >= 1)
-      return cmd_run(arg(0), pos.size() > 1 ? std::atoi(arg(1).c_str()) : 1);
-    if (cmd == "rtl" && pos.size() >= 1)
-      return cmd_rtl(arg(0), pos.size() > 1 ? std::atoi(arg(1).c_str()) : 1);
-    if (cmd == "diversity" && pos.size() >= 1) return cmd_diversity(arg(0));
-    if (cmd == "disasm" && pos.size() >= 1) return cmd_disasm(arg(0));
-    if (cmd == "campaign" && pos.size() >= 4) {
-      // Negative or garbage thread counts fall back to 0 (= all hardware).
-      const int threads = pos.size() > 4 ? std::atoi(arg(4).c_str()) : 0;
-      const long long samples = std::atoll(arg(3).c_str());
-      const long long instants =
-          pos.size() > 5 ? std::atoll(arg(5).c_str()) : 1;
-      if (samples < 0) {
-        // Would wrap to a ~1.8e19-site campaign via size_t.
-        std::fprintf(stderr, "error: <n> must be non-negative\n");
-        return kExitUsage;
-      }
-      if (instants < 0) {
-        std::fprintf(stderr, "error: [instants] must be a positive integer\n");
-        return kExitUsage;
-      }
-      fault::InstantWindow window = fault::InstantWindow::kLegacyHalf;
-      if (pos.size() > 6) {
-        const std::string& w = arg(6);
-        if (w == "full") window = fault::InstantWindow::kFull;
-        else if (w != "half") {
-          std::fprintf(stderr, "error: [window] must be 'half' or 'full'\n");
-          return kExitUsage;
-        }
-      }
-      // 0 instants is passed through: build_fault_list rejects it loudly
-      // instead of this front end silently resizing the campaign.
-      return cmd_campaign(arg(0), arg(1), arg(2),
-                          static_cast<std::size_t>(samples),
-                          threads > 0 ? static_cast<unsigned>(threads) : 0,
-                          static_cast<std::size_t>(instants), window, flags);
-    }
-    if (cmd == "avf" && pos.size() >= 1) return cmd_avf(arg(0));
-    if (cmd == "asm" && pos.size() >= 1) return cmd_asm(arg(0));
-    if (cmd == "nodes") return cmd_nodes(!pos.empty() ? arg(0) : "");
-  } catch (const std::invalid_argument& e) {
-    // Configuration the library rejected (bad unit prefix, zero instants,
-    // malformed ISSRTL_* values): a usage error, not a runtime failure.
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return kExitUsage;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return kExitRuntime;
+  // Strict numeric positional: malformed input is a usage error (exit 2),
+  // never a silently different campaign.
+  const auto num = [&pos](std::size_t i, const char* name, u64 max_value,
+                          u64 absent) {
+    return pos.size() > i ? engine::parse_u64(name, pos[i], max_value)
+                          : absent;
+  };
+  if (cmd == "list") return cmd_list();
+  if ((cmd == "run" || cmd == "rtl") && pos.size() >= 1) {
+    const auto iters = static_cast<unsigned>(num(1, "[iters]", UINT_MAX, 1));
+    return cmd == "run" ? cmd_run(arg(0), iters) : cmd_rtl(arg(0), iters);
   }
+  if (cmd == "diversity" && pos.size() >= 1) return cmd_diversity(arg(0));
+  if (cmd == "disasm" && pos.size() >= 1) return cmd_disasm(arg(0));
+  if (cmd == "campaign" && pos.size() >= 4) {
+    const u64 samples = num(3, "<n>", SIZE_MAX, 0);
+    // 0 threads = all hardware threads.
+    const u64 threads = num(4, "[threads]", UINT_MAX, 0);
+    // 0 instants is passed through: build_fault_list rejects it loudly
+    // instead of this front end silently resizing the campaign.
+    const u64 instants = num(5, "[instants]", SIZE_MAX, 1);
+    fault::InstantWindow window = fault::InstantWindow::kLegacyHalf;
+    if (pos.size() > 6) {
+      const std::string& w = arg(6);
+      if (w == "full") window = fault::InstantWindow::kFull;
+      else if (w != "half") {
+        std::fprintf(stderr, "error: [window] must be 'half' or 'full'\n");
+        return kExitUsage;
+      }
+    }
+    return cmd_campaign(arg(0), arg(1), arg(2),
+                        static_cast<std::size_t>(samples),
+                        static_cast<unsigned>(threads),
+                        static_cast<std::size_t>(instants), window, flags);
+  }
+  if (cmd == "avf" && pos.size() >= 1) return cmd_avf(arg(0));
+  if (cmd == "asm" && pos.size() >= 1) return cmd_asm(arg(0));
+  if (cmd == "nodes") return cmd_nodes(!pos.empty() ? arg(0) : "");
   return usage();
+} catch (const std::invalid_argument& e) {
+  // Configuration rejected by the library or the numeric parser (bad unit
+  // prefix, zero instants, malformed numbers or ISSRTL_* values): a usage
+  // error, not a runtime failure.
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return kExitUsage;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return kExitRuntime;
 }

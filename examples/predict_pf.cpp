@@ -11,6 +11,7 @@
 #include "core/area.hpp"
 #include "core/diversity.hpp"
 #include "core/predict.hpp"
+#include "engine/rtl_backend.hpp"
 #include "fault/campaign.hpp"
 #include "fault/report.hpp"
 #include "workloads/workload.hpp"
@@ -43,7 +44,7 @@ int main(int argc, char** argv) {
     cfg.unit_prefix = "";
     cfg.models = {rtl::FaultModel::kStuckAt1};
     cfg.samples = samples;
-    const auto r = fault::run_campaign(prog, cfg);
+    const auto r = engine::run_rtl_campaign(prog, cfg);
     s.total_pf = r.stats_for(rtl::FaultModel::kStuckAt1).pf();
     std::vector<core::UnitObservation> obs;
     for (const auto& run : r.runs) {

@@ -61,13 +61,19 @@ class OffCoreTrace {
   void clear() { writes_.clear(); reads_.clear(); }
 
   /// Become the first `writes` write records and `reads` read records of
-  /// `src` (clamped to src's actual lengths). This is how checkpoint-ladder
-  /// restores rebuild a simulator's bus history: a ladder rung stores only
-  /// the two prefix *lengths* instead of an O(instant) trace copy, because
-  /// every rung is taken on the golden run — its trace is by construction a
-  /// prefix of the golden trace the campaign backend already holds.
+  /// `src` (clamped to src's actual lengths; `src` may be this trace, which
+  /// truncates it). This is how checkpoint restores rebuild a simulator's
+  /// bus history: a checkpoint stores only the two prefix *lengths* instead
+  /// of an O(instant) trace copy, because every ladder rung is taken on the
+  /// golden run — its trace is by construction a prefix of the golden trace
+  /// the campaign backend already holds.
   void assign_prefix(const OffCoreTrace& src, std::size_t writes,
                      std::size_t reads) {
+    if (&src == this) {
+      writes_.resize(std::min(writes, writes_.size()));
+      reads_.resize(std::min(reads, reads_.size()));
+      return;
+    }
     writes_.assign(src.writes_.begin(),
                    src.writes_.begin() +
                        static_cast<std::ptrdiff_t>(

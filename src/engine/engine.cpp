@@ -5,37 +5,12 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
 namespace issrtl::engine {
 
 namespace {
-
-/// Strict full-string parse of an ISSRTL_* environment value: plain decimal
-/// digits only (no sign, no whitespace, no trailing junk — strtoull happily
-/// wraps "-4" to 18446744073709551612 and stops at the 'x' of "4x", both of
-/// which would silently run a campaign with a mangled configuration), and
-/// the result must fit `max_value`. Throws std::invalid_argument naming the
-/// variable otherwise.
-u64 parse_env_u64(const char* name, const char* value, u64 max_value) {
-  const auto reject = [&](const char* why) {
-    throw std::invalid_argument(std::string(name) + ": invalid value '" +
-                                value + "' (" + why + ")");
-  };
-  if (value[0] < '0' || value[0] > '9') {
-    reject("expected an unsigned decimal integer");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (*end != '\0') reject("trailing junk after the number");
-  if (errno == ERANGE || parsed > max_value) {
-    reject("value out of range");
-  }
-  return static_cast<u64>(parsed);
-}
 
 /// Apply `apply(value)` when the variable is set and non-empty; unset/empty
 /// leaves the EngineOptions field untouched. The one shared getenv gate for
@@ -47,17 +22,28 @@ void with_env(const char* name, Apply&& apply) {
 
 /// Strict 0/1 flag; any other value is rejected, by name.
 bool env_flag(const char* name, const char* value) {
-  return parse_env_u64(name, value, 1) != 0;
-}
-
-/// "auto" -> `auto_value`, else a strict decimal in [0, max_value].
-u64 env_u64_or_auto(const char* name, const char* value, u64 max_value,
-                    u64 auto_value) {
-  if (std::strcmp(value, "auto") == 0) return auto_value;
-  return parse_env_u64(name, value, max_value);
+  return parse_u64(name, value, 1) != 0;
 }
 
 }  // namespace
+
+u64 parse_u64(const char* name, const std::string& value, u64 max_value) {
+  const auto reject = [&](const char* why) {
+    throw std::invalid_argument(std::string(name) + ": invalid value '" +
+                                value + "' (" + why + ")");
+  };
+  if (value.empty() || value[0] < '0' || value[0] > '9') {
+    reject("expected an unsigned decimal integer");
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
+  if (*end != '\0') reject("trailing junk after the number");
+  if (errno == ERANGE || parsed > max_value) {
+    reject("value out of range");
+  }
+  return static_cast<u64>(parsed);
+}
 
 FailSiteSpec parse_fail_sites(const std::string& spec) {
   FailSiteSpec out;
@@ -166,16 +152,10 @@ Xoshiro256 shard_stream(u64 seed, unsigned shard) {
 EngineOptions options_from_env(EngineOptions base) {
   with_env("ISSRTL_THREADS", [&](const char* v) {
     base.threads =
-        static_cast<unsigned>(parse_env_u64("ISSRTL_THREADS", v, UINT_MAX));
+        static_cast<unsigned>(parse_u64("ISSRTL_THREADS", v, UINT_MAX));
   });
   with_env("ISSRTL_CKPT_STRIDE", [&](const char* v) {
-    base.ladder_stride =
-        env_u64_or_auto("ISSRTL_CKPT_STRIDE", v, ~0ull, kLadderStrideAuto);
-  });
-  with_env("ISSRTL_CKPT_MB", [&](const char* v) {
-    base.ladder_max_bytes = static_cast<std::size_t>(parse_env_u64(
-                                "ISSRTL_CKPT_MB", v, SIZE_MAX >> 20))
-                            << 20;
+    base.ladder_stride = parse_u64("ISSRTL_CKPT_STRIDE", v, ~0ull);
   });
   with_env("ISSRTL_JOURNAL", [&](const char* v) { base.journal_dir = v; });
   with_env("ISSRTL_RESUME", [&](const char* v) {
@@ -185,7 +165,7 @@ EngineOptions options_from_env(EngineOptions base) {
     base.iss_fast_path = env_flag("ISSRTL_ISS_FAST", v);
   });
   with_env("ISSRTL_DEADLINE_MS", [&](const char* v) {
-    base.deadline_ms = parse_env_u64("ISSRTL_DEADLINE_MS", v, ~0ull);
+    base.deadline_ms = parse_u64("ISSRTL_DEADLINE_MS", v, ~0ull);
   });
   with_env("ISSRTL_FAIL_SITE", [&](const char* v) {
     parse_fail_sites(v);  // validate eagerly: a typo fails here, by name

@@ -80,19 +80,15 @@ struct EngineOptions {
   /// another write, change state, or halt, so the remaining (up to
   /// 2x-golden) cycles are simulated-by-proof instead of by stepping.
   bool hang_fast_forward = true;
-  /// Rung spacing of the checkpoint ladder recorded during the golden run
-  /// (cycles for the RTL backend, retired instructions for the ISS one).
-  /// kLadderStrideAuto starts at kAutoInitialStride and doubles the stride
-  /// as the ladder fills, adapting it to the golden span; 0 disables the
-  /// ladder, so every site re-simulates its fault-free prefix from reset —
-  /// the reference path. Results are
-  /// bit-identical for every stride, including 0 — the ladder only changes
-  /// where fault-free prefixes are resumed from.
-  u64 ladder_stride = kLadderStrideAuto;
-  /// Byte cap on the ladder; rungs are evicted oldest-first beyond it. The
-  /// cap bounds host memory, not correctness (a missing rung just means a
-  /// longer fast-forward or a cold reset).
-  std::size_t ladder_max_bytes = std::size_t{256} << 20;
+  /// Initial rung spacing of the checkpoint ladder recorded during the
+  /// golden run (cycles for the RTL backend, retired instructions for the
+  /// ISS one). The ladder doubles its stride whenever it outgrows
+  /// kLadderMaxRungs, so any starting stride adapts to the golden span; 0
+  /// disables the ladder, so every site re-simulates its fault-free prefix
+  /// from reset — the reference path. Results are bit-identical for every
+  /// stride, including 0 — the ladder only changes where fault-free
+  /// prefixes are resumed from.
+  u64 ladder_stride = 64;
   /// Called (serialised) as injections finish; every worker reports at
   /// least every `progress_stride` completed sites.
   std::function<void(const EngineProgress&)> on_progress;
@@ -150,24 +146,30 @@ struct EngineOptions {
 };
 
 /// `base` with the ISSRTL_* environment knobs folded in: ISSRTL_THREADS
-/// (worker threads), ISSRTL_CKPT_STRIDE ("auto", or rung spacing in
-/// instants; 0 re-simulates every prefix from reset), ISSRTL_CKPT_MB
-/// (ladder byte cap in MiB), ISSRTL_JOURNAL (write-ahead journal
-/// directory; any non-empty path), ISSRTL_RESUME (1 = import the journal's
-/// records, 0 = truncate it; any other value is rejected), ISSRTL_ISS_FAST
-/// (1 = decoded-block ISS fast path, 0 = the reference
-/// decode-per-instruction path; any other value is rejected), ISSRTL_DEADLINE_MS (wall-clock budget in
-/// milliseconds; 0 = none) and ISSRTL_FAIL_SITE (test-only throw hook,
-/// comma-separated "<site>" / "<site>:once" with an optional
-/// ":restore"/":arm"/":step"/":classify" stage tag). Unset or empty
-/// variables leave the corresponding field of `base` untouched; front ends
-/// apply explicit command-line arguments on top. A set variable must parse in
-/// full — plain decimal digits (plus the literal "auto" for
-/// ISSRTL_CKPT_STRIDE) with no sign, whitespace or trailing junk — and fit
-/// the target field; anything else throws std::invalid_argument naming the
-/// offending variable, rather than silently running a campaign with a
-/// mangled configuration.
+/// (worker threads), ISSRTL_CKPT_STRIDE (initial rung spacing in instants;
+/// 0 re-simulates every prefix from reset), ISSRTL_JOURNAL (write-ahead
+/// journal directory; any non-empty path), ISSRTL_RESUME (1 = import the
+/// journal's records, 0 = truncate it; any other value is rejected),
+/// ISSRTL_ISS_FAST (1 = decoded-block ISS fast path, 0 = the reference
+/// decode-per-instruction path; any other value is rejected),
+/// ISSRTL_DEADLINE_MS (wall-clock budget in milliseconds; 0 = none) and
+/// ISSRTL_FAIL_SITE (test-only throw hook, comma-separated "<site>" /
+/// "<site>:once" with an optional ":restore"/":arm"/":step"/":classify"
+/// stage tag). Unset or empty variables leave the corresponding field of
+/// `base` untouched; front ends apply explicit command-line arguments on
+/// top. A set numeric variable must pass parse_u64; anything else throws
+/// std::invalid_argument naming the offending variable, rather than
+/// silently running a campaign with a mangled configuration.
 EngineOptions options_from_env(EngineOptions base = {});
+
+/// Strict full-string parse of an unsigned decimal: plain digits only (no
+/// sign, no whitespace, no trailing junk — strtoull happily wraps "-4" to
+/// 18446744073709551612 and stops at the 'x' of "4x", and atoi turns "abc"
+/// into 0), and the result must fit `max_value`. Throws
+/// std::invalid_argument "<name>: invalid value '<value>' (<why>)"
+/// otherwise. Every ISSRTL_* numeric knob and every numeric argument of
+/// the CLI front ends goes through it.
+u64 parse_u64(const char* name, const std::string& value, u64 max_value);
 
 /// Threads actually used for `sites` fault sites under `requested`.
 unsigned resolve_threads(unsigned requested, std::size_t sites);

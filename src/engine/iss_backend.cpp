@@ -13,7 +13,7 @@ namespace {
 
 std::size_t snapshot_bytes(const IssCampaignBackend::GoldenSnapshot& s) {
   // sizeof(s) covers the inline EmuCheckpoint (ArchState + InstrTrace
-  // count arrays; the off-core trace is omitted by checkpoint_lite);
+  // count arrays; the off-core trace is kept as two prefix lengths);
   // pages are COW-shared with the golden image and charged at
   // bookkeeping cost.
   return sizeof(s) + s.mem.allocated_pages() * 64;
@@ -27,8 +27,7 @@ IssCampaignBackend::IssCampaignBackend(const isa::Program& prog,
     : prog_(prog),
       cfg_(cfg),
       opts_(opts),
-      ladder_(initial_ladder_stride(opts.ladder_stride), opts.ladder_max_bytes,
-              ladder_rung_limit(opts.ladder_stride)) {
+      ladder_(opts.ladder_stride) {
   // Load the image once; the golden run and every worker reset clone from
   // it so untouched pages stay COW-shared across the whole campaign.
   prog_.load_into(initial_mem_);
@@ -45,15 +44,13 @@ IssCampaignBackend::IssCampaignBackend(const isa::Program& prog,
          golden.halt_reason() == iss::HaltReason::kRunning) {
     if (ladder_.wants(golden.instret())) {
       auto snap = std::make_shared<GoldenSnapshot>();
-      snap->emu = golden.checkpoint_lite();
+      snap->checkpoint = golden.checkpoint();
       snap->mem = golden_mem_.clone();
-      snap->writes = golden.offcore().writes().size();
-      snap->reads = golden.offcore().reads().size();
       const std::size_t bytes = snapshot_bytes(*snap);
       ladder_.record(golden.instret(), std::move(snap), bytes);
     }
-    // The stride is re-read every lap: the auto ladder doubles it as it
-    // thins itself.
+    // The stride is re-read every lap: the ladder doubles it as it thins
+    // itself.
     u64 target = kGoldenMaxSteps;
     if (ladder_.enabled()) {
       const u64 stride = ladder_.stride();
@@ -171,8 +168,7 @@ IssCampaignBackend::Worker::Worker(const IssCampaignBackend& backend,
 void IssCampaignBackend::Worker::prepare(u64 inject_at_instr) {
   emu_.clear_faults();
   if (const auto* rung = b_.ladder_.best_at_or_below(inject_at_instr)) {
-    emu_.restore(rung->snap->emu, b_.golden_trace_, rung->snap->writes,
-                 rung->snap->reads);
+    emu_.restore(rung->snap->checkpoint, b_.golden_trace_);
     mem_ = rung->snap->mem.clone();
     b_.ladder_restores_.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -244,8 +240,9 @@ fault::IssInjectionResult IssCampaignBackend::Worker::run_site(
         emu_.instret() % rung_stride == 0) {
       if (const auto* rung = b_.ladder_.at(emu_.instret())) {
         const GoldenSnapshot& g = *rung->snap;
-        if (emu_.offcore().writes().size() == g.writes &&
-            emu_.state() == g.emu.state && emu_.memory().equals(g.mem)) {
+        if (emu_.offcore().writes().size() == g.checkpoint.writes &&
+            emu_.state() == g.checkpoint.state &&
+            emu_.memory().equals(g.mem)) {
           // Silent on the spot: failure/latent stay false.
           b_.convergence_cutoffs_.fetch_add(1, std::memory_order_relaxed);
           return r;

@@ -22,15 +22,12 @@ class IssCampaignBackend {
  public:
   using Record = fault::IssInjectionResult;
 
-  /// One ladder rung: the golden emulator at an instruction boundary.
-  /// `emu` is a checkpoint_lite() snapshot (no trace copy); `mem` a COW
-  /// clone of the golden memory; `writes`/`reads` the golden bus-trace
-  /// prefix lengths at that instant.
+  /// One ladder rung: the golden emulator's checkpoint at an instruction
+  /// boundary (its trace prefix lengths index the golden trace) and a COW
+  /// clone of the golden memory.
   struct GoldenSnapshot {
-    iss::EmuCheckpoint emu;
+    iss::EmuCheckpoint checkpoint;
     Memory mem;
-    std::size_t writes = 0;
-    std::size_t reads = 0;
   };
 
   IssCampaignBackend(const isa::Program& prog,
@@ -111,8 +108,8 @@ class IssCampaignBackend {
   mutable std::atomic<u64> convergence_cutoffs_{0};
 };
 
-/// Full engine-backed ISS campaign. fault::run_iss_campaign is the serial
-/// thin wrapper over this.
+/// Full engine-backed ISS campaign. The default options run it serially
+/// with the default ladder.
 fault::IssCampaignResult run_iss_campaign_engine(
     const isa::Program& prog, const fault::IssCampaignConfig& cfg,
     const EngineOptions& opts = {});

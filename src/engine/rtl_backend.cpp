@@ -23,13 +23,13 @@ bool states_match(const rtlcore::Leon3Core& faulty,
   return true;
 }
 
-/// Rung-size estimate for the ladder's byte cap: the node-value array plus
-/// fixed overhead plus per-page bookkeeping. COW pages are shared with the
-/// golden image, so a rung is charged the pointer-copy cost per page, not
-/// 4 KiB — the bytes a later store forces to be copied are attributed to
-/// the writer, not the snapshot.
+/// Rung-size estimate reported as ReplayCounters::ladder_bytes: the
+/// node-value array plus fixed overhead plus per-page bookkeeping. COW
+/// pages are shared with the golden image, so a rung is charged the
+/// pointer-copy cost per page, not 4 KiB — the bytes a later store forces
+/// to be copied are attributed to the writer, not the snapshot.
 std::size_t snapshot_bytes(const RtlCampaignBackend::GoldenSnapshot& s) {
-  return s.core.node_values.size() * sizeof(u32) +
+  return s.checkpoint.node_values.size() * sizeof(u32) +
          s.mem.allocated_pages() * 64 + sizeof(s);
 }
 
@@ -43,8 +43,7 @@ RtlCampaignBackend::RtlCampaignBackend(const isa::Program& prog,
       cfg_(cfg),
       core_cfg_(core_cfg),
       opts_(opts),
-      ladder_(initial_ladder_stride(opts.ladder_stride), opts.ladder_max_bytes,
-              ladder_rung_limit(opts.ladder_stride)) {
+      ladder_(opts.ladder_stride) {
   // Load the program image once; the golden memory and every worker reset
   // clone from it, so pages neither run touches stay COW-shared and the
   // latent check's Memory::equals can short-circuit them by pointer.
@@ -60,10 +59,8 @@ RtlCampaignBackend::RtlCampaignBackend(const isa::Program& prog,
        ++i) {
     if (ladder_.wants(golden.cycles())) {
       auto snap = std::make_shared<GoldenSnapshot>();
-      snap->core = golden.checkpoint_lite();
+      snap->checkpoint = golden.checkpoint();
       snap->mem = golden_mem_.clone();
-      snap->writes = golden.offcore().writes().size();
-      snap->reads = golden.offcore().reads().size();
       const std::size_t bytes = snapshot_bytes(*snap);
       ladder_.record(golden.cycles(), std::move(snap), bytes);
     }
@@ -188,8 +185,7 @@ RtlCampaignBackend::Worker::Worker(const RtlCampaignBackend& backend,
 void RtlCampaignBackend::Worker::prepare(u64 inject_cycle) {
   core_.sim().clear_faults();
   if (const auto* rung = b_.ladder_.best_at_or_below(inject_cycle)) {
-    core_.restore(rung->snap->core, b_.golden_trace_, rung->snap->writes,
-                  rung->snap->reads);
+    core_.restore(rung->snap->checkpoint, b_.golden_trace_);
     mem_ = rung->snap->mem.clone();
     b_.ladder_restores_.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -264,16 +260,16 @@ fault::InjectionResult RtlCampaignBackend::Worker::run_site(
     if (converge && !write_mismatch && halt == iss::HaltReason::kRunning &&
         core_.cycles() % rung_stride == 0) {
       if (const auto* rung = b_.ladder_.at(core_.cycles())) {
-        const GoldenSnapshot& g = *rung->snap;
+        const rtlcore::CoreCheckpoint& g = rung->snap->checkpoint;
         const rtlcore::CoreActivityScalars sc = core_.activity_scalars();
         // Cheap scalar gate first; reads are deliberately not compared —
         // past bus reads are diagnostics, not state the core evolves from.
-        if (sc.instret == g.core.instret && sc.slot_seq == g.core.slot_seq &&
-            sc.next_fetch_seq == g.core.next_fetch_seq &&
-            sc.redirect_after_seq == g.core.redirect_after_seq &&
-            sc.annul_seq == g.core.annul_seq && sc.bus_writes == g.writes &&
-            core_.node_values_equal(g.core.node_values) &&
-            core_.memory().equals(g.mem)) {
+        if (sc.instret == g.instret && sc.slot_seq == g.slot_seq &&
+            sc.next_fetch_seq == g.next_fetch_seq &&
+            sc.redirect_after_seq == g.redirect_after_seq &&
+            sc.annul_seq == g.annul_seq && sc.bus_writes == g.writes &&
+            core_.node_values_equal(g.node_values) &&
+            core_.memory().equals(rung->snap->mem)) {
           // State, memory and write history all coincide with the golden
           // run at this cycle: the remainder is the golden remainder. The
           // run retires silently with the golden halt reason.

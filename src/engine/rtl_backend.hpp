@@ -22,15 +22,12 @@ class RtlCampaignBackend {
  public:
   using Record = fault::InjectionResult;
 
-  /// One ladder rung: the golden core at a cycle boundary. `core` is a
-  /// checkpoint_lite() snapshot (no trace copy); `mem` a COW clone of the
-  /// golden memory; `writes`/`reads` the golden bus-trace prefix lengths at
-  /// that cycle, from which restores rebuild the trace.
+  /// One ladder rung: the golden core's checkpoint at a cycle boundary
+  /// (its trace prefix lengths index the golden trace) and a COW clone of
+  /// the golden memory.
   struct GoldenSnapshot {
-    rtlcore::CoreCheckpoint core;
+    rtlcore::CoreCheckpoint checkpoint;
     Memory mem;
-    std::size_t writes = 0;
-    std::size_t reads = 0;
   };
 
   /// Runs the golden reference (recording ladder rungs every
@@ -135,8 +132,8 @@ class RtlCampaignBackend {
   mutable std::atomic<u64> convergence_cutoffs_{0};
 };
 
-/// Full engine-backed RTL campaign. fault::run_campaign is the serial thin
-/// wrapper over this; examples and benches pass threads/options directly.
+/// Full engine-backed RTL campaign: the §4.1 methodology end to end. The
+/// default options run it serially with the default ladder.
 fault::CampaignResult run_rtl_campaign(const isa::Program& prog,
                                        const fault::CampaignConfig& cfg,
                                        const rtlcore::CoreConfig& core_cfg = {},

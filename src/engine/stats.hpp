@@ -1,6 +1,5 @@
 // Streaming outcome aggregation shared by every campaign backend — the
-// single home of the per-model counting loops that used to be duplicated in
-// src/fault/campaign.cpp and src/fault/iss_campaign.cpp.
+// single home of the per-model counting loops.
 #pragma once
 
 #include "fault/campaign.hpp"

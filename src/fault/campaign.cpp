@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "common/rng.hpp"
-#include "engine/rtl_backend.hpp"
 
 namespace issrtl::fault {
 
@@ -126,12 +125,6 @@ std::vector<FaultSite> build_fault_list(const rtl::SimContext& ctx,
     }
   }
   return sites;
-}
-
-CampaignResult run_campaign(const isa::Program& prog,
-                            const CampaignConfig& cfg,
-                            const rtlcore::CoreConfig& core_cfg) {
-  return engine::run_rtl_campaign(prog, cfg, core_cfg, {});
 }
 
 }  // namespace issrtl::fault

@@ -1,4 +1,5 @@
-// RTL fault-injection campaign manager.
+// RTL fault-injection campaign vocabulary and fault-list enumeration;
+// engine::run_rtl_campaign runs the campaign.
 //
 // Reproduces the paper's methodology (§4.1): enumerate the injectable nodes
 // of a target unit (IU or CMEM), inject single permanent faults (stuck-at-0,
@@ -149,7 +150,7 @@ struct CampaignStats {
 struct ReplayCounters {
   u64 ladder_rungs = 0;        ///< rungs alive at the end of the golden run
   u64 ladder_bytes = 0;        ///< estimated bytes held by those rungs
-  u64 ladder_evicted = 0;      ///< rungs dropped by the byte cap
+  u64 ladder_evicted = 0;      ///< rungs thinned out by stride doubling
   u64 ladder_restores = 0;     ///< prefix resumes served by a ladder rung
   u64 cold_resets = 0;         ///< resumes that had to re-simulate from 0
   u64 fast_forward_cycles = 0; ///< fault-free instants stepped after restore
@@ -202,13 +203,6 @@ struct CampaignResult {
 /// Deliberately covers outcome and latency only; `halt` may legitimately
 /// differ between equivalent paths (early-stopped runs keep kRunning).
 u64 outcome_hash(const CampaignResult& r);
-
-/// Run a full RTL campaign for `prog` — a thin serial wrapper over the
-/// unified engine (engine::run_rtl_campaign), which also offers worker
-/// threads, golden-prefix checkpointing and early divergence cut-off.
-CampaignResult run_campaign(const isa::Program& prog,
-                            const CampaignConfig& cfg,
-                            const rtlcore::CoreConfig& core_cfg = {});
 
 /// Enumerate the sampled fault list only (deterministic per seed) — exposed
 /// for tests and for distributing work across processes.

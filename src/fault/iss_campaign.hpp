@@ -1,7 +1,7 @@
-// ISS-level fault-injection campaign: the classical register-file injection
-// the paper cites ([7][20]), used both for the speed comparison (§4.2
-// "Simulation time") and to contrast ISS-reachable injection surface with
-// the RTL one.
+// ISS-level fault-injection campaign vocabulary: the classical register-file
+// injection the paper cites ([7][20]), used both for the speed comparison
+// (§4.2 "Simulation time") and to contrast ISS-reachable injection surface
+// with the RTL one. engine::run_iss_campaign_engine runs the campaign.
 #pragma once
 
 #include <string>
@@ -60,11 +60,5 @@ struct IssCampaignResult {
   std::vector<IssInjectionResult> runs;
   std::vector<IssCampaignStats> per_model;
 };
-
-/// Thin serial wrapper over the unified engine
-/// (engine::run_iss_campaign_engine), which also offers worker threads,
-/// golden-prefix checkpointing and early divergence cut-off.
-IssCampaignResult run_iss_campaign(const isa::Program& prog,
-                                   const IssCampaignConfig& cfg);
 
 }  // namespace issrtl::fault

@@ -238,28 +238,18 @@ void Emulator::st32(u32 addr, u32 v) {
 }
 
 EmuCheckpoint Emulator::checkpoint() const {
-  return EmuCheckpoint{state_, trace_, offcore_, halt_, trap_code_, instret_};
+  return EmuCheckpoint{state_, trace_, halt_, trap_code_, instret_,
+                       offcore_.writes().size(), offcore_.reads().size()};
 }
 
-EmuCheckpoint Emulator::checkpoint_lite() const {
-  return EmuCheckpoint{state_, trace_, OffCoreTrace{}, halt_, trap_code_,
-                       instret_};
-}
-
-void Emulator::restore(const EmuCheckpoint& ck) {
+void Emulator::restore(const EmuCheckpoint& ck, const OffCoreTrace& trace_src) {
   state_ = ck.state;
   rebuild_regmap();
   trace_ = ck.trace;
-  offcore_ = ck.offcore;
+  offcore_.assign_prefix(trace_src, ck.writes, ck.reads);
   halt_ = ck.halt;
   trap_code_ = ck.trap_code;
   instret_ = ck.instret;
-}
-
-void Emulator::restore(const EmuCheckpoint& ck, const OffCoreTrace& trace_src,
-                       std::size_t writes, std::size_t reads) {
-  restore(ck);
-  offcore_.assign_prefix(trace_src, writes, reads);
 }
 
 void Emulator::apply_faults() {

@@ -55,17 +55,20 @@ struct IssFault {
 
 /// Copyable checkpoint of an Emulator at an instruction boundary. The
 /// backing Memory is owned by the caller and snapshotted separately
-/// (Memory::clone). Armed faults are not captured; campaign workers
-/// clear_faults() and re-arm after restore. An attached TimingModel is
-/// also not captured — it is borrowed, and its accumulated cycle/cache
-/// state will not rewind; detach or reset it around checkpoint use.
+/// (Memory::clone). The off-core trace is recorded by its prefix lengths
+/// only; restore() rebuilds it out of a trace the caller retains. Armed
+/// faults are not captured; campaign workers clear_faults() and re-arm
+/// after restore. An attached TimingModel is also not captured — it is
+/// borrowed, and its accumulated cycle/cache state will not rewind; detach
+/// or reset it around checkpoint use.
 struct EmuCheckpoint {
   ArchState state;
   InstrTrace trace;
-  OffCoreTrace offcore;
   HaltReason halt = HaltReason::kRunning;
   u8 trap_code = 0;
   u64 instret = 0;
+  std::size_t writes = 0;  ///< off-core write records at the checkpoint
+  std::size_t reads = 0;   ///< off-core read records at the checkpoint
 };
 
 class Emulator {
@@ -129,25 +132,17 @@ class Emulator {
   std::size_t dbb_blocks() const noexcept { return dbb_.size(); }
   u64 dbb_flushes() const noexcept { return dbb_flushes_; }
 
-  /// Capture the execution state between instructions (Memory excluded).
+  /// Capture the execution state between instructions (Memory excluded):
+  /// a fixed-size snapshot that records the off-core trace by its prefix
+  /// lengths.
   EmuCheckpoint checkpoint() const;
 
-  /// Like checkpoint(), but leaves `offcore` empty — a fixed-size snapshot
-  /// instead of one that grows O(instant) with the write trace. Only valid
-  /// for states whose bus history is a prefix of a trace the caller retains
-  /// (e.g. ladder rungs taken on the golden run); resume with the
-  /// three-argument restore() overload.
-  EmuCheckpoint checkpoint_lite() const;
-
-  /// Resume from a checkpoint. The caller restores the backing Memory to the
+  /// Resume from a checkpoint. The off-core trace becomes the first
+  /// ck.writes/ck.reads records of `trace_src`, which must extend the
+  /// checkpointed emulator's trace (e.g. the golden trace for a rung taken
+  /// on the golden run). The caller restores the backing Memory to the
   /// matching image and clears/re-arms faults.
-  void restore(const EmuCheckpoint& ck);
-
-  /// Resume from a checkpoint_lite() snapshot: identical to restore(), but
-  /// the off-core trace is rebuilt as the first `writes`/`reads` records of
-  /// `trace_src` instead of being copied out of the checkpoint.
-  void restore(const EmuCheckpoint& ck, const OffCoreTrace& trace_src,
-               std::size_t writes, std::size_t reads);
+  void restore(const EmuCheckpoint& ck, const OffCoreTrace& trace_src);
 
   // ---- ISS-level fault injection ---------------------------------------------
   void arm_fault(const IssFault& fault);

@@ -877,12 +877,6 @@ HaltReason Leon3Core::run(u64 max_cycles) {
 }
 
 CoreCheckpoint Leon3Core::checkpoint() const {
-  CoreCheckpoint ck = checkpoint_lite();
-  ck.offcore = bus_;
-  return ck;
-}
-
-CoreCheckpoint Leon3Core::checkpoint_lite() const {
   CoreCheckpoint ck;
   ck.node_values = ctx_.save_values();
   ck.slot_seq = {de_.seq, ra_.seq, ex_.seq, me_.seq, xc_.seq, wb_.seq};
@@ -897,16 +891,13 @@ CoreCheckpoint Leon3Core::checkpoint_lite() const {
   ck.icache_misses = icache_->misses();
   ck.dcache_hits = dcache_->hits();
   ck.dcache_misses = dcache_->misses();
+  ck.writes = bus_.writes().size();
+  ck.reads = bus_.reads().size();
   return ck;
 }
 
-void Leon3Core::restore(const CoreCheckpoint& ck, const OffCoreTrace& trace_src,
-                        std::size_t writes, std::size_t reads) {
-  restore(ck);
-  bus_.assign_prefix(trace_src, writes, reads);
-}
-
-void Leon3Core::restore(const CoreCheckpoint& ck) {
+void Leon3Core::restore(const CoreCheckpoint& ck,
+                        const OffCoreTrace& trace_src) {
   ctx_.load_values(ck.node_values);
   de_.seq = ck.slot_seq[0];
   ra_.seq = ck.slot_seq[1];
@@ -923,7 +914,7 @@ void Leon3Core::restore(const CoreCheckpoint& ck) {
   trap_code_ = ck.trap_code;
   icache_->restore_stats(ck.icache_hits, ck.icache_misses);
   dcache_->restore_stats(ck.dcache_hits, ck.dcache_misses);
-  bus_ = ck.offcore;
+  bus_.assign_prefix(trace_src, ck.writes, ck.reads);
   // Per-cycle handshake scratch: recomputed at the top of every step();
   // cleared here so a restored core is indistinguishable from one that
   // reached this cycle by stepping.

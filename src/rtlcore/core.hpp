@@ -86,7 +86,9 @@ struct PipeSlot {
 /// plus the host-side bookkeeping that is not part of the node registry.
 /// The backing Memory is owned by the caller and snapshotted separately
 /// (Memory::clone); campaign workers pair the two to resume a golden prefix
-/// once per injection instant instead of re-simulating it per fault.
+/// once per injection instant instead of re-simulating it per fault. The
+/// off-core trace is not copied — only its prefix lengths, from which
+/// restore() rebuilds it out of a trace the caller retains.
 struct CoreCheckpoint {
   std::vector<u32> node_values;
   std::array<u64, 6> slot_seq{};  ///< fetch-order tags of de/ra/ex/me/xc/wb
@@ -99,7 +101,8 @@ struct CoreCheckpoint {
   u8 trap_code = 0;
   u64 icache_hits = 0, icache_misses = 0;
   u64 dcache_hits = 0, dcache_misses = 0;
-  OffCoreTrace offcore;
+  std::size_t writes = 0;  ///< off-core write records at the checkpoint
+  std::size_t reads = 0;   ///< off-core read records at the checkpoint
 };
 
 /// Cheap half of the hang fast-forward fingerprint: the host-side counters
@@ -160,28 +163,19 @@ class Leon3Core {
   /// ISS's representation, for lockstep comparison.
   iss::ArchState arch_state() const;
 
-  /// Capture the full core state at a cycle boundary (call between step()s,
-  /// with no fault armed). The backing Memory is not included.
+  /// Capture the core state at a cycle boundary (call between step()s,
+  /// with no fault armed): an O(nodes) snapshot that records the off-core
+  /// trace by its prefix lengths. The backing Memory is not included.
   CoreCheckpoint checkpoint() const;
 
-  /// Like checkpoint(), but leaves `offcore` empty — an O(nodes) snapshot
-  /// handle instead of an O(instant) trace copy. Only valid for states whose
-  /// bus history is a prefix of a trace the caller retains (e.g. ladder
-  /// rungs taken on the golden run); resume with the three-argument
-  /// restore() overload, which rebuilds the trace prefix from that source.
-  CoreCheckpoint checkpoint_lite() const;
-
   /// Resume from a checkpoint taken on this core (or on a core constructed
-  /// with the same config, hence an identical node registry). The caller is
-  /// responsible for restoring the backing Memory to the matching image and
-  /// for clear_faults() beforehand.
-  void restore(const CoreCheckpoint& ck);
-
-  /// Resume from a checkpoint_lite() snapshot: identical to restore(), but
-  /// the off-core trace is rebuilt as the first `writes`/`reads` records of
-  /// `trace_src` instead of being copied out of the checkpoint.
-  void restore(const CoreCheckpoint& ck, const OffCoreTrace& trace_src,
-               std::size_t writes, std::size_t reads);
+  /// with the same config, hence an identical node registry). The off-core
+  /// trace becomes the first ck.writes/ck.reads records of `trace_src`,
+  /// which must extend the checkpointed core's trace (e.g. the golden trace
+  /// for a rung taken on the golden run). The caller is responsible for
+  /// restoring the backing Memory to the matching image and for
+  /// clear_faults() beforehand.
+  void restore(const CoreCheckpoint& ck, const OffCoreTrace& trace_src);
 
   /// The cheap half of the activity fingerprint (no node traversal).
   CoreActivityScalars activity_scalars() const;

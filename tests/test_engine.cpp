@@ -200,7 +200,7 @@ TEST(Engine, ResultsBitIdenticalToPreRefactorBaseline) {
   cfg.inject_time = fault::InjectTime::kUniformRandom;
 
   for (const unsigned threads : {1u, 3u}) {
-    for (const u64 stride : {u64{0}, kLadderStrideAuto, u64{977}}) {
+    for (const u64 stride : {u64{0}, EngineOptions{}.ladder_stride, u64{977}}) {
       EngineOptions opts;
       opts.threads = threads;
       opts.ladder_stride = stride;
@@ -268,6 +268,8 @@ TEST(Checkpoint, RtlCoreResumesToIdenticalRun) {
   while (core.cycles() < mid) core.step();
   const rtlcore::CoreCheckpoint ck = core.checkpoint();
   const Memory ck_mem = mem.clone();
+  EXPECT_EQ(ck.writes, core.offcore().writes().size());
+  EXPECT_EQ(ck.reads, core.offcore().reads().size());
 
   // Run to completion once...
   ASSERT_EQ(core.run(), iss::HaltReason::kHalted);
@@ -275,9 +277,11 @@ TEST(Checkpoint, RtlCoreResumesToIdenticalRun) {
   const auto writes_a = core.offcore().writes();
   const iss::ArchState state_a = core.arch_state();
 
-  // ...then rewind to the checkpoint and run again.
+  // ...then rewind to the checkpoint, rebuilding its bus-trace prefix from
+  // the reference run's trace, and run again.
   core.sim().clear_faults();
-  core.restore(ck);
+  core.restore(ck, ref.offcore());
+  EXPECT_EQ(core.offcore().writes().size(), ck.writes);
   mem = ck_mem.clone();
   EXPECT_EQ(core.cycles(), mid);
   ASSERT_EQ(core.run(), iss::HaltReason::kHalted);
@@ -293,6 +297,12 @@ TEST(Checkpoint, RtlCoreResumesToIdenticalRun) {
   EXPECT_EQ(state_a, core.arch_state());
   EXPECT_TRUE(core.memory().equals(ref_mem));
   EXPECT_FALSE(core.offcore().compare_writes(ref.offcore()).diverged);
+
+  // A core can also rewind itself: its own trace extends the checkpoint's.
+  core.restore(ck, core.offcore());
+  EXPECT_EQ(core.cycles(), mid);
+  EXPECT_EQ(core.offcore().writes().size(), ck.writes);
+  EXPECT_EQ(core.offcore().reads().size(), ck.reads);
 }
 
 TEST(Checkpoint, IssEmulatorResumesToIdenticalRun) {
@@ -318,7 +328,8 @@ TEST(Checkpoint, IssEmulatorResumesToIdenticalRun) {
   const unsigned diversity_a = emu.trace().diversity();
 
   emu.clear_faults();
-  emu.restore(ck);
+  emu.restore(ck, ref.offcore());
+  EXPECT_EQ(emu.offcore().writes().size(), ck.writes);
   mem = ck_mem.clone();
   EXPECT_EQ(emu.instret(), mid);
   ASSERT_EQ(emu.run(), iss::HaltReason::kHalted);
@@ -339,7 +350,7 @@ TEST(Checkpoint, RestoreRejectsForeignRegistry) {
   rtlcore::Leon3Core core(mem);
   rtlcore::CoreCheckpoint ck = core.checkpoint();
   ck.node_values.pop_back();
-  EXPECT_THROW(core.restore(ck), std::invalid_argument);
+  EXPECT_THROW(core.restore(ck, core.offcore()), std::invalid_argument);
 }
 
 // ---- engine plumbing --------------------------------------------------------
@@ -413,22 +424,14 @@ class ScopedEnv {
 TEST(Engine, OptionsFromEnvParsesValidValues) {
   ScopedEnv t("ISSRTL_THREADS", "6");
   ScopedEnv s("ISSRTL_CKPT_STRIDE", "977");
-  ScopedEnv m("ISSRTL_CKPT_MB", "64");
   const EngineOptions opts = options_from_env();
   EXPECT_EQ(opts.threads, 6u);
   EXPECT_EQ(opts.ladder_stride, 977u);
-  EXPECT_EQ(opts.ladder_max_bytes, std::size_t{64} << 20);
 }
 
-TEST(Engine, OptionsFromEnvAcceptsAutoStrideAndZero) {
-  {
-    ScopedEnv s("ISSRTL_CKPT_STRIDE", "auto");
-    EXPECT_EQ(options_from_env().ladder_stride, kLadderStrideAuto);
-  }
-  {
-    ScopedEnv s("ISSRTL_CKPT_STRIDE", "0");
-    EXPECT_EQ(options_from_env().ladder_stride, 0u);
-  }
+TEST(Engine, OptionsFromEnvAcceptsZeroStride) {
+  ScopedEnv s("ISSRTL_CKPT_STRIDE", "0");
+  EXPECT_EQ(options_from_env().ladder_stride, 0u);
 }
 
 TEST(Engine, OptionsFromEnvLeavesUnsetAndEmptyAlone) {
@@ -451,13 +454,9 @@ TEST(Engine, OptionsFromEnvRejectsMalformedValues) {
     ScopedEnv t("ISSRTL_THREADS", v);
     EXPECT_THROW(options_from_env(), std::invalid_argument) << v;
   }
-  {
-    ScopedEnv s("ISSRTL_CKPT_STRIDE", "fast");  // only "auto" is special
-    EXPECT_THROW(options_from_env(), std::invalid_argument);
-  }
-  {
-    ScopedEnv m("ISSRTL_CKPT_MB", "12MB");
-    EXPECT_THROW(options_from_env(), std::invalid_argument);
+  for (const char* v : {"fast", "auto"}) {  // no stride literal is special
+    ScopedEnv s("ISSRTL_CKPT_STRIDE", v);
+    EXPECT_THROW(options_from_env(), std::invalid_argument) << v;
   }
   {
     // Error messages must name the offending variable, or the user cannot

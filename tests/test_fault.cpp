@@ -5,6 +5,8 @@
 
 #include <limits>
 
+#include "engine/iss_backend.hpp"
+#include "engine/rtl_backend.hpp"
 #include "fault/campaign.hpp"
 #include "fault/iss_campaign.hpp"
 #include "fault/lockstep.hpp"
@@ -112,7 +114,7 @@ TEST(Campaign, OutcomesPartitionRuns) {
   CampaignConfig cfg;
   cfg.samples = 40;
   cfg.models = {FaultModel::kStuckAt1, FaultModel::kOpenLine};
-  const auto r = run_campaign(small_workload(), cfg);
+  const auto r = engine::run_rtl_campaign(small_workload(), cfg);
   EXPECT_EQ(r.runs.size(), 80u);
   for (const auto& st : r.per_model) {
     EXPECT_EQ(st.runs, 40u);
@@ -125,8 +127,8 @@ TEST(Campaign, OutcomesPartitionRuns) {
 TEST(Campaign, DeterministicPerSeed) {
   CampaignConfig cfg;
   cfg.samples = 30;
-  const auto a = run_campaign(small_workload(), cfg);
-  const auto b = run_campaign(small_workload(), cfg);
+  const auto a = engine::run_rtl_campaign(small_workload(), cfg);
+  const auto b = engine::run_rtl_campaign(small_workload(), cfg);
   ASSERT_EQ(a.runs.size(), b.runs.size());
   for (std::size_t i = 0; i < a.runs.size(); ++i) {
     EXPECT_EQ(a.runs[i].outcome, b.runs[i].outcome) << i;
@@ -136,7 +138,7 @@ TEST(Campaign, DeterministicPerSeed) {
 TEST(Campaign, GoldenMetadataFilled) {
   CampaignConfig cfg;
   cfg.samples = 5;
-  const auto r = run_campaign(small_workload(), cfg);
+  const auto r = engine::run_rtl_campaign(small_workload(), cfg);
   EXPECT_GT(r.golden_cycles, 0u);
   EXPECT_GT(r.golden_instret, 0u);
   EXPECT_EQ(r.unit_prefix, "iu");
@@ -146,7 +148,7 @@ TEST(Campaign, GoldenMetadataFilled) {
 TEST(Campaign, StatsForUnknownModelIsZeroed) {
   CampaignConfig cfg;
   cfg.samples = 5;
-  const auto r = run_campaign(small_workload(), cfg);
+  const auto r = engine::run_rtl_campaign(small_workload(), cfg);
   EXPECT_EQ(r.stats_for(FaultModel::kStuckAt1).runs, 5u);
   const CampaignStats missing = r.stats_for(FaultModel::kOpenLine);
   EXPECT_EQ(missing.model, FaultModel::kOpenLine);
@@ -165,7 +167,7 @@ TEST(Campaign, EmptyCampaignStatsAreZeroed) {
 TEST(Campaign, LatencyOnlyOnFailures) {
   CampaignConfig cfg;
   cfg.samples = 60;
-  const auto r = run_campaign(small_workload(), cfg);
+  const auto r = engine::run_rtl_campaign(small_workload(), cfg);
   for (const auto& run : r.runs) {
     if (run.outcome == Outcome::kSilent || run.outcome == Outcome::kLatent) {
       EXPECT_EQ(run.latency_cycles, 0u);
@@ -249,7 +251,7 @@ TEST(IssCampaign, RunsAndClassifies) {
   IssCampaignConfig cfg;
   cfg.samples = 60;
   cfg.models = {iss::IssFaultModel::kStuckAt1, iss::IssFaultModel::kBitFlip};
-  const auto r = run_iss_campaign(small_workload(), cfg);
+  const auto r = engine::run_iss_campaign_engine(small_workload(), cfg);
   EXPECT_EQ(r.runs.size(), 120u);
   EXPECT_GT(r.golden_instret, 0u);
   for (const auto& st : r.per_model) {
@@ -262,7 +264,7 @@ TEST(IssCampaign, PermanentFaultsFailMoreThanTransients) {
   IssCampaignConfig cfg;
   cfg.samples = 120;
   cfg.models = {iss::IssFaultModel::kStuckAt1, iss::IssFaultModel::kBitFlip};
-  const auto r = run_iss_campaign(
+  const auto r = engine::run_iss_campaign_engine(
       workloads::build("rspeed", {.iterations = 1, .data_seed = 1}), cfg);
   EXPECT_GE(r.per_model[0].pf(), r.per_model[1].pf());
 }

@@ -9,6 +9,7 @@
 
 #include "core/diversity.hpp"
 #include "core/predict.hpp"
+#include "engine/rtl_backend.hpp"
 #include "fault/campaign.hpp"
 #include "isa/asm_parser.hpp"
 #include "iss/emulator.hpp"
@@ -150,7 +151,7 @@ TEST(Integration, CampaignFeedsPredictorEndToEnd) {
     fault::CampaignConfig cfg;
     cfg.unit_prefix = "iu";
     cfg.samples = 40;
-    const auto r = fault::run_campaign(prog, cfg);
+    const auto r = engine::run_rtl_campaign(prog, cfg);
     s.total_pf = r.stats_for(rtl::FaultModel::kStuckAt1).pf();
     samples.push_back(std::move(s));
   }
@@ -170,7 +171,7 @@ TEST(Integration, TransientCampaignLessSevereThanPermanent) {
   cfg.samples = 120;
   cfg.models = {rtl::FaultModel::kStuckAt1,
                 rtl::FaultModel::kTransientBitFlip};
-  const auto r = fault::run_campaign(prog, cfg);
+  const auto r = engine::run_rtl_campaign(prog, cfg);
   EXPECT_LE(r.stats_for(rtl::FaultModel::kTransientBitFlip).pf(),
             r.stats_for(rtl::FaultModel::kStuckAt1).pf());
 }
@@ -183,7 +184,7 @@ TEST(Integration, ExhaustiveCampaignOnTinyUnit) {
   cfg.unit_prefix = "iu.special";
   cfg.samples = 0;
   cfg.models = {rtl::FaultModel::kStuckAt0, rtl::FaultModel::kStuckAt1};
-  const auto r = fault::run_campaign(prog, cfg);
+  const auto r = engine::run_rtl_campaign(prog, cfg);
   Memory mem;
   rtlcore::Leon3Core probe(mem);
   EXPECT_EQ(r.runs.size(),

@@ -1,4 +1,4 @@
-// Checkpoint-ladder tests: eviction policy and nearest-rung lookup on the
+// Checkpoint-ladder tests: stride doubling and nearest-rung lookup on the
 // container itself, then end-to-end stride invariance — a multi-instant
 // campaign must produce bit-identical outcomes with the ladder disabled, at
 // stride 1, and at an arbitrary stride, at any thread count (the ladder
@@ -21,65 +21,33 @@ using fault::CampaignResult;
 
 std::shared_ptr<const int> snap(int v) { return std::make_shared<int>(v); }
 
-// ---- container: eviction ----------------------------------------------------
+// ---- container: stride doubling ---------------------------------------------
 
-TEST(Ladder, EvictsOldestFirstUnderByteCap) {
-  CheckpointLadder<int> ladder(/*stride=*/10, /*max_bytes=*/300);
-  ladder.record(10, snap(1), 100);
-  ladder.record(20, snap(2), 100);
-  ladder.record(30, snap(3), 100);
-  EXPECT_EQ(ladder.rung_count(), 3u);
-  EXPECT_EQ(ladder.evicted_count(), 0u);
-
-  // 100 bytes over cap: exactly the oldest rung goes.
-  ladder.record(40, snap(4), 100);
-  EXPECT_EQ(ladder.rung_count(), 3u);
-  EXPECT_EQ(ladder.evicted_count(), 1u);
-  EXPECT_EQ(ladder.total_bytes(), 300u);
-  EXPECT_EQ(ladder.best_at_or_below(10), nullptr)
-      << "evicted rung must be unreachable";
-  ASSERT_NE(ladder.best_at_or_below(20), nullptr);
-  EXPECT_EQ(ladder.best_at_or_below(20)->instant, 20u);
-
-  // A big rung evicts several oldest rungs, in order: 550 bytes shrink to
-  // 250 only once 20, 30 and 40 have all gone.
-  ladder.record(50, snap(5), 250);
-  EXPECT_EQ(ladder.rung_count(), 1u);  // only the newest survives
-  EXPECT_EQ(ladder.evicted_count(), 4u);
-  EXPECT_EQ(ladder.total_bytes(), 250u);
-  EXPECT_EQ(ladder.best_at_or_below(49), nullptr);
-  ASSERT_NE(ladder.best_at_or_below(50), nullptr);
-  EXPECT_EQ(ladder.best_at_or_below(50)->instant, 50u);
-}
-
-TEST(Ladder, NewestRungSurvivesEvenWhenOverCapAlone) {
-  CheckpointLadder<int> ladder(10, 100);
-  ladder.record(10, snap(1), 50);
-  ladder.record(20, snap(2), 400);  // alone over the cap
-  EXPECT_EQ(ladder.rung_count(), 1u);
-  ASSERT_NE(ladder.best_at_or_below(25), nullptr);
-  EXPECT_EQ(ladder.best_at_or_below(25)->instant, 20u);
-}
-
-TEST(Ladder, AutoModeDoublesStrideByThinning) {
-  // max_rungs 4: the 5th rung triggers a doubling; survivors sit on the
+TEST(Ladder, ExplicitStrideDoublesByThinning) {
+  // The rung past kLadderMaxRungs triggers a doubling; survivors sit on the
   // doubled grid (plus the always-kept newest rung).
-  CheckpointLadder<int> ladder(10, std::size_t{1} << 30, /*max_rungs=*/4);
-  for (u64 t = 10; t <= 50; t += 10) ladder.record(t, snap(1), 8);
+  CheckpointLadder<int> ladder(10);
+  const u64 last = 10 * (kLadderMaxRungs + 1);
+  for (u64 t = 10; t <= last; t += 10) {
+    ASSERT_TRUE(ladder.wants(t)) << t;
+    ladder.record(t, snap(1), 8);
+  }
   EXPECT_EQ(ladder.stride(), 20u);
-  EXPECT_EQ(ladder.rung_count(), 3u);  // 20, 40 on the grid + newest (50)
-  EXPECT_EQ(ladder.evicted_count(), 2u);  // 10 and 30 thinned
+  // Even multiples of 10 up to `last` on the grid, plus the newest (odd).
+  EXPECT_EQ(ladder.rung_count(), kLadderMaxRungs / 2 + 1);
+  EXPECT_EQ(ladder.evicted_count(), kLadderMaxRungs / 2);
+  EXPECT_EQ(ladder.total_bytes(), 8 * ladder.rung_count());
   EXPECT_EQ(ladder.best_at_or_below(39)->instant, 20u);
-  EXPECT_EQ(ladder.best_at_or_below(50)->instant, 50u);
+  EXPECT_EQ(ladder.best_at_or_below(last)->instant, last);
   // Recording continues on the doubled grid.
-  EXPECT_FALSE(ladder.wants(70));
-  EXPECT_TRUE(ladder.wants(60));
+  EXPECT_FALSE(ladder.wants(last + 20));
+  EXPECT_TRUE(ladder.wants(last + 10));
 }
 
 // ---- container: lookup ------------------------------------------------------
 
 TEST(Ladder, NearestRungLookupAtBoundaries) {
-  CheckpointLadder<int> ladder(100, std::size_t{1} << 20);
+  CheckpointLadder<int> ladder(100);
   ladder.record(100, snap(1), 10);
   ladder.record(200, snap(2), 10);
   ladder.record(300, snap(3), 10);
@@ -106,7 +74,7 @@ TEST(Ladder, DisabledLadderWantsNothing) {
 }
 
 TEST(Ladder, WantsOnlyOnGridAndForward) {
-  CheckpointLadder<int> ladder(50, std::size_t{1} << 20);
+  CheckpointLadder<int> ladder(50);
   EXPECT_FALSE(ladder.wants(0)) << "reset state is never a rung";
   EXPECT_FALSE(ladder.wants(49));
   EXPECT_TRUE(ladder.wants(50));
@@ -115,25 +83,15 @@ TEST(Ladder, WantsOnlyOnGridAndForward) {
   EXPECT_TRUE(ladder.wants(100));
 }
 
-// ---- stride helpers ---------------------------------------------------------
-
-TEST(Ladder, StrideResolution) {
-  EXPECT_EQ(initial_ladder_stride(0), 0u);
-  EXPECT_EQ(initial_ladder_stride(kLadderStrideAuto), kAutoInitialStride);
-  EXPECT_EQ(initial_ladder_stride(777), 777u);
-  EXPECT_EQ(ladder_rung_limit(kLadderStrideAuto), kAutoMaxRungs);
-  EXPECT_EQ(ladder_rung_limit(777), 0u);
-}
-
 // ---- end-to-end: stride invariance ------------------------------------------
 
 using fault::outcome_hash;
 
 // Multi-instant campaign (8 instants per site, transients + permanents so
 // both the convergence cut-off and the plain restore path are exercised):
-// ladder disabled, stride 1 (a rung at literally every cycle, under a byte
-// cap that forces eviction) and stride 97 must agree bit-for-bit, at 1 and
-// 3 threads.
+// ladder disabled, stride 1 (a rung at literally every cycle, so the ladder
+// must double its stride to stay within kLadderMaxRungs) and stride 97 must
+// agree bit-for-bit, at 1 and 3 threads.
 TEST(Ladder, MultiInstantCampaignStrideInvariant) {
   const auto prog = workloads::build("a2time_x", {.iterations = 1,
                                                   .data_seed = 1});
@@ -152,13 +110,13 @@ TEST(Ladder, MultiInstantCampaignStrideInvariant) {
       EngineOptions opts;
       opts.threads = threads;
       opts.ladder_stride = stride;
-      if (stride == 1) {
-        // Force the byte cap into play: a rung per cycle at ~4 KiB each
-        // overflows 2 MiB quickly, so eviction must not perturb outcomes.
-        opts.ladder_max_bytes = std::size_t{2} << 20;
-      }
       const CampaignResult r = run_rtl_campaign(prog, cfg, {}, opts);
       ASSERT_EQ(r.runs.size(), cfg.samples * 8 * cfg.models.size());
+      EXPECT_LE(r.replay.ladder_rungs, kLadderMaxRungs) << "stride=" << stride;
+      if (stride == 1) {
+        EXPECT_GT(r.replay.ladder_evicted, 0u)
+            << "a rung per cycle must have been thinned by stride doubling";
+      }
       const u64 h = outcome_hash(r);
       if (!have_reference) {
         reference_hash = h;
@@ -179,9 +137,9 @@ TEST(Ladder, MultiInstantCampaignStrideInvariant) {
   }
 }
 
-// The default (auto-stride) ladder must actually be used — and the
-// transient convergence cut-off must actually fire — on a campaign sized
-// like the real ones. Each site is positioned exactly once, from a rung or
+// The default ladder must actually be used — and the transient
+// convergence cut-off must actually fire — on a campaign sized like the
+// real ones. Each site is positioned exactly once, from a rung or
 // by a reset; with the ladder disabled every site resets.
 TEST(Ladder, ReplayCountersShowLadderAtWork) {
   const auto prog = workloads::build("a2time_x", {.iterations = 1,
