@@ -316,6 +316,28 @@ TEST(IssFastpathCampaign, HashInvariantAcrossFastPathAndThreads) {
   }
 }
 
+// Pinned ISS campaign result: the fingerprint of this campaign is a
+// constant, not just self-consistent, so a refactor of the replay layer
+// (ladder positioning, write matching, convergence cut-off) that moves any
+// outcome or latency fails here. Held with the ladder disabled and at the
+// default stride, serially and on three threads.
+TEST(IssFastpathCampaign, FingerprintPinnedAcrossStridesAndThreads) {
+  constexpr u64 kPinned = 17234927151181586971ull;
+  const auto prog =
+      workloads::build("a2time_x", {.iterations = 1, .data_seed = 1});
+  const auto cfg = fuzz_campaign_cfg();
+  for (const u64 stride : {u64{0}, engine::EngineOptions{}.ladder_stride}) {
+    for (const unsigned threads : {1u, 3u}) {
+      engine::EngineOptions opts;
+      opts.threads = threads;
+      opts.ladder_stride = stride;
+      EXPECT_EQ(iss_fingerprint(engine::run_iss_campaign_engine(prog, cfg, opts)),
+                kPinned)
+          << "stride=" << stride << " threads=" << threads;
+    }
+  }
+}
+
 TEST(IssFastpathCampaign, HashInvariantAcrossResume) {
   const auto prog =
       workloads::build("a2time_x", {.iterations = 1, .data_seed = 1});

@@ -6,6 +6,7 @@
 // faulty run computes).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 
 #include "engine/iss_backend.hpp"
@@ -170,6 +171,41 @@ TEST(Ladder, ReplayCountersShowLadderAtWork) {
   EXPECT_EQ(n.replay.cold_resets, n.runs.size());
   EXPECT_EQ(n.replay.rolling_restores, 0u);
   EXPECT_EQ(outcome_hash(n), outcome_hash(r));
+}
+
+// Every ReplayCounters field of one default RTL and one default ISS
+// bit-flip campaign, pinned: the replay tallies (rungs, their bytes and
+// thinning, restores, resets, fast-forward, cut-offs) are a function of the
+// fault list and the ladder policy alone, so any change to positioning or
+// to the convergence gate shows here even when the outcomes do not move.
+// Restore tallies do not depend on the thread count.
+TEST(Ladder, ReplayCountersPinned) {
+  const auto prog = workloads::build("rspeed", {.iterations = 1,
+                                                .data_seed = 1});
+  using Counters = std::array<u64, 7>;
+  const auto counters = [](const fault::ReplayCounters& c) {
+    return Counters{c.ladder_rungs,        c.ladder_bytes,
+                    c.ladder_evicted,      c.ladder_restores,
+                    c.cold_resets,         c.fast_forward_cycles,
+                    c.convergence_cutoffs};
+  };
+  CampaignConfig rtl_cfg;
+  rtl_cfg.samples = 48;
+  rtl_cfg.models = {rtl::FaultModel::kTransientBitFlip};
+  rtl_cfg.inject_time = fault::InjectTime::kUniformRandom;
+  fault::IssCampaignConfig iss_cfg;
+  iss_cfg.samples = 48;
+  iss_cfg.models = {iss::IssFaultModel::kBitFlip};
+  for (const unsigned threads : {1u, 3u}) {
+    EngineOptions opts;
+    opts.threads = threads;
+    EXPECT_EQ(counters(run_rtl_campaign(prog, rtl_cfg, {}, opts).replay),
+              (Counters{527, 2394688, 1025, 48, 0, 5283, 17}))
+        << "rtl, threads=" << threads;
+    EXPECT_EQ(counters(run_iss_campaign_engine(prog, iss_cfg, opts).replay),
+              (Counters{643, 936208, 0, 48, 0, 1547, 11}))
+        << "iss, threads=" << threads;
+  }
 }
 
 // ISS backend: same invariance on the instruction-indexed ladder,
