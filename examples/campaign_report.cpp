@@ -46,10 +46,11 @@ int help() {
       "  instants   injection instants per sampled (node, bit); default 1.\n"
       "             >1 sweeps every site over time (samples*instants\n"
       "             trials per model, uniform-random instants)\n"
-      "  window     uniform-random instant window: 'half' (default;\n"
-      "             bug-compatible [1, golden/2] draw that keeps historical\n"
-      "             fault lists bit-identical) or 'full' ([1, golden] —\n"
-      "             also samples late-pipeline/drain states)\n"
+      "  window     uniform-random instant window, only with instants > 1:\n"
+      "             'half' (default; bug-compatible [1, golden/2] draw that\n"
+      "             keeps historical fault lists bit-identical) or 'full'\n"
+      "             ([1, golden] — also samples late-pipeline/drain states);\n"
+      "             'full' with one instant is a usage error\n"
       "  --vcd <path>  write a GTKWave waveform of the first failing run\n"
       "             to <path> (off by default: no files are dropped into\n"
       "             the working directory unless asked)\n"

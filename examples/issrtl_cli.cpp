@@ -81,10 +81,12 @@ int help() {
       "                  threads (results identical at any count)\n"
       "      [instants]  injection instants per sampled (node, bit);\n"
       "                  default 1, >1 sweeps each site over time\n"
-      "      [window]    uniform-random instant window: 'half' (default;\n"
-      "                  bug-compatible [1, golden/2] draw that keeps\n"
-      "                  historical fault lists bit-identical) or 'full'\n"
-      "                  ([1, golden] — covers late-pipeline/drain states)\n"
+      "      [window]    uniform-random instant window, only with\n"
+      "                  [instants] > 1: 'half' (default; bug-compatible\n"
+      "                  [1, golden/2] draw that keeps historical fault\n"
+      "                  lists bit-identical) or 'full' ([1, golden] —\n"
+      "                  covers late-pipeline/drain states); 'full' with\n"
+      "                  one instant is a usage error\n"
       "  avf <wl>                  register-file AVF\n"
       "  asm <file.s>              assemble + run a text program\n"
       "  nodes [unit]              list injectable RTL nodes\n"

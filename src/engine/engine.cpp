@@ -140,15 +140,6 @@ unsigned resolve_threads(unsigned requested, std::size_t sites) {
   return threads;
 }
 
-Xoshiro256 shard_stream(u64 seed, unsigned shard) {
-  // Two splitmix64 draws decorrelate (seed, shard) pairs before the state
-  // expansion inside Xoshiro256's constructor.
-  u64 sm = seed ^ (0x9E37'79B9'7F4A'7C15ull * (static_cast<u64>(shard) + 1));
-  const u64 a = splitmix64(sm);
-  const u64 b = splitmix64(sm);
-  return Xoshiro256(a ^ (b << 1));
-}
-
 EngineOptions options_from_env(EngineOptions base) {
   with_env("ISSRTL_THREADS", [&](const char* v) {
     base.threads =

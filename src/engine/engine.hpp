@@ -3,27 +3,28 @@
 // Both fault-injection vehicles (the RTL core and the functional ISS) run
 // campaigns with the same shape: enumerate fault sites, position a simulator
 // at the injection instant, run the faulty suffix, classify the outcome
-// against a golden run. CampaignEngine owns that shape once, behind a
-// backend concept, and makes it fast:
+// against a golden run. The shape is written once in two layers:
 //
-//  * checkpointing — backends record a ladder of golden-run snapshots
-//    (engine/ladder.hpp) and resume each fault-free prefix from the
-//    nearest rung at or below its injection instant instead of from reset;
-//  * parallelism — a pool of worker threads executes deterministically
-//    sharded fault lists. Site i always belongs to shard i % threads and
-//    its record always lands in slot i, so an N-thread run is bit-identical
-//    to a serial one;
-//  * streaming aggregation — per-worker progress is merged into a single
-//    monotonic counter and surfaced through EngineOptions::on_progress;
-//    outcome aggregation is shared across backends (engine/stats.hpp).
+//  * CampaignEngine (this header) schedules sites over a pool of worker
+//    threads. Site i always belongs to shard i % threads and its record
+//    always lands in slot i, so an N-thread run is bit-identical to a serial
+//    one. It also owns the journal, worker isolation, graceful stop and
+//    progress reporting (EngineOptions::on_progress);
+//  * GoldenReplay (engine/replay.hpp) is the per-simulator half: the golden
+//    run and its checkpoint ladder, resuming each fault-free prefix from
+//    the nearest rung instead of from reset, and the write match and
+//    convergence cut-off of the faulty suffix. Outcome aggregation is
+//    shared too (engine/stats.hpp).
 //
 // Backend concept (see engine/rtl_backend.hpp, engine/iss_backend.hpp):
 //
 //   using Record = ...;                    // per-injection result
 //   std::size_t site_count() const;
 //   u64 site_instant(std::size_t i) const; // injection instant of site i
-//   std::unique_ptr<W> make_worker(unsigned shard);  // thread-safe
-//     // where W::run_site(std::size_t i) -> Record, deterministic per i
+//   std::unique_ptr<Worker> make_worker(unsigned shard) const;
+//     // thread-safe; Worker::run_site(std::size_t i) -> Record is
+//     // deterministic per i (backends draw nothing after enumeration, so
+//     // the shard number only names the calling thread)
 //
 // For durability (write-ahead journal, see engine/journal.hpp) a backend
 // also identifies its campaign and converts records to/from the journal's
@@ -51,10 +52,8 @@
 #include <map>
 #include <stdexcept>
 
-#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "engine/journal.hpp"
-#include "engine/ladder.hpp"
 
 namespace issrtl::engine {
 
@@ -249,12 +248,6 @@ struct EngineRun {
   u64 engine_errors = 0;
 };
 
-/// Deterministic per-shard RNG stream: decorrelated from the campaign seed
-/// and from every other shard. Any stochastic per-run behaviour a backend
-/// adds must draw from its shard's stream to stay reproducible under
-/// resharding (today's backends are fully pre-enumerated and draw nothing).
-Xoshiro256 shard_stream(u64 seed, unsigned shard);
-
 /// Ready-made on_progress callback: rewrites a `done/total injections`
 /// line on stderr, newline once complete. Shared by the CLI front ends.
 std::function<void(const EngineProgress&)> stderr_progress();
@@ -262,8 +255,6 @@ std::function<void(const EngineProgress&)> stderr_progress();
 class CampaignEngine {
  public:
   explicit CampaignEngine(EngineOptions opts = {}) : opts_(std::move(opts)) {}
-
-  const EngineOptions& options() const noexcept { return opts_; }
 
   /// Execute every site of `backend` and return the records in site order.
   /// Shard w owns sites {i : i % threads == w} and replays them sorted by
@@ -365,7 +356,7 @@ class CampaignEngine {
           // Worker isolation: one fresh-restore retry distinguishes
           // transient host trouble from a deterministic engine bug; the
           // second throw is contained as an error record for this site
-          // only (run_site starts from prepare(), so the retry sees a
+          // only (run_site starts from position(), so the retry sees a
           // clean, fault-free restore).
           Record r;
           try {

@@ -36,11 +36,10 @@
 // Appends take a mutex and flush per record, so every record a worker
 // committed before a crash is on its way to the file in order; recovery
 // rewrites the file compacted (valid prefix only) before reopening it for
-// appends. Under the staged pipeline appends arrive from each shard's
-// classify thread in *retirement* order (schedule-dependent), which is
-// fine by construction: records are schedule-invariant and import dedupes
-// first-wins on site index, so any append interleaving resumes into the
-// same merged result.
+// appends. Appends arrive from every worker thread in completion order
+// (schedule-dependent), which is fine by construction: records are
+// schedule-invariant and import dedupes first-wins on site index, so any
+// append interleaving resumes into the same merged result.
 #pragma once
 
 #include <cstdio>

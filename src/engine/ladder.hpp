@@ -1,8 +1,8 @@
 // Checkpoint ladder: periodic golden-run snapshots shared by every worker.
 //
 // Without it, every injection re-simulates its fault-free golden prefix
-// from reset, O(instant) cycles per site. While the backend runs the golden
-// reference (which it does exactly once anyway), the ladder records a
+// from reset, O(instant) cycles per site. While GoldenReplay (replay.hpp)
+// runs the golden reference (exactly once anyway), the ladder records a
 // snapshot — "rung" — every `stride` instants, doubling the stride (and
 // thinning the rungs to the new grid) whenever it outgrows kLadderMaxRungs.
 // Each injection then restores from the highest rung at or below its
@@ -17,12 +17,12 @@
 // O(instant) bus trace is *not* stored — a rung taken on the golden run has
 // by construction a trace that is a prefix of the golden trace, so the
 // simulator checkpoint keeps only the two prefix lengths and the restore
-// path rebuilds the trace from the backend's golden copy
+// path rebuilds the trace from GoldenReplay's golden copy
 // (OffCoreTrace::assign_prefix).
 //
 // Rungs double as a *golden state oracle*: a faulty run that crosses a rung
 // instant with state bit-identical to the rung (and all writes matched so
-// far) is provably silent for the rest of the run — see the backends'
+// far) is provably silent for the rest of the run — see GoldenReplay's
 // convergence cut-off, which is what turns masked transients from
 // full-suffix replays into O(stride) ones.
 //
@@ -46,7 +46,7 @@ inline constexpr std::size_t kLadderMaxRungs = 1024;
 
 /// Ladder of golden-run snapshots, ordered by instant.
 ///
-/// `Snapshot` is the backend's rung payload (simulator checkpoint + COW
+/// `Snapshot` is GoldenReplay's rung payload (simulator checkpoint + COW
 /// memory clone). Recording starts at the requested stride; whenever the
 /// rung count outgrows kLadderMaxRungs the stride doubles and rungs off
 /// the new grid are dropped, so the spacing adapts to the golden span

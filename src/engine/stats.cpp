@@ -21,18 +21,6 @@ void OutcomeAccumulator::add(fault::Outcome outcome,
   }
 }
 
-void OutcomeAccumulator::merge(const OutcomeAccumulator& other) noexcept {
-  runs += other.runs;
-  failures += other.failures;
-  hangs += other.hangs;
-  latent += other.latent;
-  silent += other.silent;
-  errors += other.errors;
-  latency_sum += other.latency_sum;
-  latency_n += other.latency_n;
-  max_latency = std::max(max_latency, other.max_latency);
-}
-
 double OutcomeAccumulator::mean_latency() const noexcept {
   return latency_n == 0 ? 0.0
                         : static_cast<double>(latency_sum) /

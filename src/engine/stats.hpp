@@ -6,8 +6,8 @@
 
 namespace issrtl::engine {
 
-/// Accumulates outcome counts one injection at a time; accumulators merge,
-/// so per-worker partials combine into campaign totals in any order.
+/// Accumulates outcome counts one injection at a time; finish() feeds it a
+/// campaign's completed records per fault model.
 struct OutcomeAccumulator {
   std::size_t runs = 0;
   std::size_t failures = 0;
@@ -20,7 +20,6 @@ struct OutcomeAccumulator {
   u64 max_latency = 0;
 
   void add(fault::Outcome outcome, u64 latency_cycles) noexcept;
-  void merge(const OutcomeAccumulator& other) noexcept;
   double mean_latency() const noexcept;
 
   /// Package as the RTL campaign's per-model row.

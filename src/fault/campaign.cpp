@@ -85,6 +85,13 @@ std::vector<FaultSite> build_fault_list(const rtl::SimContext& ctx,
     throw std::invalid_argument(
         "instants_per_site > 1 requires InjectTime::kUniformRandom");
   }
+  if (cfg.instant_window == InstantWindow::kFull &&
+      cfg.inject_time != InjectTime::kUniformRandom) {
+    // The window only shapes uniform-random draws; accepting it elsewhere
+    // would run a different campaign than the one asked for.
+    throw std::invalid_argument(
+        "InstantWindow::kFull requires InjectTime::kUniformRandom");
+  }
 
   std::vector<FaultSite> sites;
   if (cfg.samples == 0) {

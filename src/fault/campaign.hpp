@@ -107,7 +107,8 @@ struct CampaignConfig {
   /// Sampling window for InjectTime::kUniformRandom. The default keeps the
   /// historical first-half-only draw (and therefore every pinned fault
   /// list) bit-identical; see InstantWindow for why that default is a
-  /// documented bug rather than a choice.
+  /// documented bug rather than a choice. kFull with any other InjectTime
+  /// is a configuration error (build_fault_list throws).
   InstantWindow instant_window = InstantWindow::kLegacyHalf;
   u64 fixed_cycle = 0;
   double watchdog_factor = 3.0;         ///< faulty-run cycle budget multiplier

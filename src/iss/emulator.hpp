@@ -69,6 +69,9 @@ struct EmuCheckpoint {
   u64 instret = 0;
   std::size_t writes = 0;  ///< off-core write records at the checkpoint
   std::size_t reads = 0;   ///< off-core read records at the checkpoint
+
+  /// Bytes held outside the struct itself (none: it is fixed-size).
+  std::size_t heap_bytes() const noexcept { return 0; }
 };
 
 class Emulator {
@@ -143,6 +146,15 @@ class Emulator {
   /// on the golden run). The caller restores the backing Memory to the
   /// matching image and clears/re-arms faults.
   void restore(const EmuCheckpoint& ck, const OffCoreTrace& trace_src);
+
+  /// True when this emulator will evolve exactly like one restored from
+  /// `ck`: same retired count, halt status, write count and ArchState. The
+  /// caller compares Memory and write payloads; the instruction-mix trace
+  /// and bus reads are statistics the emulator never evolves from.
+  bool matches(const EmuCheckpoint& ck) const noexcept {
+    return instret_ == ck.instret && halt_ == ck.halt &&
+           offcore_.writes().size() == ck.writes && state_ == ck.state;
+  }
 
   // ---- ISS-level fault injection ---------------------------------------------
   void arm_fault(const IssFault& fault);

@@ -168,7 +168,7 @@ class SimContext {
   /// through patching scheme stores exactly one shadow raw value per armed
   /// node; a second overlay would corrupt the shadow on clear. Campaign
   /// code upholds the stronger form (one armed fault per *run*, cleared
-  /// via clear_faults() before the next prepare), matching the paper's
+  /// via clear_faults() before the next position()), matching the paper's
   /// single-fault assumption.
   void arm_fault(NodeId id, FaultModel model, u8 bit);
 

@@ -867,12 +867,15 @@ void Leon3Core::step_eval() {
   eval_fe(de_consumed_ || !de_.valid.rb());
 }
 
+HaltReason Leon3Core::advance(u64 max_cycles) {
+  for (u64 i = 0; i < max_cycles && halt_ == HaltReason::kRunning; ++i) step();
+  return halt_;
+}
+
 HaltReason Leon3Core::run(u64 max_cycles) {
-  for (u64 i = 0; i < max_cycles; ++i) {
-    if (halt_ != HaltReason::kRunning) return halt_;
-    step();
+  if (advance(max_cycles) == HaltReason::kRunning) {
+    halt_ = HaltReason::kStepLimit;
   }
-  if (halt_ == HaltReason::kRunning) halt_ = HaltReason::kStepLimit;
   return halt_;
 }
 
@@ -919,6 +922,15 @@ void Leon3Core::restore(const CoreCheckpoint& ck,
   // cleared here so a restored core is indistinguishable from one that
   // reached this cycle by stepping.
   clear_cycle_scratch();
+}
+
+bool Leon3Core::matches(const CoreCheckpoint& ck) const {
+  const CoreActivityScalars s = activity_scalars();
+  return cycle_ == ck.cycle && halt_ == ck.halt && s.instret == ck.instret &&
+         s.slot_seq == ck.slot_seq && s.next_fetch_seq == ck.next_fetch_seq &&
+         s.redirect_after_seq == ck.redirect_after_seq &&
+         s.annul_seq == ck.annul_seq && s.bus_writes == ck.writes &&
+         ctx_.values_equal(ck.node_values);
 }
 
 CoreActivityScalars Leon3Core::activity_scalars() const {

@@ -103,6 +103,11 @@ struct CoreCheckpoint {
   u64 dcache_hits = 0, dcache_misses = 0;
   std::size_t writes = 0;  ///< off-core write records at the checkpoint
   std::size_t reads = 0;   ///< off-core read records at the checkpoint
+
+  /// Bytes held outside the struct itself (the node-value array).
+  std::size_t heap_bytes() const noexcept {
+    return node_values.size() * sizeof(u32);
+  }
 };
 
 /// Cheap half of the hang fast-forward fingerprint: the host-side counters
@@ -143,6 +148,11 @@ class Leon3Core {
     ctx_.commit_all();
   }
 
+  /// Step up to `max_cycles` cycles without arming the kStepLimit
+  /// watchdog: reaching the budget simply returns with the core still
+  /// kRunning (same contract as iss::Emulator::advance).
+  iss::HaltReason advance(u64 max_cycles);
+
   /// Run until halt or the cycle watchdog expires.
   iss::HaltReason run(u64 max_cycles = 50'000'000);
 
@@ -156,6 +166,8 @@ class Leon3Core {
   const Memory& memory() const noexcept { return mem_; }
   rtl::SimContext& sim() noexcept { return ctx_; }
   const rtl::SimContext& sim() const noexcept { return ctx_; }
+  /// Remove every armed fault (SimContext::clear_faults).
+  void clear_faults() { ctx_.clear_faults(); }
   const Cache& icache() const noexcept { return *icache_; }
   const Cache& dcache() const noexcept { return *dcache_; }
 
@@ -176,6 +188,12 @@ class Leon3Core {
   /// restoring the backing Memory to the matching image and for
   /// clear_faults() beforehand.
   void restore(const CoreCheckpoint& ck, const OffCoreTrace& trace_src);
+
+  /// True when this core will evolve exactly like one restored from `ck`:
+  /// same scalars (cycle, halt, fetch sequencing, write count), then node
+  /// values. The caller compares Memory and write payloads; bus reads and
+  /// cache statistics are diagnostics the core never evolves from.
+  bool matches(const CoreCheckpoint& ck) const;
 
   /// The cheap half of the activity fingerprint (no node traversal).
   CoreActivityScalars activity_scalars() const;

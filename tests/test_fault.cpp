@@ -95,9 +95,10 @@ TEST(FaultList, UnknownUnitThrows) {
                std::invalid_argument);
 }
 
-TEST(FaultList, ZeroInstantsPerSiteRejected) {
-  // Used to be silently clamped to 1 — a mistyped CLI argument would
-  // quietly run a campaign of a different size than requested.
+TEST(FaultList, InvalidInstantConfigRejected) {
+  // Both used to be accepted silently: zero instants was clamped to 1, and
+  // the full window was ignored with the fixed early instant, so "full"
+  // and "half" ran the same campaign.
   Memory mem;
   rtlcore::Leon3Core core(mem);
   CampaignConfig cfg;
@@ -105,6 +106,11 @@ TEST(FaultList, ZeroInstantsPerSiteRejected) {
   cfg.instants_per_site = 0;
   cfg.inject_time = fault::InjectTime::kUniformRandom;
   EXPECT_THROW(build_fault_list(core.sim(), cfg, 1000),
+               std::invalid_argument);
+  CampaignConfig early;
+  early.unit_prefix = "iu";
+  early.instant_window = fault::InstantWindow::kFull;
+  EXPECT_THROW(build_fault_list(core.sim(), early, 1000),
                std::invalid_argument);
 }
 
