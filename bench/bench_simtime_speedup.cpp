@@ -1,26 +1,17 @@
 // Simulation-time comparison (§4.2 "Simulation time") — the paper spent
 // 25,478 CPU-hours on the RTL campaigns vs under 300 hours for the same
-// number of ISS experiments (~85x). This bench measures the throughput gap
-// between our RTL core and the functional ISS (with and without timing
-// model) using google-benchmark, then reports the implied campaign speedup.
-// A second section compares the unified campaign engine against the naive
-// serial driver it replaced: a 200-sample RTL campaign run (a) the old way
-// (one thread, golden prefix re-simulated per fault, every run simulated to
-// halt/watchdog) and (b) on the engine with the checkpoint ladder,
-// early divergence cut-off and 4 worker threads — same pf() per model,
-// bit-identical outcomes. A final section times the ISS fast path: ns/instr
-// of the decoded-basic-block interpreter vs the single-step reference
-// decoder (end states verified identical).
-#include <benchmark/benchmark.h>
-
+// number of ISS experiments (~85x). This bench times plain fault-free
+// replays of one workload on the RTL core and on the functional ISS and
+// prints the RTL/ISS replay-cost ratio, the per-experiment cost gap behind
+// that figure.
+//
+//   ./bench_simtime_speedup     (ISSRTL_BENCH_MICRO_REPS: replays per side)
 #include <chrono>
 #include <cstdio>
 #include <exception>
 
 #include "bench/bench_util.hpp"
-#include "engine/rtl_backend.hpp"
 #include "iss/emulator.hpp"
-#include "iss/timing.hpp"
 #include "rtlcore/core.hpp"
 #include "workloads/workload.hpp"
 
@@ -34,80 +25,45 @@ const isa::Program& prog() {
   return p;
 }
 
-void BM_IssFunctional(benchmark::State& state) {
-  u64 instrs = 0;
-  for (auto _ : state) {
-    Memory mem;
-    iss::Emulator emu(mem);
-    emu.load(prog());
-    if (emu.run() != iss::HaltReason::kHalted) state.SkipWithError("no halt");
-    instrs += emu.instret();
-  }
-  state.counters["instr/s"] = benchmark::Counter(
-      static_cast<double>(instrs), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_IssFunctional)->Unit(benchmark::kMillisecond);
-
-void BM_IssWithTiming(benchmark::State& state) {
-  u64 instrs = 0;
-  for (auto _ : state) {
-    Memory mem;
-    iss::Emulator emu(mem);
-    iss::TimingModel timing;
-    emu.set_timing(&timing);
-    emu.load(prog());
-    if (emu.run() != iss::HaltReason::kHalted) state.SkipWithError("no halt");
-    instrs += emu.instret();
-  }
-  state.counters["instr/s"] = benchmark::Counter(
-      static_cast<double>(instrs), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_IssWithTiming)->Unit(benchmark::kMillisecond);
-
-void BM_RtlCore(benchmark::State& state) {
-  u64 cycles = 0;
-  for (auto _ : state) {
-    Memory mem;
-    rtlcore::Leon3Core core(mem);
-    core.load(prog());
-    if (core.run() != iss::HaltReason::kHalted) state.SkipWithError("no halt");
-    cycles += core.cycles();
-  }
-  state.counters["cycle/s"] = benchmark::Counter(
-      static_cast<double>(cycles), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_RtlCore)->Unit(benchmark::kMillisecond);
-
 /// Direct wall-clock comparison: same workload, same number of "injection
 /// experiments" (here: plain replays) on each vehicle. Alternating min-of-N
-/// timing (bench::min_alternating): the two vehicles run interleaved and
-/// each keeps its fastest rep, so a neighbour holding the core for a while
-/// biases neither side.
+/// timing: the two vehicles run interleaved within each rep and each keeps
+/// its fastest rep, so slow clock drift or a neighbour holding the core for
+/// a while biases neither side.
 void report_speedup() {
-  // Replays cost single-digit milliseconds — min-of-9 by default, see
-  // report_iss_fastpath for the rationale.
+  // Replays cost single-digit milliseconds, so a generous rep count is
+  // free insurance against scheduler interference on a busy host.
   const int reps =
       static_cast<int>(bench::env_size("ISSRTL_BENCH_MICRO_REPS", 9));
-  u64 rtl_cycles = 0, iss_instrs = 0;
-  const auto [rtl_best, iss_best] = bench::min_alternating(
-      reps,
-      [&] {
-        Memory mem;
-        rtlcore::Leon3Core core(mem);
-        core.load(prog());
-        core.run();
-        rtl_cycles = core.cycles();
-      },
-      [&] {
-        Memory mem;
-        iss::Emulator emu(mem);
-        emu.load(prog());
-        emu.run();
-        iss_instrs = emu.instret();
-      });
+  using Clock = std::chrono::steady_clock;
+  const auto seconds = [](Clock::time_point a, Clock::time_point b) {
+    return std::chrono::duration<double>(b - a).count();
+  };
+  double rtl_best = 0.0, iss_best = 0.0;
+  u64 rtl_cycles = 0;
+  for (int r = 0; r < reps; ++r) {
+    const auto t0 = Clock::now();
+    {
+      Memory mem;
+      rtlcore::Leon3Core core(mem);
+      core.load(prog());
+      core.run();
+      rtl_cycles = core.cycles();
+    }
+    const auto t1 = Clock::now();
+    {
+      Memory mem;
+      iss::Emulator emu(mem);
+      emu.load(prog());
+      emu.run();
+    }
+    const auto t2 = Clock::now();
+    if (r == 0 || seconds(t0, t1) < rtl_best) rtl_best = seconds(t0, t1);
+    if (r == 0 || seconds(t1, t2) < iss_best) iss_best = seconds(t1, t2);
+  }
   const double rtl_ns_per_cycle =
       rtl_cycles > 0 ? 1e9 * rtl_best / static_cast<double>(rtl_cycles) : 0.0;
-  std::printf("\n--- campaign-cost comparison (rspeed, best of %d replays "
+  std::printf("--- campaign-cost comparison (rspeed, best of %d replays "
               "each) ---\n",
               reps);
   std::printf("RTL:  %.3f s (%.1f ns/cycle)   ISS: %.3f s   ratio: %.0fx\n",
@@ -117,133 +73,13 @@ void report_speedup() {
               "workstation) => ~85x\n");
 }
 
-/// Campaign-engine comparison: the seed repo's serial algorithm (expressed
-/// as engine options: 1 thread, no ladder, no early stop) vs the
-/// engine's fast path at 4 threads, on the same 200-sample fault list.
-/// Bench-wide knobs apply (here with headline-sized defaults): ISSRTL_SAMPLES
-/// (200), ISSRTL_SEED, ISSRTL_THREADS (4).
-void report_engine_speedup() {
-  const std::size_t samples = bench::env_size("ISSRTL_SAMPLES", 200);
-  const unsigned threads =
-      static_cast<unsigned>(bench::env_size("ISSRTL_THREADS", 4));
-
-  fault::CampaignConfig cfg;
-  cfg.unit_prefix = "iu";
-  cfg.models = {rtl::FaultModel::kStuckAt1};
-  cfg.samples = samples;
-  cfg.seed = bench::seed();
-  cfg.inject_time = fault::InjectTime::kUniformRandom;
-
-  engine::EngineOptions naive;
-  naive.threads = 1;
-  naive.ladder_stride = 0;
-  naive.early_stop = false;
-  naive.hang_fast_forward = false;
-
-  engine::EngineOptions fast;
-  fast.threads = threads;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto serial = engine::run_rtl_campaign(prog(), cfg, {}, naive);
-  const auto t1 = std::chrono::steady_clock::now();
-  const auto parallel = engine::run_rtl_campaign(prog(), cfg, {}, fast);
-  const auto t2 = std::chrono::steady_clock::now();
-
-  const double ts = std::chrono::duration<double>(t1 - t0).count();
-  const double te = std::chrono::duration<double>(t2 - t1).count();
-  bool identical = serial.runs.size() == parallel.runs.size();
-  for (std::size_t i = 0; identical && i < serial.runs.size(); ++i) {
-    identical =
-        serial.runs[i].outcome == parallel.runs[i].outcome &&
-        serial.runs[i].latency_cycles == parallel.runs[i].latency_cycles;
-  }
-  const double pf_serial = serial.stats_for(rtl::FaultModel::kStuckAt1).pf();
-  const double pf_engine = parallel.stats_for(rtl::FaultModel::kStuckAt1).pf();
-
-  std::printf("\n--- campaign engine vs seed serial driver (rspeed, %zu "
-              "RTL injections @ IU) ---\n", samples);
-  std::printf("serial (seed algorithm):       %.3f s   Pf=%.1f%%\n", ts,
-              100.0 * pf_serial);
-  std::printf("engine (ckpt+cutoff, %u thr):  %.3f s   Pf=%.1f%%\n", threads,
-              te, 100.0 * pf_engine);
-  std::printf("speedup: %.2fx   outcomes bit-identical: %s   pf match: %s\n",
-              te > 0 ? ts / te : 0.0, identical ? "yes" : "NO",
-              pf_serial == pf_engine ? "yes" : "NO");
-}
-
-/// ISS fast path: times the decoded-basic-block interpreter (dbbcache +
-/// lscache, the default) against the single-step reference decoder on a
-/// longer rspeed run (ISSRTL_ITERS iterations, default 8, to amortise
-/// program load), alternating min-of-N like the §4.2 section; the end
-/// states (instret + full memory image) must be identical — the fast path
-/// is architecturally invisible.
-void report_iss_fastpath() {
-  const std::size_t iters = bench::env_size("ISSRTL_ITERS", 8);
-  const isa::Program iss_prog = workloads::build(
-      "rspeed", {.iterations = static_cast<unsigned>(iters), .data_seed = 1});
-
-  // Untimed equivalence check first: same program, both interpreters.
-  bool state_identical = false;
-  {
-    Memory mem_fast, mem_base;
-    iss::Emulator fast_emu(mem_fast), base_emu(mem_base);
-    base_emu.set_fast_path(false);
-    fast_emu.load(iss_prog);
-    base_emu.load(iss_prog);
-    const auto hf = fast_emu.run();
-    const auto hb = base_emu.run();
-    state_identical = hf == hb && fast_emu.instret() == base_emu.instret() &&
-                      mem_fast.equals(mem_base);
-  }
-
-  // A replay costs milliseconds here, so a generous rep count is free
-  // insurance against scheduler interference on a busy box — unlike the
-  // campaign sections, where ISSRTL_BENCH_REPS stays at 3.
-  const int micro_reps =
-      static_cast<int>(bench::env_size("ISSRTL_BENCH_MICRO_REPS", 9));
-  u64 instrs = 0;
-  const auto [base_best, fast_best] = bench::min_alternating(
-      micro_reps,
-      [&] {
-        Memory mem;
-        iss::Emulator emu(mem);
-        emu.set_fast_path(false);
-        emu.load(iss_prog);
-        emu.run();
-        instrs = emu.instret();
-      },
-      [&] {
-        Memory mem;
-        iss::Emulator emu(mem);
-        emu.load(iss_prog);
-        emu.run();
-      });
-  const double per_instr = instrs > 0 ? 1e9 / static_cast<double>(instrs) : 0;
-
-  std::printf("\n--- ISS fast path vs single-step decoder (rspeed x%zu, "
-              "%llu instrs) ---\n",
-              iters, (unsigned long long)instrs);
-  std::printf("single-step: %.3f s (%.2f ns/instr)   fast path: %.3f s "
-              "(%.2f ns/instr)\n",
-              base_best, base_best * per_instr, fast_best,
-              fast_best * per_instr);
-  std::printf("speedup: %.2fx   end state identical: %s\n",
-              fast_best > 0 ? base_best / fast_best : 0.0,
-              state_identical ? "yes" : "NO");
-}
-
 }  // namespace
 
-int main(int argc, char** argv) try {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+int main() try {
   report_speedup();
-  report_engine_speedup();
-  report_iss_fastpath();
   return 0;
 } catch (const std::exception& e) {
-  // e.g. a golden run that does not halt — report it instead of
-  // std::terminate.
+  // Report a failed workload build instead of std::terminate.
   std::fprintf(stderr, "error: %s\n", e.what());
   return 1;
 }

@@ -10,7 +10,6 @@
 //                     threads (results are bit-identical for any count)
 #pragma once
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -22,30 +21,6 @@
 #include "workloads/workload.hpp"
 
 namespace issrtl::bench {
-
-/// Alternating min-of-N timing for an A/B wall-clock comparison: both sides
-/// run interleaved within each rep and each keeps its fastest rep, so slow
-/// clock drift (turbo decay, a neighbour stealing the core) biases neither
-/// side — a single-shot pair reads the drift as a ratio swing of up to
-/// ±30% on the reference box. Returns {best_a_seconds, best_b_seconds}.
-/// Side effects of the callables (capturing the last run's result) are
-/// fine; every rep runs both sides exactly once, in order.
-template <typename FnA, typename FnB>
-inline std::pair<double, double> min_alternating(int reps, FnA&& a, FnB&& b) {
-  double a_best = 0.0, b_best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    a();
-    const auto t1 = std::chrono::steady_clock::now();
-    b();
-    const auto t2 = std::chrono::steady_clock::now();
-    const double da = std::chrono::duration<double>(t1 - t0).count();
-    const double db = std::chrono::duration<double>(t2 - t1).count();
-    if (r == 0 || da < a_best) a_best = da;
-    if (r == 0 || db < b_best) b_best = db;
-  }
-  return {a_best, b_best};
-}
 
 inline std::size_t env_size(const char* name, std::size_t def) {
   const char* v = std::getenv(name);

@@ -93,6 +93,12 @@ std::vector<FaultSite> build_fault_list(const rtl::SimContext& ctx,
         "InstantWindow::kFull requires InjectTime::kUniformRandom");
   }
 
+  if (std::ranges::find(cfg.models, FaultModel::kBridge) != cfg.models.end()) {
+    // The kernel throws on arm, so every site would end kEngineError and
+    // the campaign would report Pf = 0 for a model it never injected.
+    throw std::invalid_argument("the bridge fault model cannot be injected");
+  }
+
   std::vector<FaultSite> sites;
   if (cfg.samples == 0) {
     // Exhaustive: every bit of every node, for every model.

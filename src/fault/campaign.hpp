@@ -87,6 +87,8 @@ enum class InstantWindow : u8 {
 
 struct CampaignConfig {
   std::string unit_prefix = "iu";       ///< "iu", "cmem", or a subunit
+  /// FaultModel::kBridge is a configuration error (build_fault_list
+  /// throws): the kernel cannot arm it.
   std::vector<FaultModel> models = {FaultModel::kStuckAt1};
   /// Number of injection trials (sampled uniformly over node bits). 0 means
   /// exhaustive: every bit of every node in the unit, per model.

@@ -2,7 +2,8 @@
 // "single hardware faults of permanent type, targeted to VHDL signals, ports
 // and variables which appear at a fixed injection instant and cause either
 // stuck-at-1, stuck-at-0 or an open line" (§4.1), plus a transient bit-flip
-// extension (the paper's future work).
+// extension (the paper's future work). Every fault is one bit of one node,
+// and a SimContext holds at most one armed fault.
 #pragma once
 
 #include <string_view>
@@ -14,7 +15,7 @@ namespace issrtl::rtl {
 /// Node handle used by campaigns: index into the SimContext registry.
 using NodeId = u32;
 
-/// Sentinel for "no node" (e.g. a non-bridge overlay's aggressor).
+/// Sentinel for "no node" (a SimContext with no fault armed).
 inline constexpr NodeId kNoNode = 0xFFFF'FFFFu;
 
 enum class FaultModel : u8 {
@@ -22,29 +23,12 @@ enum class FaultModel : u8 {
   kStuckAt1,
   kOpenLine,          ///< node bit keeps the value it held at injection time
   kTransientBitFlip,  ///< single bit flip at the injection instant (extension)
-  kBridge,            ///< bits shorted to another node (saboteur-style [2])
+  /// Not a fault model of this project: SimContext::arm_fault and
+  /// fault::build_fault_list reject it. The enumerator stays only because
+  /// benchmark/bench_main.cpp's model-name switch names it.
+  kBridge,
 };
 
 std::string_view fault_model_name(FaultModel m);
-
-/// Active fault overlay attached to a node. Single-bit stuck-at/open-line is
-/// the paper's fault load; the overlay generalises to multi-bit masks and
-/// short-circuit bridges — the fault models the paper's related work [2]
-/// implements with VHDL saboteurs.
-///
-/// Since the SoA kernel rewrite the overlay is *not* consulted on reads:
-/// SimContext keeps the armed node's value array entry patched (write-through)
-/// and re-applies the overlay whenever the underlying raw value can change.
-struct FaultOverlay {
-  FaultModel model = FaultModel::kStuckAt0;
-  u8 bit = 0;                  ///< primary bit (reporting)
-  u32 mask = 0;                ///< all affected bits
-  u32 frozen = 0;              ///< captured values at arm time (open-line)
-  NodeId bridge_src = kNoNode; ///< aggressor node for kBridge
-
-  /// Apply the overlay to a raw node value. `bridge_raw` is the aggressor's
-  /// raw value (only consulted for kBridge).
-  u32 apply(u32 raw, u32 bridge_raw = 0) const noexcept;
-};
 
 }  // namespace issrtl::rtl

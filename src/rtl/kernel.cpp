@@ -1,6 +1,5 @@
 #include "rtl/kernel.hpp"
 
-#include <bit>
 #include <stdexcept>
 
 namespace issrtl::rtl {
@@ -25,18 +24,6 @@ bool unit_matches(const std::string& unit, const std::string& prefix) {
 }
 }  // namespace
 
-u32 FaultOverlay::apply(u32 raw, u32 bridge_raw) const noexcept {
-  switch (model) {
-    case FaultModel::kStuckAt0: return raw & ~mask;
-    case FaultModel::kStuckAt1: return raw | mask;
-    case FaultModel::kOpenLine: return (raw & ~mask) | frozen;
-    case FaultModel::kTransientBitFlip: return raw;  // applied once at arm
-    case FaultModel::kBridge:
-      return bridge_src == kNoNode ? raw : (raw & ~mask) | (bridge_raw & mask);
-  }
-  return raw;
-}
-
 Sig SimContext::make(const std::string& name, const std::string& unit,
                      u8 width, NodeKind kind) {
   const NodeId id = static_cast<NodeId>(meta_.size());
@@ -48,7 +35,6 @@ Sig SimContext::make(const std::string& name, const std::string& unit,
   cur_.push_back(0);
   nxt_.push_back(0);
   mask_.push_back(static_cast<u32>(low_mask64(width)));
-  flags_.push_back(0);
   if (kind == NodeKind::kReg && !sparse_pending_) {
     if (!commit_spans_.empty() && commit_spans_.back().second == id) {
       commit_spans_.back().second = id + 1;  // extend the adjacent span
@@ -62,12 +48,7 @@ Sig SimContext::make(const std::string& name, const std::string& unit,
 
 u32 SimContext::raw_value(NodeId id) const {
   check_id(id);
-  if (flags_[id] & kFlagOverlay) {
-    for (const ArmedFault& f : armed_) {
-      if (f.id == id) return f.shadow;
-    }
-  }
-  return cur_[id];
+  return id == armed_.id ? armed_.shadow : cur_[id];
 }
 
 u64 SimContext::injectable_bits(const std::string& unit_prefix) const {
@@ -93,126 +74,52 @@ std::optional<NodeId> SimContext::find_node(const std::string& name) const {
   return it->second;
 }
 
-u32 SimContext::apply_overlay(const ArmedFault& f) const noexcept {
-  const u32 bridge_raw = f.overlay.bridge_src == kNoNode
-                             ? 0
-                             : raw_value(f.overlay.bridge_src);
-  return f.overlay.apply(f.shadow, bridge_raw);
+void SimContext::write_armed(u32 masked) noexcept {
+  nxt_[armed_.id] = masked;
+  armed_.shadow = masked;
+  cur_[armed_.id] = (masked & ~(1u << armed_.bit)) | armed_.forced;
 }
 
-void SimContext::write_slow(NodeId id, u32 masked) noexcept {
-  nxt_[id] = masked;
-  if (flags_[id] & kFlagOverlay) {
-    for (ArmedFault& f : armed_) {
-      if (f.id == id) {
-        f.shadow = masked;
-        cur_[id] = apply_overlay(f);
-        break;
-      }
-    }
-  } else {
-    cur_[id] = masked;
-  }
-  if (flags_[id] & kFlagBridgeSrc) refresh_bridges_from(id);
-}
-
-void SimContext::refresh_bridges_from(NodeId aggressor) noexcept {
-  for (const ArmedFault& f : armed_) {
-    if (f.overlay.bridge_src == aggressor) {
-      cur_[f.id] = apply_overlay(f);
-    }
-  }
-}
-
-void SimContext::reapply_overlays() noexcept {
-  // Two passes: capture all shadows first, then patch — bridge overlays
-  // then read consistent aggressor raw values via raw_value(). Shadows are
-  // read from the next-value array, which holds every node's *raw* value
-  // at each bulk-operation boundary (commit copies it into cur for
-  // registers; wires keep nxt == raw by the write-through discipline; the
-  // zero/load bulk ops fill both arrays) — the current-value slot of an
-  // armed wire still carries the overlay at this point and must not leak
-  // into its shadow.
-  for (ArmedFault& f : armed_) f.shadow = nxt_[f.id];
-  for (const ArmedFault& f : armed_) {
-    cur_[f.id] = apply_overlay(f);
-  }
+void SimContext::reapply_overlay() noexcept {
+  // The next-value array holds every node's *raw* value at each bulk-
+  // operation boundary (commit copies it into cur for registers; wires keep
+  // nxt == raw by the write-through discipline; the zero/load bulk ops fill
+  // both arrays). The current-value slot of an armed wire still carries the
+  // overlay at this point and must not leak into the shadow.
+  write_armed(nxt_[armed_.id]);
 }
 
 void SimContext::arm_fault(NodeId id, FaultModel model, u8 bit) {
   if (bit >= width(id)) {
     throw std::out_of_range("arm_fault: bit out of range");
   }
-  arm_fault_mask(id, model, 1u << bit);
-}
-
-void SimContext::arm_fault_mask(NodeId id, FaultModel model, u32 mask) {
-  check_id(id);
   if (model == FaultModel::kBridge) {
-    throw std::invalid_argument("arm_fault_mask: use arm_bridge for bridges");
+    throw std::invalid_argument("arm_fault: the bridge model cannot be armed");
   }
-  if (mask == 0 || (mask & ~mask_[id]) != 0) {
-    throw std::out_of_range("arm_fault_mask: mask outside node width");
+  if (armed_.id != kNoNode) {
+    throw std::logic_error("arm_fault: a fault is already armed on " +
+                           name(armed_.id));
   }
-  if (flags_[id] & kFlagOverlay) {
-    throw std::logic_error("arm_fault: node already has a fault: " + name(id));
-  }
+  const u32 mask = 1u << bit;
   if (model == FaultModel::kTransientBitFlip) {
     // One-shot: disturb the stored value (and the pending next value for
     // registers, as a particle strike would hit the flop master+slave).
     cur_[id] ^= mask;
     nxt_[id] ^= mask;
-    if (flags_[id] & kFlagBridgeSrc) refresh_bridges_from(id);
     return;
   }
-  ArmedFault f;
-  f.id = id;
-  f.shadow = cur_[id];  // unfaulted until now: the node holds the raw value
-  f.overlay.model = model;
-  f.overlay.bit = static_cast<u8>(std::countr_zero(mask));
-  f.overlay.mask = mask;
-  f.overlay.frozen = f.shadow & mask;
-  flags_[id] |= kFlagOverlay;
-  cur_[id] = apply_overlay(f);
-  armed_.push_back(f);
-}
-
-void SimContext::arm_bridge(NodeId victim, NodeId aggressor, u32 mask) {
-  check_id(victim);
-  check_id(aggressor);
-  if (victim == aggressor) {
-    throw std::invalid_argument("arm_bridge: victim == aggressor");
-  }
-  if (mask == 0 || (mask & ~mask_[victim]) != 0) {
-    throw std::out_of_range("arm_bridge: mask outside victim width");
-  }
-  if (flags_[victim] & kFlagOverlay) {
-    throw std::logic_error("arm_bridge: node already has a fault: " +
-                           name(victim));
-  }
-  ArmedFault f;
-  f.id = victim;
-  f.shadow = cur_[victim];
-  f.overlay.model = FaultModel::kBridge;
-  f.overlay.bit = static_cast<u8>(std::countr_zero(mask));
-  f.overlay.mask = mask;
-  f.overlay.bridge_src = aggressor;
-  flags_[victim] |= kFlagOverlay;
-  flags_[aggressor] |= kFlagBridgeSrc;
-  armed_.push_back(f);
-  cur_[victim] = apply_overlay(armed_.back());
+  const u32 raw = cur_[id];  // nothing armed: the node holds its raw value
+  const u32 forced = model == FaultModel::kStuckAt1   ? mask
+                     : model == FaultModel::kOpenLine ? raw & mask
+                                                      : 0;
+  armed_ = ArmedFault{id, bit, raw, forced};
+  cur_[id] = (raw & ~mask) | forced;
 }
 
 void SimContext::clear_faults() {
-  for (const ArmedFault& f : armed_) {
-    cur_[f.id] = f.shadow;  // restore the raw value
-    flags_[f.id] &= static_cast<u8>(~kFlagOverlay);
-    if (f.overlay.bridge_src != kNoNode) {
-      flags_[f.overlay.bridge_src] &=
-          static_cast<u8>(~kFlagBridgeSrc);
-    }
-  }
-  armed_.clear();
+  if (armed_.id == kNoNode) return;
+  cur_[armed_.id] = armed_.shadow;  // restore the raw value
+  armed_ = ArmedFault{};
 }
 
 void SimContext::zero_all() noexcept {
@@ -220,7 +127,7 @@ void SimContext::zero_all() noexcept {
     std::memset(cur_.data(), 0, cur_.size() * sizeof(u32));
     std::memset(nxt_.data(), 0, nxt_.size() * sizeof(u32));
   }
-  if (!armed_.empty()) reapply_overlays();
+  if (armed_.id != kNoNode) reapply_overlay();
 }
 
 std::vector<u32> SimContext::save_values() const {
@@ -245,7 +152,7 @@ void SimContext::load_values(const std::vector<u32>& values) {
     std::memcpy(cur_.data(), values.data(), cur_.size() * sizeof(u32));
     std::memcpy(nxt_.data(), values.data(), nxt_.size() * sizeof(u32));
   }
-  if (!armed_.empty()) reapply_overlays();
+  if (armed_.id != kNoNode) reapply_overlay();
 }
 
 }  // namespace issrtl::rtl

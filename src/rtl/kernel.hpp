@@ -19,12 +19,12 @@
 // module-defined dataflow order, followed by a register commit (two-phase,
 // like a synchronous netlist with one clock).
 //
-// Fault discipline: the value array always holds the value *consumers see*.
-// Reads are therefore branch-free; the (at most a handful of) armed nodes
-// carry their true raw value in a shadow slot, and the overlay is re-applied
-// write-through at every point the raw value can change (w/poke on the node,
-// writes to a bridge aggressor, commit_all, zero_all, load_values). A faulted
-// node corrupts every consumer, whether wire or flop, exactly as before.
+// Fault discipline: a context holds at most one armed single-bit fault, the
+// paper's single-fault load. The value array always holds the value
+// *consumers see*, so reads are branch-free; the armed node's true raw value
+// sits in a shadow slot, and the overlay is re-applied write-through at every
+// point the raw value can change (w/poke on the node, commit_all, zero_all,
+// load_values). A faulted node corrupts every consumer, wire or flop.
 #pragma once
 
 #include <cstring>
@@ -158,30 +158,19 @@ class SimContext {
   /// the linear scan this replaced.
   std::optional<NodeId> find_node(const std::string& name) const;
 
-  /// Arm a fault on (node, bit). Open-line captures the current bit value;
-  /// transient flips immediately (one-shot: cur and nxt are disturbed once
-  /// and no overlay stays armed, which is what makes the engine's
-  /// golden-state convergence cut-off sound for transients).
+  /// Arm a single-bit fault on (node, bit). Stuck-at forces the bit;
+  /// open-line holds the value the bit has now; a transient flips it once
+  /// (cur and nxt are disturbed and no overlay stays armed, which is what
+  /// makes the engine's golden-state convergence cut-off sound for
+  /// transients).
   ///
-  /// Single-armed-fault invariant: at most one overlay per node — arming a
-  /// node that already carries one throws std::logic_error. The write-
-  /// through patching scheme stores exactly one shadow raw value per armed
-  /// node; a second overlay would corrupt the shadow on clear. Campaign
-  /// code upholds the stronger form (one armed fault per *run*, cleared
-  /// via clear_faults() before the next position()), matching the paper's
-  /// single-fault assumption.
+  /// One armed fault per context: arming while a fault is armed throws
+  /// std::logic_error (clear_faults() first, as GoldenReplay::position
+  /// does before every site). Throws std::out_of_range for a bit outside
+  /// the node's width and std::invalid_argument for FaultModel::kBridge.
   void arm_fault(NodeId id, FaultModel model, u8 bit);
 
-  /// Saboteur-style multi-bit fault: every bit in `mask` is affected
-  /// (stuck-at, open-line freeze, or transient flip of all masked bits).
-  void arm_fault_mask(NodeId id, FaultModel model, u32 mask);
-
-  /// Short-circuit (bridge) fault: the masked bits of `victim` read as the
-  /// corresponding bits of `aggressor` — the dominant-aggressor bridge model
-  /// that requires saboteur instrumentation in VHDL flows [2].
-  void arm_bridge(NodeId victim, NodeId aggressor, u32 mask);
-
-  /// Remove all armed faults (between campaign runs).
+  /// Remove the armed fault, if any (between campaign runs).
   void clear_faults();
 
   /// Commit every register (clock edge). Wires always satisfy cur == nxt —
@@ -189,8 +178,8 @@ class SimContext {
   /// registers — so the commit copies just the register-covering NodeId
   /// spans (registers cluster by construction order, so this is a handful
   /// of memcpys over a fraction of the array instead of one full-array
-  /// copy), then the sparse registers on the dirty list. Armed overlays are
-  /// re-applied afterwards (the copy exposes raw next values).
+  /// copy), then the sparse registers on the dirty list. An armed overlay
+  /// is re-applied afterwards (the copy exposes raw next values).
   void commit_all() noexcept {
     for (const auto& [begin, end] : commit_spans_) {
       std::memcpy(cur_.data() + begin, nxt_.data() + begin,
@@ -200,7 +189,7 @@ class SimContext {
       for (const NodeId id : sparse_dirty_) cur_[id] = nxt_[id];
       sparse_dirty_.clear();
     }
-    if (!armed_.empty()) reapply_overlays();
+    if (armed_.id != kNoNode) reapply_overlay();
   }
 
   /// Reset all node values to zero (does not clear faults).
@@ -218,8 +207,8 @@ class SimContext {
   /// Values of every node in registry order — the node half of a core
   /// checkpoint. Meaningful only at a cycle boundary (after commit_all),
   /// where registers satisfy cur == nxt. With no fault armed (the
-  /// checkpoint contract) these are raw values; with faults armed the
-  /// armed nodes' entries are their as-read values, which is exactly what
+  /// checkpoint contract) these are raw values; with a fault armed the
+  /// armed node's entry is its as-read value, which is exactly what
   /// the per-cycle fixed-point probe wants to compare.
   std::vector<u32> save_values() const;
 
@@ -251,16 +240,12 @@ class SimContext {
   }
 
   /// Restore node values captured by save_values() on an identical registry
-  /// (same module construction order). Does not touch armed faults; callers
+  /// (same module construction order). Does not touch the armed fault; callers
   /// clear_faults() first. Throws std::invalid_argument on a size mismatch.
   void load_values(const std::vector<u32>& values);
 
  private:
   friend class Sig;
-
-  // flags_ bits: the node carries an armed overlay / is a bridge aggressor.
-  static constexpr u8 kFlagOverlay = 1;
-  static constexpr u8 kFlagBridgeSrc = 2;
 
   struct NodeMeta {
     std::string name;
@@ -270,19 +255,22 @@ class SimContext {
   };
 
   struct ArmedFault {
-    NodeId id;
-    u32 shadow = 0;  ///< true raw value of the patched node
-    FaultOverlay overlay;
+    NodeId id = kNoNode;  ///< kNoNode: nothing armed
+    u8 bit = 0;
+    u32 shadow = 0;  ///< true raw value of the faulted node
+    /// The bit's forced value, in place: 0 (stuck-at-0), 1 << bit
+    /// (stuck-at-1) or the bit's value at arm time (open-line).
+    u32 forced = 0;
   };
 
   void check_id(NodeId id) const { (void)meta_.at(id); }
 
-  // Hot per-node write: fast path is two stores; only armed nodes and
-  // bridge aggressors (flags_ != 0) take the overlay slow path.
+  // Hot per-node write: fast path is two stores; only the armed node takes
+  // the overlay slow path.
   void write(NodeId id, u32 v) noexcept {
     v &= mask_[id];
-    if (flags_[id] != 0) [[unlikely]] {
-      write_slow(id, v);
+    if (id == armed_.id) [[unlikely]] {
+      write_armed(v);
       return;
     }
     cur_[id] = v;
@@ -294,16 +282,14 @@ class SimContext {
     sparse_dirty_.push_back(id);
   }
 
-  void write_slow(NodeId id, u32 masked) noexcept;
-  void reapply_overlays() noexcept;
-  void refresh_bridges_from(NodeId aggressor) noexcept;
-  u32 apply_overlay(const ArmedFault& f) const noexcept;
+  void write_armed(u32 masked) noexcept;
+  void reapply_overlay() noexcept;
 
   // Hot structure-of-arrays state, indexed by NodeId.
   std::vector<u32> cur_;   ///< value consumers see (overlay pre-applied)
   std::vector<u32> nxt_;   ///< raw next value (mirrors cur_ for wires)
   std::vector<u32> mask_;  ///< low_mask64(width)
-  std::vector<u8> flags_;
+  ArmedFault armed_;       ///< read by every write(): keep it beside them
 
   // Cold side table + name index. Unit strings are interned: a design has
   // ~dozen distinct units across ~1k nodes, and registration cost is
@@ -317,7 +303,6 @@ class SimContext {
   // the only part of the value arrays a clock edge must copy.
   std::vector<std::pair<NodeId, NodeId>> commit_spans_;
 
-  std::vector<ArmedFault> armed_;
   /// Pending sparse-register commits, drained by commit_all().
   std::vector<NodeId> sparse_dirty_;
   bool sparse_pending_ = false;  ///< next make() call is a sparse register

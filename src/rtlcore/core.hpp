@@ -166,7 +166,7 @@ class Leon3Core {
   const Memory& memory() const noexcept { return mem_; }
   rtl::SimContext& sim() noexcept { return ctx_; }
   const rtl::SimContext& sim() const noexcept { return ctx_; }
-  /// Remove every armed fault (SimContext::clear_faults).
+  /// Remove the armed fault, if any (SimContext::clear_faults).
   void clear_faults() { ctx_.clear_faults(); }
   const Cache& icache() const noexcept { return *icache_; }
   const Cache& dcache() const noexcept { return *dcache_; }

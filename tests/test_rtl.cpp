@@ -1,5 +1,5 @@
-// Unit tests for the RTL modelling kernel: node registry, fault overlays,
-// two-phase register semantics and VCD output.
+// Unit tests for the RTL modelling kernel: node registry, the single armed
+// fault overlay, two-phase register semantics and VCD output.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -95,19 +95,35 @@ TEST(Kernel, TransientFlipIsOneShot) {
   r.n(8);
   ctx.commit_all();
   EXPECT_EQ(r.r(), 8u);       // overwritten value is clean
+  // Nothing stays armed, so a permanent fault arms without clear_faults().
+  ctx.arm_fault(0, FaultModel::kStuckAt0, 3);
+  EXPECT_EQ(r.r(), 0u);
 }
 
 TEST(Kernel, DoubleFaultOnNodeRejected) {
+  // One armed fault per context, on the same node or any other.
   SimContext ctx;
   ctx.wire("w", "iu.alu", 32);
+  Sig v = ctx.wire("v", "iu.alu", 32);
   ctx.arm_fault(0, FaultModel::kStuckAt0, 0);
   EXPECT_THROW(ctx.arm_fault(0, FaultModel::kStuckAt1, 1), std::logic_error);
+  EXPECT_THROW(ctx.arm_fault(1, FaultModel::kStuckAt1, 1), std::logic_error);
+  EXPECT_THROW(ctx.arm_fault(1, FaultModel::kTransientBitFlip, 1),
+               std::logic_error);
+  EXPECT_EQ(v.r(), 0u);  // the rejected arms left the other node alone
+  ctx.clear_faults();
+  ctx.arm_fault(1, FaultModel::kStuckAt1, 1);
+  EXPECT_EQ(v.r(), 2u);
 }
 
 TEST(Kernel, BitRangeChecked) {
   SimContext ctx;
   ctx.wire("w", "iu.alu", 4);
   EXPECT_THROW(ctx.arm_fault(0, FaultModel::kStuckAt0, 4), std::out_of_range);
+  // The bridge model is not one the kernel can arm.
+  EXPECT_THROW(ctx.arm_fault(0, FaultModel::kBridge, 0),
+               std::invalid_argument);
+  ctx.arm_fault(0, FaultModel::kStuckAt1, 0);  // the rejects armed nothing
 }
 
 TEST(Kernel, ClearFaultsRestores) {
@@ -231,78 +247,6 @@ TEST(Vcd, ProducesParsableFile) {
   EXPECT_NE(all.find("#0"), std::string::npos);
   EXPECT_NE(all.find("#1"), std::string::npos);
   std::remove(path.c_str());
-}
-
-// ---- saboteur-style multi-bit and bridge faults (related work [2]) -------
-
-TEST(Saboteur, MultiBitStuckAt) {
-  SimContext ctx;
-  Sig w = ctx.wire("w", "iu.alu", 32);
-  ctx.arm_fault_mask(0, FaultModel::kStuckAt1, 0x000000F0);
-  w.w(0);
-  EXPECT_EQ(w.r(), 0xF0u);
-  ctx.clear_faults();
-  ctx.arm_fault_mask(0, FaultModel::kStuckAt0, 0xFF000000);
-  w.w(0xFFFFFFFF);
-  EXPECT_EQ(w.r(), 0x00FFFFFFu);
-}
-
-TEST(Saboteur, MultiBitOpenLineFreezesPattern) {
-  SimContext ctx;
-  Sig w = ctx.wire("w", "iu.alu", 32);
-  w.w(0xA0);  // bits 5 and 7 high inside the mask
-  ctx.arm_fault_mask(0, FaultModel::kOpenLine, 0xF0);
-  w.w(0x50);
-  EXPECT_EQ(w.r(), 0xA0u);  // masked bits frozen at 0xA0 pattern
-  w.w(0x0F);
-  EXPECT_EQ(w.r(), 0xAFu);
-}
-
-TEST(Saboteur, MultiBitTransientFlipsAllMaskedBits) {
-  SimContext ctx;
-  Sig r = ctx.reg("r", "iu.special", 32);
-  r.poke(0x3);
-  ctx.arm_fault_mask(0, FaultModel::kTransientBitFlip, 0xF);
-  EXPECT_EQ(r.r(), 0xCu);
-}
-
-TEST(Saboteur, BridgeShortsToAggressor) {
-  SimContext ctx;
-  Sig victim = ctx.wire("v", "iu.alu", 32);
-  Sig aggressor = ctx.wire("a", "iu.alu", 32);
-  ctx.arm_bridge(0, 1, 0x0000FFFF);
-  aggressor.w(0x1234ABCD);
-  victim.w(0x55550000);
-  EXPECT_EQ(victim.r(), 0x5555ABCDu);  // low half shorted to aggressor
-  ctx.clear_faults();
-  EXPECT_EQ(victim.r(), 0x55550000u);
-}
-
-TEST(Saboteur, BridgeTracksAggressorDynamically) {
-  SimContext ctx;
-  Sig victim = ctx.wire("v", "iu.alu", 8);
-  Sig aggressor = ctx.wire("a", "iu.alu", 8);
-  ctx.arm_bridge(0, 1, 0xFF);
-  victim.w(0);
-  aggressor.w(0x11);
-  EXPECT_EQ(victim.r(), 0x11u);
-  aggressor.w(0x22);
-  EXPECT_EQ(victim.r(), 0x22u);
-}
-
-TEST(Saboteur, Validation) {
-  SimContext ctx;
-  ctx.wire("v", "iu.alu", 8);
-  ctx.wire("a", "iu.alu", 8);
-  EXPECT_THROW(ctx.arm_fault_mask(0, FaultModel::kStuckAt1, 0x100),
-               std::out_of_range);                       // beyond width
-  EXPECT_THROW(ctx.arm_fault_mask(0, FaultModel::kStuckAt1, 0),
-               std::out_of_range);                       // empty mask
-  EXPECT_THROW(ctx.arm_fault_mask(0, FaultModel::kBridge, 1),
-               std::invalid_argument);                   // wrong API
-  EXPECT_THROW(ctx.arm_bridge(0, 0, 1), std::invalid_argument);  // self
-  ctx.arm_bridge(0, 1, 0xFF);
-  EXPECT_THROW(ctx.arm_bridge(0, 1, 0x0F), std::logic_error);    // occupied
 }
 
 // Property: for every model, a faulted read differs from the raw value in at
