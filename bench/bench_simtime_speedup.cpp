@@ -7,7 +7,9 @@
 //
 //   ./bench_simtime_speedup     (ISSRTL_BENCH_MICRO_REPS: replays per side)
 #include <chrono>
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <exception>
 
 #include "bench/bench_util.hpp"
@@ -34,7 +36,11 @@ void report_speedup() {
   // Replays cost single-digit milliseconds, so a generous rep count is
   // free insurance against scheduler interference on a busy host.
   const int reps =
-      static_cast<int>(bench::env_size("ISSRTL_BENCH_MICRO_REPS", 9));
+      static_cast<int>(bench::env_size("ISSRTL_BENCH_MICRO_REPS", 9, INT_MAX));
+  if (reps == 0) {  // no replay timed: there is no ratio to print
+    std::fprintf(stderr, "error: ISSRTL_BENCH_MICRO_REPS must be at least 1\n");
+    std::exit(2);
+  }
   using Clock = std::chrono::steady_clock;
   const auto seconds = [](Clock::time_point a, Clock::time_point b) {
     return std::chrono::duration<double>(b - a).count();

@@ -8,10 +8,14 @@
 //   ISSRTL_SEED     — campaign seed; default 2015
 //   ISSRTL_THREADS  — engine worker threads; default 0 = all hardware
 //                     threads (results are bit-identical for any count)
+// A malformed value (not plain decimal digits, or out of range) exits 2.
 #pragma once
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -22,18 +26,30 @@
 
 namespace issrtl::bench {
 
-inline std::size_t env_size(const char* name, std::size_t def) {
+/// A numeric knob: `def` when unset or empty, else a strict unsigned
+/// decimal up to `max_value` (engine::parse_u64). Anything else exits 2
+/// with a message, as the CLIs do, instead of reading as 0 (samples 0
+/// would start an exhaustive campaign).
+inline u64 env_size(const char* name, u64 def, u64 max_value = ~0ull) {
   const char* v = std::getenv(name);
-  return v == nullptr ? def : static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+  if (v == nullptr || *v == '\0') return def;
+  try {
+    return engine::parse_u64(name, v, max_value);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(2);
+  }
 }
 
-inline std::size_t samples() { return env_size("ISSRTL_SAMPLES", 60); }
+inline std::size_t samples() {
+  return static_cast<std::size_t>(env_size("ISSRTL_SAMPLES", 60, SIZE_MAX));
+}
 inline unsigned campaign_iters() {
-  return static_cast<unsigned>(env_size("ISSRTL_ITERS", 1));
+  return static_cast<unsigned>(env_size("ISSRTL_ITERS", 1, UINT_MAX));
 }
 inline u64 seed() { return env_size("ISSRTL_SEED", 2015); }
 inline unsigned threads() {
-  return static_cast<unsigned>(env_size("ISSRTL_THREADS", 0));
+  return static_cast<unsigned>(env_size("ISSRTL_THREADS", 0, UINT_MAX));
 }
 
 inline void banner(const char* what, const char* paper_ref) {

@@ -138,8 +138,9 @@ struct EngineOptions {
   /// succeeds). An optional stage tag ("<i>:step", "<i>:once:classify")
   /// moves the throw from fault-arm time (the default, ":arm") to the
   /// restore, stepping or classification point of the per-site loop, so
-  /// isolation can be exercised on every stage of a site. Exercises every
-  /// retirement path of the worker-isolation machinery; empty (the
+  /// isolation can be exercised on every stage of a site (an RTL site the
+  /// activation pre-screen answers passes all four points too). Exercises
+  /// every retirement path of the worker-isolation machinery; empty (the
   /// default) disables it.
   std::string fail_sites;
 };

@@ -119,26 +119,34 @@ class GoldenReplay {
     fp.mix_bytes(prog_.data.data(), prog_.data.size());
   }
 
-  /// Position `sim` (backed by `mem`) fault-free at `instant`: clear its
-  /// faults, restore the highest rung at or below the instant (or reset
-  /// when there is none), then fast-forward the rest of the golden prefix.
+  /// Position `sim` (backed by `mem`) fault-free at `instant`: restore()
+  /// it, then fast-forward the rest of the golden prefix. Tallied in the
+  /// replay counters.
   void position(Sim& sim, Memory& mem, u64 instant) const {
-    sim.clear_faults();
-    if (const auto* rung = ladder_.best_at_or_below(instant)) {
-      sim.restore(rung->snap->checkpoint, golden_trace_);
-      mem = rung->snap->mem.clone();
-      ladder_restores_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      mem = initial_mem_.clone();
-      sim.reset(prog_.entry);
-      cold_resets_.fetch_add(1, std::memory_order_relaxed);
-    }
+    (restore(sim, mem, instant) ? ladder_restores_ : cold_resets_)
+        .fetch_add(1, std::memory_order_relaxed);
     const u64 from = (sim.*Instant)();
     if (from < instant && sim.halt_reason() == iss::HaltReason::kRunning) {
       sim.advance(instant - from);
       fast_forward_.fetch_add((sim.*Instant)() - from,
                               std::memory_order_relaxed);
     }
+  }
+
+  /// Clear the faults of `sim` and restore it (and `mem`) to the highest
+  /// rung at or below `instant`, or reset both when there is none. Returns
+  /// true when a rung served. Untallied: position() counts its own calls,
+  /// and a pass over the golden run that is not a site is not counted.
+  bool restore(Sim& sim, Memory& mem, u64 instant) const {
+    sim.clear_faults();
+    if (const auto* rung = ladder_.best_at_or_below(instant)) {
+      sim.restore(rung->snap->checkpoint, golden_trace_);
+      mem = rung->snap->mem.clone();
+      return true;
+    }
+    mem = initial_mem_.clone();
+    sim.reset(prog_.entry);
+    return false;
   }
 
   /// Watch over one faulty suffix, constructed after position() and

@@ -1,5 +1,8 @@
 #include "engine/rtl_backend.hpp"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <string>
 
 #include "engine/stats.hpp"
@@ -118,19 +121,135 @@ RtlCampaignBackend::Record RtlCampaignBackend::error_record(
   return r;
 }
 
+bool RtlCampaignBackend::prescreened(std::size_t i) const {
+  if (sites_.at(i).model == rtl::FaultModel::kTransientBitFlip) return false;
+  std::call_once(screen_once_, [this] {
+    Worker scratch(*this);
+    screen(scratch.core_, scratch.mem_);
+  });
+  return never_activated_[i] != 0;
+}
+
+void RtlCampaignBackend::screen(rtlcore::Leon3Core& core, Memory& mem) const {
+  // Permanent sites in instant order; each distinct instant opens an epoch
+  // that runs to the next one (the last runs to the golden halt).
+  std::vector<std::size_t> order;
+  for (std::size_t i = 0; i < sites_.size(); ++i) {
+    if (sites_[i].model != rtl::FaultModel::kTransientBitFlip) {
+      order.push_back(i);
+    }
+  }
+  never_activated_.assign(sites_.size(), 0);
+  if (order.empty()) return;
+  std::ranges::stable_sort(order, {}, [this](std::size_t i) {
+    return sites_[i].inject_cycle;
+  });
+  std::vector<rtl::NodeId> nodes;
+  for (const std::size_t i : order) nodes.push_back(sites_[i].node);
+  std::ranges::sort(nodes);
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  const auto slot = [&nodes](rtl::NodeId id) {
+    return static_cast<std::size_t>(std::ranges::lower_bound(nodes, id) -
+                                    nodes.begin());
+  };
+
+  // Per watched node and bit: 1 + the last epoch in which the bit was seen
+  // 1 (ones) or 0 (zeros); 0 = never. Bounded by nodes x 32 bits, whatever
+  // the number of epochs.
+  struct LastSeen {
+    std::array<u32, 32> ones{};
+    std::array<u32, 32> zeros{};
+  };
+  std::vector<LastSeen> last(nodes.size());
+  rtl::SimContext& sim = core.sim();
+  const auto close_epoch = [&](u32 epoch) {
+    for (std::size_t n = 0; n < nodes.size(); ++n) {
+      const rtl::BitsSeen seen = sim.take_seen(nodes[n]);
+      for (u32 m = seen.ones; m != 0; m &= m - 1) {
+        last[n].ones[std::countr_zero(m)] = epoch + 1;
+      }
+      for (u32 m = seen.zeros; m != 0; m &= m - 1) {
+        last[n].zeros[std::countr_zero(m)] = epoch + 1;
+      }
+    }
+  };
+  const auto advance_to = [&core](u64 instant) {
+    if (core.cycles() < instant) core.advance(instant - core.cycles());
+  };
+
+  // The pass replays the golden run, untallied: it positions no site.
+  replay_.restore(core, mem, sites_[order.front()].inject_cycle);
+  advance_to(sites_[order.front()].inject_cycle);
+  sim.watch(nodes);
+  struct Unwatch {
+    rtl::SimContext& sim;
+    ~Unwatch() { sim.unwatch(); }
+  } unwatch{sim};
+  std::vector<u32> at_arm(order.size());  // node value at the site instant
+  std::vector<u32> epoch_of(order.size());
+  u32 epochs = 0;
+  for (std::size_t k = 0; k < order.size();) {
+    const u64 instant = sites_[order[k]].inject_cycle;
+    advance_to(instant);
+    if (epochs > 0) close_epoch(epochs - 1);
+    for (; k < order.size() && sites_[order[k]].inject_cycle == instant; ++k) {
+      at_arm[k] = sim.value(sites_[order[k]].node);
+      epoch_of[k] = epochs;
+    }
+    ++epochs;
+  }
+  advance_to(replay_.golden_instant());
+  close_epoch(epochs - 1);
+
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const fault::FaultSite& site = sites_[order[k]];
+    const LastSeen& seen = last[slot(site.node)];
+    const u32 bit = 1u << site.bit;
+    const rtl::BitsSeen after{
+        seen.ones[site.bit] > epoch_of[k] ? bit : 0u,
+        seen.zeros[site.bit] > epoch_of[k] ? bit : 0u};
+    never_activated_[order[k]] =
+        rtl::can_activate(site.model, site.bit, at_arm[k], after) ? 0 : 1;
+  }
+}
+
 RtlCampaignBackend::Worker::Worker(const RtlCampaignBackend& backend)
     : b_(backend), core_(mem_, backend.core_cfg_) {}
 
+void RtlCampaignBackend::Worker::fail_at(std::size_t index, FailStage stage) {
+  maybe_fail_stage(b_.fail_spec_, fail_attempts_, index, stage);
+}
+
 fault::InjectionResult RtlCampaignBackend::Worker::run_site(
     std::size_t index) {
+  const fault::FaultSite& site = b_.sites_[index];
+  if (site.model != rtl::FaultModel::kTransientBitFlip) {
+    std::call_once(b_.screen_once_, [this] { b_.screen(core_, mem_); });
+    if (b_.never_activated_[index] != 0) {
+      // The faulty run would equal the golden run cycle for cycle: the
+      // record a simulation produces, through every stage hook.
+      b_.prescreened_.fetch_add(1, std::memory_order_relaxed);
+      for (const FailStage stage : {FailStage::kRestore, FailStage::kArm,
+                                    FailStage::kStep, FailStage::kClassify}) {
+        fail_at(index, stage);
+      }
+      fault::InjectionResult result;
+      result.site = site;
+      result.outcome = fault::Outcome::kSilent;
+      result.halt = iss::HaltReason::kHalted;
+      return result;
+    }
+  }
+  return simulate(index);
+}
+
+fault::InjectionResult RtlCampaignBackend::Worker::simulate(
+    std::size_t index) {
   const fault::FaultSite site = b_.sites_[index];
-  const auto fail_at = [&](FailStage stage) {  // ISSRTL_FAIL_SITE test hook
-    maybe_fail_stage(b_.fail_spec_, fail_attempts_, index, stage);
-  };
   b_.replay_.position(core_, mem_, site.inject_cycle);
-  fail_at(FailStage::kRestore);
+  fail_at(index, FailStage::kRestore);
   core_.sim().arm_fault(site.node, site.model, site.bit);
-  fail_at(FailStage::kArm);
+  fail_at(index, FailStage::kArm);
 
   Replay::Suffix suffix(b_.replay_, core_, mem_,
                         site.model == rtl::FaultModel::kTransientBitFlip);
@@ -139,7 +258,7 @@ fault::InjectionResult RtlCampaignBackend::Worker::run_site(
   rtlcore::CoreActivityScalars scalars_prev;
   bool scalars_valid = false;
   bool nodes_valid = false;
-  fail_at(FailStage::kStep);
+  fail_at(index, FailStage::kStep);
   iss::HaltReason halt = core_.halt_reason();
   while (budget > 0 && halt == iss::HaltReason::kRunning &&
          !suffix.diverged()) {
@@ -181,7 +300,7 @@ fault::InjectionResult RtlCampaignBackend::Worker::run_site(
   if (halt == iss::HaltReason::kRunning && !suffix.diverged()) {
     halt = iss::HaltReason::kStepLimit;  // watchdog expired
   }
-  fail_at(FailStage::kClassify);
+  fail_at(index, FailStage::kClassify);
 
   fault::InjectionResult result;
   result.site = site;
@@ -211,6 +330,7 @@ fault::InjectionResult RtlCampaignBackend::Worker::run_site(
 fault::CampaignResult RtlCampaignBackend::finish(EngineRun<Record> run) const {
   fault::CampaignResult result;
   replay_.finish(result, run);
+  result.replay.prescreened = prescreened_.load();
   result.unit_prefix = cfg_.unit_prefix;
   result.golden_cycles = replay_.golden_instant();
   result.golden_instret = golden_instret_;

@@ -3,10 +3,18 @@
 // golden-run rung (engine/replay.hpp) and classify against the golden run —
 // the §4.1 methodology, minus the per-fault golden-prefix re-simulation
 // from reset.
+//
+// Activation pre-screen: the first permanent site a worker reaches runs
+// one pass over the golden run that records every raw value of the
+// fault-list nodes (rtl::SimContext::watch). A permanent site the pass
+// proves never activated (rtl::can_activate) runs identically to the
+// golden run, so it is answered silent without simulating its suffix.
 #pragma once
 
+#include <atomic>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -50,14 +58,26 @@ class RtlCampaignBackend {
   /// Outcome::kEngineError carrying the exception text.
   Record error_record(std::size_t i, const std::string& what) const;
 
+  /// True when the activation pass proves site i's permanent fault never
+  /// activated, so run_site answers it silent without simulating it. Runs
+  /// the pass (once per backend, thread-safe) if no worker has yet.
+  bool prescreened(std::size_t i) const;
+
   /// One per worker thread: owns a core + memory and positions them for
   /// each site from the shared ladder.
   class Worker {
    public:
     explicit Worker(const RtlCampaignBackend& backend);
+    /// The engine's per-site entry: the pre-screen, else simulate().
     Record run_site(std::size_t index);
+    /// Position, arm, step and classify site `index`, never pre-screened:
+    /// the reference a pre-screened record must equal.
+    Record simulate(std::size_t index);
 
    private:
+    friend class RtlCampaignBackend;
+    void fail_at(std::size_t index, FailStage stage);  ///< ISSRTL_FAIL_SITE
+
     const RtlCampaignBackend& b_;
     Memory mem_;
     rtlcore::Leon3Core core_;
@@ -79,6 +99,10 @@ class RtlCampaignBackend {
  private:
   friend class Worker;
 
+  /// The activation pass, run on `core`/`mem` (a worker's, or a scratch
+  /// pair): fills never_activated_ for every permanent site.
+  void screen(rtlcore::Leon3Core& core, Memory& mem) const;
+
   fault::CampaignConfig cfg_;
   rtlcore::CoreConfig core_cfg_;
   EngineOptions opts_;
@@ -93,6 +117,11 @@ class RtlCampaignBackend {
   // finish(); the golden core itself does not outlive the constructor.
   std::vector<std::string> node_names_;
   std::vector<std::string> node_units_;
+  // Activation pass result, per site (1 = proven never activated), and the
+  // run_site calls it answered; both written by workers.
+  mutable std::once_flag screen_once_;
+  mutable std::vector<u8> never_activated_;
+  mutable std::atomic<u64> prescreened_{0};
 };
 
 /// Full engine-backed RTL campaign: the §4.1 methodology end to end. The

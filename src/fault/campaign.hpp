@@ -147,9 +147,10 @@ struct CampaignStats {
 /// injection instant, and how often it proved a suffix instead of
 /// simulating it). Purely informational: outcomes are bit-identical
 /// whatever these read. They depend on the ladder options, so they are
-/// excluded from determinism comparisons. Every simulated site (and every
-/// retry) is positioned exactly once, from a rung or by a reset:
-/// ladder_restores + cold_resets == simulated sites + sites_retried.
+/// excluded from determinism comparisons. Every site a worker runs (and
+/// every retry) is either pre-screened or positioned exactly once, from a
+/// rung or by a reset: ladder_restores + cold_resets == total - prescreened
+/// + sites_retried, where total = completed_sites - journal_hits.
 struct ReplayCounters {
   u64 ladder_rungs = 0;        ///< rungs alive at the end of the golden run
   u64 ladder_bytes = 0;        ///< estimated bytes held by those rungs
@@ -158,6 +159,10 @@ struct ReplayCounters {
   u64 cold_resets = 0;         ///< resumes that had to re-simulate from 0
   u64 fast_forward_cycles = 0; ///< fault-free instants stepped after restore
   u64 convergence_cutoffs = 0; ///< transient runs proven silent at a rung
+  /// Permanent-fault runs proven silent by the activation pre-screen (the
+  /// golden run never activates the fault), one per run_site call
+  /// answered without simulation. The ISS backend has no pre-screen.
+  u64 prescreened = 0;
   // Durability / robustness events (see engine/journal.hpp and the
   // worker-isolation retry in CampaignEngine::run; zero on a clean,
   // journal-less run):

@@ -31,4 +31,24 @@ enum class FaultModel : u8 {
 
 std::string_view fault_model_name(FaultModel m);
 
+/// The raw values a watched node showed over a stretch of a run (see
+/// SimContext::watch): `ones` ORs the values, `zeros` ORs their
+/// complements within the node's width. A bit set in both toggled.
+struct BitsSeen {
+  u32 ones = 0;
+  u32 zeros = 0;
+};
+
+/// The activation proof behind the campaign pre-screen. A fault of `model`
+/// on `bit`, armed while the node's raw value is `at_arm`, whose raw values
+/// afterwards showed `after`, is *activated* when some consumer could read
+/// a value the fault-free run does not: a stuck-at-v bit that is !v at the
+/// arm or is driven to !v later, an open-line bit that ever leaves its
+/// arm-time value. Returns false only when the overlay provably never
+/// differs from the raw value, so the faulty run equals the fault-free run
+/// cycle for cycle. A transient flips the bit at the arm itself and is
+/// always activated.
+bool can_activate(FaultModel model, u8 bit, u32 at_arm,
+                  BitsSeen after) noexcept;
+
 }  // namespace issrtl::rtl

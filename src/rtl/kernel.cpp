@@ -1,5 +1,7 @@
 #include "rtl/kernel.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 namespace issrtl::rtl {
@@ -13,6 +15,21 @@ std::string_view fault_model_name(FaultModel m) {
     case FaultModel::kBridge: return "bridge";
   }
   return "?";
+}
+
+bool can_activate(FaultModel model, u8 bit, u32 at_arm,
+                  BitsSeen after) noexcept {
+  const bool armed_one = ((at_arm >> bit) & 1u) != 0;
+  const bool later_one = ((after.ones >> bit) & 1u) != 0;
+  const bool later_zero = ((after.zeros >> bit) & 1u) != 0;
+  switch (model) {
+    case FaultModel::kStuckAt0: return armed_one || later_one;
+    case FaultModel::kStuckAt1: return !armed_one || later_zero;
+    case FaultModel::kOpenLine: return armed_one ? later_zero : later_one;
+    case FaultModel::kTransientBitFlip:
+    case FaultModel::kBridge: return true;
+  }
+  return true;
 }
 
 namespace {
@@ -80,6 +97,84 @@ void SimContext::write_armed(u32 masked) noexcept {
   cur_[armed_.id] = (masked & ~(1u << armed_.bit)) | armed_.forced;
 }
 
+void SimContext::write_hooked(NodeId id, u32 masked) noexcept {
+  if (id == armed_.id) {
+    write_armed(masked);
+  } else {
+    cur_[id] = masked;
+    nxt_[id] = masked;
+  }
+  if (!watch_slot_.empty() && watch_slot_[id] != kUnwatched) {
+    observe(watch_slot_[id], id, masked);
+  }
+}
+
+void SimContext::commit_hooked() noexcept {
+  if (armed_.id != kNoNode) reapply_overlay();
+  if (watch_slot_.empty()) return;
+  // After the copy a register's next value is the raw value it now holds.
+  // A sparse register changes at an edge only when the dirty list commits
+  // it, so only those need a look.
+  for (const NodeId id : watch_span_regs_) {
+    observe(watch_slot_[id], id, nxt_[id]);
+  }
+  for (const NodeId id : sparse_dirty_) {
+    if (watch_slot_[id] != kUnwatched) observe(watch_slot_[id], id, nxt_[id]);
+  }
+}
+
+void SimContext::update_hook_window() noexcept {
+  NodeId lo = armed_.id;
+  NodeId hi = armed_.id;
+  if (!watch_seen_.empty()) {
+    lo = std::min(lo, watch_lo_);
+    hi = armed_.id == kNoNode ? watch_hi_ : std::max(hi, watch_hi_);
+  }
+  hook_lo_ = lo == kNoNode ? 0 : lo;
+  hook_span_ = lo == kNoNode ? 0 : hi - lo + 1;
+}
+
+void SimContext::watch(std::span<const NodeId> ids) {
+  for (const NodeId id : ids) check_id(id);
+  unwatch();
+  if (ids.empty()) return;
+  watch_slot_.assign(meta_.size(), kUnwatched);
+  watch_lo_ = kNoNode;
+  watch_hi_ = 0;
+  const auto in_commit_span = [this](NodeId id) {
+    const auto it = std::ranges::upper_bound(
+        commit_spans_, id, {}, [](const auto& span) { return span.first; });
+    return it != commit_spans_.begin() && id < std::prev(it)->second;
+  };
+  for (const NodeId id : ids) {
+    if (watch_slot_[id] != kUnwatched) continue;  // duplicate
+    watch_slot_[id] = static_cast<u32>(watch_seen_.size());
+    watch_seen_.emplace_back();
+    if (in_commit_span(id)) watch_span_regs_.push_back(id);
+    watch_lo_ = std::min(watch_lo_, id);
+    watch_hi_ = std::max(watch_hi_, id);
+  }
+  update_hook_window();
+}
+
+void SimContext::unwatch() noexcept {
+  watch_slot_ = {};
+  watch_seen_ = {};
+  watch_span_regs_ = {};
+  update_hook_window();
+}
+
+BitsSeen SimContext::take_seen(NodeId id) {
+  check_id(id);
+  if (watch_slot_.empty() || watch_slot_[id] == kUnwatched) {
+    throw std::out_of_range("take_seen: node " + name(id) + " is not watched");
+  }
+  BitsSeen& seen = watch_seen_[watch_slot_[id]];
+  const BitsSeen out = seen;
+  seen = BitsSeen{};
+  return out;
+}
+
 void SimContext::reapply_overlay() noexcept {
   // The next-value array holds every node's *raw* value at each bulk-
   // operation boundary (commit copies it into cur for registers; wires keep
@@ -114,12 +209,14 @@ void SimContext::arm_fault(NodeId id, FaultModel model, u8 bit) {
                                                       : 0;
   armed_ = ArmedFault{id, bit, raw, forced};
   cur_[id] = (raw & ~mask) | forced;
+  update_hook_window();
 }
 
 void SimContext::clear_faults() {
   if (armed_.id == kNoNode) return;
   cur_[armed_.id] = armed_.shadow;  // restore the raw value
   armed_ = ArmedFault{};
+  update_hook_window();
 }
 
 void SimContext::zero_all() noexcept {

@@ -25,10 +25,17 @@
 // sits in a shadow slot, and the overlay is re-applied write-through at every
 // point the raw value can change (w/poke on the node, commit_all, zero_all,
 // load_values). A faulted node corrupts every consumer, wire or flop.
+//
+// Watch discipline: a context can also record every raw value a set of
+// watched nodes takes (watch / take_seen), which is what proves a
+// permanent fault never activated. The armed node and the watched nodes
+// share one slow-path window of NodeIds, so an unwatched, unarmed write
+// costs the same single compare whether anything is armed or watched.
 #pragma once
 
 #include <cstring>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -173,6 +180,25 @@ class SimContext {
   /// Remove the armed fault, if any (between campaign runs).
   void clear_faults();
 
+  /// Start recording the raw values `ids` take, replacing any previous
+  /// watch: every write() value of a watched node and, for a watched
+  /// register, the value each clock edge commits into it (a sparse
+  /// register only when its dirty entry commits; otherwise it holds).
+  /// With the value at watch time that is every value a consumer can read
+  /// from the node: next values an edge never exposes are not recorded,
+  /// and zero_all/load_values reposition the run and are not recorded
+  /// either. Masks accumulate per node until take_seen(). Throws
+  /// std::out_of_range on a bad id.
+  void watch(std::span<const NodeId> ids);
+
+  /// Stop recording and release the watch tables.
+  void unwatch() noexcept;
+
+  /// What watched node `id` showed since watch() or the previous
+  /// take_seen(id); clears its masks. Throws std::out_of_range when `id`
+  /// is not watched.
+  BitsSeen take_seen(NodeId id);
+
   /// Commit every register (clock edge). Wires always satisfy cur == nxt —
   /// w()/poke() write through both arrays, and n() is meaningful only for
   /// registers — so the commit copies just the register-covering NodeId
@@ -185,11 +211,9 @@ class SimContext {
       std::memcpy(cur_.data() + begin, nxt_.data() + begin,
                   (end - begin) * sizeof(u32));
     }
-    if (!sparse_dirty_.empty()) {
-      for (const NodeId id : sparse_dirty_) cur_[id] = nxt_[id];
-      sparse_dirty_.clear();
-    }
-    if (armed_.id != kNoNode) reapply_overlay();
+    for (const NodeId id : sparse_dirty_) cur_[id] = nxt_[id];
+    if (hook_span_ != 0) commit_hooked();  // reads the dirty list
+    sparse_dirty_.clear();
   }
 
   /// Reset all node values to zero (does not clear faults).
@@ -265,12 +289,13 @@ class SimContext {
 
   void check_id(NodeId id) const { (void)meta_.at(id); }
 
-  // Hot per-node write: fast path is two stores; only the armed node takes
-  // the overlay slow path.
+  // Hot per-node write: fast path is two stores; only a node inside the
+  // slow-path window (the armed node, the watched nodes' span) takes
+  // write_hooked().
   void write(NodeId id, u32 v) noexcept {
     v &= mask_[id];
-    if (id == armed_.id) [[unlikely]] {
-      write_armed(v);
+    if (id - hook_lo_ < hook_span_) [[unlikely]] {
+      write_hooked(id, v);
       return;
     }
     cur_[id] = v;
@@ -284,12 +309,35 @@ class SimContext {
 
   void write_armed(u32 masked) noexcept;
   void reapply_overlay() noexcept;
+  void write_hooked(NodeId id, u32 masked) noexcept;
+  void commit_hooked() noexcept;
+  void update_hook_window() noexcept;
+  void observe(u32 slot, NodeId id, u32 raw) noexcept {
+    watch_seen_[slot].ones |= raw;
+    watch_seen_[slot].zeros |= ~raw & mask_[id];
+  }
 
   // Hot structure-of-arrays state, indexed by NodeId.
   std::vector<u32> cur_;   ///< value consumers see (overlay pre-applied)
   std::vector<u32> nxt_;   ///< raw next value (mirrors cur_ for wires)
   std::vector<u32> mask_;  ///< low_mask64(width)
-  ArmedFault armed_;       ///< read by every write(): keep it beside them
+  ArmedFault armed_;
+  // Slow-path window [hook_lo_, hook_lo_ + hook_span_): the hull of the
+  // armed node and the watched nodes; span 0 when there are neither. Read
+  // by every write(): keep it beside the value arrays.
+  NodeId hook_lo_ = 0;
+  u32 hook_span_ = 0;
+
+  // Watch tables (empty unless watch() is active): NodeId -> slot into
+  // watch_seen_, and the watched span-committed registers commit_hooked()
+  // records every edge (watched sparse registers it records off the dirty
+  // list).
+  static constexpr u32 kUnwatched = 0xFFFF'FFFFu;
+  std::vector<u32> watch_slot_;
+  std::vector<BitsSeen> watch_seen_;
+  std::vector<NodeId> watch_span_regs_;
+  NodeId watch_lo_ = 0;  ///< lowest / highest watched NodeId
+  NodeId watch_hi_ = 0;
 
   // Cold side table + name index. Unit strings are interned: a design has
   // ~dozen distinct units across ~1k nodes, and registration cost is

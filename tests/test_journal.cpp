@@ -507,6 +507,39 @@ TEST(FaultIsolation, MultipleThrowsContainedPerSite) {
   }
 }
 
+// A site the activation pre-screen answers without simulating it still
+// passes every stage hook: a persistent throw at any stage is contained as
+// that site's engine-error record, a one-shot throw retries to the
+// identical result.
+TEST(FaultIsolation, PrescreenedSiteRunsEveryStageHook) {
+  const auto prog = small_workload();
+  CampaignConfig cfg = small_cfg();
+  cfg.models = {FaultModel::kStuckAt0};
+  std::size_t site = 0;
+  {
+    const RtlCampaignBackend backend(prog, cfg, {}, {});
+    while (site < backend.site_count() && !backend.prescreened(site)) ++site;
+    ASSERT_LT(site, backend.site_count()) << "no pre-screened site";
+  }
+  const CampaignResult ref = run_rtl_campaign(prog, cfg, {}, {});
+  for (const char* tag : kStageTags) {
+    for (const bool once : {false, true}) {
+      EngineOptions opts;
+      opts.fail_sites = std::to_string(site) + (once ? ":once" : "") + tag;
+      SCOPED_TRACE(opts.fail_sites);
+      const CampaignResult r = run_rtl_campaign(prog, cfg, {}, opts);
+      EXPECT_EQ(r.replay.sites_retried, 1u);
+      if (once) {
+        expect_identical(ref, r);
+        EXPECT_EQ(r.replay.sites_engine_error, 0u);
+      } else {
+        EXPECT_EQ(r.runs[site].outcome, Outcome::kEngineError);
+        EXPECT_EQ(r.replay.sites_engine_error, 1u);
+      }
+    }
+  }
+}
+
 TEST(FaultIsolation, EngineErrorSitesJournalAndResume) {
   // kEngineError records round-trip through the journal like any other
   // outcome — a resume must not retry them behind the user's back.

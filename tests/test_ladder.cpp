@@ -173,6 +173,32 @@ TEST(Ladder, ReplayCountersShowLadderAtWork) {
   EXPECT_EQ(outcome_hash(n), outcome_hash(r));
 }
 
+// Stuck-at campaigns: the activation pre-screen answers some sites without
+// positioning them, so every site (and every retry) is either pre-screened
+// or positioned exactly once. The retried sites include pre-screened and
+// simulated ones.
+TEST(Ladder, StuckAtSitesArePrescreenedOrPositionedOnce) {
+  const auto prog = workloads::build("a2time_x", {.iterations = 1,
+                                                  .data_seed = 1});
+  CampaignConfig cfg;
+  cfg.unit_prefix = "iu";
+  cfg.samples = 24;
+  cfg.models = {rtl::FaultModel::kStuckAt0, rtl::FaultModel::kStuckAt1};
+  for (const u64 stride : {u64{0}, EngineOptions{}.ladder_stride}) {
+    EngineOptions opts;
+    opts.threads = 2;
+    opts.ladder_stride = stride;
+    opts.fail_sites = "0:once,1:once,2:once,3:once";
+    const CampaignResult r = run_rtl_campaign(prog, cfg, {}, opts);
+    EXPECT_GT(r.replay.prescreened, 0u) << "stride=" << stride;
+    EXPECT_LT(r.replay.prescreened, r.runs.size()) << "stride=" << stride;
+    EXPECT_EQ(r.replay.sites_retried, 4u);
+    EXPECT_EQ(r.replay.ladder_restores + r.replay.cold_resets,
+              r.runs.size() - r.replay.prescreened + r.replay.sites_retried)
+        << "stride=" << stride;
+  }
+}
+
 // Every ReplayCounters field of one default RTL and one default ISS
 // bit-flip campaign, pinned: the replay tallies (rungs, their bytes and
 // thinning, restores, resets, fast-forward, cut-offs) are a function of the

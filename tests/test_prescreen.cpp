@@ -1,0 +1,99 @@
+// Differential gate for the activation pre-screen (slow label). On every
+// registry workload, for the IU and CMEM units, stuck-at-0/1 and open-line
+// faults, at the early instant and at uniform-random instants (two per
+// site, so one node carries faults armed at different instants): every
+// site the pass proves never activated is simulated in full through
+// Worker::simulate, and must produce exactly the record run_site answered
+// without simulating it. The outcome hash and the pre-screen count must not
+// depend on the thread count or on the ladder.
+#include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+
+#include "engine/engine.hpp"
+#include "engine/rtl_backend.hpp"
+#include "workloads/workload.hpp"
+
+namespace issrtl::engine {
+namespace {
+
+using fault::CampaignConfig;
+using fault::CampaignResult;
+using rtl::FaultModel;
+
+CampaignConfig gate_cfg(const std::string& unit, bool uniform) {
+  CampaignConfig cfg;
+  cfg.unit_prefix = unit;
+  cfg.models = {FaultModel::kStuckAt0, FaultModel::kStuckAt1,
+                FaultModel::kOpenLine};
+  cfg.samples = 6;
+  if (uniform) {
+    cfg.inject_time = fault::InjectTime::kUniformRandom;
+    cfg.instants_per_site = 2;
+  }
+  return cfg;
+}
+
+TEST(Prescreen, PrescreenedSitesMatchFullSimulation) {
+  std::map<FaultModel, std::size_t> prescreened_by_model;
+  for (const workloads::WorkloadInfo& info : workloads::registry()) {
+    const isa::Program prog =
+        workloads::build(info.name, {.iterations = 1, .data_seed = 1});
+    for (const char* unit : {"iu", "cmem"}) {
+      for (const bool uniform : {false, true}) {
+        SCOPED_TRACE(info.name + " " + unit +
+                     (uniform ? " uniform-random" : " early"));
+        const CampaignConfig cfg = gate_cfg(unit, uniform);
+        const EngineOptions reference_opts;
+        RtlCampaignBackend backend(prog, cfg, {}, reference_opts);
+        CampaignEngine engine(reference_opts);
+        const CampaignResult ref = backend.finish(engine.run(backend));
+        ASSERT_EQ(ref.runs.size(), backend.site_count());
+
+        const auto worker = backend.make_worker(0);
+        u64 screened = 0;
+        for (std::size_t i = 0; i < backend.site_count(); ++i) {
+          if (!backend.prescreened(i)) continue;
+          ++screened;
+          ++prescreened_by_model[ref.runs[i].site.model];
+          const fault::InjectionResult sim = worker->simulate(i);
+          EXPECT_EQ(sim.outcome, ref.runs[i].outcome) << "site " << i;
+          EXPECT_EQ(sim.latency_cycles, ref.runs[i].latency_cycles)
+              << "site " << i;
+          EXPECT_EQ(sim.halt, ref.runs[i].halt) << "site " << i;
+          EXPECT_EQ(sim.error, ref.runs[i].error) << "site " << i;
+        }
+        EXPECT_EQ(ref.replay.prescreened, screened);
+
+        for (const unsigned threads : {1u, 3u}) {
+          for (const u64 stride : {u64{0}, EngineOptions{}.ladder_stride}) {
+            if (threads == reference_opts.threads &&
+                stride == reference_opts.ladder_stride) {
+              continue;  // the reference itself
+            }
+            EngineOptions opts;
+            opts.threads = threads;
+            opts.ladder_stride = stride;
+            const CampaignResult r = run_rtl_campaign(prog, cfg, {}, opts);
+            SCOPED_TRACE("threads=" + std::to_string(threads) +
+                         " stride=" + std::to_string(stride));
+            EXPECT_EQ(fault::outcome_hash(r), fault::outcome_hash(ref));
+            EXPECT_EQ(r.replay.prescreened, ref.replay.prescreened);
+            EXPECT_EQ(r.replay.ladder_restores + r.replay.cold_resets,
+                      r.total_sites - r.replay.prescreened);
+          }
+        }
+      }
+    }
+  }
+  // Each model must have been pre-screened somewhere, or the gate proves
+  // nothing about it.
+  for (const FaultModel m : {FaultModel::kStuckAt0, FaultModel::kStuckAt1,
+                             FaultModel::kOpenLine}) {
+    EXPECT_GT(prescreened_by_model[m], 0u) << rtl::fault_model_name(m);
+  }
+}
+
+}  // namespace
+}  // namespace issrtl::engine

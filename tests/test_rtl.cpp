@@ -225,6 +225,114 @@ TEST(Kernel, FindNodeUsesFirstRegistration) {
   EXPECT_FALSE(ctx.find_node("nonexistent").has_value());
 }
 
+// ---- raw-value watch and the activation proof ------------------------------
+
+TEST(Watch, WireWrittenTwiceInOneCycleCountsItsIntermediateValue) {
+  // An end-of-cycle sample would see bit 0 low throughout, yet consumers
+  // evaluated between the two writes read it high: stuck-at-0 on it is
+  // activated.
+  SimContext ctx;
+  Sig w = ctx.wire("w", "iu.alu", 32);
+  const NodeId ids[] = {w.id()};
+  ctx.watch(ids);
+  const u32 at_arm = w.r();
+  w.w(1);
+  w.w(0);
+  ctx.commit_all();
+  const BitsSeen seen = ctx.take_seen(w.id());
+  EXPECT_EQ(seen.ones, 1u);
+  EXPECT_TRUE(can_activate(FaultModel::kStuckAt0, 0, at_arm, seen));
+  EXPECT_FALSE(can_activate(FaultModel::kStuckAt0, 1, at_arm, seen));
+  EXPECT_EQ(ctx.take_seen(w.id()).ones, 0u) << "take_seen clears";
+}
+
+TEST(Watch, RegisterHoldingTheOppositeValueAtArmIsActivated) {
+  SimContext ctx;
+  Sig r = ctx.reg("r", "iu.special", 8);
+  r.poke(1);
+  const NodeId ids[] = {r.id()};
+  ctx.watch(ids);
+  const u32 at_arm = r.r();
+  for (int cycle = 0; cycle < 3; ++cycle) ctx.commit_all();  // never written
+  const BitsSeen seen = ctx.take_seen(r.id());
+  EXPECT_TRUE(can_activate(FaultModel::kStuckAt0, 0, at_arm, seen));
+  EXPECT_FALSE(can_activate(FaultModel::kStuckAt1, 0, at_arm, seen));
+  // A next value the clock edge never exposes is not a value of the node.
+  r.n(0);
+  r.n(1);
+  ctx.commit_all();
+  EXPECT_EQ(ctx.take_seen(r.id()).zeros & 1u, 0u);
+}
+
+TEST(Watch, SparseRegisterRecordedWhenItsDirtyEntryCommits) {
+  SimContext ctx;
+  Sig span = ctx.reg("span", "iu.special", 8);
+  Sig sparse = ctx.reg_sparse("rf", "iu.regfile", 8);
+  const NodeId ids[] = {span.id(), sparse.id()};
+  ctx.watch(ids);
+  ctx.commit_all();  // nothing written: both still read 0
+  EXPECT_EQ(ctx.take_seen(sparse.id()).ones, 0u);
+  EXPECT_EQ(ctx.take_seen(span.id()).zeros, 0xFFu);
+  sparse.ns(0x81);
+  EXPECT_EQ(ctx.take_seen(sparse.id()).ones, 0u) << "not before the edge";
+  ctx.commit_all();
+  const BitsSeen seen = ctx.take_seen(sparse.id());
+  EXPECT_EQ(seen.ones, 0x81u);
+  EXPECT_EQ(seen.zeros, 0x7Eu);
+}
+
+TEST(Watch, OpenLineScreenedOnlyWhileTheBitStaysConstant) {
+  SimContext ctx;
+  Sig r = ctx.reg("r", "iu.special", 2);
+  r.poke(0b01);
+  const NodeId ids[] = {r.id()};
+  ctx.watch(ids);
+  const u32 at_arm = r.r();
+  for (const u32 v : {0b11u, 0b01u, 0b11u}) {  // bit 0 constant, bit 1 toggles
+    r.n(v);
+    ctx.commit_all();
+  }
+  const BitsSeen seen = ctx.take_seen(r.id());
+  EXPECT_FALSE(can_activate(FaultModel::kOpenLine, 0, at_arm, seen));
+  EXPECT_TRUE(can_activate(FaultModel::kOpenLine, 1, at_arm, seen));
+}
+
+TEST(Watch, TransientIsNeverScreened) {
+  for (const u32 at_arm : {0u, 0xFFFF'FFFFu}) {
+    for (const BitsSeen seen : {BitsSeen{}, BitsSeen{0xFFFF'FFFFu, 0}}) {
+      EXPECT_TRUE(can_activate(FaultModel::kTransientBitFlip, 3, at_arm, seen));
+    }
+  }
+}
+
+TEST(Watch, ArmedAndWatchedNodesShareTheSlowPath) {
+  // A fault armed below the watched span and a watch above it: every node
+  // in between takes the slow path and must still behave as unhooked, the
+  // overlay must still apply, and the watched node records raw values.
+  SimContext ctx;
+  Sig a = ctx.wire("a", "iu.alu", 32);
+  Sig mid = ctx.wire("mid", "iu.alu", 32);
+  Sig r = ctx.reg("r", "iu.special", 32);
+  ctx.arm_fault(a.id(), FaultModel::kStuckAt1, 4);
+  const NodeId ids[] = {r.id()};
+  ctx.watch(ids);
+  a.w(0);
+  mid.w(7);
+  r.n(0x20);
+  ctx.commit_all();
+  EXPECT_EQ(a.r(), 0x10u);
+  EXPECT_EQ(mid.r(), 7u);
+  EXPECT_EQ(r.r(), 0x20u);
+  EXPECT_EQ(ctx.take_seen(r.id()).ones, 0x20u);
+  EXPECT_THROW(ctx.take_seen(mid.id()), std::out_of_range);
+  ctx.unwatch();
+  EXPECT_THROW(ctx.take_seen(r.id()), std::out_of_range);
+  a.w(0);
+  EXPECT_EQ(a.r(), 0x10u) << "unwatch keeps the armed fault";
+  ctx.clear_faults();
+  EXPECT_EQ(a.r(), 0u);
+}
+
 TEST(Vcd, ProducesParsableFile) {
   SimContext ctx;
   Sig a = ctx.wire("alu_res", "iu.alu", 32);
