@@ -4,94 +4,10 @@
 #include <vector>
 
 #include "isa/decode.hpp"
+#include "isa/reg_use.hpp"
 #include "iss/emulator.hpp"
 
 namespace issrtl::core {
-
-namespace {
-
-/// Architectural source/dest registers of one instruction, resolved to
-/// physical indices under the current window pointer.
-struct RegUse {
-  std::array<unsigned, 4> src{};
-  unsigned nsrc = 0;
-  std::array<unsigned, 2> dst{};
-  unsigned ndst = 0;
-};
-
-RegUse classify(const isa::DecodedInst& d, unsigned cwp) {
-  using isa::InstClass;
-  RegUse u;
-  auto src = [&](unsigned arch, unsigned wp) {
-    if (arch != 0) u.src[u.nsrc++] = isa::phys_reg_index(arch, wp);
-  };
-  auto dst = [&](unsigned arch, unsigned wp) {
-    if (arch != 0) u.dst[u.ndst++] = isa::phys_reg_index(arch, wp);
-  };
-  const bool op2_reg = !d.uses_imm;
-  switch (d.iclass) {
-    case InstClass::kAlu:
-    case InstClass::kShift:
-    case InstClass::kMul:
-    case InstClass::kDiv:
-      src(d.rs1, cwp);
-      if (op2_reg) src(d.rs2, cwp);
-      dst(d.rd, cwp);
-      break;
-    case InstClass::kSethi:
-      dst(d.rd, cwp);
-      break;
-    case InstClass::kLoad:
-      src(d.rs1, cwp);
-      if (op2_reg) src(d.rs2, cwp);
-      dst(d.rd, cwp);
-      if (d.opcode == isa::Opcode::kLDD) dst(d.rd + 1u, cwp);
-      break;
-    case InstClass::kStore:
-      src(d.rs1, cwp);
-      if (op2_reg) src(d.rs2, cwp);
-      src(d.rd, cwp);
-      if (d.opcode == isa::Opcode::kSTD) src(d.rd + 1u, cwp);
-      break;
-    case InstClass::kAtomic:
-      src(d.rs1, cwp);
-      if (op2_reg) src(d.rs2, cwp);
-      src(d.rd, cwp);
-      dst(d.rd, cwp);
-      break;
-    case InstClass::kJmpl:
-      src(d.rs1, cwp);
-      if (op2_reg) src(d.rs2, cwp);
-      dst(d.rd, cwp);
-      break;
-    case InstClass::kCall:
-      dst(15, cwp);
-      break;
-    case InstClass::kSaveRestore: {
-      // Operands read in the old window, destination written in the new one.
-      src(d.rs1, cwp);
-      if (op2_reg) src(d.rs2, cwp);
-      const unsigned next =
-          d.opcode == isa::Opcode::kSAVE
-              ? (cwp + isa::kNumWindows - 1) % isa::kNumWindows
-              : (cwp + 1) % isa::kNumWindows;
-      dst(d.rd, next);
-      break;
-    }
-    case InstClass::kReadSpecial:
-      dst(d.rd, cwp);
-      break;
-    case InstClass::kWriteSpecial:
-      src(d.rs1, cwp);
-      if (op2_reg) src(d.rs2, cwp);
-      break;
-    default:
-      break;  // branches, trap, flush: no register file traffic
-  }
-  return u;
-}
-
-}  // namespace
 
 AvfReport analyze_register_avf(const isa::Program& prog, u64 max_steps) {
   Memory mem;
@@ -108,7 +24,7 @@ AvfReport analyze_register_avf(const isa::Program& prog, u64 max_steps) {
   while (emu.halt_reason() == iss::HaltReason::kRunning && t < max_steps) {
     const u32 pc = emu.state().pc;
     const isa::DecodedInst d = isa::decode(emu.memory().load_u32(pc));
-    const RegUse use = classify(d, emu.state().cwp);
+    const isa::RegUse use = isa::reg_use(d, emu.state().cwp);
     ++t;
     for (unsigned i = 0; i < use.nsrc; ++i) {
       const unsigned r = use.src[i];

@@ -1,10 +1,14 @@
 #include "engine/iss_backend.hpp"
 
 #include <algorithm>
+#include <array>
 #include <string>
+#include <utility>
 
 #include "common/rng.hpp"
+#include "engine/activation.hpp"
 #include "engine/stats.hpp"
+#include "isa/reg_use.hpp"
 
 namespace issrtl::engine {
 
@@ -98,21 +102,122 @@ IssCampaignBackend::Record IssCampaignBackend::error_record(
   return r;
 }
 
+bool IssCampaignBackend::prescreened(std::size_t i) const {
+  if (faults_.at(i).model == iss::IssFaultModel::kBitFlip) return false;
+  std::call_once(screen_once_, [this] {
+    Worker scratch(*this);
+    screen(scratch.emu_, scratch.mem_);
+  });
+  return verdict_[i] != 0;
+}
+
+void IssCampaignBackend::screen(iss::Emulator& emu, Memory& mem) const {
+  // Stuck-at and open-line sites armed before the golden halt (a fault
+  // armed at the halt is never applied), watched per physical register.
+  const u64 end = replay_.golden_instant();
+  std::vector<std::size_t> index;
+  std::vector<ActivationSite> screened;
+  for (std::size_t i = 0; i < faults_.size(); ++i) {
+    const iss::IssFault& f = faults_[i];
+    if (f.model == iss::IssFaultModel::kBitFlip || f.inject_at_instr >= end) {
+      continue;
+    }
+    // The ISS models are the RTL ones, bit for bit.
+    const rtl::FaultModel model =
+        f.model == iss::IssFaultModel::kStuckAt0   ? rtl::FaultModel::kStuckAt0
+        : f.model == iss::IssFaultModel::kStuckAt1 ? rtl::FaultModel::kStuckAt1
+                                                   : rtl::FaultModel::kOpenLine;
+    index.push_back(i);
+    screened.push_back({f.phys_reg, static_cast<u8>(f.bit), model,
+                        f.inject_at_instr});
+  }
+  verdict_.assign(faults_.size(), 0);
+  if (index.empty()) return;
+  const u64 first =
+      std::ranges::min(screened, {}, &ActivationSite::instant).instant;
+
+  // The pass replays the golden run, untallied: it positions no site.
+  replay_.restore(emu, mem, first);
+  if (emu.instret() < first) emu.advance(first - emu.instret());
+  // Values each register showed to reads since the last take.
+  std::array<rtl::BitsSeen, iss::ArchState::kPhysRegs> seen{};
+  const iss::ArchState& state = emu.state();
+  const auto replay_to = [&](u64 instant) {
+    while (emu.instret() < instant &&
+           emu.halt_reason() == iss::HaltReason::kRunning) {
+      const isa::RegUse use =
+          isa::reg_use(isa::decode(mem.load_u32(state.pc)), state.cwp);
+      for (unsigned k = 0; k < use.nsrc; ++k) {
+        const u32 v = state.regs[use.src[k]];
+        seen[use.src[k]].ones |= v;
+        seen[use.src[k]].zeros |= ~v;
+      }
+      emu.step();
+    }
+  };
+  const std::vector<Activation> verdicts = screen_activation(
+      screened, seen.size(), end, replay_to,
+      [&seen](std::size_t r) { return std::exchange(seen[r], {}); },
+      [&state](const ActivationSite& site) -> u32 {
+        // A register bit is seen only through reads, so the arm itself
+        // activates nothing: a stuck-at presents its forced value as the
+        // arm-time bit, an open line the bit it freezes.
+        switch (site.model) {
+          case rtl::FaultModel::kStuckAt0: return 0;
+          case rtl::FaultModel::kStuckAt1: return 1u << site.bit;
+          default: return state.regs[site.slot];
+        }
+      });
+  // A never-read fault leaves every read, write and halt golden; the final
+  // register file differs from the golden one in the faulted bit only, and
+  // only where the golden final bit is opposite to the enforced one.
+  for (std::size_t k = 0; k < index.size(); ++k) {
+    if (!verdicts[k].never) continue;
+    const ActivationSite& site = screened[k];
+    const bool final_bit = (golden_state_.regs[site.slot] >> site.bit) & 1;
+    verdict_[index[k]] = final_bit != verdicts[k].arm_bit ? 2 : 1;
+  }
+}
+
 IssCampaignBackend::Worker::Worker(const IssCampaignBackend& backend)
     : b_(backend), emu_(mem_) {
   emu_.set_fast_path(backend.opts_.iss_fast_path);
 }
 
+void IssCampaignBackend::Worker::fail_at(std::size_t index, FailStage stage) {
+  maybe_fail_stage(b_.fail_spec_, fail_attempts_, index, stage);
+}
+
 fault::IssInjectionResult IssCampaignBackend::Worker::run_site(
     std::size_t index) {
+  const iss::IssFault& fault = b_.faults_[index];
+  if (fault.model != iss::IssFaultModel::kBitFlip) {
+    std::call_once(b_.screen_once_, [this] { b_.screen(emu_, mem_); });
+    if (b_.verdict_[index] != 0) {
+      // The faulty run would equal the golden run instruction for
+      // instruction: the record a simulation produces, through every
+      // stage hook.
+      b_.prescreened_.fetch_add(1, std::memory_order_relaxed);
+      for (const FailStage stage : {FailStage::kRestore, FailStage::kArm,
+                                    FailStage::kStep, FailStage::kClassify}) {
+        fail_at(index, stage);
+      }
+      Record r;
+      r.fault = fault;
+      r.latent = b_.verdict_[index] == 2;
+      return r;
+    }
+  }
+  return simulate(index);
+}
+
+fault::IssInjectionResult IssCampaignBackend::Worker::simulate(
+    std::size_t index) {
   const iss::IssFault fault = b_.faults_[index];
-  const auto fail_at = [&](FailStage stage) {  // ISSRTL_FAIL_SITE test hook
-    maybe_fail_stage(b_.fail_spec_, fail_attempts_, index, stage);
-  };
   b_.replay_.position(emu_, mem_, fault.inject_at_instr);
-  fail_at(FailStage::kRestore);
+  fail_at(index, FailStage::kRestore);
   emu_.arm_fault(fault);
-  fail_at(FailStage::kArm);
+  fail_at(index, FailStage::kArm);
 
   Record r;
   r.fault = fault;
@@ -121,7 +226,7 @@ fault::IssInjectionResult IssCampaignBackend::Worker::run_site(
   Replay::Suffix suffix(b_.replay_, emu_, mem_,
                         fault.model == iss::IssFaultModel::kBitFlip);
   u64 budget = suffix.budget();
-  fail_at(FailStage::kStep);
+  fail_at(index, FailStage::kStep);
   iss::HaltReason halt = emu_.halt_reason();
   while (budget > 0 && halt == iss::HaltReason::kRunning &&
          !suffix.diverged()) {
@@ -132,7 +237,7 @@ fault::IssInjectionResult IssCampaignBackend::Worker::run_site(
   if (halt == iss::HaltReason::kRunning && !suffix.diverged()) {
     halt = iss::HaltReason::kStepLimit;
   }
-  fail_at(FailStage::kClassify);
+  fail_at(index, FailStage::kClassify);
 
   const TraceDivergence div =
       emu_.offcore().compare_writes(b_.replay_.golden_trace());
@@ -154,6 +259,7 @@ fault::IssInjectionResult IssCampaignBackend::Worker::run_site(
 fault::IssCampaignResult IssCampaignBackend::finish(EngineRun<Record> run) const {
   fault::IssCampaignResult result;
   replay_.finish(result, run);
+  result.replay.prescreened = prescreened_.load();
   result.golden_instret = replay_.golden_instant();
   // Aggregate by each record's own model (not by fault-list position: a
   // truncated run holds an arbitrary done-subset of the site list).

@@ -2,10 +2,21 @@
 // (the paper's [7][20] style) on the same golden-replay core as the RTL
 // backend (engine/replay.hpp), used for the §4.2 "Simulation time"
 // comparison.
+//
+// Activation pre-screen: the first stuck-at or open-line site a worker
+// reaches runs one pass over the golden run that records every physical
+// register read with its value (isa::reg_use of each instruction before it
+// executes). A site whose register no later read shows with the faulted bit
+// opposite to the enforced value runs identically to the golden run,
+// instruction for instruction, so it is answered without simulating its
+// suffix: no failure, latent iff the golden final register holds the bit
+// opposite to the enforced value.
 #pragma once
 
+#include <atomic>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -41,12 +52,24 @@ class IssCampaignBackend {
   Record record_from_journal(const JournalEntry& e) const;
   Record error_record(std::size_t i, const std::string& what) const;
 
+  /// True when the activation pass proves that no read sees site i's
+  /// stuck-at or open-line fault, so run_site answers it without simulating
+  /// it. Runs the pass (once per backend, thread-safe) if no worker has yet.
+  bool prescreened(std::size_t i) const;
+
   class Worker {
    public:
     explicit Worker(const IssCampaignBackend& backend);
+    /// The engine's per-site entry: the pre-screen, else simulate().
     Record run_site(std::size_t index);
+    /// Position, arm, step and classify site `index`, never pre-screened:
+    /// the reference a pre-screened record must equal.
+    Record simulate(std::size_t index);
 
    private:
+    friend class IssCampaignBackend;
+    void fail_at(std::size_t index, FailStage stage);  ///< ISSRTL_FAIL_SITE
+
     const IssCampaignBackend& b_;
     Memory mem_;
     iss::Emulator emu_;
@@ -65,6 +88,10 @@ class IssCampaignBackend {
  private:
   friend class Worker;
 
+  /// The activation pass, run on `emu`/`mem` (a worker's, or a scratch
+  /// pair): fills verdict_ for every stuck-at and open-line site.
+  void screen(iss::Emulator& emu, Memory& mem) const;
+
   fault::IssCampaignConfig cfg_;
   EngineOptions opts_;
 
@@ -73,6 +100,12 @@ class IssCampaignBackend {
   iss::ArchState golden_state_;
   std::vector<iss::IssFault> faults_;
   FailSiteSpec fail_spec_;  ///< parsed from opts_.fail_sites (test hook)
+  // Activation pass result, per site (0 = simulate, 1 = proven silent,
+  // 2 = proven latent), and the run_site calls it answered; both written
+  // by workers.
+  mutable std::once_flag screen_once_;
+  mutable std::vector<u8> verdict_;
+  mutable std::atomic<u64> prescreened_{0};
 };
 
 /// Full engine-backed ISS campaign. The default options run it serially

@@ -1,10 +1,9 @@
 #include "engine/rtl_backend.hpp"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <string>
 
+#include "engine/activation.hpp"
 #include "engine/stats.hpp"
 
 namespace issrtl::engine {
@@ -131,85 +130,47 @@ bool RtlCampaignBackend::prescreened(std::size_t i) const {
 }
 
 void RtlCampaignBackend::screen(rtlcore::Leon3Core& core, Memory& mem) const {
-  // Permanent sites in instant order; each distinct instant opens an epoch
-  // that runs to the next one (the last runs to the golden halt).
-  std::vector<std::size_t> order;
+  // Permanent sites, watched per distinct node.
+  std::vector<std::size_t> index;
+  std::vector<rtl::NodeId> nodes;
   for (std::size_t i = 0; i < sites_.size(); ++i) {
     if (sites_[i].model != rtl::FaultModel::kTransientBitFlip) {
-      order.push_back(i);
+      index.push_back(i);
+      nodes.push_back(sites_[i].node);
     }
   }
   never_activated_.assign(sites_.size(), 0);
-  if (order.empty()) return;
-  std::ranges::stable_sort(order, {}, [this](std::size_t i) {
-    return sites_[i].inject_cycle;
-  });
-  std::vector<rtl::NodeId> nodes;
-  for (const std::size_t i : order) nodes.push_back(sites_[i].node);
+  if (index.empty()) return;
   std::ranges::sort(nodes);
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-  const auto slot = [&nodes](rtl::NodeId id) {
-    return static_cast<std::size_t>(std::ranges::lower_bound(nodes, id) -
-                                    nodes.begin());
-  };
+  std::vector<ActivationSite> screened;
+  for (const std::size_t i : index) {
+    const fault::FaultSite& site = sites_[i];
+    const auto slot = static_cast<std::size_t>(
+        std::ranges::lower_bound(nodes, site.node) - nodes.begin());
+    screened.push_back({slot, site.bit, site.model, site.inject_cycle});
+  }
+  const u64 first =
+      std::ranges::min(screened, {}, &ActivationSite::instant).instant;
 
-  // Per watched node and bit: 1 + the last epoch in which the bit was seen
-  // 1 (ones) or 0 (zeros); 0 = never. Bounded by nodes x 32 bits, whatever
-  // the number of epochs.
-  struct LastSeen {
-    std::array<u32, 32> ones{};
-    std::array<u32, 32> zeros{};
-  };
-  std::vector<LastSeen> last(nodes.size());
-  rtl::SimContext& sim = core.sim();
-  const auto close_epoch = [&](u32 epoch) {
-    for (std::size_t n = 0; n < nodes.size(); ++n) {
-      const rtl::BitsSeen seen = sim.take_seen(nodes[n]);
-      for (u32 m = seen.ones; m != 0; m &= m - 1) {
-        last[n].ones[std::countr_zero(m)] = epoch + 1;
-      }
-      for (u32 m = seen.zeros; m != 0; m &= m - 1) {
-        last[n].zeros[std::countr_zero(m)] = epoch + 1;
-      }
-    }
-  };
   const auto advance_to = [&core](u64 instant) {
     if (core.cycles() < instant) core.advance(instant - core.cycles());
   };
-
   // The pass replays the golden run, untallied: it positions no site.
-  replay_.restore(core, mem, sites_[order.front()].inject_cycle);
-  advance_to(sites_[order.front()].inject_cycle);
+  replay_.restore(core, mem, first);
+  advance_to(first);
+  rtl::SimContext& sim = core.sim();
   sim.watch(nodes);
   struct Unwatch {
     rtl::SimContext& sim;
     ~Unwatch() { sim.unwatch(); }
   } unwatch{sim};
-  std::vector<u32> at_arm(order.size());  // node value at the site instant
-  std::vector<u32> epoch_of(order.size());
-  u32 epochs = 0;
-  for (std::size_t k = 0; k < order.size();) {
-    const u64 instant = sites_[order[k]].inject_cycle;
-    advance_to(instant);
-    if (epochs > 0) close_epoch(epochs - 1);
-    for (; k < order.size() && sites_[order[k]].inject_cycle == instant; ++k) {
-      at_arm[k] = sim.value(sites_[order[k]].node);
-      epoch_of[k] = epochs;
-    }
-    ++epochs;
-  }
-  advance_to(replay_.golden_instant());
-  close_epoch(epochs - 1);
-
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    const fault::FaultSite& site = sites_[order[k]];
-    const LastSeen& seen = last[slot(site.node)];
-    const u32 bit = 1u << site.bit;
-    const rtl::BitsSeen after{
-        seen.ones[site.bit] > epoch_of[k] ? bit : 0u,
-        seen.zeros[site.bit] > epoch_of[k] ? bit : 0u};
-    never_activated_[order[k]] =
-        rtl::can_activate(site.model, site.bit, at_arm[k], after) ? 0 : 1;
+  const std::vector<Activation> verdicts = screen_activation(
+      screened, nodes.size(), replay_.golden_instant(), advance_to,
+      [&](std::size_t slot) { return sim.take_seen(nodes[slot]); },
+      [&](const ActivationSite& site) { return sim.value(nodes[site.slot]); });
+  for (std::size_t k = 0; k < index.size(); ++k) {
+    never_activated_[index[k]] = verdicts[k].never ? 1 : 0;
   }
 }
 

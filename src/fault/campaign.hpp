@@ -159,9 +159,10 @@ struct ReplayCounters {
   u64 cold_resets = 0;         ///< resumes that had to re-simulate from 0
   u64 fast_forward_cycles = 0; ///< fault-free instants stepped after restore
   u64 convergence_cutoffs = 0; ///< transient runs proven silent at a rung
-  /// Permanent-fault runs proven silent by the activation pre-screen (the
-  /// golden run never activates the fault), one per run_site call
-  /// answered without simulation. The ISS backend has no pre-screen.
+  /// Permanent-fault runs answered by the activation pre-screen without
+  /// simulation, one per run_site call: RTL sites the golden run never
+  /// activates (silent), ISS register sites no later read sees (silent,
+  /// or latent when the golden end state holds the opposite bit).
   u64 prescreened = 0;
   // Durability / robustness events (see engine/journal.hpp and the
   // worker-isolation retry in CampaignEngine::run; zero on a clean,

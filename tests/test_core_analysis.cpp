@@ -316,6 +316,27 @@ TEST(Avf, DeadValuesAreNotAce) {
   EXPECT_GT(r.per_reg[o1], 0.5);           // live across the filler loop
 }
 
+TEST(Avf, LdstubDestinationIsNotAce) {
+  // LDSTUB only loads rd, SWAP also stores rd's old value: o0's value from
+  // the mov is dead before the LDSTUB and live until the SWAP.
+  const auto o0_avf = [](bool swap) {
+    isa::Assembler a(swap ? "avf_swap" : "avf_ldstub");
+    const u32 lock = a.data_zero(8);
+    a.set32(Reg::l0, lock);
+    a.mov(Reg::o0, 5);
+    for (int i = 0; i < 50; ++i) a.add(Reg::l1, Reg::l1, 1);
+    if (swap) {
+      a.swap(Reg::o0, Reg::l0, 0);
+    } else {
+      a.ldstub(Reg::o0, Reg::l0, 0);
+    }
+    a.halt();
+    return analyze_register_avf(a.finalize()).per_reg[isa::phys_reg_index(8, 0)];
+  };
+  EXPECT_EQ(o0_avf(false), 0.0);
+  EXPECT_GT(o0_avf(true), 0.5);
+}
+
 TEST(Avf, HotRegisterIsHighAvf) {
   // A loop counter read every iteration is almost always ACE.
   isa::Assembler a("avf2");

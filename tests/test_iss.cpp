@@ -2,9 +2,14 @@
 // control transfer, register windows, traps, tracing and ISS-level faults.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "isa/assembler.hpp"
+#include "isa/reg_use.hpp"
 #include "iss/emulator.hpp"
 #include "iss/timing.hpp"
+#include "workloads/workload.hpp"
 
 namespace issrtl::iss {
 namespace {
@@ -832,6 +837,82 @@ TEST(IssFault, BitFlipIsTransient) {
   ASSERT_EQ(w.size(), 2u);
   EXPECT_EQ(w[0].data, 1u);  // flipped
   EXPECT_EQ(w[1].data, 0u);  // rewritten value is clean again
+}
+
+// isa::reg_use's source set is complete: a register outside it cannot
+// change what the instruction does. Register AVF and the ISS campaign's
+// activation pre-screen both rest on this. On every registry workload's
+// golden run, at a stride of retired instructions, each physical register
+// outside the source set in turn gets one bit flipped before the step
+// (bit chosen by a stride too), and the step must do exactly what it does
+// on the golden state: every other register, icc, y, pc/npc, cwp, window
+// depth, halt reason and the off-core writes.
+TEST(RegUse, SourceSetIsComplete) {
+  constexpr u64 kStride = 23;
+  const OffCoreTrace no_trace;  // probes start with an empty bus history
+  u64 probes = 0;
+  for (const workloads::WorkloadInfo& info : workloads::registry()) {
+    SCOPED_TRACE(info.name);
+    const Program prog =
+        workloads::build(info.name, {.iterations = 1, .data_seed = 1});
+    Memory mem;
+    Emulator emu(mem);
+    emu.load(prog);
+    Memory probe_mem;
+    Emulator probe(probe_mem);
+    // Baseline interpreter: one decode per probe step instead of a block
+    // build (test_iss_fastpath holds both paths equal).
+    probe.set_fast_path(false);
+    for (u64 n = 0; emu.halt_reason() == HaltReason::kRunning; ++n) {
+      if (n % kStride != 0) {
+        emu.step();
+        continue;
+      }
+      const EmuCheckpoint ck = emu.checkpoint();
+      const Memory before = mem.clone();
+      const isa::RegUse use = isa::reg_use(
+          isa::decode(mem.load_u32(ck.state.pc)), ck.state.cwp);
+      const std::size_t prior = emu.offcore().writes().size();
+      emu.step();
+      const std::vector<BusRecord> written(
+          emu.offcore().writes().begin() + static_cast<std::ptrdiff_t>(prior),
+          emu.offcore().writes().end());
+      const ArchState& want = emu.state();
+      for (unsigned r = 1; r < ArchState::kPhysRegs; ++r) {
+        if (std::find(use.src.begin(), use.src.begin() + use.nsrc, r) !=
+            use.src.begin() + use.nsrc) {
+          continue;
+        }
+        IssFault flip;
+        flip.phys_reg = r;
+        flip.bit = static_cast<unsigned>((n / kStride + r) % 32);
+        flip.model = IssFaultModel::kBitFlip;
+        flip.inject_at_instr = ck.instret;
+        probe_mem = before.clone();
+        probe.restore(ck, no_trace);
+        probe.clear_faults();
+        probe.arm_fault(flip);
+        probe.step();
+        ++probes;
+        // The flipped register itself may keep its flip.
+        ArchState expect = want;
+        expect.regs[r] = probe.state().regs[r];
+        const std::vector<BusRecord>& got = probe.offcore().writes();
+        const bool same_writes =
+            got.size() == written.size() &&
+            std::equal(got.begin(), got.end(), written.begin(),
+                       [](const BusRecord& x, const BusRecord& y) {
+                         return x.same_payload(y);
+                       });
+        ASSERT_TRUE(probe.state() == expect &&
+                    probe.halt_reason() == emu.halt_reason() && same_writes)
+            << "instruction " << n << " pc " << ck.state.pc << " reg " << r
+            << " bit " << flip.bit;
+      }
+    }
+    ASSERT_EQ(emu.halt_reason(), HaltReason::kHalted);
+  }
+  EXPECT_GT(probes, 100'000u);
 }
 
 }  // namespace

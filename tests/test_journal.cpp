@@ -626,5 +626,75 @@ TEST(IssJournal, FailSiteIsolatesOneSite) {
   }
 }
 
+// ISS sites the activation pre-screen answers without simulating them pass
+// every stage hook like simulated ones: a persistent throw is contained as
+// that site's engine-error record, a one-shot throw retries to the
+// identical result. rspeed has both kinds of stuck-at site.
+TEST(IssJournal, PrescreenedSiteRunsEveryStageHook) {
+  const auto prog = workloads::build("rspeed", {.iterations = 1,
+                                                .data_seed = 1});
+  const auto cfg = iss_cfg();
+  std::size_t screened = 0;
+  std::size_t simulated = 0;
+  {
+    const IssCampaignBackend backend(prog, cfg, {});
+    while (!backend.prescreened(screened)) ++screened;
+    while (backend.prescreened(simulated)) ++simulated;
+    ASSERT_LT(screened, cfg.samples) << "no pre-screened stuck-at site";
+    ASSERT_LT(simulated, cfg.samples) << "no simulated stuck-at site";
+  }
+  const auto ref = run_iss_campaign_engine(prog, cfg, {});
+  for (const char* tag : kStageTags) {
+    for (const bool once : {false, true}) {
+      const std::string mode = once ? ":once" : "";
+      EngineOptions opts;
+      opts.fail_sites = std::to_string(screened) + mode + tag + "," +
+                        std::to_string(simulated) + mode + tag;
+      SCOPED_TRACE(opts.fail_sites);
+      const auto r = run_iss_campaign_engine(prog, cfg, opts);
+      EXPECT_EQ(r.replay.sites_retried, 2u);
+      if (once) {
+        expect_identical(ref, r);
+        EXPECT_EQ(r.replay.sites_engine_error, 0u);
+        // The retried pre-screened site is answered twice.
+        EXPECT_EQ(r.replay.prescreened, ref.replay.prescreened + 1);
+      } else {
+        EXPECT_TRUE(r.runs[screened].engine_error);
+        EXPECT_TRUE(r.runs[simulated].engine_error);
+        EXPECT_EQ(r.replay.sites_engine_error, 2u);
+      }
+    }
+  }
+}
+
+// A pre-screened ISS record is journaled and resumed like any other: a
+// resume imports it, and a resume whose journal stops before it answers it
+// again, identically.
+TEST(IssJournal, PrescreenedSiteJournalsAndResumes) {
+  const auto prog = small_workload();
+  const auto cfg = iss_cfg();
+  const auto ref = run_iss_campaign_engine(prog, cfg, {});
+  ASSERT_GT(ref.replay.prescreened, 0u);
+
+  const std::string dir = scratch_dir("iss");
+  run_iss_campaign_engine(prog, cfg, journal_opts(dir, false));
+  const fs::path file = journal_file_in(dir);
+  const auto lines = read_lines(file);
+  ASSERT_EQ(lines.size(), 1u + ref.runs.size());
+
+  const auto imported =
+      run_iss_campaign_engine(prog, cfg, journal_opts(dir, true));
+  expect_identical(ref, imported);
+  EXPECT_EQ(imported.replay.journal_hits, ref.runs.size());
+  EXPECT_EQ(imported.replay.prescreened, 0u);
+
+  write_file(file, join_lines(lines, 1));  // the header only
+  const auto answered =
+      run_iss_campaign_engine(prog, cfg, journal_opts(dir, true, 3));
+  expect_identical(ref, answered);
+  EXPECT_EQ(answered.replay.journal_hits, 0u);
+  EXPECT_EQ(answered.replay.prescreened, ref.replay.prescreened);
+}
+
 }  // namespace
 }  // namespace issrtl::engine

@@ -8,6 +8,8 @@
 
 #include <array>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "engine/iss_backend.hpp"
 #include "engine/ladder.hpp"
@@ -199,6 +201,45 @@ TEST(Ladder, StuckAtSitesArePrescreenedOrPositionedOnce) {
   }
 }
 
+// The same accounting on the ISS backend, whose pre-screen answers unread
+// register-file stuck-at sites without positioning them: two pre-screened
+// and two simulated sites are retried once each, at 1 and 3 threads.
+TEST(Ladder, IssStuckAtSitesArePrescreenedOrPositionedOnce) {
+  const auto prog = workloads::build("rspeed", {.iterations = 1,
+                                                .data_seed = 1});
+  fault::IssCampaignConfig cfg;
+  cfg.samples = 24;
+  cfg.models = {iss::IssFaultModel::kStuckAt0, iss::IssFaultModel::kStuckAt1};
+  std::vector<std::size_t> screened, simulated;
+  {
+    const IssCampaignBackend backend(prog, cfg, {});
+    for (std::size_t i = 0; i < backend.site_count(); ++i) {
+      std::vector<std::size_t>& into =
+          backend.prescreened(i) ? screened : simulated;
+      if (into.size() < 2) into.push_back(i);
+    }
+  }
+  ASSERT_EQ(screened.size(), 2u);
+  ASSERT_EQ(simulated.size(), 2u);
+  std::string spec;
+  for (const std::size_t i : {screened[0], screened[1], simulated[0],
+                              simulated[1]}) {
+    spec += (spec.empty() ? "" : ",") + std::to_string(i) + ":once";
+  }
+  for (const unsigned threads : {1u, 3u}) {
+    EngineOptions opts;
+    opts.threads = threads;
+    opts.fail_sites = spec;
+    const auto r = run_iss_campaign_engine(prog, cfg, opts);
+    EXPECT_GT(r.replay.prescreened, 0u) << "threads=" << threads;
+    EXPECT_LT(r.replay.prescreened, r.runs.size()) << "threads=" << threads;
+    EXPECT_EQ(r.replay.sites_retried, 4u);
+    EXPECT_EQ(r.replay.ladder_restores + r.replay.cold_resets,
+              r.runs.size() - r.replay.prescreened + r.replay.sites_retried)
+        << "threads=" << threads;
+  }
+}
+
 // Every ReplayCounters field of one default RTL and one default ISS
 // bit-flip campaign, pinned: the replay tallies (rungs, their bytes and
 // thinning, restores, resets, fast-forward, cut-offs) are a function of the
@@ -251,12 +292,13 @@ TEST(Ladder, IssCampaignLadderInvariant) {
       opts.threads = threads;
       opts.ladder_stride = stride;
       const auto r = run_iss_campaign_engine(prog, cfg, opts);
-      // Each site is positioned exactly once, from a rung or by a reset.
+      // Each site is pre-screened or positioned exactly once, from a rung
+      // or by a reset.
       EXPECT_EQ(r.replay.ladder_restores + r.replay.cold_resets,
-                r.runs.size());
+                r.runs.size() - r.replay.prescreened);
       EXPECT_EQ(r.replay.rolling_restores, 0u);
       if (stride == 0) {
-        EXPECT_EQ(r.replay.cold_resets, r.runs.size());
+        EXPECT_EQ(r.replay.cold_resets, r.runs.size() - r.replay.prescreened);
       }
       if (!have_reference) {
         reference = r;

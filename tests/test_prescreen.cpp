@@ -1,10 +1,12 @@
-// Differential gate for the activation pre-screen (slow label). On every
-// registry workload, for the IU and CMEM units, stuck-at-0/1 and open-line
-// faults, at the early instant and at uniform-random instants (two per
-// site, so one node carries faults armed at different instants): every
-// site the pass proves never activated is simulated in full through
+// Differential gates for the activation pre-screen (slow label), one per
+// backend. RTL: on every registry workload, for the IU and CMEM units,
+// stuck-at-0/1 and open-line faults, at the early instant and at
+// uniform-random instants (two per site, so one node carries faults armed
+// at different instants). ISS: on every registry workload, register-file
+// stuck-at-0/1 and open-line faults at their random instants. Every site
+// the pass proves never activated is simulated in full through
 // Worker::simulate, and must produce exactly the record run_site answered
-// without simulating it. The outcome hash and the pre-screen count must not
+// without simulating it. The results and the pre-screen count must not
 // depend on the thread count or on the ladder.
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include <string>
 
 #include "engine/engine.hpp"
+#include "engine/iss_backend.hpp"
 #include "engine/rtl_backend.hpp"
 #include "workloads/workload.hpp"
 
@@ -93,6 +96,89 @@ TEST(Prescreen, PrescreenedSitesMatchFullSimulation) {
                              FaultModel::kOpenLine}) {
     EXPECT_GT(prescreened_by_model[m], 0u) << rtl::fault_model_name(m);
   }
+}
+
+// Everything of an ISS campaign's records (fault, verdict, latency,
+// error), in site order.
+u64 iss_fingerprint(const fault::IssCampaignResult& r) {
+  Fingerprint fp;
+  fp.mix(r.runs.size());
+  for (const fault::IssInjectionResult& run : r.runs) {
+    fp.mix(run.fault.phys_reg);
+    fp.mix(run.fault.bit);
+    fp.mix(static_cast<u64>(run.fault.model));
+    fp.mix(run.fault.inject_at_instr);
+    fp.mix(static_cast<u64>(run.failure));
+    fp.mix(static_cast<u64>(run.latent));
+    fp.mix(static_cast<u64>(run.engine_error));
+    fp.mix(run.latency_instr);
+    fp.mix_str(run.error);
+  }
+  return fp.h;
+}
+
+TEST(Prescreen, IssPrescreenedSitesMatchFullSimulation) {
+  using iss::IssFaultModel;
+  fault::IssCampaignConfig cfg;
+  cfg.models = {IssFaultModel::kStuckAt0, IssFaultModel::kStuckAt1,
+                IssFaultModel::kOpenLine};
+  cfg.samples = 64;
+  std::map<IssFaultModel, std::size_t> prescreened_by_model;
+  std::size_t proven_silent = 0;
+  std::size_t proven_latent = 0;
+  for (const workloads::WorkloadInfo& info : workloads::registry()) {
+    SCOPED_TRACE(info.name);
+    const isa::Program prog =
+        workloads::build(info.name, {.iterations = 1, .data_seed = 1});
+    const EngineOptions reference_opts;
+    IssCampaignBackend backend(prog, cfg, reference_opts);
+    CampaignEngine engine(reference_opts);
+    const fault::IssCampaignResult ref = backend.finish(engine.run(backend));
+    ASSERT_EQ(ref.runs.size(), backend.site_count());
+
+    const auto worker = backend.make_worker(0);
+    u64 screened = 0;
+    for (std::size_t i = 0; i < backend.site_count(); ++i) {
+      if (!backend.prescreened(i)) continue;
+      ++screened;
+      const fault::IssInjectionResult& got = ref.runs[i];
+      ++prescreened_by_model[got.fault.model];
+      ++(got.latent ? proven_latent : proven_silent);
+      const fault::IssInjectionResult sim = worker->simulate(i);
+      EXPECT_EQ(sim.failure, got.failure) << "site " << i;
+      EXPECT_EQ(sim.latent, got.latent) << "site " << i;
+      EXPECT_EQ(sim.engine_error, got.engine_error) << "site " << i;
+      EXPECT_EQ(sim.latency_instr, got.latency_instr) << "site " << i;
+      EXPECT_EQ(sim.error, got.error) << "site " << i;
+    }
+    EXPECT_EQ(ref.replay.prescreened, screened);
+
+    for (const unsigned threads : {1u, 3u}) {
+      for (const u64 stride : {u64{0}, EngineOptions{}.ladder_stride}) {
+        if (threads == reference_opts.threads &&
+            stride == reference_opts.ladder_stride) {
+          continue;  // the reference itself
+        }
+        EngineOptions opts;
+        opts.threads = threads;
+        opts.ladder_stride = stride;
+        const fault::IssCampaignResult r =
+            run_iss_campaign_engine(prog, cfg, opts);
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " stride=" + std::to_string(stride));
+        EXPECT_EQ(iss_fingerprint(r), iss_fingerprint(ref));
+        EXPECT_EQ(r.replay.prescreened, ref.replay.prescreened);
+        EXPECT_EQ(r.replay.ladder_restores + r.replay.cold_resets,
+                  r.total_sites - r.replay.prescreened);
+      }
+    }
+  }
+  for (const IssFaultModel m : cfg.models) {
+    EXPECT_GT(prescreened_by_model[m], 0u) << static_cast<int>(m);
+  }
+  // Both branches of the proven record must have been exercised.
+  EXPECT_GT(proven_silent, 0u);
+  EXPECT_GT(proven_latent, 0u);
 }
 
 }  // namespace
