@@ -72,8 +72,6 @@ int help() {
       "                      reset. Bit-identical results either way.\n"
       "  ISSRTL_JOURNAL      journal directory (same as --journal)\n"
       "  ISSRTL_RESUME       1 = import journaled sites (same as --resume)\n"
-      "  ISSRTL_ISS_FAST     1 (default) = ISS decoded-basic-block fast path,\n"
-      "                      0 = single-step decoder; bit-identical results\n"
       "  ISSRTL_DEADLINE_MS  wall-clock budget in milliseconds\n"
       "  ISSRTL_FAIL_SITE    test hook: '<i>' or '<i>:once' (comma list)\n"
       "                      injects a worker fault at site i\n"

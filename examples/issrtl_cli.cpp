@@ -106,9 +106,6 @@ int help() {
       "  ISSRTL_RESUME       1 imports journaled sites instead of\n"
       "                      re-simulating them (same as --resume); 0 (the\n"
       "                      default) truncates the journal and starts fresh\n"
-      "  ISSRTL_ISS_FAST     1 (default) uses the ISS decoded-basic-block\n"
-      "                      fast path, 0 forces the single-step decoder;\n"
-      "                      results are bit-identical either way\n"
       "  ISSRTL_DEADLINE_MS  wall-clock budget in milliseconds; the engine\n"
       "                      finishes in-flight sites, flushes the journal and\n"
       "                      returns a partial result marked TRUNCATED\n"

@@ -6,7 +6,7 @@ namespace issrtl {
 
 std::string to_string(const BusRecord& r) {
   std::ostringstream os;
-  os << (r.op == BusOp::Write ? "W" : "R") << " @" << std::hex << r.addr
+  os << "W @" << std::hex << r.addr
      << " sz" << std::dec << static_cast<int>(r.size) << " =" << std::hex
      << r.data << " (cycle " << std::dec << r.cycle << ")";
   return os.str();

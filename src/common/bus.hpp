@@ -3,9 +3,9 @@
 // The paper defines failure manifestation at "off-core boundaries": the point
 // where light-lockstep microcontrollers (Infineon AURIX, ST SPC56XL) compare
 // the two cores' activity. For our Leon3-like core that boundary is the AHB-
-// style memory bus: every store (write-through D-cache) and every cache-line
-// fill leaves the core here. Failure classification compares *write* records;
-// read records are kept for diagnostics and lockstep experiments.
+// style memory bus. Every store leaves the core here (the D-cache is
+// write-through), and failure classification compares those writes, so
+// they are all this trace records.
 #pragma once
 
 #include <algorithm>
@@ -17,18 +17,15 @@
 
 namespace issrtl {
 
-enum class BusOp : u8 { Read, Write };
-
-/// One off-core transaction.
+/// One off-core write.
 struct BusRecord {
-  u64 cycle = 0;    ///< core cycle at which the transaction hit the bus
-  BusOp op = BusOp::Write;
+  u64 cycle = 0;    ///< core cycle at which the write hit the bus
   u32 addr = 0;
   u8 size = 4;      ///< bytes: 1, 2, 4 or 8
   u64 data = 0;     ///< value transferred (in the low `size` bytes)
 
   bool same_payload(const BusRecord& o) const noexcept {
-    return op == o.op && addr == o.addr && size == o.size && data == o.data;
+    return addr == o.addr && size == o.size && data == o.data;
   }
 };
 
@@ -42,45 +39,33 @@ struct TraceDivergence {
   std::string detail;      ///< human-readable description
 };
 
-/// Records off-core transactions in program order.
+/// Records off-core writes in program order.
 class OffCoreTrace {
  public:
-  void record(const BusRecord& r) {
-    if (r.op == BusOp::Write) writes_.push_back(r); else reads_.push_back(r);
-  }
   void record_write(u64 cycle, u32 addr, u8 size, u64 data) {
-    writes_.push_back({cycle, BusOp::Write, addr, size, data});
-  }
-  void record_read(u64 cycle, u32 addr, u8 size, u64 data) {
-    reads_.push_back({cycle, BusOp::Read, addr, size, data});
+    writes_.push_back({cycle, addr, size, data});
   }
 
   const std::vector<BusRecord>& writes() const noexcept { return writes_; }
-  const std::vector<BusRecord>& reads() const noexcept { return reads_; }
 
-  void clear() { writes_.clear(); reads_.clear(); }
+  void clear() { writes_.clear(); }
 
-  /// Become the first `writes` write records and `reads` read records of
-  /// `src` (clamped to src's actual lengths; `src` may be this trace, which
-  /// truncates it). This is how checkpoint restores rebuild a simulator's
-  /// bus history: a checkpoint stores only the two prefix *lengths* instead
-  /// of an O(instant) trace copy, because every ladder rung is taken on the
-  /// golden run — its trace is by construction a prefix of the golden trace
-  /// the campaign backend already holds.
-  void assign_prefix(const OffCoreTrace& src, std::size_t writes,
-                     std::size_t reads) {
+  /// Become the first `writes` write records of `src` (clamped to src's
+  /// actual length; `src` may be this trace, which truncates it). This is
+  /// how checkpoint restores rebuild a simulator's bus history: a
+  /// checkpoint stores only the prefix *length* instead of an O(instant)
+  /// trace copy, because every ladder rung is taken on the golden run — its
+  /// trace is by construction a prefix of the golden trace the campaign
+  /// backend already holds.
+  void assign_prefix(const OffCoreTrace& src, std::size_t writes) {
     if (&src == this) {
       writes_.resize(std::min(writes, writes_.size()));
-      reads_.resize(std::min(reads, reads_.size()));
       return;
     }
     writes_.assign(src.writes_.begin(),
                    src.writes_.begin() +
                        static_cast<std::ptrdiff_t>(
                            std::min(writes, src.writes_.size())));
-    reads_.assign(src.reads_.begin(),
-                  src.reads_.begin() + static_cast<std::ptrdiff_t>(
-                                           std::min(reads, src.reads_.size())));
   }
 
   /// Compare this (faulty) trace's writes against a golden trace's writes.
@@ -90,7 +75,6 @@ class OffCoreTrace {
 
  private:
   std::vector<BusRecord> writes_;
-  std::vector<BusRecord> reads_;
 };
 
 }  // namespace issrtl

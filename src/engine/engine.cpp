@@ -152,9 +152,6 @@ EngineOptions options_from_env(EngineOptions base) {
   with_env("ISSRTL_RESUME", [&](const char* v) {
     base.resume = env_flag("ISSRTL_RESUME", v);
   });
-  with_env("ISSRTL_ISS_FAST", [&](const char* v) {
-    base.iss_fast_path = env_flag("ISSRTL_ISS_FAST", v);
-  });
   with_env("ISSRTL_DEADLINE_MS", [&](const char* v) {
     base.deadline_ms = parse_u64("ISSRTL_DEADLINE_MS", v, ~0ull);
   });

@@ -73,12 +73,6 @@ struct EngineOptions {
   /// classification is unchanged). Records of early-stopped runs keep
   /// halt == kRunning to mark the abandoned simulation.
   bool early_stop = true;
-  /// Once a faulty RTL run outlives the golden cycle count, probe for a
-  /// fixed point (CoreActivityProbe) and skip straight to the watchdog
-  /// verdict when one is found. Exact: a fixed-point core can never emit
-  /// another write, change state, or halt, so the remaining (up to
-  /// 2x-golden) cycles are simulated-by-proof instead of by stepping.
-  bool hang_fast_forward = true;
   /// Initial rung spacing of the checkpoint ladder recorded during the
   /// golden run (cycles for the RTL backend, retired instructions for the
   /// ISS one). The ladder doubles its stride whenever it outgrows
@@ -127,8 +121,7 @@ struct EngineOptions {
   /// reference decode-per-instruction path. The caches are
   /// architecturally invisible, so results are bit-identical either way
   /// and the flag stays out of campaign_key(); it exists as the
-  /// differential-testing axis. ISSRTL_ISS_FAST (strict 0/1) is the
-  /// environment path.
+  /// differential-testing axis.
   bool iss_fast_path = true;
   /// Test-only fault-injection hook (ISSRTL_FAIL_SITE): comma-separated
   /// site indices whose host simulation throws while being processed —
@@ -150,8 +143,6 @@ struct EngineOptions {
 /// 0 re-simulates every prefix from reset), ISSRTL_JOURNAL (write-ahead
 /// journal directory; any non-empty path), ISSRTL_RESUME (1 = import the
 /// journal's records, 0 = truncate it; any other value is rejected),
-/// ISSRTL_ISS_FAST (1 = decoded-block ISS fast path, 0 = the reference
-/// decode-per-instruction path; any other value is rejected),
 /// ISSRTL_DEADLINE_MS (wall-clock budget in milliseconds; 0 = none) and
 /// ISSRTL_FAIL_SITE (test-only throw hook, comma-separated "<site>" /
 /// "<site>:once" with an optional ":restore"/":arm"/":step"/":classify"

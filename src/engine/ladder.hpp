@@ -16,7 +16,7 @@
 // copy-on-write clone (O(pages) shared_ptr copies, Memory::clone), and the
 // O(instant) bus trace is *not* stored — a rung taken on the golden run has
 // by construction a trace that is a prefix of the golden trace, so the
-// simulator checkpoint keeps only the two prefix lengths and the restore
+// simulator checkpoint keeps only the write-prefix length and the restore
 // path rebuilds the trace from GoldenReplay's golden copy
 // (OffCoreTrace::assign_prefix).
 //

@@ -215,10 +215,6 @@ fault::InjectionResult RtlCampaignBackend::Worker::simulate(
   Replay::Suffix suffix(b_.replay_, core_, mem_,
                         site.model == rtl::FaultModel::kTransientBitFlip);
   u64 budget = suffix.budget();
-  const u64 golden_cycles = b_.replay_.golden_instant();
-  rtlcore::CoreActivityScalars scalars_prev;
-  bool scalars_valid = false;
-  bool nodes_valid = false;
   fail_at(index, FailStage::kStep);
   iss::HaltReason halt = core_.halt_reason();
   while (budget > 0 && halt == iss::HaltReason::kRunning &&
@@ -233,29 +229,6 @@ fault::InjectionResult RtlCampaignBackend::Worker::simulate(
       result.outcome = fault::Outcome::kSilent;
       result.halt = iss::HaltReason::kHalted;
       return result;
-    }
-    // A run that outlived the golden cycle count is headed for the
-    // watchdog; probe for a fixed point and, once found, skip the
-    // remaining cycles — they are provably identical. The scalar
-    // counters act as a filter: a spin-loop hang keeps fetching (so
-    // next_fetch_seq advances every cycle) and never pays for the
-    // node-array half of the probe.
-    if (b_.opts_.hang_fast_forward && halt == iss::HaltReason::kRunning &&
-        core_.cycles() > golden_cycles) {
-      const rtlcore::CoreActivityScalars scalars = core_.activity_scalars();
-      if (!scalars_valid || !(scalars == scalars_prev)) {
-        scalars_prev = scalars;
-        scalars_valid = true;
-        nodes_valid = false;
-      } else if (!nodes_valid) {
-        core_.save_node_values(probe_nodes_);
-        nodes_valid = true;
-      } else if (core_.node_values_equal(probe_nodes_)) {
-        halt = iss::HaltReason::kStepLimit;  // stuck: watchdog is certain
-        break;
-      } else {
-        core_.save_node_values(probe_nodes_);
-      }
     }
   }
   if (halt == iss::HaltReason::kRunning && !suffix.diverged()) {

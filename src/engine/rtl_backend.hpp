@@ -81,8 +81,6 @@ class RtlCampaignBackend {
     const RtlCampaignBackend& b_;
     Memory mem_;
     rtlcore::Leon3Core core_;
-    // Scratch buffer for the hang fast-forward fixed-point probe.
-    std::vector<u32> probe_nodes_;
     std::map<std::size_t, unsigned> fail_attempts_;  ///< ISSRTL_FAIL_SITE
   };
 

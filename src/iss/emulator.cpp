@@ -239,14 +239,14 @@ void Emulator::st32(u32 addr, u32 v) {
 
 EmuCheckpoint Emulator::checkpoint() const {
   return EmuCheckpoint{state_, trace_, halt_, trap_code_, instret_,
-                       offcore_.writes().size(), offcore_.reads().size()};
+                       offcore_.writes().size()};
 }
 
 void Emulator::restore(const EmuCheckpoint& ck, const OffCoreTrace& trace_src) {
   state_ = ck.state;
   rebuild_regmap();
   trace_ = ck.trace;
-  offcore_.assign_prefix(trace_src, ck.writes, ck.reads);
+  offcore_.assign_prefix(trace_src, ck.writes);
   halt_ = ck.halt;
   trap_code_ = ck.trap_code;
   instret_ = ck.instret;

@@ -55,7 +55,7 @@ struct IssFault {
 
 /// Copyable checkpoint of an Emulator at an instruction boundary. The
 /// backing Memory is owned by the caller and snapshotted separately
-/// (Memory::clone). The off-core trace is recorded by its prefix lengths
+/// (Memory::clone). The off-core trace is recorded by its prefix length
 /// only; restore() rebuilds it out of a trace the caller retains. Armed
 /// faults are not captured; campaign workers clear_faults() and re-arm
 /// after restore. An attached TimingModel is also not captured — it is
@@ -68,7 +68,6 @@ struct EmuCheckpoint {
   u8 trap_code = 0;
   u64 instret = 0;
   std::size_t writes = 0;  ///< off-core write records at the checkpoint
-  std::size_t reads = 0;   ///< off-core read records at the checkpoint
 
   /// Bytes held outside the struct itself (none: it is fixed-size).
   std::size_t heap_bytes() const noexcept { return 0; }
@@ -137,11 +136,11 @@ class Emulator {
 
   /// Capture the execution state between instructions (Memory excluded):
   /// a fixed-size snapshot that records the off-core trace by its prefix
-  /// lengths.
+  /// length.
   EmuCheckpoint checkpoint() const;
 
   /// Resume from a checkpoint. The off-core trace becomes the first
-  /// ck.writes/ck.reads records of `trace_src`, which must extend the
+  /// ck.writes records of `trace_src`, which must extend the
   /// checkpointed emulator's trace (e.g. the golden trace for a rung taken
   /// on the golden run). The caller restores the backing Memory to the
   /// matching image and clears/re-arms faults.
@@ -150,7 +149,7 @@ class Emulator {
   /// True when this emulator will evolve exactly like one restored from
   /// `ck`: same retired count, halt status, write count and ArchState. The
   /// caller compares Memory and write payloads; the instruction-mix trace
-  /// and bus reads are statistics the emulator never evolves from.
+  /// is a statistic the emulator never evolves from.
   bool matches(const EmuCheckpoint& ck) const noexcept {
     return instret_ == ck.instret && halt_ == ck.halt &&
            offcore_.writes().size() == ck.writes && state_ == ck.state;

@@ -227,19 +227,6 @@ void SimContext::zero_all() noexcept {
   if (armed_.id != kNoNode) reapply_overlay();
 }
 
-std::vector<u32> SimContext::save_values() const {
-  std::vector<u32> values;
-  save_values_into(values);
-  return values;
-}
-
-void SimContext::save_values_into(std::vector<u32>& out) const {
-  out.resize(cur_.size());
-  if (!cur_.empty()) {
-    std::memcpy(out.data(), cur_.data(), cur_.size() * sizeof(u32));
-  }
-}
-
 void SimContext::load_values(const std::vector<u32>& values) {
   if (values.size() != meta_.size()) {
     throw std::invalid_argument(

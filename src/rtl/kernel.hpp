@@ -11,9 +11,9 @@
 // while names/units/kinds/widths sit in a cold side table. That makes the
 // per-cycle work a dense array problem: commit_all() is a handful of memcpys
 // over the register-covering spans of the next-value array (wires hold
-// cur == nxt by the write-through discipline and need no copy), and the
-// checkpoint / hang-fast-forward probes (save_values / values_equal) are
-// memcpy/memcmp over one 4·N-byte array.
+// cur == nxt by the write-through discipline and need no copy), and a
+// checkpoint (save_values / values_equal) is a memcpy/memcmp over one
+// 4·N-byte array.
 //
 // Simulation discipline: single-pass combinational evaluation per cycle in
 // module-defined dataflow order, followed by a register commit (two-phase,
@@ -232,12 +232,8 @@ class SimContext {
   /// checkpoint. Meaningful only at a cycle boundary (after commit_all),
   /// where registers satisfy cur == nxt. With no fault armed (the
   /// checkpoint contract) these are raw values; with a fault armed the
-  /// armed node's entry is its as-read value, which is exactly what
-  /// the per-cycle fixed-point probe wants to compare.
-  std::vector<u32> save_values() const;
-
-  /// Allocation-free variant for per-cycle probing (hang fast-forward).
-  void save_values_into(std::vector<u32>& out) const;
+  /// armed node's entry is its as-read value.
+  std::vector<u32> save_values() const { return cur_; }
 
   /// Comparison against a save_values() capture: one memcmp, no copy.
   /// A size mismatch (foreign registry) compares unequal.

@@ -49,35 +49,31 @@ u32 Cache::read_word(u32 addr) const {
   return ctx_->value_at(data0_ + word_slot(addr));
 }
 
-void Cache::fill_line(u64 cycle, u32 addr) {
+void Cache::fill_line(u32 addr) {
   const u32 idx = line_index(addr);
   const u32 base = addr & ~(cfg_.line_bytes - 1);
   for (u32 w = 0; w < words_per_line_; ++w) {
-    const u32 v = mem_.load_u32(base + 4 * w);
-    bus_.record_read(cycle, base + 4 * w, 4, v);
-    data_[idx * words_per_line_ + w].w(v);
+    data_[idx * words_per_line_ + w].w(mem_.load_u32(base + 4 * w));
   }
   tags_[idx].w(tag_of(addr));
   valids_[idx].w(1);
 }
 
-bool Cache::step_load(u64 cycle, u32 addr, u32& out) {
+bool Cache::step_load(u32 addr, u32& out) {
   if (busy_.r() > 0) {
     const u32 left = busy_.r() - 1;
     busy_.n(left);
     if (left == 0) {
-      fill_line(cycle, pending_addr_.r());
+      fill_line(pending_addr_.r());
       out = read_word(addr);
       return true;
     }
     return false;
   }
   if (hit(addr)) {
-    ++hits_;
     out = read_word(addr);
     return true;
   }
-  ++misses_;
   busy_.n(cfg_.miss_penalty);
   pending_addr_.n(addr);
   return false;

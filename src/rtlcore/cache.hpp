@@ -28,8 +28,8 @@ class Cache {
 
   /// Advance one cycle while an access is pending. Returns true when the
   /// pending (or newly issued) access at `addr` completes this cycle, with
-  /// the loaded 32-bit word in `out`. Pass the core cycle for bus records.
-  bool step_load(u64 cycle, u32 addr, u32& out);
+  /// the loaded 32-bit word in `out`.
+  bool step_load(u32 addr, u32& out);
 
   /// Write-through store (completes in one cycle, no allocation). `size` is
   /// 1, 2 or 4 and `addr` already verified aligned by the core.
@@ -43,16 +43,6 @@ class Cache {
 
   void invalidate_all();
 
-  u64 hits() const noexcept { return hits_; }
-  u64 misses() const noexcept { return misses_; }
-
-  /// Reinstate host-side hit/miss counters from a core checkpoint (the
-  /// tag/valid/data arrays live in the node registry and are restored there).
-  void restore_stats(u64 hits, u64 misses) noexcept {
-    hits_ = hits;
-    misses_ = misses;
-  }
-
  private:
   u32 line_index(u32 addr) const { return (addr / cfg_.line_bytes) % lines_; }
   u32 tag_of(u32 addr) const { return addr / cfg_.line_bytes / lines_; }
@@ -60,7 +50,7 @@ class Cache {
     return line_index(addr) * words_per_line_ + ((addr / 4) % words_per_line_);
   }
   bool hit(u32 addr) const;
-  void fill_line(u64 cycle, u32 addr);
+  void fill_line(u32 addr);
   u32 read_word(u32 addr) const;
 
   CacheConfig cfg_;
@@ -78,8 +68,6 @@ class Cache {
   rtl::NodeId tag0_ = 0, valid0_ = 0, data0_ = 0;
   rtl::Sig busy_;
   rtl::Sig pending_addr_;
-  u64 hits_ = 0;
-  u64 misses_ = 0;
 };
 
 }  // namespace issrtl::rtlcore

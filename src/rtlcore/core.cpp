@@ -234,9 +234,8 @@ void Leon3Core::eval_me(bool /*xc_free*/) {
   if (needs_load) {
     if (io) {
       w0 = mem_.load_u32(word_addr);
-      bus_.record_read(cycle_, word_addr, 4, w0);
     } else {
-      done = dcache_->step_load(cycle_, word_addr, w0);
+      done = dcache_->step_load(word_addr, w0);
     }
   }
   if (!done) {
@@ -272,9 +271,8 @@ void Leon3Core::eval_me(bool /*xc_free*/) {
       u32 w1 = 0;
       if (io) {
         w1 = mem_.load_u32(word_addr + 4);
-        bus_.record_read(cycle_, word_addr + 4, 4, w1);
       } else {
-        dcache_->step_load(cycle_, word_addr + 4, w1);  // same line: hit
+        dcache_->step_load(word_addr + 4, w1);  // same line: hit
       }
       xc_.res.n(w0);
       xc_.res2.n(w1);
@@ -806,7 +804,7 @@ void Leon3Core::eval_fe(bool de_free) {
   if (!de_free) return;
   const u32 pc = fetch_pc_.r();
   u32 word = 0;
-  if (!icache_->step_load(cycle_, pc, word)) {
+  if (!icache_->step_load(pc, word)) {
     de_.bubble();
     return;
   }
@@ -890,12 +888,7 @@ CoreCheckpoint Leon3Core::checkpoint() const {
   ck.annul_seq = annul_seq_;
   ck.halt = halt_;
   ck.trap_code = trap_code_;
-  ck.icache_hits = icache_->hits();
-  ck.icache_misses = icache_->misses();
-  ck.dcache_hits = dcache_->hits();
-  ck.dcache_misses = dcache_->misses();
   ck.writes = bus_.writes().size();
-  ck.reads = bus_.reads().size();
   return ck;
 }
 
@@ -915,9 +908,7 @@ void Leon3Core::restore(const CoreCheckpoint& ck,
   annul_seq_ = ck.annul_seq;
   halt_ = ck.halt;
   trap_code_ = ck.trap_code;
-  icache_->restore_stats(ck.icache_hits, ck.icache_misses);
-  dcache_->restore_stats(ck.dcache_hits, ck.dcache_misses);
-  bus_.assign_prefix(trace_src, ck.writes, ck.reads);
+  bus_.assign_prefix(trace_src, ck.writes);
   // Per-cycle handshake scratch: recomputed at the top of every step();
   // cleared here so a restored core is indistinguishable from one that
   // reached this cycle by stepping.
@@ -925,24 +916,13 @@ void Leon3Core::restore(const CoreCheckpoint& ck,
 }
 
 bool Leon3Core::matches(const CoreCheckpoint& ck) const {
-  const CoreActivityScalars s = activity_scalars();
-  return cycle_ == ck.cycle && halt_ == ck.halt && s.instret == ck.instret &&
-         s.slot_seq == ck.slot_seq && s.next_fetch_seq == ck.next_fetch_seq &&
-         s.redirect_after_seq == ck.redirect_after_seq &&
-         s.annul_seq == ck.annul_seq && s.bus_writes == ck.writes &&
+  const std::array<u64, 6> slot_seq = {de_.seq, ra_.seq, ex_.seq,
+                                       me_.seq, xc_.seq, wb_.seq};
+  return cycle_ == ck.cycle && halt_ == ck.halt && instret_ == ck.instret &&
+         slot_seq == ck.slot_seq && next_fetch_seq_ == ck.next_fetch_seq &&
+         redirect_after_seq_ == ck.redirect_after_seq &&
+         annul_seq_ == ck.annul_seq && bus_.writes().size() == ck.writes &&
          ctx_.values_equal(ck.node_values);
-}
-
-CoreActivityScalars Leon3Core::activity_scalars() const {
-  CoreActivityScalars s;
-  s.slot_seq = {de_.seq, ra_.seq, ex_.seq, me_.seq, xc_.seq, wb_.seq};
-  s.next_fetch_seq = next_fetch_seq_;
-  s.redirect_after_seq = redirect_after_seq_;
-  s.annul_seq = annul_seq_;
-  s.instret = instret_;
-  s.bus_writes = bus_.writes().size();
-  s.bus_reads = bus_.reads().size();
-  return s;
 }
 
 iss::ArchState Leon3Core::arch_state() const {

@@ -87,7 +87,7 @@ struct PipeSlot {
 /// The backing Memory is owned by the caller and snapshotted separately
 /// (Memory::clone); campaign workers pair the two to resume a golden prefix
 /// once per injection instant instead of re-simulating it per fault. The
-/// off-core trace is not copied — only its prefix lengths, from which
+/// off-core trace is not copied — only its prefix length, from which
 /// restore() rebuilds it out of a trace the caller retains.
 struct CoreCheckpoint {
   std::vector<u32> node_values;
@@ -99,38 +99,12 @@ struct CoreCheckpoint {
   u64 annul_seq = 0;
   iss::HaltReason halt = iss::HaltReason::kRunning;
   u8 trap_code = 0;
-  u64 icache_hits = 0, icache_misses = 0;
-  u64 dcache_hits = 0, dcache_misses = 0;
   std::size_t writes = 0;  ///< off-core write records at the checkpoint
-  std::size_t reads = 0;   ///< off-core read records at the checkpoint
 
   /// Bytes held outside the struct itself (the node-value array).
   std::size_t heap_bytes() const noexcept {
     return node_values.size() * sizeof(u32);
   }
-};
-
-/// Cheap half of the hang fast-forward fingerprint: the host-side counters
-/// step() reads, minus the cycle counter (which only timestamps bus
-/// records). A core that is fetching or retiring advances these every few
-/// cycles, so callers use them as a filter before paying for the node-array
-/// comparison. Together with the node values they cover everything step()
-/// reads except the memory image, whose every mutation shows up as a node
-/// change or a recorded bus transaction. If two consecutive cycles agree on
-/// scalars and node values while the core is still running, the core is at
-/// a fixed point: every future cycle is provably identical, so it can never
-/// emit another write, change state, or halt — the watchdog verdict is
-/// already decided.
-struct CoreActivityScalars {
-  std::array<u64, 6> slot_seq{};
-  u64 next_fetch_seq = 0;
-  u64 redirect_after_seq = 0;
-  u64 annul_seq = 0;
-  u64 instret = 0;
-  std::size_t bus_writes = 0;
-  std::size_t bus_reads = 0;
-
-  bool operator==(const CoreActivityScalars&) const = default;
 };
 
 /// The RTL core + CMEM + bus, executing the same programs as iss::Emulator.
@@ -168,8 +142,6 @@ class Leon3Core {
   const rtl::SimContext& sim() const noexcept { return ctx_; }
   /// Remove the armed fault, if any (SimContext::clear_faults).
   void clear_faults() { ctx_.clear_faults(); }
-  const Cache& icache() const noexcept { return *icache_; }
-  const Cache& dcache() const noexcept { return *dcache_; }
 
   /// Snapshot of the architectural state (raw, unfaulted storage) in the
   /// ISS's representation, for lockstep comparison.
@@ -177,35 +149,22 @@ class Leon3Core {
 
   /// Capture the core state at a cycle boundary (call between step()s,
   /// with no fault armed): an O(nodes) snapshot that records the off-core
-  /// trace by its prefix lengths. The backing Memory is not included.
+  /// trace by its prefix length. The backing Memory is not included.
   CoreCheckpoint checkpoint() const;
 
   /// Resume from a checkpoint taken on this core (or on a core constructed
   /// with the same config, hence an identical node registry). The off-core
-  /// trace becomes the first ck.writes/ck.reads records of `trace_src`,
-  /// which must extend the checkpointed core's trace (e.g. the golden trace
-  /// for a rung taken on the golden run). The caller is responsible for
+  /// trace becomes the first ck.writes records of `trace_src`, which must
+  /// extend the checkpointed core's trace (e.g. the golden trace for a rung
+  /// taken on the golden run). The caller is responsible for
   /// restoring the backing Memory to the matching image and for
   /// clear_faults() beforehand.
   void restore(const CoreCheckpoint& ck, const OffCoreTrace& trace_src);
 
   /// True when this core will evolve exactly like one restored from `ck`:
   /// same scalars (cycle, halt, fetch sequencing, write count), then node
-  /// values. The caller compares Memory and write payloads; bus reads and
-  /// cache statistics are diagnostics the core never evolves from.
+  /// values. The caller compares Memory and write payloads.
   bool matches(const CoreCheckpoint& ck) const;
-
-  /// The cheap half of the activity fingerprint (no node traversal).
-  CoreActivityScalars activity_scalars() const;
-
-  /// Node half of the fingerprint: capture into / compare against a reused
-  /// buffer. node_values_equal early-exits without copying.
-  void save_node_values(std::vector<u32>& out) const {
-    ctx_.save_values_into(out);
-  }
-  bool node_values_equal(const std::vector<u32>& values) const {
-    return ctx_.values_equal(values);
-  }
 
  private:
   /// Handshake reset + the seven stage evaluators (commit excluded).

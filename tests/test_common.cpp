@@ -214,12 +214,5 @@ TEST(OffCoreTrace, SizeMismatchDiverges) {
   EXPECT_TRUE(a.compare_writes(b).diverged);
 }
 
-TEST(OffCoreTrace, ReadsAreNotCompared) {
-  OffCoreTrace a, b;
-  a.record_read(1, 0x100, 4, 0xAA);
-  b.record_read(1, 0x200, 4, 0xBB);
-  EXPECT_FALSE(a.compare_writes(b).diverged);
-}
-
 }  // namespace
 }  // namespace issrtl

@@ -159,28 +159,22 @@ TEST(Engine, EarlyStopPreservesClassification) {
   }
 }
 
-TEST(Engine, HangFastForwardPreservesClassification) {
+TEST(Engine, FetchFaultHangsRunToTheWatchdog) {
   // Fetch-unit faults are the hang factory: a stuck fetch_pc or redirect
-  // bit freezes or derails the front end. Exhaustive over iu.fe.
+  // bit freezes or derails the front end. Exhaustive over iu.fe. A hung
+  // run steps until the watchdog expires, so every hang record carries
+  // the watchdog's halt reason.
   const auto prog = small_workload();
   CampaignConfig cfg;
   cfg.unit_prefix = "iu.fe";
   cfg.samples = 0;  // exhaustive: every bit, 66 sites
   cfg.models = {FaultModel::kStuckAt0};
-  EngineOptions slow;
-  slow.threads = 1;
-  slow.hang_fast_forward = false;
-  EngineOptions fast;
-  fast.threads = 1;
-  fast.hang_fast_forward = true;
-  const CampaignResult a = run_rtl_campaign(prog, cfg, {}, slow);
-  const CampaignResult b = run_rtl_campaign(prog, cfg, {}, fast);
-  ASSERT_EQ(a.runs.size(), b.runs.size());
+  const CampaignResult r = run_rtl_campaign(prog, cfg);
   std::size_t hangs = 0;
-  for (std::size_t i = 0; i < a.runs.size(); ++i) {
-    EXPECT_EQ(a.runs[i].outcome, b.runs[i].outcome) << a.runs[i].node_name;
-    EXPECT_EQ(a.runs[i].latency_cycles, b.runs[i].latency_cycles) << i;
-    hangs += b.runs[i].outcome == fault::Outcome::kHang;
+  for (const fault::InjectionResult& run : r.runs) {
+    if (run.outcome != fault::Outcome::kHang) continue;
+    ++hangs;
+    EXPECT_EQ(run.halt, iss::HaltReason::kStepLimit) << run.node_name;
   }
   EXPECT_GT(hangs, 0u) << "expected at least one hang among fetch faults";
 }
@@ -269,7 +263,6 @@ TEST(Checkpoint, RtlCoreResumesToIdenticalRun) {
   const rtlcore::CoreCheckpoint ck = core.checkpoint();
   const Memory ck_mem = mem.clone();
   EXPECT_EQ(ck.writes, core.offcore().writes().size());
-  EXPECT_EQ(ck.reads, core.offcore().reads().size());
   EXPECT_TRUE(core.matches(ck));
 
   // Run to completion once...
@@ -305,7 +298,6 @@ TEST(Checkpoint, RtlCoreResumesToIdenticalRun) {
   core.restore(ck, core.offcore());
   EXPECT_EQ(core.cycles(), mid);
   EXPECT_EQ(core.offcore().writes().size(), ck.writes);
-  EXPECT_EQ(core.offcore().reads().size(), ck.reads);
 }
 
 TEST(Checkpoint, IssEmulatorResumesToIdenticalRun) {
@@ -495,34 +487,6 @@ TEST(Engine, OptionsFromEnvParsesJournalAndResume) {
   for (const char* v : {"2", "x", "yes", "-1", "true", "01x"}) {
     ScopedEnv r("ISSRTL_RESUME", v);
     EXPECT_THROW(options_from_env(), std::invalid_argument) << v;
-  }
-}
-
-TEST(Engine, OptionsFromEnvParsesIssFastPath) {
-  {
-    ScopedEnv f("ISSRTL_ISS_FAST", "0");
-    EXPECT_FALSE(options_from_env().iss_fast_path);
-  }
-  {
-    ScopedEnv f("ISSRTL_ISS_FAST", "1");
-    EXPECT_TRUE(options_from_env().iss_fast_path);
-  }
-  {
-    ScopedEnv f("ISSRTL_ISS_FAST", nullptr);
-    EngineOptions base;
-    base.iss_fast_path = false;
-    EXPECT_FALSE(options_from_env(base).iss_fast_path);  // unset: untouched
-  }
-  for (const char* v : {"2", "fast", "-1", "true", "1 "}) {
-    ScopedEnv f("ISSRTL_ISS_FAST", v);
-    try {
-      options_from_env();
-      FAIL() << "expected std::invalid_argument for '" << v << "'";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("ISSRTL_ISS_FAST"),
-                std::string::npos)
-          << e.what();
-    }
   }
 }
 

@@ -267,10 +267,10 @@ TEST(Ladder, ReplayCountersPinned) {
     EngineOptions opts;
     opts.threads = threads;
     EXPECT_EQ(counters(run_rtl_campaign(prog, rtl_cfg, {}, opts).replay),
-              (Counters{527, 2394688, 1025, 48, 0, 5283, 17}))
+              (Counters{527, 2373608, 1025, 48, 0, 5283, 17}))
         << "rtl, threads=" << threads;
     EXPECT_EQ(counters(run_iss_campaign_engine(prog, iss_cfg, opts).replay),
-              (Counters{643, 936208, 0, 48, 0, 1547, 11}))
+              (Counters{643, 931064, 0, 48, 0, 1547, 11}))
         << "iss, threads=" << threads;
   }
 }
