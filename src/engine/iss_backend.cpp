@@ -228,10 +228,17 @@ fault::IssInjectionResult IssCampaignBackend::Worker::simulate(
   u64 budget = suffix.budget();
   fail_at(index, FailStage::kStep);
   iss::HaltReason halt = emu_.halt_reason();
+  // The fast path runs the suffix on the block walk up to each instant the
+  // suffix can converge at; the reference path checks after every
+  // instruction. The record holds no halt reason, so both produce it alike.
+  const bool chunked = b_.opts_.iss_fast_path;
   while (budget > 0 && halt == iss::HaltReason::kRunning &&
          !suffix.diverged()) {
-    halt = emu_.step();
-    --budget;
+    const u64 now = emu_.instret();
+    const u64 n =
+        chunked ? std::min(budget, suffix.next_stop(now) - now) : u64{1};
+    halt = emu_.advance(n);
+    budget -= n;
     if (suffix.converged(halt)) return r;  // silent: failure/latent false
   }
   if (halt == iss::HaltReason::kRunning && !suffix.diverged()) {

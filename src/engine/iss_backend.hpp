@@ -3,6 +3,18 @@
 // backend (engine/replay.hpp), used for the §4.2 "Simulation time"
 // comparison.
 //
+// Faulty suffix: the worker restores the rung at or below the site's
+// instant (keeping its emulator's decoded blocks, whose code the rung's
+// memory clone shares), arms the one fault and advance()s the emulator on
+// the decoded-block walk, which enforces a stuck-at or open line as an
+// and/or mask on its physical register slot before every instruction. It
+// stops at each instant where GoldenReplay::Suffix can converge (the next
+// rung instant, or every 64 instructions with the ladder off) to match the
+// new off-core writes and test convergence. The record keeps no halt
+// reason, so running on past a wrong write for the rest of a chunk leaves
+// it unchanged. With EngineOptions::iss_fast_path off the suffix checks
+// after every instruction on the baseline interpreter: the reference path.
+//
 // Activation pre-screen: the first stuck-at or open-line site a worker
 // reaches runs one pass over the golden run that records every physical
 // register read with its value (isa::reg_use of each instruction before it

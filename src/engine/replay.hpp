@@ -176,10 +176,23 @@ class GoldenReplay {
     /// the run is a failure whatever it does next, so stop simulating it.
     bool diverged() const noexcept { return mismatch_ && r_.early_stop_; }
 
-    /// Call after every faulty step. True when the run has provably
-    /// converged: state, memory and write history coincide with the golden
-    /// run at a rung instant, so the remainder is the golden remainder and
-    /// the run is silent.
+    /// The next instant after `now` at which converged() can fire: the next
+    /// rung instant (a multiple of the ladder stride), or `now` +
+    /// kUnladderedChunk with the ladder off. A backend whose record keeps
+    /// no halt reason may run its suffix in chunks up to here: running on
+    /// past a wrong write for less than a chunk moves no record, since the
+    /// first divergence and the classification are already fixed.
+    u64 next_stop(u64 now) const noexcept {
+      if (!r_.ladder_.enabled()) return now + kUnladderedChunk;
+      const u64 stride = r_.ladder_.stride();
+      return (now / stride + 1) * stride;
+    }
+
+    /// Call after every faulty step, or at least at every next_stop()
+    /// instant and after a halt. True when the run has provably converged:
+    /// state, memory and write history coincide with the golden run at a
+    /// rung instant, so the remainder is the golden remainder and the run
+    /// is silent.
     bool converged(iss::HaltReason halt) {
       if (r_.early_stop_ || converge_) {
         const std::vector<BusRecord>& writes = sim_.offcore().writes();
@@ -211,6 +224,8 @@ class GoldenReplay {
     }
 
    private:
+    static constexpr u64 kUnladderedChunk = 64;
+
     const GoldenReplay& r_;
     const Sim& sim_;
     const Memory& mem_;

@@ -1,6 +1,7 @@
 #include "iss/emulator.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "iss/timing.hpp"
 
@@ -65,8 +66,32 @@ void Emulator::record_store(u32 addr, u8 size, u64 data) {
   offcore_.record_write(instret_, addr, size, data);
 }
 
-void Emulator::arm_fault(const IssFault& fault) { faults_.push_back(fault); }
-void Emulator::clear_faults() { faults_.clear(); }
+void Emulator::arm_fault(const IssFault& fault) {
+  if (fault_phase_ != FaultPhase::kNone) {
+    throw std::logic_error("Emulator::arm_fault: a fault is already armed");
+  }
+  if (fault.phys_reg >= ArchState::kPhysRegs || fault.bit >= 32) {
+    throw std::out_of_range("Emulator::arm_fault: no such register bit");
+  }
+  fault_ = fault;
+  fault_phase_ = FaultPhase::kPending;
+}
+
+void Emulator::activate_fault() {
+  const u32 bit = 1u << fault_.bit;
+  u32& r = state_.regs[fault_.phys_reg];
+  fault_and_ = ~bit;
+  switch (fault_.model) {
+    case IssFaultModel::kBitFlip:
+      r ^= bit;  // transient: flip once, never enforce again
+      fault_phase_ = FaultPhase::kNone;
+      return;
+    case IssFaultModel::kStuckAt0: fault_or_ = 0; break;
+    case IssFaultModel::kStuckAt1: fault_or_ = bit; break;
+    case IssFaultModel::kOpenLine: fault_or_ = r & bit; break;
+  }
+  fault_phase_ = FaultPhase::kEnforcing;
+}
 
 // ---- fast path (dbbcache + lscache) -----------------------------------------
 
@@ -99,14 +124,27 @@ void Emulator::drop_caches() {
 void Emulator::resync_caches() {
   // An external event moved the memory revision: pages may have been
   // re-shared (clone) or mutated through the Memory API at addresses this
-  // emulator never saw. Raw page pointers are dead, and decoded blocks may
-  // alias rewritten code — drop both, then track the new revision.
+  // emulator never saw. Raw page pointers are dead; decoded blocks stay
+  // unless their code bytes changed (installing a ladder rung's clone
+  // changes data, not code).
   ls_rd_index_ = kNoLsPage;
   ls_wr_index_ = kNoLsPage;
   ls_rd_base_ = nullptr;
   ls_wr_base_ = nullptr;
-  flush_dbb();
+  if (!dbb_matches_memory()) flush_dbb();
   ls_revision_ = mem_.revision();
+}
+
+bool Emulator::dbb_matches_memory() const {
+  // DecodedInst::raw is the word each instruction was decoded from.
+  for (const auto& [base, blk] : dbb_) {
+    u32 addr = base;
+    for (const DecodedInst& d : blk.insts) {
+      if (mem_.load_u32(addr) != d.raw) return false;
+      addr += 4;
+    }
+  }
+  return true;
 }
 
 const Emulator::DbbBlock& Emulator::build_block(u32 pc) {
@@ -252,38 +290,9 @@ void Emulator::restore(const EmuCheckpoint& ck, const OffCoreTrace& trace_src) {
   instret_ = ck.instret;
 }
 
-void Emulator::apply_faults() {
-  for (IssFault& f : faults_) {
-    if (!f.armed) {
-      if (instret_ < f.inject_at_instr) continue;
-      f.armed = true;
-      f.frozen_value = (state_.regs[f.phys_reg] >> f.bit) & 1;
-      if (f.model == IssFaultModel::kBitFlip) {
-        state_.regs[f.phys_reg] ^= (1u << f.bit);
-        continue;  // transient: flip once, never enforce again
-      }
-    }
-    u32& r = state_.regs[f.phys_reg];
-    switch (f.model) {
-      case IssFaultModel::kStuckAt0: r &= ~(1u << f.bit); break;
-      case IssFaultModel::kStuckAt1: r |= (1u << f.bit); break;
-      case IssFaultModel::kOpenLine:
-        r = with_bit(r, f.bit, f.frozen_value);
-        break;
-      case IssFaultModel::kBitFlip: break;
-    }
-  }
-}
-
 namespace {
 
-struct Flags {
-  bool n, z, v, c;
-};
-
-Icc add_flags(u32 a, u32 b, u32 r, bool carry_in_used = false, bool cin = false) {
-  (void)carry_in_used;
-  (void)cin;
+Icc add_flags(u32 a, u32 b, u32 r) {
   const bool n = (r >> 31) & 1;
   const bool z = r == 0;
   const bool v = (((a & b & ~r) | (~a & ~b & r)) >> 31) & 1;
@@ -305,7 +314,7 @@ Icc logic_flags(u32 r) {
 
 }  // namespace
 
-HaltReason Emulator::exec_memory(const DecodedInst& d, u32 pc) {
+HaltReason Emulator::exec_memory(const DecodedInst& d) {
   const u32 a = rreg(d.rs1);
   const u32 b = d.uses_imm ? static_cast<u32>(d.simm13) : rreg(d.rs2);
   const u32 addr = a + b;
@@ -382,7 +391,6 @@ HaltReason Emulator::exec_memory(const DecodedInst& d, u32 pc) {
   if (timing_ != nullptr) {
     timing_->on_memory_access(addr, d.iclass != InstClass::kLoad);
   }
-  (void)pc;
   advance_pc();
   return HaltReason::kRunning;
 }
@@ -390,10 +398,13 @@ HaltReason Emulator::exec_memory(const DecodedInst& d, u32 pc) {
 HaltReason Emulator::step() {
   if (halt_ != HaltReason::kRunning) return halt_;
 
-  // Faults are enforced at instruction boundaries: a fault armed at
-  // inject_at_instr = N becomes visible before the (N+1)-th instruction reads
-  // its operands, and stuck-at/open-line overlays persist from then on.
-  if (!faults_.empty()) apply_faults();
+  // The fault acts at instruction boundaries: one armed at
+  // inject_at_instr = N becomes visible before the (N+1)-th instruction
+  // reads its operands, and a stuck-at/open-line mask persists from then on.
+  if (fault_phase_ == FaultPhase::kPending && instret_ >= fault_.inject_at_instr) {
+    activate_fault();
+  }
+  if (fault_phase_ == FaultPhase::kEnforcing) enforce_fault();
 
   const u32 pc = state_.pc;
   if ((pc & 3) != 0) return halt_with(HaltReason::kMisalignedAccess);
@@ -623,7 +634,7 @@ HaltReason Emulator::exec_one(const DecodedInst& d, u32 pc) {
     case InstClass::kLoad:
     case InstClass::kStore:
     case InstClass::kAtomic: {
-      const HaltReason hr = exec_memory(d, pc);
+      const HaltReason hr = exec_memory(d);
       if (hr != HaltReason::kRunning) return hr;
       break;
     }
@@ -687,37 +698,30 @@ HaltReason Emulator::exec_one(const DecodedInst& d, u32 pc) {
 HaltReason Emulator::run_loop(u64 max_steps, bool arm_step_limit) {
   u64 remaining = max_steps;
 
-  // Block-walk fast loop: with no timing model and no armed faults, the
-  // per-instruction halt/fault/revision checks hoist out of the loop and
-  // dispatch is an index into the current decoded block — the offset is
-  // re-derived from pc each iteration, so delay slots (in-block by
-  // construction) and untaken branches never leave the block, and a taken
-  // transfer costs one fetch_decoded() for the target. A timing model or
-  // armed fault drops to the general per-step loop below (faults must be
-  // re-evaluated at every instruction boundary).
-  if (fast_path_ && timing_ == nullptr && faults_.empty()) {
+  // Block-walk fast loop: with no timing model, the per-instruction halt/
+  // revision checks hoist out of the loop and dispatch is an index into the
+  // current decoded block. A timing model drops to the per-step loop below.
+  // The budget is split at the armed fault's due instant, so each walk
+  // either enforces one fixed mask before every instruction or has no
+  // fault check at all (the fault-free walk is the golden run's and the
+  // prefix fast-forward's, where a per-instruction check cost about 8%).
+  if (fast_path_ && timing_ == nullptr) {
     if (halt_ != HaltReason::kRunning) return halt_;
     if (mem_.revision() != ls_revision_) resync_caches();
-    const DbbBlock* blk = nullptr;
     while (remaining != 0) {
-      const u32 pc = state_.pc;
-      u32 off = 0;
-      if (blk == nullptr || (off = pc - blk->base) >= blk->bytes) {
-        // Alignment is checked at block entry only: every in-block pc is a
-        // multiple of 4 by construction (branch/call displacements are
-        // word-scaled, jmpl targets are checked, advance_pc adds 4).
-        if ((pc & 3) != 0) return halt_with(HaltReason::kMisalignedAccess);
-        fetch_decoded(pc);
-        blk = cur_block_;
-        off = pc - blk->base;
+      u64 budget = remaining;
+      if (fault_phase_ == FaultPhase::kPending) {
+        if (instret_ >= fault_.inject_at_instr) {
+          activate_fault();
+        } else {
+          budget = std::min(budget, fault_.inject_at_instr - instret_);
+        }
       }
-      const DecodedInst& d = blk->insts[off >> 2];
-      if (!d.valid()) return halt_with(HaltReason::kIllegalInstruction);
-      if (exec_one(d, pc) != HaltReason::kRunning) return halt_;
-      --remaining;
-      // A self-modifying store marked the dbbcache stale: refetch, which
-      // performs the deferred flush.
-      if (dbb_stale_) blk = nullptr;
+      const HaltReason h = fault_phase_ == FaultPhase::kEnforcing
+                               ? walk_blocks<true>(budget)
+                               : walk_blocks<false>(budget);
+      if (h != HaltReason::kRunning) return h;
+      remaining -= budget;
     }
     return arm_step_limit ? halt_with(HaltReason::kStepLimit) : halt_;
   }
@@ -726,6 +730,38 @@ HaltReason Emulator::run_loop(u64 max_steps, bool arm_step_limit) {
     if (step() != HaltReason::kRunning) return halt_;
   }
   return arm_step_limit ? halt_with(HaltReason::kStepLimit) : halt_;
+}
+
+template <bool kEnforce>
+HaltReason Emulator::walk_blocks(u64 budget) {
+  // The offset into the current block is re-derived from pc each
+  // iteration, so delay slots (in-block by construction) and untaken
+  // branches never leave the block, and a taken transfer costs one
+  // fetch_decoded() for the target.
+  const DbbBlock* blk = nullptr;
+  while (budget != 0) {
+    // Before anything else at the boundary, as in step().
+    if constexpr (kEnforce) enforce_fault();
+    const u32 pc = state_.pc;
+    u32 off = 0;
+    if (blk == nullptr || (off = pc - blk->base) >= blk->bytes) {
+      // Alignment is checked at block entry only: every in-block pc is a
+      // multiple of 4 by construction (branch/call displacements are
+      // word-scaled, jmpl targets are checked, advance_pc adds 4).
+      if ((pc & 3) != 0) return halt_with(HaltReason::kMisalignedAccess);
+      fetch_decoded(pc);
+      blk = cur_block_;
+      off = pc - blk->base;
+    }
+    const DecodedInst& d = blk->insts[off >> 2];
+    if (!d.valid()) return halt_with(HaltReason::kIllegalInstruction);
+    if (exec_one(d, pc) != HaltReason::kRunning) return halt_;
+    --budget;
+    // A self-modifying store marked the dbbcache stale: refetch, which
+    // performs the deferred flush.
+    if (dbb_stale_) blk = nullptr;
+  }
+  return halt_;
 }
 
 HaltReason Emulator::run(u64 max_steps) { return run_loop(max_steps, true); }

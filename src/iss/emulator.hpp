@@ -45,12 +45,9 @@ struct IssFault {
   unsigned phys_reg = 0;            ///< 0..ArchState::kPhysRegs-1
   unsigned bit = 0;                 ///< 0..31
   IssFaultModel model = IssFaultModel::kStuckAt0;
-  /// Armed once this many instructions have retired: the overlay becomes
-  /// visible before the (N+1)-th instruction reads its operands.
+  /// Takes effect once this many instructions have retired: the overlay
+  /// becomes visible before the (N+1)-th instruction reads its operands.
   u64 inject_at_instr = 0;
-  // internal:
-  bool armed = false;
-  bool frozen_value = false;        ///< captured bit for open-line
 };
 
 /// Copyable checkpoint of an Emulator at an instruction boundary. The
@@ -95,7 +92,8 @@ class Emulator {
   /// Execute up to `max_steps` instructions without arming the kStepLimit
   /// watchdog: reaching the budget simply returns with the emulator still
   /// kRunning. The engine's prefix replay ("step to instant N, then keep
-  /// going") is this, and it takes the same block-walk fast loop as run().
+  /// going") and its faulty suffix are this, and it takes the same
+  /// block-walk fast loop as run(), with or without an armed fault.
   HaltReason advance(u64 max_steps);
 
   // ---- observers ------------------------------------------------------------
@@ -126,7 +124,11 @@ class Emulator {
   // dbbcache); every *external* event that could invalidate decoded bytes or
   // cached page pointers — stores through the Memory API, clone()/copy/move
   // re-sharing pages — bumps Memory::revision(), which step() compares once
-  // per instruction and resynchronises on mismatch.
+  // per instruction (run()/advance() once per call). On a mismatch the
+  // lscache pointers are dropped and every decoded block's instruction
+  // words are compared against memory: the dbbcache is flushed only when
+  // one differs, so restoring a clone whose code is unchanged (every ladder
+  // rung and campaign site restore) keeps the decoded blocks.
   void set_fast_path(bool on);
   bool fast_path() const noexcept { return fast_path_; }
 
@@ -156,8 +158,21 @@ class Emulator {
   }
 
   // ---- ISS-level fault injection ---------------------------------------------
+  //
+  // At most one fault is armed, as in rtl::SimContext. It takes effect at
+  // the first instruction boundary with instret() >= inject_at_instr: a
+  // bit-flip inverts its bit once and leaves nothing armed, a stuck-at or
+  // open line (its bit frozen at that boundary) becomes an and/or mask
+  // that every later boundary writes into the physical register slot, on
+  // the step() path and in the run()/advance() block walk alike.
+
+  /// Arm `fault`. Throws std::logic_error while a fault is armed (call
+  /// clear_faults() first) and std::out_of_range for a register or bit
+  /// outside the register file.
   void arm_fault(const IssFault& fault);
-  void clear_faults();
+  /// Disarm the fault, if any. The register keeps whatever value the
+  /// fault left in it.
+  void clear_faults() noexcept { fault_phase_ = FaultPhase::kNone; }
 
  private:
   /// One decoded basic block: straight-line decode starting at `base`,
@@ -185,12 +200,22 @@ class Emulator {
     const DbbBlock* blk = nullptr;
   };
 
+  /// Where the armed fault stands: nothing armed (or a bit-flip that has
+  /// flipped), armed but not yet due, or enforcing its mask at every
+  /// boundary.
+  enum class FaultPhase : u8 { kNone, kPending, kEnforcing };
+
   HaltReason halt_with(HaltReason r);
   void advance_pc();
-  void apply_faults();
+  /// The pending fault is due: flip its bit (and disarm) or build its
+  /// mask (kEnforcing).
+  void activate_fault();
+  void enforce_fault() noexcept {
+    u32& r = state_.regs[fault_.phys_reg];
+    r = (r & fault_and_) | fault_or_;
+  }
 
-  u32 alu_op(const isa::DecodedInst& d, u32 a, u32 b, bool& ok);
-  HaltReason exec_memory(const isa::DecodedInst& d, u32 pc);
+  HaltReason exec_memory(const isa::DecodedInst& d);
   void record_store(u32 addr, u8 size, u64 data);
 
   /// Execute one already-fetched, already-validated instruction: the
@@ -199,6 +224,11 @@ class Emulator {
   /// does them each time, the run()/advance() fast loop hoists them.
   HaltReason exec_one(const isa::DecodedInst& d, u32 pc);
   HaltReason run_loop(u64 max_steps, bool arm_step_limit);
+  /// The block walk of run_loop: retires `budget` instructions unless it
+  /// halts first; with kEnforce the armed fault's mask is written before
+  /// each one.
+  template <bool kEnforce>
+  HaltReason walk_blocks(u64 budget);
 
   // Fast-path internals (all no-ops / pass-throughs when fast_path_ is off).
   const isa::DecodedInst* fetch_decoded(u32 pc);
@@ -206,6 +236,8 @@ class Emulator {
   void flush_dbb();
   void drop_caches();    ///< dbb + lscache; forces a revision resync
   void resync_caches();  ///< Memory::revision() moved: external invalidation
+  /// True when every decoded block's instruction words equal memory.
+  bool dbb_matches_memory() const;
 
   /// True when [addr, addr+len) overlaps the byte range covered by cached
   /// blocks (conservative union, not per-block).
@@ -243,7 +275,10 @@ class Emulator {
   InstrTrace trace_;
   OffCoreTrace offcore_;
   TimingModel* timing_ = nullptr;
-  std::vector<IssFault> faults_;
+  IssFault fault_;
+  FaultPhase fault_phase_ = FaultPhase::kNone;
+  u32 fault_and_ = ~0u;  ///< kEnforcing: slot = (slot & and) | or
+  u32 fault_or_ = 0;
   HaltReason halt_ = HaltReason::kRunning;
   u8 trap_code_ = 0;
   u64 instret_ = 0;

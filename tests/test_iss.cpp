@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "isa/assembler.hpp"
@@ -616,6 +618,73 @@ TEST(FastPath, CloneDoesNotShareStaleLscache) {
   EXPECT_EQ(snap.load_u32(buf + 4), 0u);  // post-clone store is not
 }
 
+TEST(FastPath, RestoreOverUnchangedCodeKeepsDecodedBlocks) {
+  // A ladder-style restore: a checkpoint and a COW clone of memory taken
+  // mid-run. Installing a clone moves Memory::revision(); when its code
+  // bytes are unchanged every decoded block must survive, and when a code
+  // word was patched through the Memory API the restored run must execute
+  // the new word.
+  Assembler a("t");
+  const u32 buf = a.data_zero(16);
+  a.set32(Reg::l0, buf);
+  a.mov(Reg::l1, 0);                    // pass counter
+  a.mov(Reg::l3, 0);                    // accumulator
+  auto loop = a.here();
+  const u32 patch = a.current_pc();
+  a.mov(Reg::o0, 1);                    // patch site
+  a.add(Reg::l3, Reg::l3, Reg::o0);
+  a.st(Reg::l3, Reg::l0, 0);
+  a.add(Reg::l1, Reg::l1, 1);
+  a.cmp(Reg::l1, 4);
+  a.bne(loop);
+  a.nop();
+  a.halt();
+  Program p = a.finalize();
+  const auto l3 = [](const Emulator& e) {
+    return e.state().get_reg(isa::reg_num(Reg::l3));
+  };
+
+  Memory mem;
+  Emulator e(mem);
+  e.load(p);
+  // Stop at the top of the second pass, with the loop body decoded.
+  while (e.state().get_reg(isa::reg_num(Reg::l1)) != 1 ||
+         e.state().pc != patch) {
+    ASSERT_EQ(e.step(), HaltReason::kRunning);
+  }
+  const EmuCheckpoint ck = e.checkpoint();
+  const Memory snap = mem.clone();
+  ASSERT_EQ(e.run(), HaltReason::kHalted);
+  ASSERT_EQ(l3(e), 4u);
+  const OffCoreTrace trace = e.offcore();
+  // The first restore enters the loop at its head, which the run from
+  // reset only reached mid-block: one more block (entry, head, halt).
+  mem = snap.clone();
+  e.restore(ck, trace);
+  ASSERT_EQ(e.run(), HaltReason::kHalted);
+  const std::size_t blocks = e.dbb_blocks();
+  const u64 flushes = e.dbb_flushes();
+  ASSERT_EQ(blocks, 3u);
+
+  // A flush here would leave only the two blocks a restored run enters.
+  const u64 rev = mem.revision();
+  mem = snap.clone();
+  EXPECT_NE(mem.revision(), rev);
+  e.restore(ck, trace);
+  ASSERT_EQ(e.run(), HaltReason::kHalted);
+  EXPECT_EQ(l3(e), 4u);
+  EXPECT_EQ(e.dbb_blocks(), blocks);
+  EXPECT_EQ(e.dbb_flushes(), flushes);
+
+  Memory patched = snap.clone();
+  patched.store_u32(patch, encode_mov_imm(Reg::o0, 7));
+  mem = std::move(patched);
+  e.restore(ck, trace);
+  ASSERT_EQ(e.run(), HaltReason::kHalted);
+  EXPECT_EQ(l3(e), 1u + 3u * 7u);  // pass 1 ran before the checkpoint
+  EXPECT_GT(e.dbb_flushes(), flushes);
+}
+
 TEST(FastPath, EmulatorOverCloneReadsFreshPages) {
   // The mirror image: after cloning, the *source* keeps running and
   // unshares pages; an emulator started over the clone must read the
@@ -837,6 +906,55 @@ TEST(IssFault, BitFlipIsTransient) {
   ASSERT_EQ(w.size(), 2u);
   EXPECT_EQ(w[0].data, 1u);  // flipped
   EXPECT_EQ(w[1].data, 0u);  // rewritten value is clean again
+}
+
+TEST(IssFault, OneFaultArmedAtATime) {
+  Assembler a("t");
+  const u32 buf = a.data_zero(8);
+  a.set32(Reg::l0, buf);
+  a.clr(Reg::o0);
+  a.st(Reg::o0, Reg::l0, 0);
+  a.halt();
+  Program p = a.finalize();
+
+  Memory mem;
+  Emulator e(mem);
+  e.load(p);
+  IssFault sa1;
+  sa1.phys_reg = isa::phys_reg_index(8, 0);  // %o0 in window 0
+  sa1.bit = 3;
+  sa1.model = IssFaultModel::kStuckAt1;
+  IssFault flip = sa1;
+  flip.model = IssFaultModel::kBitFlip;
+  flip.inject_at_instr = 2;  // after the clr, before the store
+  e.arm_fault(sa1);
+  EXPECT_THROW(e.arm_fault(sa1), std::logic_error);
+  EXPECT_THROW(e.arm_fault(flip), std::logic_error);
+  // clear_faults() disarms: the run is fault-free.
+  e.clear_faults();
+  e.run();
+  ASSERT_EQ(e.offcore().writes().size(), 1u);
+  EXPECT_EQ(e.offcore().writes()[0].data, 0u);
+
+  // A bit-flip that has flipped leaves nothing armed.
+  e.reset(p.entry);
+  e.arm_fault(flip);
+  EXPECT_THROW(e.arm_fault(sa1), std::logic_error);
+  e.run();
+  EXPECT_EQ(e.offcore().writes().back().data, 8u);  // bit 3 flipped
+
+  // Out-of-range sites are rejected and arm nothing.
+  IssFault bad = sa1;
+  bad.phys_reg = ArchState::kPhysRegs;
+  EXPECT_THROW(e.arm_fault(bad), std::out_of_range);
+  bad = sa1;
+  bad.bit = 32;
+  EXPECT_THROW(e.arm_fault(bad), std::out_of_range);
+  e.reset(p.entry);
+  e.arm_fault(sa1);  // no clear_faults() needed after the flip
+  e.run();
+  ASSERT_EQ(e.offcore().writes().size(), 1u);
+  EXPECT_EQ(e.offcore().writes()[0].data, 8u);  // bit 3 forced high
 }
 
 // isa::reg_use's source set is complete: a register outside it cannot

@@ -10,7 +10,8 @@
 //   1. per-instruction lockstep over every registry workload and a corpus
 //      of seeded random programs (step() path);
 //   2. chunked advance() lockstep with deliberately block-misaligned chunk
-//      sizes (the run_loop block-walk fast loop, compared mid-flight);
+//      sizes (the run_loop block-walk fast loop, compared mid-flight),
+//      fault-free and with one armed register-file fault of every model;
 //   3. full ISS campaigns whose result fingerprint must be invariant
 //      across fast path {on, off} x threads {1, 3} x resume {off, on}.
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "engine/iss_backend.hpp"
 #include "isa/assembler.hpp"
 #include "isa/encode.hpp"
+#include "isa/registers.hpp"
 #include "iss/emulator.hpp"
 #include "workloads/workload.hpp"
 
@@ -110,6 +112,36 @@ void lockstep_chunked(const Program& p, const std::string& tag, u64 chunk,
   EXPECT_NE(fast.halt_reason(), HaltReason::kRunning)
       << tag << ": did not terminate within " << max_steps << " steps";
   EXPECT_TRUE(mem_fast.equals(mem_ref)) << tag << ": final memory differs";
+}
+
+/// The armed-fault variant: the fast interpreter advance()s in chunks on
+/// the block walk, which enforces the fault as a register mask; the
+/// reference steps the baseline interpreter one instruction at a time with
+/// the same fault armed. A faulty run may loop, so termination is not
+/// required. Returns true when the run left the golden write trace or did
+/// not halt cleanly.
+bool lockstep_faulted(const Program& p, const IssFault& fault,
+                      const OffCoreTrace& golden, const std::string& tag,
+                      u64 chunk, u64 max_steps) {
+  Memory mem_fast, mem_ref;
+  Emulator fast(mem_fast), ref(mem_ref);
+  fast.set_fast_path(true);
+  ref.set_fast_path(false);
+  fast.load(p);
+  ref.load(p);
+  fast.arm_fault(fault);
+  ref.arm_fault(fault);
+  for (u64 done = 0; done < max_steps; done += chunk) {
+    fast.advance(chunk);
+    for (u64 i = 0; i < chunk && ref.step() == HaltReason::kRunning; ++i) {
+    }
+    expect_states_equal(fast, ref, tag, done);
+    if (::testing::Test::HasFatalFailure()) return false;
+    if (fast.halt_reason() != HaltReason::kRunning) break;
+  }
+  EXPECT_TRUE(mem_fast.equals(mem_ref)) << tag << ": final memory differs";
+  return fast.halt_reason() != HaltReason::kHalted ||
+         fast.offcore().compare_writes(golden).diverged;
 }
 
 // ---- random program generator ----------------------------------------------
@@ -226,6 +258,55 @@ TEST(IssFastpathDifferential, WorkloadsChunkedAdvanceLockstep) {
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
+}
+
+TEST(IssFastpathDifferential, ArmedFaultChunkedAdvanceLockstep) {
+  // Every workload x every model x a few seeded sites. The register is
+  // drawn from the window live at the instant, so most sites activate and
+  // the masked walk runs on diverging state.
+  constexpr unsigned kSitesPerModel = 3;
+  unsigned sites = 0, diverged = 0;
+  std::mt19937_64 rng(2024);
+  for (const auto& w : workloads::registry()) {
+    const auto prog =
+        workloads::build(w.name, {.iterations = 1, .data_seed = 1});
+    Memory golden_mem;
+    Emulator golden(golden_mem);
+    golden.load(prog);
+    ASSERT_EQ(golden.run(), HaltReason::kHalted) << w.name;
+    const u64 length = golden.instret();
+    for (const IssFaultModel model :
+         {IssFaultModel::kStuckAt0, IssFaultModel::kStuckAt1,
+          IssFaultModel::kOpenLine, IssFaultModel::kBitFlip}) {
+      for (unsigned k = 0; k < kSitesPerModel; ++k) {
+        IssFault f;
+        f.model = model;
+        f.bit = static_cast<unsigned>(rng() % 32);
+        f.inject_at_instr = rng() % length;
+        Memory probe_mem;
+        Emulator probe(probe_mem);
+        probe.load(prog);
+        probe.advance(f.inject_at_instr);
+        f.phys_reg = isa::phys_reg_index(1 + static_cast<unsigned>(rng() % 31),
+                                         probe.state().cwp);
+        for (const u64 chunk : {u64{7}, u64{61}}) {
+          const std::string tag =
+              w.name + "/model" + std::to_string(static_cast<int>(model)) +
+              "/r" + std::to_string(f.phys_reg) + "b" +
+              std::to_string(f.bit) + "@" +
+              std::to_string(f.inject_at_instr) + "/chunk" +
+              std::to_string(chunk);
+          const bool left_golden = lockstep_faulted(
+              prog, f, golden.offcore(), tag, chunk, 2 * length + 1000);
+          if (::testing::Test::HasFatalFailure()) return;
+          ++sites;
+          diverged += left_golden ? 1 : 0;
+        }
+      }
+    }
+  }
+  // Not vacuous: a share of the faulty runs must fail.
+  EXPECT_GT(diverged, sites / 10) << diverged << " of " << sites;
 }
 
 TEST(IssFastpathDifferential, RandomProgramsPerInstructionLockstep) {
