@@ -5,26 +5,32 @@
 //   issrtl_cli rtl <workload> [iters]       run on the RTL core
 //   issrtl_cli diversity <workload>          Table-1-style characterisation
 //   issrtl_cli disasm <workload>             disassemble a workload image
-//   issrtl_cli campaign <workload> <unit> <model> <samples> [threads]
+//   issrtl_cli campaign <workload> <unit> <models> <samples> [threads]
 //                                            RTL fault-injection campaign on
 //                                            the parallel engine (threads=0
 //                                            uses all hardware threads;
-//                                            results identical at any count)
+//                                            results identical at any count):
+//                                            Pf per model, per-unit P_mf and
+//                                            the Eq. 1 check
 //   issrtl_cli avf <workload>                register-file AVF
 //   issrtl_cli asm <file.s>                  assemble + run a text program
 //   issrtl_cli nodes [unit]                  list injectable RTL nodes
+#include <algorithm>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/area.hpp"
 #include "core/avf.hpp"
 #include "core/diversity.hpp"
+#include "core/predict.hpp"
 #include "engine/rtl_backend.hpp"
 #include "fault/campaign.hpp"
 #include "fault/report.hpp"
@@ -32,6 +38,7 @@
 #include "isa/disasm.hpp"
 #include "iss/emulator.hpp"
 #include "iss/timing.hpp"
+#include "rtl/vcd.hpp"
 #include "rtlcore/core.hpp"
 #include "workloads/workload.hpp"
 
@@ -50,9 +57,10 @@ int usage() {
       stderr,
       "usage: issrtl_cli <command> [...]\n"
       "  list | run <wl> [iters] | rtl <wl> [iters] | diversity <wl>\n"
-      "  disasm <wl> | campaign <wl> <iu|cmem|''> <sa0|sa1|open|flip> <n> "
-      "[threads] [instants] [window]\n"
-      "      [--journal=DIR] [--resume] [--deadline-ms=N]\n"
+      "  disasm <wl> | campaign <wl> <iu|cmem|''> <sa0|sa1|open|flip>[,...] "
+      "<n> [threads]\n"
+      "      [instants] [window] [--journal=DIR] [--resume] [--deadline-ms=N]\n"
+      "      [--vcd=PATH]\n"
       "  avf <wl> | asm <file.s> | nodes [unit] | help\n"
       "run 'issrtl_cli help' for the full flag and environment reference\n");
   return kExitUsage;
@@ -69,14 +77,20 @@ int help() {
       "  rtl <wl> [iters]          run on the RTL core\n"
       "  diversity <wl>            Table-1-style characterisation\n"
       "  disasm <wl>               disassemble a workload image\n"
-      "  campaign <wl> <unit> <model> <n> [threads] [instants] [window]\n"
-      "           [--journal=DIR] [--resume] [--deadline-ms=N]\n"
+      "  campaign <wl> <unit> <models> <n> [threads] [instants] [window]\n"
+      "           [--journal=DIR] [--resume] [--deadline-ms=N] [--vcd=PATH]\n"
       "                            RTL fault-injection campaign on the\n"
-      "                            parallel engine\n"
+      "                            parallel engine: Pf per model, the\n"
+      "                            replay counters, per-functional-unit\n"
+      "                            P_mf with the alpha_m area weights and\n"
+      "                            the Eq. 1 check\n"
       "      <unit>      node-unit prefix: iu, cmem, a subunit like iu.fe,\n"
       "                  or '' for the whole design\n"
-      "      <model>     sa0 | sa1 | open | flip\n"
-      "      <n>         sampled injection trials (0 = exhaustive)\n"
+      "      <models>    comma list of sa0 | sa1 | open | flip, e.g.\n"
+      "                  sa1,sa0,open; sites are drawn model by model in\n"
+      "                  the listed order\n"
+      "      <n>         sampled injection trials per model (0 =\n"
+      "                  exhaustive)\n"
       "      [threads]   worker threads; 0 or absent = all hardware\n"
       "                  threads (results identical at any count)\n"
       "      [instants]  injection instants per sampled (node, bit);\n"
@@ -87,6 +101,8 @@ int help() {
       "                  lists bit-identical) or 'full' ([1, golden] —\n"
       "                  covers late-pipeline/drain states); 'full' with\n"
       "                  one instant is a usage error\n"
+      "      --vcd=PATH  write a GTKWave waveform of the first failing run\n"
+      "                  (400 cycles after injection) to PATH\n"
       "  avf <wl>                  register-file AVF\n"
       "  asm <file.s>              assemble + run a text program\n"
       "  nodes [unit]              list injectable RTL nodes\n"
@@ -207,16 +223,94 @@ int cmd_disasm(const std::string& name) {
 /// Campaign-only flags peeled off argv before positional dispatch.
 struct CampaignFlags {
   std::string journal;
+  std::string vcd;
   bool resume = false;
   bool have_deadline = false;
   u64 deadline_ms = 0;
   bool any() const {
-    return !journal.empty() || resume || have_deadline;
+    return !journal.empty() || !vcd.empty() || resume || have_deadline;
   }
 };
 
+/// Split a comma list of model names into `names` and `models`, in the
+/// listed order; false on an empty, unknown or repeated entry.
+bool parse_models(const std::string& list, std::vector<std::string>& names,
+                  std::vector<rtl::FaultModel>& models) {
+  static const std::map<std::string, rtl::FaultModel> kModels = {
+      {"sa0", rtl::FaultModel::kStuckAt0},
+      {"sa1", rtl::FaultModel::kStuckAt1},
+      {"open", rtl::FaultModel::kOpenLine},
+      {"flip", rtl::FaultModel::kTransientBitFlip}};
+  std::stringstream ss(list + ",");
+  for (std::string name; std::getline(ss, name, ',');) {
+    const auto it = kModels.find(name);
+    if (it == kModels.end() ||
+        std::ranges::find(models, it->second) != models.end()) {
+      return false;
+    }
+    names.push_back(name);
+    models.push_back(it->second);
+  }
+  return true;
+}
+
+/// Per-functional-unit P_mf with the alpha_m area weights of the campaign's
+/// unit, and their Eq. 1 sum.
+void print_unit_table(const fault::CampaignResult& r) {
+  std::vector<core::UnitObservation> obs;
+  for (const auto& run : r.runs) {
+    obs.emplace_back(run.unit, run.outcome == fault::Outcome::kFailure ||
+                                   run.outcome == fault::Outcome::kHang);
+  }
+  const core::UnitPf upf = core::UnitPf::from_observations(obs);
+  Memory probe_mem;
+  rtlcore::Leon3Core probe(probe_mem);
+  const core::AreaModel area =
+      core::build_area_model(probe.sim(), r.unit_prefix);
+
+  fault::TextTable t({"functional unit m", "alpha_m", "trials", "P_mf"});
+  double eq1 = 0.0;
+  for (std::size_t u = 0; u < isa::kNumFuncUnits; ++u) {
+    if (area.bits[u] == 0) continue;
+    eq1 += area.alpha[u] * upf.pf[u];
+    t.add_row({std::string(isa::func_unit_name(static_cast<isa::FuncUnit>(u))),
+               fault::TextTable::num(area.alpha[u], 4),
+               std::to_string(upf.runs[u]), fault::TextTable::pct(upf.pf[u])});
+  }
+  std::printf("\n%s\n", t.render().c_str());
+  std::printf("Eq. 1 check: sum(alpha_m * P_mf) = %s (over every model "
+              "above)\n",
+              fault::TextTable::pct(eq1).c_str());
+}
+
+/// Waveform of the first failing run, for inspection in GTKWave.
+void write_vcd(const isa::Program& prog, const fault::CampaignResult& r,
+               const std::string& path) {
+  for (const auto& run : r.runs) {
+    if (run.outcome != fault::Outcome::kFailure) continue;
+    Memory mem;
+    rtlcore::Leon3Core core(mem);
+    core.load(prog);
+    rtl::VcdWriter vcd(path, core.sim());
+    for (u64 c = 0; c < run.site.inject_cycle; ++c) core.step();
+    core.sim().arm_fault(run.site.node, run.site.model, run.site.bit);
+    for (int c = 0;
+         c < 400 && core.halt_reason() == iss::HaltReason::kRunning; ++c) {
+      core.step();
+      vcd.sample(core.cycles());
+    }
+    std::printf("wrote %s: %s %s bit %u (first 400 cycles after "
+                "injection)\n",
+                path.c_str(),
+                std::string(rtl::fault_model_name(run.site.model)).c_str(),
+                run.node_name.c_str(), run.site.bit);
+    return;
+  }
+  std::printf("no failing run to dump: %s not written\n", path.c_str());
+}
+
 int cmd_campaign(const std::string& name, const std::string& unit,
-                 const std::string& model, std::size_t samples,
+                 const std::string& model_list, std::size_t samples,
                  unsigned threads, std::size_t instants,
                  fault::InstantWindow window, const CampaignFlags& flags) {
   fault::CampaignConfig cfg;
@@ -225,11 +319,9 @@ int cmd_campaign(const std::string& name, const std::string& unit,
   cfg.instants_per_site = instants;
   cfg.instant_window = window;
   if (instants > 1) cfg.inject_time = fault::InjectTime::kUniformRandom;
-  if (model == "sa0") cfg.models = {rtl::FaultModel::kStuckAt0};
-  else if (model == "sa1") cfg.models = {rtl::FaultModel::kStuckAt1};
-  else if (model == "open") cfg.models = {rtl::FaultModel::kOpenLine};
-  else if (model == "flip") cfg.models = {rtl::FaultModel::kTransientBitFlip};
-  else return usage();
+  std::vector<std::string> model_names;
+  cfg.models.clear();
+  if (!parse_models(model_list, model_names, cfg.models)) return usage();
   // Environment knobs first (ISSRTL_THREADS / _CKPT_STRIDE / _JOURNAL /
   // _RESUME / _DEADLINE_MS), explicit arguments on top.
   engine::EngineOptions opts = engine::options_from_env();
@@ -247,15 +339,21 @@ int cmd_campaign(const std::string& name, const std::string& unit,
   engine::install_signal_stop();
   opts.stop = &engine::signal_stop_flag();
   opts.on_progress = engine::stderr_progress();
-  const auto r = engine::run_rtl_campaign(load_workload(name, 1), cfg, {}, opts);
-  const auto& s = r.per_model[0];
-  std::printf("workload=%s unit=%s model=%s trials=%zu\n"
-              "Pf=%.1f%% failures=%zu hangs=%zu latent=%zu silent=%zu "
-              "errors=%zu max_latency=%llu cycles\n",
-              name.c_str(), unit.empty() ? "<all>" : unit.c_str(),
-              model.c_str(), s.runs, 100.0 * s.pf(), s.failures, s.hangs,
-              s.latent, s.silent, s.errors, (unsigned long long)s.max_latency);
+  const isa::Program prog = load_workload(name, 1);
+  const auto r = engine::run_rtl_campaign(prog, cfg, {}, opts);
+  for (std::size_t m = 0; m < r.per_model.size(); ++m) {
+    const auto& s = r.per_model[m];
+    std::printf("workload=%s unit=%s model=%s trials=%zu\n"
+                "Pf=%.1f%% failures=%zu hangs=%zu latent=%zu silent=%zu "
+                "errors=%zu max_latency=%llu cycles\n",
+                name.c_str(), unit.empty() ? "<all>" : unit.c_str(),
+                model_names[m].c_str(), s.runs, 100.0 * s.pf(), s.failures,
+                s.hangs, s.latent, s.silent, s.errors,
+                (unsigned long long)s.max_latency);
+  }
   fault::print_replay_summary(r);
+  print_unit_table(r);
+  if (!flags.vcd.empty()) write_vcd(prog, r, flags.vcd);
   return r.truncated ? kExitRuntime : 0;
 }
 
@@ -327,6 +425,12 @@ int main(int argc, char** argv) try {
         std::fprintf(stderr, "error: --journal=DIR needs a directory\n");
         return kExitUsage;
       }
+    } else if (a.rfind("--vcd=", 0) == 0) {
+      flags.vcd = a.substr(std::strlen("--vcd="));
+      if (flags.vcd.empty()) {
+        std::fprintf(stderr, "error: --vcd=PATH needs a path\n");
+        return kExitUsage;
+      }
     } else if (a.rfind("--deadline-ms=", 0) == 0) {
       flags.have_deadline = true;
       flags.deadline_ms = engine::parse_u64(
@@ -338,8 +442,8 @@ int main(int argc, char** argv) try {
   }
   if (flags.any() && cmd != "campaign") {
     std::fprintf(stderr,
-                 "error: --journal/--resume/--deadline-ms only apply "
-                 "to the campaign command\n");
+                 "error: --journal/--resume/--deadline-ms/--vcd only "
+                 "apply to the campaign command\n");
     return kExitUsage;
   }
   const auto arg = [&pos](std::size_t i) -> const std::string& {

@@ -31,11 +31,6 @@ constexpr i32 sign_extend(u32 v, unsigned width) noexcept {
   return static_cast<i32>(v << shift) >> shift;
 }
 
-/// Set or clear bit `pos` of `v`.
-constexpr u32 with_bit(u32 v, unsigned pos, bool value) noexcept {
-  return value ? (v | (1u << pos)) : (v & ~(1u << pos));
-}
-
 /// Mask covering the low `width` bits (width in [0,64]).
 constexpr u64 low_mask64(unsigned width) noexcept {
   return (width >= 64) ? ~0ull : ((1ull << width) - 1ull);

@@ -68,11 +68,6 @@ struct EngineOptions {
   /// Worker threads. 0 means std::thread::hardware_concurrency(). Results
   /// are bit-identical for every thread count.
   unsigned threads = 1;
-  /// Abandon a faulty run as soon as its off-core write sequence definitely
-  /// diverges from the golden one (a wrong or extra write can never heal;
-  /// classification is unchanged). Records of early-stopped runs keep
-  /// halt == kRunning to mark the abandoned simulation.
-  bool early_stop = true;
   /// Initial rung spacing of the checkpoint ladder recorded during the
   /// golden run (cycles for the RTL backend, retired instructions for the
   /// ISS one). The ladder doubles its stride whenever it outgrows
@@ -110,19 +105,12 @@ struct EngineOptions {
   /// ISSRTL_DEADLINE_MS is the environment path.
   u64 deadline_ms = 0;
   /// Cooperative stop flag (optional, not owned): checked alongside the
-  /// deadline at per-site granularity. The CLIs point this at
+  /// deadline at per-site granularity. issrtl_cli points this at
   /// engine::signal_stop_flag() after install_signal_stop(), which is what
   /// makes Ctrl-C a graceful truncation instead of a lost campaign. A site that already started always finishes (abandoning
   /// mid-site would make the completed set timing-dependent); only
   /// not-yet-started sites are skipped.
   const std::atomic<bool>* stop = nullptr;
-  /// Drive every engine-owned iss::Emulator through its decoded-block fast
-  /// path (dbbcache + lscache, see iss/emulator.hpp). false selects the
-  /// reference decode-per-instruction path. The caches are
-  /// architecturally invisible, so results are bit-identical either way
-  /// and the flag stays out of campaign_key(); it exists as the
-  /// differential-testing axis.
-  bool iss_fast_path = true;
   /// Test-only fault-injection hook (ISSRTL_FAIL_SITE): comma-separated
   /// site indices whose host simulation throws while being processed —
   /// "<i>" throws on every attempt (deterministic failure: the retry also

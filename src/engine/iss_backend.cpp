@@ -15,11 +15,10 @@ namespace issrtl::engine {
 IssCampaignBackend::IssCampaignBackend(const isa::Program& prog,
                                        const fault::IssCampaignConfig& cfg,
                                        const EngineOptions& opts)
-    : cfg_(cfg), opts_(opts), replay_(prog, opts) {
+    : cfg_(cfg), replay_(prog, opts) {
   iss::Emulator golden(replay_.golden_mem());
-  golden.set_fast_path(opts_.iss_fast_path);
   // Same 10M-instruction watchdog as Emulator::run's default.
-  replay_.record(golden, 10'000'000, cfg_.watchdog_factor);
+  replay_.record(golden, 10'000'000);
   golden_state_ = golden.state();
   const u64 golden_instret = replay_.golden_instant();
 
@@ -39,7 +38,7 @@ IssCampaignBackend::IssCampaignBackend(const isa::Program& prog,
       faults_.push_back(f);
     }
   }
-  fail_spec_ = parse_fail_sites(opts_.fail_sites);
+  fail_spec_ = parse_fail_sites(opts.fail_sites);
 }
 
 u64 IssCampaignBackend::campaign_key() const {
@@ -50,7 +49,7 @@ u64 IssCampaignBackend::campaign_key() const {
   for (const iss::IssFaultModel m : cfg_.models) fp.mix(static_cast<u64>(m));
   fp.mix(cfg_.samples);
   fp.mix(cfg_.seed);
-  fp.mix_bytes(&cfg_.watchdog_factor, sizeof(cfg_.watchdog_factor));
+  fp.mix(kWatchdogFactor);
   fp.mix(replay_.golden_instant());
   fp.mix(replay_.golden_trace().writes().size());
   fp.mix(faults_.size());
@@ -180,9 +179,7 @@ void IssCampaignBackend::screen(iss::Emulator& emu, Memory& mem) const {
 }
 
 IssCampaignBackend::Worker::Worker(const IssCampaignBackend& backend)
-    : b_(backend), emu_(mem_) {
-  emu_.set_fast_path(backend.opts_.iss_fast_path);
-}
+    : b_(backend), emu_(mem_) {}
 
 void IssCampaignBackend::Worker::fail_at(std::size_t index, FailStage stage) {
   maybe_fail_stage(b_.fail_spec_, fail_attempts_, index, stage);
@@ -228,15 +225,13 @@ fault::IssInjectionResult IssCampaignBackend::Worker::simulate(
   u64 budget = suffix.budget();
   fail_at(index, FailStage::kStep);
   iss::HaltReason halt = emu_.halt_reason();
-  // The fast path runs the suffix on the block walk up to each instant the
-  // suffix can converge at; the reference path checks after every
-  // instruction. The record holds no halt reason, so both produce it alike.
-  const bool chunked = b_.opts_.iss_fast_path;
+  // The suffix runs on the block walk up to each instant it can converge
+  // at. The record holds no halt reason, so running a chunk past a wrong
+  // write leaves it unchanged.
   while (budget > 0 && halt == iss::HaltReason::kRunning &&
          !suffix.diverged()) {
     const u64 now = emu_.instret();
-    const u64 n =
-        chunked ? std::min(budget, suffix.next_stop(now) - now) : u64{1};
+    const u64 n = std::min(budget, suffix.next_stop(now) - now);
     halt = emu_.advance(n);
     budget -= n;
     if (suffix.converged(halt)) return r;  // silent: failure/latent false

@@ -12,8 +12,9 @@
 // rung instant, or every 64 instructions with the ladder off) to match the
 // new off-core writes and test convergence. The record keeps no halt
 // reason, so running on past a wrong write for the rest of a chunk leaves
-// it unchanged. With EngineOptions::iss_fast_path off the suffix checks
-// after every instruction on the baseline interpreter: the reference path.
+// it unchanged. tests/test_iss_fastpath.cpp checks this walk against the
+// reference interpreter (Emulator::set_fast_path(false)) instruction by
+// instruction.
 //
 // Activation pre-screen: the first stuck-at or open-line site a worker
 // reaches runs one pass over the golden run that records every physical
@@ -105,13 +106,12 @@ class IssCampaignBackend {
   void screen(iss::Emulator& emu, Memory& mem) const;
 
   fault::IssCampaignConfig cfg_;
-  EngineOptions opts_;
 
   using Replay = GoldenReplay<iss::Emulator, &iss::Emulator::instret>;
   Replay replay_;
   iss::ArchState golden_state_;
   std::vector<iss::IssFault> faults_;
-  FailSiteSpec fail_spec_;  ///< parsed from opts_.fail_sites (test hook)
+  FailSiteSpec fail_spec_;  ///< parsed EngineOptions::fail_sites (test hook)
   // Activation pass result, per site (0 = simulate, 1 = proven silent,
   // 2 = proven latent), and the run_site calls it answered; both written
   // by workers.

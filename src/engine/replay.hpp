@@ -27,6 +27,12 @@
 
 namespace issrtl::engine {
 
+/// Faulty-run budget: a site that has not halted after this many times the
+/// golden run's instants (plus 1000) is a hang. Both backends mix it into
+/// their campaign_key(), so changing it retires every journal written under
+/// the old budget.
+inline constexpr u64 kWatchdogFactor = 3;
+
 /// The golden run of one campaign, built in the backend constructor and
 /// then read (its tallies bumped) by every worker. `Sim` is
 /// rtlcore::Leon3Core or iss::Emulator, which agree on the names used here;
@@ -49,7 +55,7 @@ class GoldenReplay {
   /// from it, so untouched pages stay COW-shared (and Memory::equals
   /// short-circuits them by pointer).
   GoldenReplay(const isa::Program& prog, const EngineOptions& opts)
-      : prog_(prog), early_stop_(opts.early_stop), ladder_(opts.ladder_stride) {
+      : prog_(prog), ladder_(opts.ladder_stride) {
     prog_.load_into(initial_mem_);
     golden_mem_ = initial_mem_.clone();
   }
@@ -62,8 +68,8 @@ class GoldenReplay {
   /// from one stride grid point to the next so the ladder can snapshot it
   /// there (the ladder doubles its stride as it thins itself, so it is
   /// re-read every lap). Throws unless it halts within `max_instants`. The
-  /// faulty-run watchdog becomes golden instants * `watchdog_factor` + 1000.
-  void record(Sim& golden, u64 max_instants, double watchdog_factor) {
+  /// faulty-run watchdog becomes golden instants * kWatchdogFactor + 1000.
+  void record(Sim& golden, u64 max_instants) {
     golden.reset(prog_.entry);
     const auto now = [&golden] { return (golden.*Instant)(); };
     while (now() < max_instants &&
@@ -96,9 +102,7 @@ class GoldenReplay {
     }
     golden_instant_ = now();
     golden_trace_ = golden.offcore();
-    watchdog_ = static_cast<u64>(static_cast<double>(golden_instant_) *
-                                     watchdog_factor +
-                                 1000);
+    watchdog_ = golden_instant_ * kWatchdogFactor + 1000;
   }
 
   u64 golden_instant() const noexcept { return golden_instant_; }
@@ -172,9 +176,9 @@ class GoldenReplay {
       return r_.watchdog_ > start_ ? r_.watchdog_ - start_ : 0;
     }
 
-    /// A wrong or extra write was seen and EngineOptions::early_stop is on:
-    /// the run is a failure whatever it does next, so stop simulating it.
-    bool diverged() const noexcept { return mismatch_ && r_.early_stop_; }
+    /// A wrong or extra write was seen: the run is a failure whatever it
+    /// does next, so stop simulating it.
+    bool diverged() const noexcept { return mismatch_; }
 
     /// The next instant after `now` at which converged() can fire: the next
     /// rung instant (a multiple of the ladder stride), or `now` +
@@ -194,19 +198,15 @@ class GoldenReplay {
     /// rung instant, so the remainder is the golden remainder and the run
     /// is silent.
     bool converged(iss::HaltReason halt) {
-      if (r_.early_stop_ || converge_) {
-        const std::vector<BusRecord>& writes = sim_.offcore().writes();
-        const std::vector<BusRecord>& golden = r_.golden_trace_.writes();
-        while (!mismatch_ && matched_ < writes.size()) {
-          if (matched_ >= golden.size() ||
-              !writes[matched_].same_payload(golden[matched_])) {
-            // A wrong or extra write can never heal: abandon the run
-            // (early stop) or at least stop comparing (convergence is off
-            // the table).
-            mismatch_ = true;
-          } else {
-            ++matched_;
-          }
+      const std::vector<BusRecord>& writes = sim_.offcore().writes();
+      const std::vector<BusRecord>& golden = r_.golden_trace_.writes();
+      while (!mismatch_ && matched_ < writes.size()) {
+        if (matched_ >= golden.size() ||
+            !writes[matched_].same_payload(golden[matched_])) {
+          // A wrong or extra write can never heal: abandon the run.
+          mismatch_ = true;
+        } else {
+          ++matched_;
         }
       }
       if (!converge_ || mismatch_ || halt != iss::HaltReason::kRunning) {
@@ -264,7 +264,6 @@ class GoldenReplay {
 
  private:
   isa::Program prog_;
-  bool early_stop_;
   Memory initial_mem_;  ///< loaded program image, COW ancestor of all runs
   Memory golden_mem_;
   OffCoreTrace golden_trace_;

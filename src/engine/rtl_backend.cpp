@@ -12,15 +12,13 @@ namespace {
 
 /// Complete architectural + memory state comparison for the latent check.
 bool states_match(const rtlcore::Leon3Core& faulty,
-                  const iss::ArchState& golden_state, const Memory& golden_mem,
-                  bool compare_memory) {
+                  const iss::ArchState& golden_state, const Memory& golden_mem) {
   const iss::ArchState fs = faulty.arch_state();
   if (fs.regs != golden_state.regs) return false;
   if (fs.cwp != golden_state.cwp) return false;
   if (!(fs.icc == golden_state.icc)) return false;
   if (fs.y != golden_state.y) return false;
-  if (compare_memory && !faulty.memory().equals(golden_mem)) return false;
-  return true;
+  return faulty.memory().equals(golden_mem);
 }
 
 }  // namespace
@@ -29,15 +27,15 @@ RtlCampaignBackend::RtlCampaignBackend(const isa::Program& prog,
                                        const fault::CampaignConfig& cfg,
                                        const rtlcore::CoreConfig& core_cfg,
                                        const EngineOptions& opts)
-    : cfg_(cfg), core_cfg_(core_cfg), opts_(opts), replay_(prog, opts) {
+    : cfg_(cfg), core_cfg_(core_cfg), replay_(prog, opts) {
   rtlcore::Leon3Core golden(replay_.golden_mem(), core_cfg_);
   // Same 50M-cycle watchdog as Leon3Core::run's default.
-  replay_.record(golden, 50'000'000, cfg_.watchdog_factor);
+  replay_.record(golden, 50'000'000);
   golden_instret_ = golden.instret();
   golden_state_ = golden.arch_state();
   sites_ = fault::build_fault_list(golden.sim(), cfg_,
                                    replay_.golden_instant());
-  fail_spec_ = parse_fail_sites(opts_.fail_sites);
+  fail_spec_ = parse_fail_sites(opts.fail_sites);
   // Snapshot the node metadata so finish() can label records without the
   // golden core (and without workers copying strings in the per-site loop).
   const rtl::SimContext& sim = golden.sim();
@@ -64,8 +62,7 @@ u64 RtlCampaignBackend::campaign_key() const {
   fp.mix(static_cast<u64>(cfg_.inject_time));
   fp.mix(static_cast<u64>(cfg_.instant_window));
   fp.mix(cfg_.fixed_cycle);
-  fp.mix_bytes(&cfg_.watchdog_factor, sizeof(cfg_.watchdog_factor));
-  fp.mix(static_cast<u64>(cfg_.compare_memory));
+  fp.mix(kWatchdogFactor);
   // Golden-run summary: a cheap proxy for the core config and simulator
   // semantics — any change to either moves these and retires the journal.
   fp.mix(replay_.golden_instant());
@@ -252,8 +249,7 @@ fault::InjectionResult RtlCampaignBackend::Worker::simulate(
   } else if (halt == iss::HaltReason::kStepLimit) {
     result.outcome = fault::Outcome::kHang;
     result.latency_cycles = b_.replay_.watchdog() - site.inject_cycle;
-  } else if (states_match(core_, b_.golden_state_, b_.replay_.golden_mem(),
-                          b_.cfg_.compare_memory)) {
+  } else if (states_match(core_, b_.golden_state_, b_.replay_.golden_mem())) {
     result.outcome = fault::Outcome::kSilent;
   } else {
     result.outcome = fault::Outcome::kLatent;

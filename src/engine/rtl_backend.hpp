@@ -103,14 +103,13 @@ class RtlCampaignBackend {
 
   fault::CampaignConfig cfg_;
   rtlcore::CoreConfig core_cfg_;
-  EngineOptions opts_;
 
   using Replay = GoldenReplay<rtlcore::Leon3Core, &rtlcore::Leon3Core::cycles>;
   Replay replay_;
   u64 golden_instret_ = 0;
   iss::ArchState golden_state_;
   std::vector<fault::FaultSite> sites_;
-  FailSiteSpec fail_spec_;  ///< parsed from opts_.fail_sites (test hook)
+  FailSiteSpec fail_spec_;  ///< parsed EngineOptions::fail_sites (test hook)
   // Node metadata snapshot (NodeId-indexed) for labelling results in
   // finish(); the golden core itself does not outlive the constructor.
   std::vector<std::string> node_names_;

@@ -54,9 +54,8 @@ struct InjectionResult {
   Outcome outcome = Outcome::kSilent;
   u64 latency_cycles = 0;  ///< injection -> first observable divergence
   /// How the faulty run ended. kRunning means the engine abandoned the
-  /// simulation once the outcome was already decided (early divergence
-  /// cut-off, see engine::EngineOptions::early_stop); outcome, latency and
-  /// pf() are unaffected.
+  /// simulation at its first wrong or extra off-core write, when the run
+  /// was already a failure (engine::GoldenReplay::Suffix::diverged()).
   iss::HaltReason halt = iss::HaltReason::kRunning;
   /// Exception text for Outcome::kEngineError records; empty otherwise.
   std::string error;
@@ -78,8 +77,8 @@ enum class InjectTime : u8 {
 /// late-pipeline / drain states the paper's vulnerability comparison also
 /// depends on were simply never sampled. It remains the default because
 /// every pinned fault list, outcome hash and committed benchmark was drawn
-/// under it; pass kFull ([1, golden_cycles]) for full-run coverage (both
-/// CLIs expose it as the "window" argument).
+/// under it; pass kFull ([1, golden_cycles]) for full-run coverage
+/// (`issrtl_cli campaign` exposes it as the "window" argument).
 enum class InstantWindow : u8 {
   kLegacyHalf,  ///< [1, max(1, golden_cycles / 2)] — bug-compatible default
   kFull,        ///< [1, max(1, golden_cycles)] — covers the whole golden run
@@ -113,8 +112,6 @@ struct CampaignConfig {
   /// is a configuration error (build_fault_list throws).
   InstantWindow instant_window = InstantWindow::kLegacyHalf;
   u64 fixed_cycle = 0;
-  double watchdog_factor = 3.0;         ///< faulty-run cycle budget multiplier
-  bool compare_memory = true;           ///< include memory image in latent check
 };
 
 /// Aggregate statistics for one (unit, model) pair.
@@ -209,8 +206,8 @@ struct CampaignResult {
 /// FNV-1a fingerprint of the (outcome, latency) sequence of `r.runs` — the
 /// canonical hash behind the determinism contract: regression tests pin it
 /// across refactors and the benches compare it between engine fast paths.
-/// Deliberately covers outcome and latency only; `halt` may legitimately
-/// differ between equivalent paths (early-stopped runs keep kRunning).
+/// Deliberately covers outcome and latency only: `halt` is no part of the
+/// verdict (an early-stopped failure keeps kRunning).
 u64 outcome_hash(const CampaignResult& r);
 
 /// Enumerate the sampled fault list only (deterministic per seed) — exposed

@@ -17,7 +17,6 @@ struct IssCampaignConfig {
   std::vector<iss::IssFaultModel> models = {iss::IssFaultModel::kStuckAt1};
   std::size_t samples = 200;
   u64 seed = 2015;
-  double watchdog_factor = 3.0;
 };
 
 struct IssInjectionResult {

@@ -32,7 +32,7 @@ std::ostream& operator<<(std::ostream& os, const TextTable& t);
 
 struct CampaignResult;
 
-/// Print the campaign's host-side summary to stdout, as both CLIs show it:
+/// Print the campaign's host-side summary to stdout, as issrtl_cli shows it:
 /// the `replay:` line (ladder size, restore sources, fast-forward,
 /// convergence cut-offs), a `durability:` line when any journal or
 /// worker-isolation counter is nonzero, and a `TRUNCATED:` banner when the

@@ -130,7 +130,6 @@ class Emulator {
   // one differs, so restoring a clone whose code is unchanged (every ladder
   // rung and campaign site restore) keeps the decoded blocks.
   void set_fast_path(bool on);
-  bool fast_path() const noexcept { return fast_path_; }
 
   /// Cache introspection for tests and stats.
   std::size_t dbb_blocks() const noexcept { return dbb_.size(); }

@@ -27,12 +27,6 @@ TEST(Bits, SignExtend) {
   EXPECT_EQ(sign_extend(0, 22), 0);
 }
 
-TEST(Bits, WithBit) {
-  EXPECT_EQ(with_bit(0, 5, true), 32u);
-  EXPECT_EQ(with_bit(0xFF, 0, false), 0xFEu);
-  EXPECT_EQ(with_bit(0xFF, 3, true), 0xFFu);
-}
-
 TEST(Memory, ZeroOnFirstRead) {
   Memory m;
   EXPECT_EQ(m.load_u32(0x40000000), 0u);

@@ -12,8 +12,9 @@
 //   2. chunked advance() lockstep with deliberately block-misaligned chunk
 //      sizes (the run_loop block-walk fast loop, compared mid-flight),
 //      fault-free and with one armed register-file fault of every model;
-//   3. full ISS campaigns whose result fingerprint must be invariant
-//      across fast path {on, off} x threads {1, 3} x resume {off, on}.
+//   3. full ISS campaigns (always on the fast path) whose result
+//      fingerprint is pinned across ladder strides x threads {1, 3} and
+//      must survive a journal resume.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -376,27 +377,6 @@ fault::IssCampaignConfig fuzz_campaign_cfg() {
   return cfg;
 }
 
-TEST(IssFastpathCampaign, HashInvariantAcrossFastPathAndThreads) {
-  const auto prog =
-      workloads::build("a2time_x", {.iterations = 1, .data_seed = 1});
-  const auto cfg = fuzz_campaign_cfg();
-  engine::EngineOptions ref_opts;
-  ref_opts.threads = 1;
-  ref_opts.iss_fast_path = false;
-  const u64 ref = iss_fingerprint(
-      engine::run_iss_campaign_engine(prog, cfg, ref_opts));
-
-  struct Case { bool fast; unsigned threads; };
-  for (const Case c : {Case{true, 1}, Case{true, 3}, Case{false, 3}}) {
-    engine::EngineOptions opts;
-    opts.threads = c.threads;
-    opts.iss_fast_path = c.fast;
-    const u64 got =
-        iss_fingerprint(engine::run_iss_campaign_engine(prog, cfg, opts));
-    EXPECT_EQ(got, ref) << "fast=" << c.fast << " threads=" << c.threads;
-  }
-}
-
 // Pinned ISS campaign result: the fingerprint of this campaign is a
 // constant, not just self-consistent, so a refactor of the replay layer
 // (ladder positioning, write matching, convergence cut-off) that moves any
@@ -436,20 +416,17 @@ TEST(IssFastpathCampaign, HashInvariantAcrossResume) {
   fs::remove_all(dir);
   fs::create_directories(dir);
 
-  // First run populates the journal with the fast path ON; the resumed run
-  // imports every site with the fast path OFF. Identical fingerprints (and
-  // full journal reuse) prove the journal keys and records are fast-path
-  // independent — the knob is not part of the campaign identity.
+  // First run populates the journal on three threads; the resumed run
+  // imports every site serially. Identical fingerprints (and full journal
+  // reuse) prove the journal keys and records are schedule independent.
   engine::EngineOptions writer;
   writer.threads = 3;
-  writer.iss_fast_path = true;
   writer.journal_dir = dir.string();
   EXPECT_EQ(iss_fingerprint(engine::run_iss_campaign_engine(prog, cfg, writer)),
             ref);
 
   engine::EngineOptions resumer;
   resumer.threads = 1;
-  resumer.iss_fast_path = false;
   resumer.journal_dir = dir.string();
   resumer.resume = true;
   const auto resumed = engine::run_iss_campaign_engine(prog, cfg, resumer);
