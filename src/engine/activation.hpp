@@ -5,6 +5,29 @@
 // instant opens an epoch that runs to the next one (the last runs to the
 // golden halt). A site's activation question is then rtl::can_activate
 // over the values seen in its own epoch or later, exact per site instant.
+//
+// What a backend records for a location decides what a proof covers:
+//
+// * Write-keyed (RTL nodes other than register-file entries: every raw
+//   value the node takes, rtl::SimContext::watch). If the overlay never
+//   differs from the raw value, every consumer reads golden values and
+//   the faulty run equals the golden run cycle for cycle.
+// * Read-keyed (RTL register-file entries through RegFile::read_phys, ISS
+//   physical registers through each instruction's source operands: every
+//   value a read returns). In a single-fault run the faulted entry reaches
+//   other state only through its read port, read_phys being the register
+//   file's only one. If every read from the arm instant onward returns the
+//   golden value, every other node evolves as in the golden run. So does
+//   the entry's raw value: the kernel keeps it in a shadow and patches the
+//   fault in as an overlay on every write. The RTL end-state compare reads
+//   raw values (RegFile::peek_phys), so the run is silent, latency 0, with
+//   the golden halt. The ISS end state keeps the forced bit, so its proof
+//   splits into silent and latent by the golden final bit. The arm itself
+//   shows nothing (read_keyed_arm_value). Reads by instructions the
+//   pipeline later squashes only add values, so they make a proof more
+//   conservative, never wrong. Read-keyed proofs cover at least the sites
+//   write-keyed ones do: every value a read returns after the arm is the
+//   arm-time value or a later raw value.
 #pragma once
 
 #include <algorithm>
@@ -34,6 +57,17 @@ struct Activation {
   bool never = false;    ///< rtl::can_activate proves it never activated
   bool arm_bit = false;  ///< the site's bit in the arm-time value
 };
+
+/// The arm-time value of a read-keyed site: the arm itself shows nothing
+/// to a reader, so a stuck-at presents its forced bit and an open line the
+/// bit of `raw` (the location's value at the instant) it freezes.
+inline u32 read_keyed_arm_value(const ActivationSite& site, u32 raw) {
+  switch (site.model) {
+    case rtl::FaultModel::kStuckAt0: return 0;
+    case rtl::FaultModel::kStuckAt1: return 1u << site.bit;
+    default: return raw;
+  }
+}
 
 /// Run the pass over `sites` on a golden replay that stands at the
 /// earliest site instant, recording:

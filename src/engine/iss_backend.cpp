@@ -157,15 +157,8 @@ void IssCampaignBackend::screen(iss::Emulator& emu, Memory& mem) const {
   const std::vector<Activation> verdicts = screen_activation(
       screened, seen.size(), end, replay_to,
       [&seen](std::size_t r) { return std::exchange(seen[r], {}); },
-      [&state](const ActivationSite& site) -> u32 {
-        // A register bit is seen only through reads, so the arm itself
-        // activates nothing: a stuck-at presents its forced value as the
-        // arm-time bit, an open line the bit it freezes.
-        switch (site.model) {
-          case rtl::FaultModel::kStuckAt0: return 0;
-          case rtl::FaultModel::kStuckAt1: return 1u << site.bit;
-          default: return state.regs[site.slot];
-        }
+      [&state](const ActivationSite& site) {
+        return read_keyed_arm_value(site, state.regs[site.slot]);
       });
   // A never-read fault leaves every read, write and halt golden; the final
   // register file differs from the golden one in the faulted bit only, and

@@ -1,7 +1,9 @@
 #include "engine/rtl_backend.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "engine/activation.hpp"
 #include "engine/stats.hpp"
@@ -127,7 +129,7 @@ bool RtlCampaignBackend::prescreened(std::size_t i) const {
 }
 
 void RtlCampaignBackend::screen(rtlcore::Leon3Core& core, Memory& mem) const {
-  // Permanent sites, watched per distinct node.
+  // Permanent sites, per distinct node.
   std::vector<std::size_t> index;
   std::vector<rtl::NodeId> nodes;
   for (std::size_t i = 0; i < sites_.size(); ++i) {
@@ -150,6 +152,16 @@ void RtlCampaignBackend::screen(rtlcore::Leon3Core& core, Memory& mem) const {
   const u64 first =
       std::ranges::min(screened, {}, &ActivationSite::instant).instant;
 
+  // A register-file entry is keyed on the values its read port returns;
+  // every other node on the raw values it takes.
+  rtlcore::RegFile& rf = core.regfile();
+  std::vector<std::optional<unsigned>> entry(nodes.size());
+  std::vector<rtl::NodeId> watched;
+  for (std::size_t slot = 0; slot < nodes.size(); ++slot) {
+    entry[slot] = rf.entry_of(nodes[slot]);
+    if (!entry[slot]) watched.push_back(nodes[slot]);
+  }
+
   const auto advance_to = [&core](u64 instant) {
     if (core.cycles() < instant) core.advance(instant - core.cycles());
   };
@@ -157,15 +169,27 @@ void RtlCampaignBackend::screen(rtlcore::Leon3Core& core, Memory& mem) const {
   replay_.restore(core, mem, first);
   advance_to(first);
   rtl::SimContext& sim = core.sim();
-  sim.watch(nodes);
+  rtlcore::RegFile::ReadMasks reads{};
+  sim.watch(watched);
+  rf.record_reads(&reads);
   struct Unwatch {
     rtl::SimContext& sim;
-    ~Unwatch() { sim.unwatch(); }
-  } unwatch{sim};
+    rtlcore::RegFile& rf;
+    ~Unwatch() {
+      sim.unwatch();
+      rf.record_reads(nullptr);
+    }
+  } unwatch{sim, rf};
   const std::vector<Activation> verdicts = screen_activation(
       screened, nodes.size(), replay_.golden_instant(), advance_to,
-      [&](std::size_t slot) { return sim.take_seen(nodes[slot]); },
-      [&](const ActivationSite& site) { return sim.value(nodes[site.slot]); });
+      [&](std::size_t slot) {
+        return entry[slot] ? std::exchange(reads[*entry[slot]], {})
+                           : sim.take_seen(nodes[slot]);
+      },
+      [&](const ActivationSite& site) {
+        const u32 raw = sim.value(nodes[site.slot]);
+        return entry[site.slot] ? read_keyed_arm_value(site, raw) : raw;
+      });
   for (std::size_t k = 0; k < index.size(); ++k) {
     never_activated_[index[k]] = verdicts[k].never ? 1 : 0;
   }

@@ -5,10 +5,12 @@
 // from reset.
 //
 // Activation pre-screen: the first permanent site a worker reaches runs
-// one pass over the golden run that records every raw value of the
-// fault-list nodes (rtl::SimContext::watch). A permanent site the pass
-// proves never activated (rtl::can_activate) runs identically to the
-// golden run, so it is answered silent without simulating its suffix.
+// one pass over the golden run that records, per fault-list node, every
+// value a register-file read returns from it (RegFile::record_reads) or,
+// for any other node, every raw value it takes (rtl::SimContext::watch).
+// A permanent site the pass proves never activated (rtl::can_activate)
+// runs identically to the golden run, so it is answered silent without
+// simulating its suffix (engine/activation.hpp has the argument).
 #pragma once
 
 #include <atomic>
@@ -38,6 +40,7 @@ class RtlCampaignBackend {
                      const EngineOptions& opts);
 
   std::size_t site_count() const noexcept { return sites_.size(); }
+  const fault::FaultSite& site(std::size_t i) const { return sites_.at(i); }
   u64 site_instant(std::size_t i) const noexcept {
     return sites_[i].inject_cycle;
   }

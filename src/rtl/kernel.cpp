@@ -113,13 +113,8 @@ void SimContext::commit_hooked() noexcept {
   if (armed_.id != kNoNode) reapply_overlay();
   if (watch_slot_.empty()) return;
   // After the copy a register's next value is the raw value it now holds.
-  // A sparse register changes at an edge only when the dirty list commits
-  // it, so only those need a look.
   for (const NodeId id : watch_span_regs_) {
     observe(watch_slot_[id], id, nxt_[id]);
-  }
-  for (const NodeId id : sparse_dirty_) {
-    if (watch_slot_[id] != kUnwatched) observe(watch_slot_[id], id, nxt_[id]);
   }
 }
 
@@ -135,22 +130,27 @@ void SimContext::update_hook_window() noexcept {
 }
 
 void SimContext::watch(std::span<const NodeId> ids) {
-  for (const NodeId id : ids) check_id(id);
-  unwatch();
-  if (ids.empty()) return;
-  watch_slot_.assign(meta_.size(), kUnwatched);
-  watch_lo_ = kNoNode;
-  watch_hi_ = 0;
   const auto in_commit_span = [this](NodeId id) {
     const auto it = std::ranges::upper_bound(
         commit_spans_, id, {}, [](const auto& span) { return span.first; });
     return it != commit_spans_.begin() && id < std::prev(it)->second;
   };
   for (const NodeId id : ids) {
+    if (kind(id) == NodeKind::kReg && !in_commit_span(id)) {
+      throw std::invalid_argument("watch: " + name(id) +
+                                  " is a sparse-commit register");
+    }
+  }
+  unwatch();
+  if (ids.empty()) return;
+  watch_slot_.assign(meta_.size(), kUnwatched);
+  watch_lo_ = kNoNode;
+  watch_hi_ = 0;
+  for (const NodeId id : ids) {
     if (watch_slot_[id] != kUnwatched) continue;  // duplicate
     watch_slot_[id] = static_cast<u32>(watch_seen_.size());
     watch_seen_.emplace_back();
-    if (in_commit_span(id)) watch_span_regs_.push_back(id);
+    if (kind(id) == NodeKind::kReg) watch_span_regs_.push_back(id);
     watch_lo_ = std::min(watch_lo_, id);
     watch_hi_ = std::max(watch_hi_, id);
   }

@@ -31,6 +31,8 @@
 // permanent fault never activated. The armed node and the watched nodes
 // share one slow-path window of NodeIds, so an unwatched, unarmed write
 // costs the same single compare whether anything is armed or watched.
+// Sparse-commit registers cannot be watched: the register file, their one
+// user, proves its entries on the values its read port returns instead.
 #pragma once
 
 #include <cstring>
@@ -118,8 +120,8 @@ class SimContext {
   /// node is recorded. The right choice for large, rarely written arrays —
   /// the register file's 136 entries see at most two writes per cycle, and
   /// copying the whole span every clock edge was the single largest share
-  /// of commit_all(). Reads, faults, checkpoints and probes behave exactly
-  /// like reg() nodes.
+  /// of commit_all(). Reads, faults and checkpoints behave exactly like
+  /// reg() nodes; watch() rejects them.
   Sig reg_sparse(const std::string& name, const std::string& unit,
                  u8 width = 32) {
     sparse_pending_ = true;
@@ -182,13 +184,14 @@ class SimContext {
 
   /// Start recording the raw values `ids` take, replacing any previous
   /// watch: every write() value of a watched node and, for a watched
-  /// register, the value each clock edge commits into it (a sparse
-  /// register only when its dirty entry commits; otherwise it holds).
-  /// With the value at watch time that is every value a consumer can read
-  /// from the node: next values an edge never exposes are not recorded,
-  /// and zero_all/load_values reposition the run and are not recorded
-  /// either. Masks accumulate per node until take_seen(). Throws
-  /// std::out_of_range on a bad id.
+  /// register, the value each clock edge commits into it. With the value
+  /// at watch time that is every value a consumer can read from the node:
+  /// next values an edge never exposes are not recorded, and
+  /// zero_all/load_values reposition the run and are not recorded either.
+  /// Masks accumulate per node until take_seen(). Throws
+  /// std::out_of_range on a bad id and std::invalid_argument on a
+  /// sparse-commit register (reg_sparse), whose edge commits are not
+  /// recorded; either leaves the previous watch in place.
   void watch(std::span<const NodeId> ids);
 
   /// Stop recording and release the watch tables.
@@ -212,8 +215,8 @@ class SimContext {
                   (end - begin) * sizeof(u32));
     }
     for (const NodeId id : sparse_dirty_) cur_[id] = nxt_[id];
-    if (hook_span_ != 0) commit_hooked();  // reads the dirty list
     sparse_dirty_.clear();
+    if (hook_span_ != 0) commit_hooked();
   }
 
   /// Reset all node values to zero (does not clear faults).
@@ -325,9 +328,8 @@ class SimContext {
   u32 hook_span_ = 0;
 
   // Watch tables (empty unless watch() is active): NodeId -> slot into
-  // watch_seen_, and the watched span-committed registers commit_hooked()
-  // records every edge (watched sparse registers it records off the dirty
-  // list).
+  // watch_seen_, and the watched registers commit_hooked() records every
+  // edge.
   static constexpr u32 kUnwatched = 0xFFFF'FFFFu;
   std::vector<u32> watch_slot_;
   std::vector<BitsSeen> watch_seen_;

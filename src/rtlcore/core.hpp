@@ -140,6 +140,7 @@ class Leon3Core {
   const Memory& memory() const noexcept { return mem_; }
   rtl::SimContext& sim() noexcept { return ctx_; }
   const rtl::SimContext& sim() const noexcept { return ctx_; }
+  RegFile& regfile() noexcept { return *rf_; }
   /// Remove the armed fault, if any (SimContext::clear_faults).
   void clear_faults() { ctx_.clear_faults(); }
 

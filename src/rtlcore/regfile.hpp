@@ -2,6 +2,8 @@
 // physical entry (8 globals + 8 windows x 16), all injectable.
 #pragma once
 
+#include <array>
+#include <optional>
 #include <vector>
 
 #include "isa/registers.hpp"
@@ -25,11 +27,22 @@ class RegFile {
     return 8 + isa::kWindowedRegs;
   }
 
-  /// Combinational read port (fault overlay applied). `phys` can carry a
-  /// fault (e.g. a stuck bit in a dphys latch) and exceed the table; the
+  /// Combinational read port (fault overlay applied), the only path by
+  /// which an entry's value reaches the rest of the core. `phys` can carry
+  /// a fault (e.g. a stuck bit in a dphys latch) and exceed the table; the
   /// address decoder aliases out-of-range indices back into it, like
-  /// hardware ignoring unimplemented address bits.
-  u32 read_phys(unsigned phys) const { return regs_[wrap(phys)].r(); }
+  /// hardware ignoring unimplemented address bits. While record_reads() is
+  /// on, every value returned is also ORed into the masks of the entry
+  /// actually read.
+  u32 read_phys(unsigned phys) const {
+    const unsigned i = wrap(phys);
+    const u32 v = regs_[i].r();
+    if (reads_ != nullptr) [[unlikely]] {
+      (*reads_)[i].ones |= v;
+      (*reads_)[i].zeros |= ~v;
+    }
+    return v;
+  }
 
   /// Architectural read under a window pointer.
   u32 read(unsigned arch_reg, unsigned cwp) const {
@@ -51,6 +64,21 @@ class RegFile {
   /// Raw (unfaulted) value for cosimulation state comparison.
   u32 peek_phys(unsigned phys) const { return regs_.at(phys).raw(); }
 
+  /// The values read_phys returned, per physical entry.
+  using ReadMasks = std::array<rtl::BitsSeen, 8 + isa::kWindowedRegs>;
+
+  /// Start ORing every value read_phys returns into `*seen`, or stop with
+  /// nullptr. The caller owns the masks and clears them as it likes.
+  void record_reads(ReadMasks* seen) noexcept { reads_ = seen; }
+
+  /// The physical entry whose node is `id`, if it is one.
+  std::optional<unsigned> entry_of(rtl::NodeId id) const {
+    for (unsigned i = 0; i < regs_.size(); ++i) {
+      if (regs_[i].id() == id) return i;
+    }
+    return std::nullopt;
+  }
+
  private:
   static unsigned wrap(unsigned phys) {
     return phys < iss_phys_count() ? phys : phys % iss_phys_count();
@@ -63,6 +91,7 @@ class RegFile {
   }
 
   std::vector<rtl::Sig> regs_;
+  ReadMasks* reads_ = nullptr;  ///< record_reads() target, or none
 };
 
 }  // namespace issrtl::rtlcore

@@ -13,6 +13,7 @@
 #include "engine/iss_backend.hpp"
 #include "engine/rtl_backend.hpp"
 #include "engine/stats.hpp"
+#include "isa/asm_parser.hpp"
 #include "workloads/workload.hpp"
 
 namespace issrtl::engine {
@@ -152,6 +153,68 @@ TEST(Engine, EarlyStopAbandonsDivergedRuns) {
     ++abandoned;
   }
   EXPECT_GT(abandoned, 0u) << "expected at least one early-stopped failure";
+}
+
+// Register-file entries are pre-screened on the values the read port
+// returns. Each RA read kind is the only reader of one global: rs1 (%g1),
+// rs2 (%g2), store data (%g3) and STD's second word (%g5). A stuck-at
+// opposite to the bit read is activated, so it is simulated, and it shows.
+// %g6 holds the opposite bit only until it is overwritten, before any
+// read: that site is proven silent, as simulating it confirms.
+TEST(Engine, RegisterFilePrescreenKeysOnReads) {
+  const isa::Program prog = isa::assemble_text(R"(
+    .data
+    .align 8
+    buf: .space 16
+    .text
+      set buf, %l7
+      mov 0x2aa, %g1
+      mov 0x2aa, %g2
+      mov 0x2aa, %g3
+      mov 0x2aa, %g4
+      mov 0x2aa, %g5
+      mov 1, %g6
+      mov 0x2aa, %g6
+      add %g1, 1, %l0
+      add %g0, %g2, %l1
+      st %g3, [%l7]
+      std %g4, [%l7 + 8]
+      add %g6, 1, %l2
+      ta 0
+  )");
+  CampaignConfig cfg;
+  cfg.unit_prefix = "iu.regfile";
+  cfg.models = {FaultModel::kStuckAt0, FaultModel::kStuckAt1};
+  cfg.samples = 0;  // every bit of every entry
+  cfg.inject_time = fault::InjectTime::kFixedCycle;
+  cfg.fixed_cycle = 1;  // before any of the writes above retires
+  RtlCampaignBackend backend(prog, cfg, {}, {});
+  Memory mem;
+  rtlcore::Leon3Core core(mem);
+  const auto find = [&](unsigned phys, FaultModel model) {
+    for (std::size_t i = 0; i < backend.site_count(); ++i) {
+      const fault::FaultSite& site = backend.site(i);
+      if (site.bit == 0 && site.model == model &&
+          core.regfile().entry_of(site.node) == phys) {
+        return i;
+      }
+    }
+    ADD_FAILURE() << "no bit-0 site on entry " << phys;
+    return std::size_t{0};
+  };
+  const auto worker = backend.make_worker(0);
+  for (const unsigned phys : {1u, 2u, 3u, 5u}) {
+    SCOPED_TRACE("%g" + std::to_string(phys));
+    const std::size_t i = find(phys, FaultModel::kStuckAt1);  // reads 0
+    EXPECT_FALSE(backend.prescreened(i));
+    EXPECT_NE(worker->simulate(i).outcome, fault::Outcome::kSilent);
+  }
+  const std::size_t dead = find(6, FaultModel::kStuckAt0);
+  EXPECT_TRUE(backend.prescreened(dead));
+  const fault::InjectionResult sim = worker->simulate(dead);
+  EXPECT_EQ(sim.outcome, fault::Outcome::kSilent);
+  EXPECT_EQ(sim.latency_cycles, 0u);
+  EXPECT_EQ(sim.halt, iss::HaltReason::kHalted);
 }
 
 TEST(Engine, FetchFaultHangsRunToTheWatchdog) {

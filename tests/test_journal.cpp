@@ -398,7 +398,11 @@ TEST(Shutdown, DeadlineTruncates) {
   EngineOptions opts;
   opts.threads = 1;
   opts.deadline_ms = 1;  // expires long before 24 RTL sites can finish
-  const CampaignResult r = run_rtl_campaign(prog, small_cfg(), {}, opts);
+  // Bit-flips: the activation pre-screen answers none of them, so every
+  // site is simulated and the deadline has work to cut.
+  CampaignConfig cfg = small_cfg();
+  cfg.models = {FaultModel::kTransientBitFlip};
+  const CampaignResult r = run_rtl_campaign(prog, cfg, {}, opts);
   EXPECT_TRUE(r.truncated);
   EXPECT_LT(r.completed_sites, r.total_sites);
   EXPECT_EQ(r.total_sites, 24u);

@@ -1,8 +1,10 @@
 // Differential gates for the activation pre-screen (slow label), one per
-// backend. RTL: on every registry workload, for the IU and CMEM units,
-// stuck-at-0/1 and open-line faults, at the early instant and at
-// uniform-random instants (two per site, so one node carries faults armed
-// at different instants). ISS: on every registry workload, register-file
+// backend. RTL: on every registry workload, for the IU and CMEM units and
+// the IU register file alone (whose entries the pass keys on reads, so
+// each workload must pre-screen some of them), stuck-at-0/1 and open-line
+// faults, at the early instant and at uniform-random instants (two per
+// site, so one node carries faults armed at different instants). ISS: on
+// every registry workload, register-file
 // stuck-at-0/1 and open-line faults at their random instants. Every site
 // the pass proves never activated is simulated in full through
 // Worker::simulate, and must produce exactly the record run_site answered
@@ -43,7 +45,8 @@ TEST(Prescreen, PrescreenedSitesMatchFullSimulation) {
   for (const workloads::WorkloadInfo& info : workloads::registry()) {
     const isa::Program prog =
         workloads::build(info.name, {.iterations = 1, .data_seed = 1});
-    for (const char* unit : {"iu", "cmem"}) {
+    std::size_t regfile_prescreened = 0;
+    for (const std::string unit : {"iu", "cmem", "iu.regfile"}) {
       for (const bool uniform : {false, true}) {
         SCOPED_TRACE(info.name + " " + unit +
                      (uniform ? " uniform-random" : " early"));
@@ -60,6 +63,7 @@ TEST(Prescreen, PrescreenedSitesMatchFullSimulation) {
           if (!backend.prescreened(i)) continue;
           ++screened;
           ++prescreened_by_model[ref.runs[i].site.model];
+          if (unit == "iu.regfile") ++regfile_prescreened;
           const fault::InjectionResult sim = worker->simulate(i);
           EXPECT_EQ(sim.outcome, ref.runs[i].outcome) << "site " << i;
           EXPECT_EQ(sim.latency_cycles, ref.runs[i].latency_cycles)
@@ -89,6 +93,7 @@ TEST(Prescreen, PrescreenedSitesMatchFullSimulation) {
         }
       }
     }
+    EXPECT_GT(regfile_prescreened, 0u) << info.name << " iu.regfile";
   }
   // Each model must have been pre-screened somewhere, or the gate proves
   // nothing about it.

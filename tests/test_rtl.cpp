@@ -264,21 +264,19 @@ TEST(Watch, RegisterHoldingTheOppositeValueAtArmIsActivated) {
   EXPECT_EQ(ctx.take_seen(r.id()).zeros & 1u, 0u);
 }
 
-TEST(Watch, SparseRegisterRecordedWhenItsDirtyEntryCommits) {
+TEST(Watch, SparseRegisterIsRejected) {
   SimContext ctx;
   Sig span = ctx.reg("span", "iu.special", 8);
   Sig sparse = ctx.reg_sparse("rf", "iu.regfile", 8);
+  const NodeId kept[] = {span.id()};
+  ctx.watch(kept);
   const NodeId ids[] = {span.id(), sparse.id()};
-  ctx.watch(ids);
-  ctx.commit_all();  // nothing written: both still read 0
-  EXPECT_EQ(ctx.take_seen(sparse.id()).ones, 0u);
-  EXPECT_EQ(ctx.take_seen(span.id()).zeros, 0xFFu);
-  sparse.ns(0x81);
-  EXPECT_EQ(ctx.take_seen(sparse.id()).ones, 0u) << "not before the edge";
+  EXPECT_THROW(ctx.watch(ids), std::invalid_argument);
+  // The rejected call leaves the previous watch in place.
+  span.n(0x81);
   ctx.commit_all();
-  const BitsSeen seen = ctx.take_seen(sparse.id());
-  EXPECT_EQ(seen.ones, 0x81u);
-  EXPECT_EQ(seen.zeros, 0x7Eu);
+  EXPECT_EQ(ctx.take_seen(span.id()).ones, 0x81u);
+  EXPECT_THROW(ctx.take_seen(sparse.id()), std::out_of_range);
 }
 
 TEST(Watch, OpenLineScreenedOnlyWhileTheBitStaysConstant) {

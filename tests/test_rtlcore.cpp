@@ -431,5 +431,24 @@ TEST_P(RandomCosim, RtlMatchesIssOnRandomProgram) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomCosim, ::testing::Range(0, 25));
 
+// The read port records each value it returns under the entry the address
+// decoder actually selects, an out-of-range index included.
+TEST(RegFile, ReadPortRecordsUnderTheEntryItReads) {
+  rtl::SimContext ctx;
+  RegFile rf(ctx);
+  rf.poke_phys(5, 0x81);
+  rf.poke_phys(6, 0x42);
+  RegFile::ReadMasks reads{};
+  rf.record_reads(&reads);
+  EXPECT_EQ(rf.read_phys(RegFile::iss_phys_count() + 5), 0x81u);
+  EXPECT_EQ(reads[5].ones, 0x81u);
+  EXPECT_EQ(reads[5].zeros, ~0x81u);
+  EXPECT_EQ(rf.read(0, 0), 0u) << "%g0 is not an entry read";
+  EXPECT_EQ(reads[0].ones | reads[0].zeros, 0u);
+  rf.record_reads(nullptr);
+  EXPECT_EQ(rf.read_phys(6), 0x42u);
+  EXPECT_EQ(reads[6].ones | reads[6].zeros, 0u) << "recorded after the stop";
+}
+
 }  // namespace
 }  // namespace issrtl::rtlcore
