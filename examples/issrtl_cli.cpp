@@ -6,7 +6,7 @@
 //   issrtl_cli diversity <workload>          Table-1-style characterisation
 //   issrtl_cli disasm <workload>             disassemble a workload image
 //   issrtl_cli campaign <workload> <unit> <models> <samples> [threads]
-//                                            RTL fault-injection campaign on
+//                       [instants]           RTL fault-injection campaign on
 //                                            the parallel engine (threads=0
 //                                            uses all hardware threads;
 //                                            results identical at any count):
@@ -59,7 +59,7 @@ int usage() {
       "  list | run <wl> [iters] | rtl <wl> [iters] | diversity <wl>\n"
       "  disasm <wl> | campaign <wl> <iu|cmem|''> <sa0|sa1|open|flip>[,...] "
       "<n> [threads]\n"
-      "      [instants] [window] [--journal=DIR] [--resume] [--deadline-ms=N]\n"
+      "      [instants] [--journal=DIR] [--resume] [--deadline-ms=N]\n"
       "      [--vcd=PATH]\n"
       "  avf <wl> | asm <file.s> | nodes [unit] | help\n"
       "run 'issrtl_cli help' for the full flag and environment reference\n");
@@ -77,7 +77,7 @@ int help() {
       "  rtl <wl> [iters]          run on the RTL core\n"
       "  diversity <wl>            Table-1-style characterisation\n"
       "  disasm <wl>               disassemble a workload image\n"
-      "  campaign <wl> <unit> <models> <n> [threads] [instants] [window]\n"
+      "  campaign <wl> <unit> <models> <n> [threads] [instants]\n"
       "           [--journal=DIR] [--resume] [--deadline-ms=N] [--vcd=PATH]\n"
       "                            RTL fault-injection campaign on the\n"
       "                            parallel engine: Pf per model, the\n"
@@ -94,13 +94,8 @@ int help() {
       "      [threads]   worker threads; 0 or absent = all hardware\n"
       "                  threads (results identical at any count)\n"
       "      [instants]  injection instants per sampled (node, bit);\n"
-      "                  default 1, >1 sweeps each site over time\n"
-      "      [window]    uniform-random instant window, only with\n"
-      "                  [instants] > 1: 'half' (default; bug-compatible\n"
-      "                  [1, golden/2] draw that keeps historical fault\n"
-      "                  lists bit-identical) or 'full' ([1, golden] —\n"
-      "                  covers late-pipeline/drain states); 'full' with\n"
-      "                  one instant is a usage error\n"
+      "                  default 1 (at ~1%% of the golden run); >1 draws\n"
+      "                  each instant uniformly over the whole golden run\n"
       "      --vcd=PATH  write a GTKWave waveform of the first failing run\n"
       "                  (400 cycles after injection) to PATH\n"
       "  avf <wl>                  register-file AVF\n"
@@ -137,7 +132,8 @@ int help() {
       "Numeric arguments and flags must be plain unsigned decimals.\n"
       "\n"
       "exit codes: 0 success, 1 runtime failure or truncated campaign,\n"
-      "2 usage/configuration error (including a malformed number)\n");
+      "2 usage/configuration error (including a malformed number or a\n"
+      "surplus argument)\n");
   return 0;
 }
 
@@ -312,12 +308,11 @@ void write_vcd(const isa::Program& prog, const fault::CampaignResult& r,
 int cmd_campaign(const std::string& name, const std::string& unit,
                  const std::string& model_list, std::size_t samples,
                  unsigned threads, std::size_t instants,
-                 fault::InstantWindow window, const CampaignFlags& flags) {
+                 const CampaignFlags& flags) {
   fault::CampaignConfig cfg;
   cfg.unit_prefix = unit;
   cfg.samples = samples;
   cfg.instants_per_site = instants;
-  cfg.instant_window = window;
   if (instants > 1) cfg.inject_time = fault::InjectTime::kUniformRandom;
   std::vector<std::string> model_names;
   cfg.models.clear();
@@ -449,6 +444,11 @@ int main(int argc, char** argv) try {
   const auto arg = [&pos](std::size_t i) -> const std::string& {
     return pos[i];
   };
+  // Each command takes [min, max] positionals: a missing one or a surplus
+  // one is a usage error, never silently dropped.
+  const auto takes = [&pos](std::size_t min, std::size_t max) {
+    return pos.size() >= min && pos.size() <= max;
+  };
   // Strict numeric positional: malformed input is a usage error (exit 2),
   // never a silently different campaign.
   const auto num = [&pos](std::size_t i, const char* name, u64 max_value,
@@ -456,37 +456,30 @@ int main(int argc, char** argv) try {
     return pos.size() > i ? engine::parse_u64(name, pos[i], max_value)
                           : absent;
   };
-  if (cmd == "list") return cmd_list();
-  if ((cmd == "run" || cmd == "rtl") && pos.size() >= 1) {
+  if (cmd == "list" && takes(0, 0)) return cmd_list();
+  if ((cmd == "run" || cmd == "rtl") && takes(1, 2)) {
     const auto iters = static_cast<unsigned>(num(1, "[iters]", UINT_MAX, 1));
     return cmd == "run" ? cmd_run(arg(0), iters) : cmd_rtl(arg(0), iters);
   }
-  if (cmd == "diversity" && pos.size() >= 1) return cmd_diversity(arg(0));
-  if (cmd == "disasm" && pos.size() >= 1) return cmd_disasm(arg(0));
-  if (cmd == "campaign" && pos.size() >= 4) {
+  if (cmd == "diversity" && takes(1, 1)) return cmd_diversity(arg(0));
+  if (cmd == "disasm" && takes(1, 1)) return cmd_disasm(arg(0));
+  if (cmd == "campaign" && takes(4, 6)) {
     const u64 samples = num(3, "<n>", SIZE_MAX, 0);
     // 0 threads = all hardware threads.
     const u64 threads = num(4, "[threads]", UINT_MAX, 0);
     // 0 instants is passed through: build_fault_list rejects it loudly
     // instead of this front end silently resizing the campaign.
     const u64 instants = num(5, "[instants]", SIZE_MAX, 1);
-    fault::InstantWindow window = fault::InstantWindow::kLegacyHalf;
-    if (pos.size() > 6) {
-      const std::string& w = arg(6);
-      if (w == "full") window = fault::InstantWindow::kFull;
-      else if (w != "half") {
-        std::fprintf(stderr, "error: [window] must be 'half' or 'full'\n");
-        return kExitUsage;
-      }
-    }
     return cmd_campaign(arg(0), arg(1), arg(2),
                         static_cast<std::size_t>(samples),
                         static_cast<unsigned>(threads),
-                        static_cast<std::size_t>(instants), window, flags);
+                        static_cast<std::size_t>(instants), flags);
   }
-  if (cmd == "avf" && pos.size() >= 1) return cmd_avf(arg(0));
-  if (cmd == "asm" && pos.size() >= 1) return cmd_asm(arg(0));
-  if (cmd == "nodes") return cmd_nodes(!pos.empty() ? arg(0) : "");
+  if (cmd == "avf" && takes(1, 1)) return cmd_avf(arg(0));
+  if (cmd == "asm" && takes(1, 1)) return cmd_asm(arg(0));
+  if (cmd == "nodes" && takes(0, 1)) {
+    return cmd_nodes(!pos.empty() ? arg(0) : "");
+  }
   return usage();
 } catch (const std::invalid_argument& e) {
   // Configuration rejected by the library or the numeric parser (bad unit

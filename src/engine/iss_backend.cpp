@@ -33,6 +33,9 @@ IssCampaignBackend::IssCampaignBackend(const isa::Program& prog,
                            rng.next_below(iss::ArchState::kPhysRegs - 1));
       f.bit = static_cast<unsigned>(rng.next_below(32));
       f.model = model;
+      // First-half draw, held by the iss_regfile counts in
+      // benchmark/expected.json and the ISS pins in test_iss_fastpath and
+      // test_ladder; it moves to build_fault_list with them.
       f.inject_at_instr =
           1 + rng.next_below(std::max<u64>(1, golden_instret / 2));
       faults_.push_back(f);

@@ -51,7 +51,9 @@ RtlCampaignBackend::RtlCampaignBackend(const isa::Program& prog,
 
 u64 RtlCampaignBackend::campaign_key() const {
   Fingerprint fp;
-  fp.mix_str("issrtl-rtl-campaign-v1");
+  // v2: uniform-random instants span the whole golden run; v1 journals
+  // hold sites drawn from its first half.
+  fp.mix_str("issrtl-rtl-campaign-v2");
   replay_.mix_image(fp);
   // Campaign config: every field that shapes the fault list or the
   // classification of a site.
@@ -62,7 +64,6 @@ u64 RtlCampaignBackend::campaign_key() const {
   fp.mix(cfg_.instants_per_site);
   fp.mix(cfg_.seed);
   fp.mix(static_cast<u64>(cfg_.inject_time));
-  fp.mix(static_cast<u64>(cfg_.instant_window));
   fp.mix(cfg_.fixed_cycle);
   fp.mix(kWatchdogFactor);
   // Golden-run summary: a cheap proxy for the core config and simulator

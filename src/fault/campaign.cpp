@@ -51,15 +51,8 @@ std::vector<FaultSite> build_fault_list(const rtl::SimContext& ctx,
   auto pick_cycle = [&]() -> u64 {
     switch (cfg.inject_time) {
       case InjectTime::kEarly: return std::max<u64>(1, golden_cycles / 100);
-      case InjectTime::kUniformRandom: {
-        // kLegacyHalf reproduces the historical first-half-only draw so
-        // pinned fault lists stay bit-identical; kFull samples the whole
-        // golden run (see InstantWindow).
-        const u64 span = cfg.instant_window == InstantWindow::kFull
-                             ? golden_cycles
-                             : golden_cycles / 2;
-        return 1 + rng.next_below(std::max<u64>(1, span));
-      }
+      case InjectTime::kUniformRandom:
+        return 1 + rng.next_below(std::max<u64>(1, golden_cycles));
       case InjectTime::kFixedCycle: return cfg.fixed_cycle;
     }
     return 1;
@@ -85,14 +78,6 @@ std::vector<FaultSite> build_fault_list(const rtl::SimContext& ctx,
     throw std::invalid_argument(
         "instants_per_site > 1 requires InjectTime::kUniformRandom");
   }
-  if (cfg.instant_window == InstantWindow::kFull &&
-      cfg.inject_time != InjectTime::kUniformRandom) {
-    // The window only shapes uniform-random draws; accepting it elsewhere
-    // would run a different campaign than the one asked for.
-    throw std::invalid_argument(
-        "InstantWindow::kFull requires InjectTime::kUniformRandom");
-  }
-
   if (std::ranges::find(cfg.models, FaultModel::kBridge) != cfg.models.end()) {
     // The kernel throws on arm, so every site would end kEngineError and
     // the campaign would report Pf = 0 for a model it never injected.

@@ -64,24 +64,14 @@ struct InjectionResult {
 /// How the fixed injection instant is chosen per trial.
 enum class InjectTime : u8 {
   kEarly,          ///< ~1% into the golden run (paper-style fixed instant)
-  kUniformRandom,  ///< uniform over CampaignConfig::instant_window (seeded)
+  kUniformRandom,  ///< uniform over [1, golden_cycles] (seeded)
   kFixedCycle,     ///< CampaignConfig::fixed_cycle
 };
 
-/// Which part of the golden run InjectTime::kUniformRandom draws instants
-/// from.
-///
-/// kLegacyHalf reproduces a long-standing sampling bug as the compatibility
-/// default: the original implementation drew from [1, golden_cycles / 2],
-/// so no campaign ever injected into the second half of any workload — the
-/// late-pipeline / drain states the paper's vulnerability comparison also
-/// depends on were simply never sampled. It remains the default because
-/// every pinned fault list, outcome hash and committed benchmark was drawn
-/// under it; pass kFull ([1, golden_cycles]) for full-run coverage
-/// (`issrtl_cli campaign` exposes it as the "window" argument).
+/// Kept only because the benchmark harness assigns kFull; it has no other
+/// value and no effect (see CampaignConfig::instant_window).
 enum class InstantWindow : u8 {
-  kLegacyHalf,  ///< [1, max(1, golden_cycles / 2)] — bug-compatible default
-  kFull,        ///< [1, max(1, golden_cycles)] — covers the whole golden run
+  kFull,
 };
 
 struct CampaignConfig {
@@ -105,12 +95,10 @@ struct CampaignConfig {
   std::size_t instants_per_site = 1;
   u64 seed = 2015;
   InjectTime inject_time = InjectTime::kEarly;
-  /// Sampling window for InjectTime::kUniformRandom. The default keeps the
-  /// historical first-half-only draw (and therefore every pinned fault
-  /// list) bit-identical; see InstantWindow for why that default is a
-  /// documented bug rather than a choice. kFull with any other InjectTime
-  /// is a configuration error (build_fault_list throws).
-  InstantWindow instant_window = InstantWindow::kLegacyHalf;
+  /// Ignored: InjectTime::kUniformRandom always draws from
+  /// [1, golden_cycles]. The field stays while the benchmark harness still
+  /// assigns it and goes with the next benchmark revision.
+  InstantWindow instant_window = InstantWindow::kFull;
   u64 fixed_cycle = 0;
 };
 

@@ -123,8 +123,6 @@ void Assembler::cmp(Reg rs1, i32 simm13) { subcc(Reg::g0, rs1, simm13); }
 void Assembler::clr(Reg rd) { or_(rd, Reg::g0, Reg::g0); }
 void Assembler::inc(Reg rd, i32 by) { add(rd, rd, by); }
 void Assembler::dec(Reg rd, i32 by) { sub(rd, rd, by); }
-void Assembler::neg(Reg rd, Reg rs) { sub(rd, Reg::g0, rs); }
-void Assembler::not_(Reg rd, Reg rs) { xnor(rd, rs, Reg::g0); }
 
 u32 Assembler::data_u8(u8 v) {
   const u32 addr = data_cursor();

@@ -127,8 +127,6 @@ class Assembler {
   void clr(Reg rd);
   void inc(Reg rd, i32 by = 1);
   void dec(Reg rd, i32 by = 1);
-  void neg(Reg rd, Reg rs);
-  void not_(Reg rd, Reg rs);
 
   // ---- data section ----------------------------------------------------------
   u32 data_u8(u8 v);

@@ -5,6 +5,14 @@
 
 namespace issrtl::iss {
 
+namespace {
+constexpr u32 kCacheBytes = 1024;        // each of the I- and D-cache
+constexpr u32 kLineBytes = 16;
+constexpr u32 kMissPenalty = 6;          // cycles to refill one line
+constexpr u32 kTakenBranchPenalty = 2;   // pipeline bubbles after a taken CTI
+constexpr u32 kLoadUsePenalty = 1;       // load feeding the next instruction
+}  // namespace
+
 CacheSim::CacheSim(u32 size_bytes, u32 line_bytes) : line_bytes_(line_bytes) {
   if (size_bytes == 0 || line_bytes == 0 ||
       !std::has_single_bit(size_bytes) || !std::has_single_bit(line_bytes) ||
@@ -33,14 +41,12 @@ bool CacheSim::access(u32 addr) {
 
 void CacheSim::flush() { valid_.assign(valid_.size(), false); }
 
-TimingModel::TimingModel(const TimingConfig& cfg)
-    : cfg_(cfg),
-      icache_(cfg.icache_bytes, cfg.line_bytes),
-      dcache_(cfg.dcache_bytes, cfg.line_bytes) {}
+TimingModel::TimingModel()
+    : icache_(kCacheBytes, kLineBytes), dcache_(kCacheBytes, kLineBytes) {}
 
 void TimingModel::reset() {
-  icache_ = CacheSim(cfg_.icache_bytes, cfg_.line_bytes);
-  dcache_ = CacheSim(cfg_.dcache_bytes, cfg_.line_bytes);
+  icache_ = CacheSim(kCacheBytes, kLineBytes);
+  dcache_ = CacheSim(kCacheBytes, kLineBytes);
   cycles_ = instructions_ = 0;
   branch_bubbles_ = interlock_stalls_ = latency_stalls_ = 0;
   last_was_load_ = false;
@@ -51,7 +57,7 @@ void TimingModel::on_fetch(u32 pc, const isa::DecodedInst& d) {
   ++instructions_;
   ++cycles_;  // base: one issue slot per instruction
 
-  if (!icache_.access(pc)) cycles_ += cfg_.miss_penalty;
+  if (!icache_.access(pc)) cycles_ += kMissPenalty;
 
   const auto& info = isa::opcode_info(d.opcode);
   if (info.latency > 1) {
@@ -66,8 +72,8 @@ void TimingModel::on_fetch(u32 pc, const isa::DecodedInst& d) {
         d.rs1 == last_rd_ || (!d.uses_imm && d.rs2 == last_rd_) ||
         (d.iclass == isa::InstClass::kStore && d.rd == last_rd_);
     if (uses) {
-      cycles_ += cfg_.load_use_penalty;
-      interlock_stalls_ += cfg_.load_use_penalty;
+      cycles_ += kLoadUsePenalty;
+      interlock_stalls_ += kLoadUsePenalty;
     }
   }
   last_was_load_ = d.iclass == isa::InstClass::kLoad ||
@@ -77,8 +83,8 @@ void TimingModel::on_fetch(u32 pc, const isa::DecodedInst& d) {
 
 void TimingModel::on_branch(bool taken) {
   if (taken) {
-    cycles_ += cfg_.taken_branch_penalty;
-    branch_bubbles_ += cfg_.taken_branch_penalty;
+    cycles_ += kTakenBranchPenalty;
+    branch_bubbles_ += kTakenBranchPenalty;
   }
 }
 
@@ -90,7 +96,7 @@ void TimingModel::on_memory_access(u32 addr, bool is_store) {
     // the write buffer hides the bus write in this simple model.
     return;
   }
-  if (!dcache_.access(addr)) cycles_ += cfg_.miss_penalty;
+  if (!dcache_.access(addr)) cycles_ += kMissPenalty;
 }
 
 TimingStats TimingModel::stats() const {

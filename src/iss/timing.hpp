@@ -40,15 +40,6 @@ class CacheSim {
   u64 misses_ = 0;
 };
 
-struct TimingConfig {
-  u32 icache_bytes = 1024;
-  u32 dcache_bytes = 1024;
-  u32 line_bytes = 16;
-  u32 miss_penalty = 6;        ///< cycles to refill one line
-  u32 taken_branch_penalty = 2;///< pipeline bubbles after a taken CTI
-  u32 load_use_penalty = 1;    ///< interlock when a load feeds the next inst
-};
-
 struct TimingStats {
   u64 cycles = 0;
   u64 instructions = 0;
@@ -67,7 +58,7 @@ struct TimingStats {
 
 class TimingModel {
  public:
-  explicit TimingModel(const TimingConfig& cfg = {});
+  TimingModel();
 
   // Hooks driven by the Emulator, in instruction order.
   void on_fetch(u32 pc, const isa::DecodedInst& d);
@@ -79,7 +70,6 @@ class TimingModel {
   void reset();
 
  private:
-  TimingConfig cfg_;
   CacheSim icache_;
   CacheSim dcache_;
   u64 cycles_ = 0;

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <array>
-#include <bitset>
 
 #include "common/types.hpp"
 #include "isa/opcode.hpp"
@@ -81,15 +80,6 @@ class InstrTrace {
       }
     }
     return t;
-  }
-
-  /// Set of executed types, for set-algebra in tests and analysis.
-  std::bitset<isa::kNumOpcodes> opcode_set() const noexcept {
-    std::bitset<isa::kNumOpcodes> seen;
-    for (std::size_t i = 0; i < isa::kNumOpcodes; ++i) {
-      if (counts_[i] != 0) seen.set(i);
-    }
-    return seen;
   }
 
   void clear() { counts_.fill(0); }

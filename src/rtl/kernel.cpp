@@ -48,7 +48,6 @@ Sig SimContext::make(const std::string& name, const std::string& unit,
       unit_index_.try_emplace(unit, static_cast<u32>(units_.size()));
   if (uinserted) units_.push_back(unit);
   meta_.push_back(NodeMeta{name, uit->second, width, kind});
-  by_name_.try_emplace(name, id);  // first registration wins on duplicates
   cur_.push_back(0);
   nxt_.push_back(0);
   mask_.push_back(static_cast<u32>(low_mask64(width)));
@@ -86,9 +85,10 @@ std::vector<NodeId> SimContext::nodes_in_unit(
 }
 
 std::optional<NodeId> SimContext::find_node(const std::string& name) const {
-  const auto it = by_name_.find(name);
-  if (it == by_name_.end()) return std::nullopt;
-  return it->second;
+  for (NodeId i = 0; i < meta_.size(); ++i) {
+    if (meta_[i].name == name) return i;
+  }
+  return std::nullopt;
 }
 
 void SimContext::write_armed(u32 masked) noexcept {

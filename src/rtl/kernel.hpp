@@ -130,12 +130,6 @@ class SimContext {
 
   std::size_t node_count() const noexcept { return meta_.size(); }
 
-  /// Handle to an existing node; throws std::out_of_range on a bad id.
-  Sig node(NodeId id) {
-    check_id(id);
-    return Sig(this, id);
-  }
-
   // ---- cold metadata (side table, never touched by the simulation loop) ----
   const std::string& name(NodeId id) const { return meta_.at(id).name; }
   const std::string& unit(NodeId id) const {
@@ -161,10 +155,10 @@ class SimContext {
   /// All node ids under a unit prefix.
   std::vector<NodeId> nodes_in_unit(const std::string& unit_prefix) const;
 
-  /// Locate a node by exact name — O(1) via the name index built at
-  /// registration time. Duplicate names (legal across units, e.g. the two
-  /// caches' line arrays) resolve to the first-registered node, matching
-  /// the linear scan this replaced.
+  /// Locate a node by exact name: a linear scan of the cold side table, for
+  /// examples and tests (no simulation path looks nodes up by name).
+  /// Duplicate names (legal across units, e.g. the two caches' line arrays)
+  /// resolve to the first-registered node.
   std::optional<NodeId> find_node(const std::string& name) const;
 
   /// Arm a single-bit fault on (node, bit). Stuck-at forces the bit;
@@ -337,13 +331,12 @@ class SimContext {
   NodeId watch_lo_ = 0;  ///< lowest / highest watched NodeId
   NodeId watch_hi_ = 0;
 
-  // Cold side table + name index. Unit strings are interned: a design has
+  // Cold side table. Unit strings are interned: a design has
   // ~dozen distinct units across ~1k nodes, and registration cost is
   // visible in campaign setup.
   std::vector<NodeMeta> meta_;
   std::vector<std::string> units_;
   std::unordered_map<std::string, u32> unit_index_;
-  std::unordered_map<std::string, NodeId> by_name_;
 
   // Register-covering [begin, end) NodeId spans, maintained by make():
   // the only part of the value arrays a clock edge must copy.

@@ -140,6 +140,12 @@ bool is_multicycle(const DecodedInst& d) {
   return d.iclass == InstClass::kMul || d.iclass == InstClass::kDiv;
 }
 
+// Cycles a multiply / divide occupies EX.
+constexpr u32 kMulLatency = 4;
+constexpr u32 kDivLatency = 35;
+static_assert(kMulLatency > 1 && kDivLatency > 1,
+              "eval_ex stalls EX at least one cycle for every mul/div");
+
 u8 mem_align(const DecodedInst& d) {
   switch (d.opcode) {
     case Opcode::kLDD: case Opcode::kSTD: return 8;
@@ -617,14 +623,11 @@ void Leon3Core::eval_ex(bool me_free) {
   if (ex_.trap.r() == 0 && is_multicycle(d)) {
     const u32 busy = ex_busy_.r();
     if (busy == 0) {
-      const u32 lat =
-          d.iclass == InstClass::kMul ? cfg_.mul_latency : cfg_.div_latency;
-      if (lat > 1) {
-        ex_busy_.n(lat - 1);
-        me_.bubble();
-        ex_free_ = false;
-        return;
-      }
+      const u32 lat = d.iclass == InstClass::kMul ? kMulLatency : kDivLatency;
+      ex_busy_.n(lat - 1);
+      me_.bubble();
+      ex_free_ = false;
+      return;
     } else if (busy > 1) {
       ex_busy_.n(busy - 1);
       me_.bubble();

@@ -43,8 +43,6 @@ enum class TrapKind : u8 {
 struct CoreConfig {
   CacheConfig icache;
   CacheConfig dcache;
-  u32 mul_latency = 4;
-  u32 div_latency = 35;
 };
 
 /// One pipeline latch: the packet travelling between two stages. All fields

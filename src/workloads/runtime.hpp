@@ -44,16 +44,4 @@ void emit_report(Assembler& a);
 /// report store. Exercises a fixed wide set of instruction types (~40).
 Label emit_harness_routine(Assembler& a);
 
-/// Emit a decrementing loop: `body(counter_reg)` runs `count` times.
-/// Uses subcc/bne on `counter`; the body must not clobber `counter`.
-template <typename BodyFn>
-void emit_loop(Assembler& a, Reg counter, u32 count, BodyFn&& body) {
-  a.set32(counter, count);
-  Label top = a.here();
-  body();
-  a.subcc(counter, counter, 1);
-  a.bne(top);
-  a.nop();
-}
-
 }  // namespace issrtl::workloads

@@ -4,7 +4,6 @@
 // serial algorithm, and the early divergence cut-off.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -238,10 +237,13 @@ TEST(Engine, FetchFaultHangsRunToTheWatchdog) {
 }
 
 // Cross-refactor regression fixture: per-model outcome counts and a hash of
-// the full (outcome, latency) sequence captured from the pre-SoA-kernel
-// serial driver (PR 1) for this exact (workload, config, seed). The campaign
-// is fully deterministic, so any divergence — at any thread count, and at
-// any checkpoint-ladder configuration (disabled, auto, explicit stride) —
+// the full (outcome, latency) sequence for this exact (workload, config,
+// seed). The counts were captured from the pre-SoA-kernel serial driver.
+// The hash is the one the opt-in whole-run instant window produced before
+// it became the only draw; the first-half draw it replaced hashed to
+// 53577475502873108 with the same counts. The campaign is fully
+// deterministic, so any divergence — at any thread count, and at any
+// checkpoint-ladder configuration (disabled, auto, explicit stride) —
 // means a semantic change in the kernel, the memory model or the engine.
 TEST(Engine, ResultsBitIdenticalToPreRefactorBaseline) {
   const auto prog = workloads::build("rspeed", {.iterations = 1, .data_seed = 1});
@@ -266,41 +268,10 @@ TEST(Engine, ResultsBitIdenticalToPreRefactorBaseline) {
       EXPECT_EQ(s.latent, 2u) << threads;
       EXPECT_EQ(s.silent, 45u) << threads;
       EXPECT_EQ(s.max_latency, 131258u) << threads;
-      EXPECT_EQ(fault::outcome_hash(r), 53577475502873108ull)
+      EXPECT_EQ(fault::outcome_hash(r), 955283264066474419ull)
           << threads << " threads, stride " << stride;
     }
   }
-}
-
-// InstantWindow::kFull draws instants over the whole golden run; the legacy
-// default never goes past golden/2.
-TEST(Engine, InstantWindowFullReachesSecondHalf) {
-  const auto prog = small_workload();
-  CampaignConfig cfg;
-  cfg.unit_prefix = "iu.fe";
-  cfg.samples = 40;
-  cfg.instants_per_site = 3;
-  cfg.models = {FaultModel::kTransientBitFlip, FaultModel::kStuckAt0};
-  cfg.inject_time = fault::InjectTime::kUniformRandom;
-  CampaignConfig full = cfg;
-  full.instant_window = fault::InstantWindow::kFull;
-
-  EngineOptions opts;
-  opts.threads = 1;
-  const CampaignResult rh = run_rtl_campaign(prog, cfg, {}, opts);
-  const CampaignResult rf = run_rtl_campaign(prog, full, {}, opts);
-
-  u64 half_max = 0, full_max = 0;
-  for (const auto& run : rh.runs) {
-    half_max = std::max(half_max, run.site.inject_cycle);
-  }
-  for (const auto& run : rf.runs) {
-    full_max = std::max(full_max, run.site.inject_cycle);
-  }
-  // Each of the ~240 full-window draws lands in the second half with
-  // probability 1/2.
-  EXPECT_LE(half_max, rh.golden_cycles / 2);
-  EXPECT_GT(full_max, rf.golden_cycles / 2);
 }
 
 // ---- checkpoint correctness -------------------------------------------------
