@@ -8,26 +8,31 @@
 //
 // What a backend records for a location decides what a proof covers:
 //
-// * Write-keyed (RTL nodes other than register-file entries: every raw
-//   value the node takes, rtl::SimContext::watch). If the overlay never
-//   differs from the raw value, every consumer reads golden values and
-//   the faulty run equals the golden run cycle for cycle.
-// * Read-keyed (RTL register-file entries through RegFile::read_phys, ISS
+// * Write-keyed (RTL nodes other than register-file entries and cache
+//   arrays: every raw value the node takes, rtl::SimContext::watch). If
+//   the overlay never differs from the raw value, every consumer reads
+//   golden values and the faulty run equals the golden run cycle for
+//   cycle.
+// * Read-keyed (RTL register-file entries and cache tag, valid and data
+//   arrays through the rtl::ReadProbe their read ports record into, ISS
 //   physical registers through each instruction's source operands: every
 //   value a read returns). In a single-fault run the faulted entry reaches
-//   other state only through its read port, read_phys being the register
-//   file's only one. If every read from the arm instant onward returns the
-//   golden value, every other node evolves as in the golden run. So does
-//   the entry's raw value: the kernel keeps it in a shadow and patches the
-//   fault in as an overlay on every write. The RTL end-state compare reads
-//   raw values (RegFile::peek_phys), so the run is silent, latency 0, with
-//   the golden halt. The ISS end state keeps the forced bit, so its proof
-//   splits into silent and latent by the golden final bit. The arm itself
-//   shows nothing (read_keyed_arm_value). Reads by instructions the
-//   pipeline later squashes only add values, so they make a proof more
-//   conservative, never wrong. Read-keyed proofs cover at least the sites
-//   write-keyed ones do: every value a read returns after the arm is the
-//   arm-time value or a later raw value.
+//   other state only through its read ports: RegFile::read_phys for the
+//   register file; Cache::hit (valid, then the tag of a valid line),
+//   read_word and the read half of a sub-word store for a cache. If every
+//   read from the arm instant onward returns the golden value, the core
+//   takes the same path, so it issues the same reads, and every other node
+//   evolves as in the golden run. So does the entry's raw value: the
+//   kernel keeps it in a shadow and patches the fault in as an overlay on
+//   every write. The RTL end-state compare reads raw register values
+//   (RegFile::peek_phys) and never a cache array, so the run is silent,
+//   latency 0, with the golden halt. The ISS end state keeps the forced
+//   bit, so its proof splits into silent and latent by the golden final
+//   bit. The arm itself shows nothing (read_keyed_arm_value). Reads by
+//   instructions the pipeline later squashes only add values, so they
+//   make a proof more conservative, never wrong. Read-keyed proofs cover
+//   at least the sites write-keyed ones do: every value a read returns
+//   after the arm is the arm-time value or a later raw value.
 #pragma once
 
 #include <algorithm>

@@ -1,9 +1,7 @@
 #include "engine/rtl_backend.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <string>
-#include <utility>
 
 #include "engine/activation.hpp"
 #include "engine/stats.hpp"
@@ -153,14 +151,17 @@ void RtlCampaignBackend::screen(rtlcore::Leon3Core& core, Memory& mem) const {
   const u64 first =
       std::ranges::min(screened, {}, &ActivationSite::instant).instant;
 
-  // A register-file entry is keyed on the values its read port returns;
-  // every other node on the raw values it takes.
-  rtlcore::RegFile& rf = core.regfile();
-  std::vector<std::optional<unsigned>> entry(nodes.size());
+  // A node behind a read port (register-file entry, cache array entry) is
+  // keyed on the values the port returns; every other node on the raw
+  // values it takes.
+  rtlcore::Leon3Core::ReadProbes probes = core.read_probes();
+  std::vector<rtl::ReadProbe*> probe_of(nodes.size(), nullptr);
   std::vector<rtl::NodeId> watched;
   for (std::size_t slot = 0; slot < nodes.size(); ++slot) {
-    entry[slot] = rf.entry_of(nodes[slot]);
-    if (!entry[slot]) watched.push_back(nodes[slot]);
+    for (rtl::ReadProbe& probe : probes) {
+      if (probe.covers(nodes[slot])) probe_of[slot] = &probe;
+    }
+    if (probe_of[slot] == nullptr) watched.push_back(nodes[slot]);
   }
 
   const auto advance_to = [&core](u64 instant) {
@@ -170,26 +171,26 @@ void RtlCampaignBackend::screen(rtlcore::Leon3Core& core, Memory& mem) const {
   replay_.restore(core, mem, first);
   advance_to(first);
   rtl::SimContext& sim = core.sim();
-  rtlcore::RegFile::ReadMasks reads{};
   sim.watch(watched);
-  rf.record_reads(&reads);
+  core.record_reads(&probes);
   struct Unwatch {
-    rtl::SimContext& sim;
-    rtlcore::RegFile& rf;
+    rtlcore::Leon3Core& core;
     ~Unwatch() {
-      sim.unwatch();
-      rf.record_reads(nullptr);
+      core.sim().unwatch();
+      core.record_reads(nullptr);
     }
-  } unwatch{sim, rf};
+  } unwatch{core};
   const std::vector<Activation> verdicts = screen_activation(
       screened, nodes.size(), replay_.golden_instant(), advance_to,
       [&](std::size_t slot) {
-        return entry[slot] ? std::exchange(reads[*entry[slot]], {})
-                           : sim.take_seen(nodes[slot]);
+        return probe_of[slot] != nullptr ? probe_of[slot]->take(nodes[slot])
+                                         : sim.take_seen(nodes[slot]);
       },
       [&](const ActivationSite& site) {
         const u32 raw = sim.value(nodes[site.slot]);
-        return entry[site.slot] ? read_keyed_arm_value(site, raw) : raw;
+        return probe_of[site.slot] != nullptr
+                   ? read_keyed_arm_value(site, raw)
+                   : raw;
       });
   for (std::size_t k = 0; k < index.size(); ++k) {
     never_activated_[index[k]] = verdicts[k].never ? 1 : 0;

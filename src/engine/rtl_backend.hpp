@@ -6,8 +6,9 @@
 //
 // Activation pre-screen: the first permanent site a worker reaches runs
 // one pass over the golden run that records, per fault-list node, every
-// value a register-file read returns from it (RegFile::record_reads) or,
-// for any other node, every raw value it takes (rtl::SimContext::watch).
+// value a read port returns from it if it is a register-file entry or a
+// cache tag, valid or data entry (Leon3Core::record_reads) or, for any
+// other node, every raw value it takes (rtl::SimContext::watch).
 // A permanent site the pass proves never activated (rtl::can_activate)
 // runs identically to the golden run, so it is answered silent without
 // simulating its suffix (engine/activation.hpp has the argument).

@@ -6,7 +6,10 @@
 // and a SimContext holds at most one armed fault.
 #pragma once
 
+#include <cstddef>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -31,12 +34,38 @@ enum class FaultModel : u8 {
 
 std::string_view fault_model_name(FaultModel m);
 
-/// The raw values a watched node showed over a stretch of a run (see
-/// SimContext::watch): `ones` ORs the values, `zeros` ORs their
-/// complements within the node's width. A bit set in both toggled.
+/// The values a node showed over a stretch of a run: the raw values it
+/// took (SimContext::watch) or the values its read ports returned
+/// (ReadProbe). `ones` ORs the values, `zeros` ORs their complements
+/// within the node's width. A bit set in both toggled.
 struct BitsSeen {
   u32 ones = 0;
   u32 zeros = 0;
+};
+
+/// The values a module's read ports returned from its nodes, which are
+/// registered consecutively: node `first + i` records into `seen[i]`. The
+/// read-keyed counterpart of SimContext::watch, for nodes that reach the
+/// rest of the design only through such ports (register-file entries,
+/// cache arrays).
+struct ReadProbe {
+  NodeId first = 0;
+  std::vector<BitsSeen> seen;
+
+  bool covers(NodeId id) const noexcept { return id - first < seen.size(); }
+
+  /// OR the value `v` a port returned from node `id`, of width mask
+  /// `mask`, into its BitsSeen.
+  void record(NodeId id, u32 v, u32 mask = 0xFFFF'FFFFu) noexcept {
+    BitsSeen& s = seen[id - first];
+    s.ones |= v;
+    s.zeros |= ~v & mask;
+  }
+
+  /// What node `id` showed since the previous take; clears it.
+  BitsSeen take(NodeId id) noexcept {
+    return std::exchange(seen[id - first], {});
+  }
 };
 
 /// The activation proof behind the campaign pre-screen. A fault of `model`

@@ -35,18 +35,38 @@ Cache::Cache(rtl::SimContext& ctx, const std::string& unit,
   tag0_ = tags_[0].id();
   valid0_ = valids_[0].id();
   data0_ = data_[0].id();
+  tag_mask_ = static_cast<u32>(low_mask64(ctx.width(tag0_)));
+  // The lookups below and read_probe() index the arrays as one NodeId run.
+  if (valid0_ != tag0_ + 1 || data0_ != tag0_ + 2 * lines_ ||
+      data_.back().id() != data0_ + lines_ * words_per_line_ - 1) {
+    throw std::logic_error("Cache: arrays are not consecutive nodes");
+  }
+}
+
+rtl::ReadProbe Cache::read_probe() const {
+  return {tag0_, std::vector<rtl::BitsSeen>(2 * lines_ +
+                                            lines_ * words_per_line_)};
 }
 
 bool Cache::hit(u32 addr) const {
   // Tag i and valid i are 2 NodeIds apart (registered pairwise); data words
   // are consecutive. value_at skips the per-node handle loads.
   const u32 idx = line_index(addr);
-  return ctx_->value_at(valid0_ + 2 * idx) != 0 &&
-         ctx_->value_at(tag0_ + 2 * idx) == tag_of(addr);
+  const u32 valid = ctx_->value_at(valid0_ + 2 * idx);
+  const u32 tag = ctx_->value_at(tag0_ + 2 * idx);
+  if (reads_ != nullptr) [[unlikely]] {
+    reads_->record(valid0_ + 2 * idx, valid, 1);
+    // An invalid line's tag reaches nothing.
+    if (valid != 0) reads_->record(tag0_ + 2 * idx, tag, tag_mask_);
+  }
+  return valid != 0 && tag == tag_of(addr);
 }
 
 u32 Cache::read_word(u32 addr) const {
-  return ctx_->value_at(data0_ + word_slot(addr));
+  const rtl::NodeId id = data0_ + word_slot(addr);
+  const u32 v = ctx_->value_at(id);
+  if (reads_ != nullptr) [[unlikely]] reads_->record(id, v);
+  return v;
 }
 
 void Cache::fill_line(u32 addr) {
@@ -90,24 +110,14 @@ void Cache::store(u64 cycle, u32 addr, u8 size, u32 value) {
   }
   if (!hit(addr)) return;  // no-allocate
   rtl::Sig& word = data_[word_slot(addr)];
-  const u32 byte_in_word = addr & 3u;   // big-endian lane selection
-  u32 cur = word.r();
-  switch (size) {
-    case 4:
-      cur = value;
-      break;
-    case 2: {
-      const u32 shift = (2 - byte_in_word) * 8;
-      cur = (cur & ~(0xFFFFu << shift)) | ((value & 0xFFFFu) << shift);
-      break;
-    }
-    default: {
-      const u32 shift = (3 - byte_in_word) * 8;
-      cur = (cur & ~(0xFFu << shift)) | ((value & 0xFFu) << shift);
-      break;
-    }
+  if (size == 4) {
+    word.w(value);  // replaces the word without reading it
+    return;
   }
-  word.w(cur);
+  // Read-modify-write of the 1- or 2-byte lane (big-endian lane order).
+  const u32 lane = size == 2 ? 0xFFFFu : 0xFFu;
+  const u32 shift = (4 - size - (addr & 3u)) * 8;
+  word.w((read_word(addr) & ~(lane << shift)) | ((value & lane) << shift));
 }
 
 void Cache::invalidate_all() {

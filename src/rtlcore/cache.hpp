@@ -43,6 +43,18 @@ class Cache {
 
   void invalidate_all();
 
+  /// An empty probe over the tag, valid and data arrays, for
+  /// record_reads().
+  rtl::ReadProbe read_probe() const;
+
+  /// Start recording every value the arrays' read ports return into
+  /// `*probe` (from read_probe()), or stop with nullptr. The ports are
+  /// hit() (valid, then tag only when valid is set), read_word() and the
+  /// read half of a 1- or 2-byte store's read-modify-write; line fills,
+  /// full-word stores and invalidation only write. The caller owns the
+  /// probe.
+  void record_reads(rtl::ReadProbe* probe) noexcept { reads_ = probe; }
+
  private:
   u32 line_index(u32 addr) const { return (addr / cfg_.line_bytes) % lines_; }
   u32 tag_of(u32 addr) const { return addr / cfg_.line_bytes / lines_; }
@@ -66,6 +78,8 @@ class Cache {
   // data words are registered consecutively, so a lookup is one value_at()
   // at an offset instead of a Sig-handle load per node.
   rtl::NodeId tag0_ = 0, valid0_ = 0, data0_ = 0;
+  u32 tag_mask_ = 0;                  ///< width mask of the tag nodes
+  rtl::ReadProbe* reads_ = nullptr;  ///< record_reads() target, or none
   rtl::Sig busy_;
   rtl::Sig pending_addr_;
 };

@@ -138,7 +138,21 @@ class Leon3Core {
   const Memory& memory() const noexcept { return mem_; }
   rtl::SimContext& sim() noexcept { return ctx_; }
   const rtl::SimContext& sim() const noexcept { return ctx_; }
-  RegFile& regfile() noexcept { return *rf_; }
+
+  /// One probe per module whose nodes reach the rest of the core only
+  /// through read ports: the register file, the I-cache and the D-cache
+  /// arrays (RegFile / Cache::read_probe), each empty.
+  using ReadProbes = std::array<rtl::ReadProbe, 3>;
+  ReadProbes read_probes() const {
+    return {rf_->read_probe(), icache_->read_probe(), dcache_->read_probe()};
+  }
+  /// Start recording every value those ports return into `*probes` (from
+  /// read_probes()), or stop with nullptr.
+  void record_reads(ReadProbes* probes) noexcept {
+    rf_->record_reads(probes != nullptr ? &(*probes)[0] : nullptr);
+    icache_->record_reads(probes != nullptr ? &(*probes)[1] : nullptr);
+    dcache_->record_reads(probes != nullptr ? &(*probes)[2] : nullptr);
+  }
   /// Remove the armed fault, if any (SimContext::clear_faults).
   void clear_faults() { ctx_.clear_faults(); }
 

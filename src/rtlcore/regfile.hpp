@@ -2,8 +2,7 @@
 // physical entry (8 globals + 8 windows x 16), all injectable.
 #pragma once
 
-#include <array>
-#include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "isa/registers.hpp"
@@ -21,6 +20,10 @@ class RegFile {
       // dirty list instead of copying the whole file every cycle.
       regs_.push_back(ctx.reg_sparse(entry_name(i), "iu.regfile", 32));
     }
+    // read_probe() covers the entries as one NodeId run.
+    if (regs_.back().id() != regs_.front().id() + iss_phys_count() - 1) {
+      throw std::logic_error("RegFile: entries are not consecutive nodes");
+    }
   }
 
   static constexpr unsigned iss_phys_count() {
@@ -32,15 +35,12 @@ class RegFile {
   /// a fault (e.g. a stuck bit in a dphys latch) and exceed the table; the
   /// address decoder aliases out-of-range indices back into it, like
   /// hardware ignoring unimplemented address bits. While record_reads() is
-  /// on, every value returned is also ORed into the masks of the entry
-  /// actually read.
+  /// on, every value returned is also recorded under the entry actually
+  /// read.
   u32 read_phys(unsigned phys) const {
-    const unsigned i = wrap(phys);
-    const u32 v = regs_[i].r();
-    if (reads_ != nullptr) [[unlikely]] {
-      (*reads_)[i].ones |= v;
-      (*reads_)[i].zeros |= ~v;
-    }
+    const rtl::Sig& entry = regs_[wrap(phys)];
+    const u32 v = entry.r();
+    if (reads_ != nullptr) [[unlikely]] reads_->record(entry.id(), v);
     return v;
   }
 
@@ -64,20 +64,14 @@ class RegFile {
   /// Raw (unfaulted) value for cosimulation state comparison.
   u32 peek_phys(unsigned phys) const { return regs_.at(phys).raw(); }
 
-  /// The values read_phys returned, per physical entry.
-  using ReadMasks = std::array<rtl::BitsSeen, 8 + isa::kWindowedRegs>;
-
-  /// Start ORing every value read_phys returns into `*seen`, or stop with
-  /// nullptr. The caller owns the masks and clears them as it likes.
-  void record_reads(ReadMasks* seen) noexcept { reads_ = seen; }
-
-  /// The physical entry whose node is `id`, if it is one.
-  std::optional<unsigned> entry_of(rtl::NodeId id) const {
-    for (unsigned i = 0; i < regs_.size(); ++i) {
-      if (regs_[i].id() == id) return i;
-    }
-    return std::nullopt;
+  /// An empty probe over every entry, for record_reads().
+  rtl::ReadProbe read_probe() const {
+    return {regs_.front().id(), std::vector<rtl::BitsSeen>(regs_.size())};
   }
+
+  /// Start recording every value read_phys returns into `*probe` (from
+  /// read_probe()), or stop with nullptr. The caller owns the probe.
+  void record_reads(rtl::ReadProbe* probe) noexcept { reads_ = probe; }
 
  private:
   static unsigned wrap(unsigned phys) {
@@ -91,7 +85,7 @@ class RegFile {
   }
 
   std::vector<rtl::Sig> regs_;
-  ReadMasks* reads_ = nullptr;  ///< record_reads() target, or none
+  rtl::ReadProbe* reads_ = nullptr;  ///< record_reads() target, or none
 };
 
 }  // namespace issrtl::rtlcore

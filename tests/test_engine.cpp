@@ -194,7 +194,7 @@ TEST(Engine, RegisterFilePrescreenKeysOnReads) {
     for (std::size_t i = 0; i < backend.site_count(); ++i) {
       const fault::FaultSite& site = backend.site(i);
       if (site.bit == 0 && site.model == model &&
-          core.regfile().entry_of(site.node) == phys) {
+          core.sim().find_node("r_g" + std::to_string(phys)) == site.node) {
         return i;
       }
     }
@@ -211,6 +211,75 @@ TEST(Engine, RegisterFilePrescreenKeysOnReads) {
   const std::size_t dead = find(6, FaultModel::kStuckAt0);
   EXPECT_TRUE(backend.prescreened(dead));
   const fault::InjectionResult sim = worker->simulate(dead);
+  EXPECT_EQ(sim.outcome, fault::Outcome::kSilent);
+  EXPECT_EQ(sim.latency_cycles, 0u);
+  EXPECT_EQ(sim.halt, iss::HaltReason::kHalted);
+}
+
+// Cache array entries are pre-screened on the values their read ports
+// return. The load of `buf` fills the whole D-cache line, but only its
+// first word is read, and it reaches the bus through a store. The load of
+// `far` (same line index, tag one higher) reads the line's valid bit and
+// tag and misses. A stuck-at-1 on bit 0 (0 in the value read) of buf's
+// word or of the line's tag is activated, so it is simulated, and it
+// shows: the tag fault makes `far` hit on buf's line. The same fault on the
+// word filled next to buf's, which nothing reads, is proven silent
+// although the arm itself flips the node's value, as simulating it
+// confirms.
+TEST(Engine, CachePrescreenKeysOnReads) {
+  const isa::Program prog = isa::assemble_text(R"(
+    .data
+    .align 2048
+    buf: .word 0x2aa, 0x2aa, 0x2aa, 0x2aa
+    .space 1008
+    far: .word 0x155
+    .text
+      set buf, %l7
+      ld [%l7], %g1
+      st %g1, [%l7 + 16]
+      set far, %l6
+      ld [%l6], %g2
+      st %g2, [%l7 + 20]
+      ta 0
+  )");
+  const u32 buf = prog.symbol("buf");
+  ASSERT_EQ(prog.symbol("far"), buf + 1024);
+  CampaignConfig cfg;
+  cfg.unit_prefix = "cmem.dcache";
+  cfg.models = {FaultModel::kStuckAt1};
+  cfg.samples = 0;  // every bit of every node
+  cfg.inject_time = fault::InjectTime::kFixedCycle;
+  cfg.fixed_cycle = 1;  // before the line fill
+  RtlCampaignBackend backend(prog, cfg, {}, {});
+  Memory mem;
+  rtlcore::Leon3Core core(mem);
+  const auto find = [&](const std::string& name) {
+    for (std::size_t i = 0; i < backend.site_count(); ++i) {
+      const fault::FaultSite& site = backend.site(i);
+      if (site.bit == 0 && core.sim().name(site.node) == name &&
+          core.sim().unit(site.node) == "cmem.dcache") {
+        return i;
+      }
+    }
+    ADD_FAILURE() << "no bit-0 site on " << name;
+    return std::size_t{0};
+  };
+  // The default 1 KiB, 16-byte-line D-cache keeps word w of the address
+  // space in data node w % 256 and byte address a in line a / 16 % 64.
+  const auto word = [](u32 addr) {
+    return "data" + std::to_string(addr / 4 % 256);
+  };
+  const auto worker = backend.make_worker(0);
+  for (const std::string& name :
+       {word(buf), "tag" + std::to_string(buf / 16 % 64)}) {
+    SCOPED_TRACE(name);
+    const std::size_t i = find(name);
+    EXPECT_FALSE(backend.prescreened(i));
+    EXPECT_NE(worker->simulate(i).outcome, fault::Outcome::kSilent);
+  }
+  const std::size_t unread = find(word(buf + 4));
+  EXPECT_TRUE(backend.prescreened(unread));
+  const fault::InjectionResult sim = worker->simulate(unread);
   EXPECT_EQ(sim.outcome, fault::Outcome::kSilent);
   EXPECT_EQ(sim.latency_cycles, 0u);
   EXPECT_EQ(sim.halt, iss::HaltReason::kHalted);

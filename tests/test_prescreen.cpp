@@ -1,9 +1,12 @@
 // Differential gates for the activation pre-screen (slow label), one per
 // backend. RTL: on every registry workload, for the IU and CMEM units and
-// the IU register file alone (whose entries the pass keys on reads, so
-// each workload must pre-screen some of them), stuck-at-0/1 and open-line
-// faults, at the early instant and at uniform-random instants (two per
-// site, so one node carries faults armed at different instants). ISS: on
+// the IU register file alone, stuck-at-0/1 and open-line faults, at the
+// early instant and at uniform-random instants (two per site, so one node
+// carries faults armed at different instants). The pass keys register-file
+// entries and cache arrays on the values their read ports return, so each
+// workload must pre-screen some register-file sites and some CMEM stuck-at
+// site whose node holds the bit the other way at the arm, which only a
+// read-keyed proof covers. ISS: on
 // every registry workload, register-file
 // stuck-at-0/1 and open-line faults at their random instants. Every site
 // the pass proves never activated is simulated in full through
@@ -12,12 +15,15 @@
 // depend on the thread count or on the ladder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "engine/engine.hpp"
 #include "engine/iss_backend.hpp"
 #include "engine/rtl_backend.hpp"
+#include "rtlcore/core.hpp"
 #include "workloads/workload.hpp"
 
 namespace issrtl::engine {
@@ -40,12 +46,31 @@ CampaignConfig gate_cfg(const std::string& unit, bool uniform) {
   return cfg;
 }
 
+// True when the golden run of `prog` holds the bit of some stuck-at site in
+// `sites` opposite to the forced value at the site's instant.
+bool golden_holds_opposite_bit(const isa::Program& prog,
+                               std::vector<fault::FaultSite> sites) {
+  std::ranges::sort(sites, {}, &fault::FaultSite::inject_cycle);
+  Memory mem;
+  rtlcore::Leon3Core golden(mem);
+  golden.load(prog);
+  for (const fault::FaultSite& site : sites) {
+    if (golden.cycles() < site.inject_cycle) {
+      golden.advance(site.inject_cycle - golden.cycles());
+    }
+    const bool held = (golden.sim().value(site.node) >> site.bit & 1u) != 0;
+    if (held != (site.model == FaultModel::kStuckAt1)) return true;
+  }
+  return false;
+}
+
 TEST(Prescreen, PrescreenedSitesMatchFullSimulation) {
   std::map<FaultModel, std::size_t> prescreened_by_model;
   for (const workloads::WorkloadInfo& info : workloads::registry()) {
     const isa::Program prog =
         workloads::build(info.name, {.iterations = 1, .data_seed = 1});
     std::size_t regfile_prescreened = 0;
+    std::vector<fault::FaultSite> cmem_stuck_prescreened;
     for (const std::string unit : {"iu", "cmem", "iu.regfile"}) {
       for (const bool uniform : {false, true}) {
         SCOPED_TRACE(info.name + " " + unit +
@@ -64,6 +89,10 @@ TEST(Prescreen, PrescreenedSitesMatchFullSimulation) {
           ++screened;
           ++prescreened_by_model[ref.runs[i].site.model];
           if (unit == "iu.regfile") ++regfile_prescreened;
+          if (unit == "cmem" &&
+              ref.runs[i].site.model != FaultModel::kOpenLine) {
+            cmem_stuck_prescreened.push_back(ref.runs[i].site);
+          }
           const fault::InjectionResult sim = worker->simulate(i);
           EXPECT_EQ(sim.outcome, ref.runs[i].outcome) << "site " << i;
           EXPECT_EQ(sim.latency_cycles, ref.runs[i].latency_cycles)
@@ -94,6 +123,8 @@ TEST(Prescreen, PrescreenedSitesMatchFullSimulation) {
       }
     }
     EXPECT_GT(regfile_prescreened, 0u) << info.name << " iu.regfile";
+    EXPECT_TRUE(golden_holds_opposite_bit(prog, cmem_stuck_prescreened))
+        << info.name << " cmem";
   }
   // Each model must have been pre-screened somewhere, or the gate proves
   // nothing about it.

@@ -438,16 +438,100 @@ TEST(RegFile, ReadPortRecordsUnderTheEntryItReads) {
   RegFile rf(ctx);
   rf.poke_phys(5, 0x81);
   rf.poke_phys(6, 0x42);
-  RegFile::ReadMasks reads{};
+  rtl::ReadProbe reads = rf.read_probe();
+  ASSERT_EQ(reads.seen.size(), RegFile::iss_phys_count());
+  const auto entry = [&](unsigned global) {
+    return *ctx.find_node("r_g" + std::to_string(global));
+  };
   rf.record_reads(&reads);
   EXPECT_EQ(rf.read_phys(RegFile::iss_phys_count() + 5), 0x81u);
-  EXPECT_EQ(reads[5].ones, 0x81u);
-  EXPECT_EQ(reads[5].zeros, ~0x81u);
+  const rtl::BitsSeen g5 = reads.take(entry(5));
+  EXPECT_EQ(g5.ones, 0x81u);
+  EXPECT_EQ(g5.zeros, ~0x81u);
   EXPECT_EQ(rf.read(0, 0), 0u) << "%g0 is not an entry read";
-  EXPECT_EQ(reads[0].ones | reads[0].zeros, 0u);
+  const rtl::BitsSeen g0 = reads.take(entry(0));
+  EXPECT_EQ(g0.ones | g0.zeros, 0u);
   rf.record_reads(nullptr);
   EXPECT_EQ(rf.read_phys(6), 0x42u);
-  EXPECT_EQ(reads[6].ones | reads[6].zeros, 0u) << "recorded after the stop";
+  const rtl::BitsSeen g6 = reads.take(entry(6));
+  EXPECT_EQ(g6.ones | g6.zeros, 0u) << "recorded after the stop";
+}
+
+// Each array read port records the value it returns under the node it
+// reads: valid on every lookup, tag only behind a set valid bit, the data
+// word a hit or refill returns and the word a 1- or 2-byte store merges
+// into. Line fills and full-word stores only write, and record nothing.
+TEST(Cache, ReadPortsRecordUnderTheNodeTheyRead) {
+  rtl::SimContext ctx;
+  Memory mem;
+  OffCoreTrace bus;
+  Cache cache(ctx, "cmem.dcache", CacheConfig{}, mem, bus);
+  // Line 0 of the default 1 KiB, 16-byte-line cache, tag 4.
+  constexpr u32 kLine = 0x1000;
+  constexpr u32 kTag = kLine / 16 / 64;
+  constexpr u32 kTagMask = (1u << 22) - 1;  // 32 - 4 offset - 6 index bits
+  const u32 words[] = {0x12345678, 0x9abcdef0, 0x0f0f0f0f, 0xa5a5a5a5};
+  for (u32 w = 0; w < 4; ++w) mem.store_u32(kLine + 4 * w, words[w]);
+  rtl::ReadProbe reads = cache.read_probe();
+  const auto take = [&](const std::string& name) {
+    return reads.take(*ctx.find_node(name));
+  };
+  const auto nothing = [&](const std::string& name) {
+    const rtl::BitsSeen seen = take(name);
+    return (seen.ones | seen.zeros) == 0;
+  };
+  cache.record_reads(&reads);
+
+  // Miss: valid reads 0 (masked to its one bit), the tag is not read.
+  u32 out = 0;
+  ASSERT_FALSE(cache.step_load(kLine, out));
+  rtl::BitsSeen seen = take("valid0");
+  EXPECT_EQ(seen.ones, 0u);
+  EXPECT_EQ(seen.zeros, 1u);
+  EXPECT_TRUE(nothing("tag0"));
+  // The refill writes the line and returns the requested word.
+  do {
+    ctx.commit_all();  // the clock edge between the cycles of the refill
+  } while (!cache.step_load(kLine, out));
+  ctx.commit_all();
+  EXPECT_EQ(out, words[0]);
+  seen = take("data0");
+  EXPECT_EQ(seen.ones, words[0]);
+  EXPECT_EQ(seen.zeros, ~words[0]);
+  for (const char* name : {"valid0", "tag0", "data1", "data2", "data3"}) {
+    EXPECT_TRUE(nothing(name)) << name << " recorded by the line fill";
+  }
+
+  // Hit: valid, the tag (masked to its width) and the word.
+  ASSERT_TRUE(cache.step_load(kLine + 4, out));
+  EXPECT_EQ(out, words[1]);
+  seen = take("valid0");
+  EXPECT_EQ(seen.ones, 1u);
+  EXPECT_EQ(seen.zeros, 0u);
+  seen = take("tag0");
+  EXPECT_EQ(seen.ones, kTag);
+  EXPECT_EQ(seen.zeros, ~kTag & kTagMask);
+  EXPECT_EQ(take("data1").ones, words[1]);
+
+  // A full-word store looks the line up but does not read the word.
+  cache.store(0, kLine + 8, 4, 0x11111111);
+  EXPECT_EQ(take("tag0").ones, kTag);
+  EXPECT_TRUE(nothing("data2")) << "4-byte store";
+  // 1- and 2-byte stores read the word they merge into.
+  cache.store(0, kLine + 12, 2, 0xbeef);
+  EXPECT_EQ(take("data3").ones, words[3]);
+  cache.store(0, kLine + 1, 1, 0x55);
+  EXPECT_EQ(take("data0").ones, words[0]);
+  ASSERT_TRUE(cache.step_load(kLine, out));
+  EXPECT_EQ(out, 0x12555678u) << "byte merged into lane 1";
+  for (const char* name : {"valid0", "tag0", "data0"}) take(name);
+
+  cache.record_reads(nullptr);
+  ASSERT_TRUE(cache.step_load(kLine + 12, out));
+  EXPECT_EQ(out, 0xbeefa5a5u);
+  for (const char* name : {"valid0", "tag0", "data3"}) {
+    EXPECT_TRUE(nothing(name)) << name << " recorded after the stop";
+  }
 }
 
 }  // namespace
