@@ -20,11 +20,15 @@
 // path rebuilds the trace from GoldenReplay's golden copy
 // (OffCoreTrace::assign_prefix).
 //
-// Rungs double as a *golden state oracle*: a faulty run that crosses a rung
-// instant with state bit-identical to the rung (and all writes matched so
-// far) is provably silent for the rest of the run — see GoldenReplay's
-// convergence cut-off, which is what turns masked transients from
-// full-suffix replays into O(stride) ones.
+// Rungs double as a *golden state oracle*: a faulty run whose state is
+// bit-identical to a rung's (and all writes matched so far) is provably
+// silent for the rest of the run — see GoldenReplay's convergence cut-off,
+// which is what turns masked transients from full-suffix replays into
+// O(stride) ones. The run may be at the rung's instant or, for a simulator
+// whose instant counters are relative-only (Sim::kShiftWindow > 0), a few
+// instants before or after it: its remainder is then the golden remainder
+// shifted in time, so the cut-off looks up the nearest rungs below and
+// above the run's instant.
 //
 // Thread safety: the ladder is built single-threaded during the golden run
 // and is immutable afterwards; workers only read it. Snapshots are
@@ -34,8 +38,8 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <deque>
 #include <memory>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -104,11 +108,12 @@ class CheckpointLadder {
     return it == rungs_.begin() ? nullptr : &*std::prev(it);
   }
 
-  /// Rung exactly at `instant`, or nullptr. Used by the convergence
-  /// cut-off, which may only compare states at identical instants.
-  const Rung* at(u64 instant) const noexcept {
-    const Rung* r = best_at_or_below(instant);
-    return r != nullptr && r->instant == instant ? r : nullptr;
+  /// Lowest rung with rung.instant > instant, or nullptr when there is none.
+  const Rung* first_above(u64 instant) const noexcept {
+    const auto it = std::upper_bound(
+        rungs_.begin(), rungs_.end(), instant,
+        [](u64 v, const Rung& r) { return v < r.instant; });
+    return it == rungs_.end() ? nullptr : &*it;
   }
 
   std::size_t rung_count() const noexcept { return rungs_.size(); }
@@ -120,7 +125,7 @@ class CheckpointLadder {
   /// Drop every rung off the (just doubled) stride grid. The newest rung is
   /// always retained so the ladder keeps its hottest restore point.
   void thin_to_stride() {
-    std::deque<Rung> kept;
+    std::vector<Rung> kept;
     for (std::size_t i = 0; i < rungs_.size(); ++i) {
       if (rungs_[i].instant % stride_ == 0 || i + 1 == rungs_.size()) {
         kept.push_back(std::move(rungs_[i]));
@@ -135,7 +140,7 @@ class CheckpointLadder {
   u64 stride_ = 0;
   std::size_t total_bytes_ = 0;
   u64 evicted_ = 0;
-  std::deque<Rung> rungs_;  ///< ascending by instant
+  std::vector<Rung> rungs_;  ///< ascending by instant
 };
 
 }  // namespace issrtl::engine

@@ -156,7 +156,7 @@ class GoldenReplay {
   /// Watch over one faulty suffix, constructed after position() and
   /// arming: matches the run's off-core writes against the golden ones as
   /// they appear and, for a transient fault (no armed overlay left behind),
-  /// compares the run against each rung it crosses.
+  /// compares the run against the rungs near each instant it reaches.
   class Suffix {
    public:
     Suffix(const GoldenReplay& replay, const Sim& sim, const Memory& mem,
@@ -168,7 +168,9 @@ class GoldenReplay {
           // Every prefix write replayed the golden run, so matching
           // resumes here.
           matched_(sim.offcore().writes().size()),
-          converge_(transient && replay.ladder_.enabled()) {}
+          converge_(transient && replay.ladder_.enabled()) {
+      if (converge_) seek(start_);
+    }
 
     /// Faulty instants left under the watchdog (none for a prefix already
     /// at or past it).
@@ -187,16 +189,22 @@ class GoldenReplay {
     /// past a wrong write for less than a chunk moves no record, since the
     /// first divergence and the classification are already fixed.
     u64 next_stop(u64 now) const noexcept {
+      static_assert(Sim::kShiftWindow == 0,
+                    "a shifted convergence can fire between rung instants; "
+                    "step such a suffix and call converged() every instant");
       if (!r_.ladder_.enabled()) return now + kUnladderedChunk;
       const u64 stride = r_.ladder_.stride();
       return (now / stride + 1) * stride;
     }
 
-    /// Call after every faulty step, or at least at every next_stop()
-    /// instant and after a halt. True when the run has provably converged:
-    /// state, memory and write history coincide with the golden run at a
-    /// rung instant, so the remainder is the golden remainder and the run
-    /// is silent.
+    /// Call after every faulty step, or, for a simulator with no shift
+    /// window, at least at every next_stop() instant and after a halt. True
+    /// when the run has provably converged: at instant t its state, memory
+    /// and write history coincide with the golden run's at a rung R within
+    /// Sim::kShiftWindow instants of t (Sim::matches says what "coincide"
+    /// admits), and the golden remainder from R, run from t, halts inside
+    /// the watchdog. The rest of the run is then that remainder shifted by
+    /// t - R, so the run is silent.
     bool converged(iss::HaltReason halt) {
       const std::vector<BusRecord>& writes = sim_.offcore().writes();
       const std::vector<BusRecord>& golden = r_.golden_trace_.writes();
@@ -213,18 +221,44 @@ class GoldenReplay {
         return false;
       }
       const u64 now = (sim_.*Instant)();
-      if (now <= start_ || now % r_.ladder_.stride() != 0) return false;
-      const auto* rung = r_.ladder_.at(now);
-      if (rung == nullptr || !sim_.matches(rung->snap->checkpoint) ||
-          !mem_.equals(rung->snap->mem)) {
-        return false;
-      }
-      r_.convergence_cutoffs_.fetch_add(1, std::memory_order_relaxed);
-      return true;
+      if (now <= start_) return false;
+      if (now >= pass_at_) seek(now);
+      return (now <= below_until_ && cuts_at(*below_, now)) ||
+             (now >= above_from_ && cuts_at(*above_, now));
     }
 
    private:
+    using Rung = typename CheckpointLadder<Snapshot>::Rung;
     static constexpr u64 kUnladderedChunk = 64;
+    static constexpr u64 kWindow = Sim::kShiftWindow;
+
+    /// The nearest rungs at or below and above `now`, looked up once per
+    /// rung the run passes, and the instants their windows end and start.
+    void seek(u64 now) noexcept {
+      below_ = r_.ladder_.best_at_or_below(now);
+      above_ = r_.ladder_.first_above(now);
+      // No rung below: a window that ended before the first faulty instant.
+      below_until_ = below_ != nullptr ? below_->instant + kWindow : 0;
+      // No rung above: a window that never starts and a rung never passed.
+      pass_at_ = above_ != nullptr ? above_->instant : ~u64{0};
+      above_from_ = pass_at_ - std::min(pass_at_, kWindow);
+    }
+
+    /// True, and tallied, when the run at `now` is the golden run at
+    /// `rung` shifted by now - rung.instant, with a remainder that halts
+    /// inside the watchdog.
+    bool cuts_at(const Rung& rung, u64 now) {
+      if (!sim_.matches(rung.snap->checkpoint) ||
+          now + (r_.golden_instant_ - rung.instant) > r_.watchdog_ ||
+          !mem_.equals(rung.snap->mem)) {
+        return false;
+      }
+      r_.convergence_cutoffs_.fetch_add(1, std::memory_order_relaxed);
+      if (rung.instant != now) {
+        r_.shifted_cutoffs_.fetch_add(1, std::memory_order_relaxed);
+      }
+      return true;
+    }
 
     const GoldenReplay& r_;
     const Sim& sim_;
@@ -233,6 +267,11 @@ class GoldenReplay {
     std::size_t matched_;
     bool converge_;
     bool mismatch_ = false;
+    const Rung* below_ = nullptr;
+    const Rung* above_ = nullptr;
+    u64 below_until_ = 0;  ///< last instant within kWindow of below_
+    u64 above_from_ = 0;   ///< first instant within kWindow of above_
+    u64 pass_at_ = 0;      ///< above_'s instant, where seek() runs again
   };
 
   /// The shared half of a backend's finish(): workload name, replay
@@ -249,6 +288,7 @@ class GoldenReplay {
     c.cold_resets = cold_resets_.load();
     c.fast_forward_cycles = fast_forward_.load();
     c.convergence_cutoffs = convergence_cutoffs_.load();
+    c.shifted_cutoffs = shifted_cutoffs_.load();
     c.journal_hits = run.journal_hits;
     c.journal_dropped = run.journal_dropped;
     c.sites_retried = run.sites_retried;
@@ -276,6 +316,7 @@ class GoldenReplay {
   mutable std::atomic<u64> cold_resets_{0};
   mutable std::atomic<u64> fast_forward_{0};
   mutable std::atomic<u64> convergence_cutoffs_{0};
+  mutable std::atomic<u64> shifted_cutoffs_{0};
 };
 
 }  // namespace issrtl::engine

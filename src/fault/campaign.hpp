@@ -143,7 +143,10 @@ struct ReplayCounters {
   u64 ladder_restores = 0;     ///< prefix resumes served by a ladder rung
   u64 cold_resets = 0;         ///< resumes that had to re-simulate from 0
   u64 fast_forward_cycles = 0; ///< fault-free instants stepped after restore
-  u64 convergence_cutoffs = 0; ///< transient runs proven silent at a rung
+  u64 convergence_cutoffs = 0; ///< transient runs proven silent at or near
+                               ///  a rung
+  u64 shifted_cutoffs = 0;     ///< the convergence_cutoffs whose run met its
+                               ///  rung a few instants early or late
   /// Permanent-fault runs answered by the activation pre-screen without
   /// simulation, one per run_site call: RTL sites the golden run never
   /// activates (silent), ISS register sites no later read sees (silent,

@@ -75,7 +75,7 @@ void print_replay_summary(const CampaignResult& r) {
   const ReplayCounters& rc = r.replay;
   std::printf("replay: ladder %llu rungs (%.1f KiB, %llu evicted), restores "
               "%llu ladder / %llu cold, fast-forward %llu cycles, %llu "
-              "convergence cutoffs, %llu prescreened\n",
+              "convergence cutoffs (%llu shifted), %llu prescreened\n",
               static_cast<unsigned long long>(rc.ladder_rungs),
               rc.ladder_bytes / 1024.0,
               static_cast<unsigned long long>(rc.ladder_evicted),
@@ -83,6 +83,7 @@ void print_replay_summary(const CampaignResult& r) {
               static_cast<unsigned long long>(rc.cold_resets),
               static_cast<unsigned long long>(rc.fast_forward_cycles),
               static_cast<unsigned long long>(rc.convergence_cutoffs),
+              static_cast<unsigned long long>(rc.shifted_cutoffs),
               static_cast<unsigned long long>(rc.prescreened));
   if (rc.journal_hits != 0 || rc.journal_dropped != 0 ||
       rc.sites_retried != 0 || rc.sites_engine_error != 0) {

@@ -147,6 +147,10 @@ class Emulator {
   /// matching image and clears/re-arms faults.
   void restore(const EmuCheckpoint& ck, const OffCoreTrace& trace_src);
 
+  /// Instants a faulty run may lag or lead a golden rung and still be
+  /// compared against it: none, since matches() compares the retired count.
+  static constexpr u64 kShiftWindow = 0;
+
   /// True when this emulator will evolve exactly like one restored from
   /// `ck`: same retired count, halt status, write count and ArchState. The
   /// caller compares Memory and write payloads; the instruction-mix trace

@@ -174,9 +174,20 @@ class Leon3Core {
   /// clear_faults() beforehand.
   void restore(const CoreCheckpoint& ck, const OffCoreTrace& trace_src);
 
-  /// True when this core will evolve exactly like one restored from `ck`:
-  /// same scalars (cycle, halt, fetch sequencing, write count), then node
-  /// values. The caller compares Memory and write payloads.
+  /// Cycles a faulty run may lag or lead a golden rung and still be
+  /// compared against it by matches() (GoldenReplay's convergence cut-off).
+  static constexpr u64 kShiftWindow = 64;
+
+  /// True when this core will evolve like one restored from `ck`, shifted
+  /// in time: same halt status, write count and node values, and its nine
+  /// sequence numbers (six slot tags, next fetch, redirect-after, annul)
+  /// offset from the checkpoint's by one common d. The cycle and retired
+  /// counts are not compared: step() only stamps bus records with cycle_
+  /// and only counts instret_, and it compares sequence numbers only with
+  /// each other, so from here on the core steps like the restored one
+  /// does, its cycle stamps later by cycle() - ck.cycle. The exact match is
+  /// the d = 0 case at ck.cycle. The caller compares Memory and write
+  /// payloads.
   bool matches(const CoreCheckpoint& ck) const;
 
  private:

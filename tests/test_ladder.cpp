@@ -63,9 +63,10 @@ TEST(Ladder, NearestRungLookupAtBoundaries) {
   EXPECT_EQ(ladder.best_at_or_below(300)->instant, 300u);
   EXPECT_EQ(ladder.best_at_or_below(~0ull)->instant, 300u);  // clamps to top
 
-  EXPECT_EQ(ladder.at(100)->instant, 100u);
-  EXPECT_EQ(ladder.at(150), nullptr);
-  EXPECT_EQ(ladder.at(400), nullptr);
+  EXPECT_EQ(ladder.first_above(0)->instant, 100u);
+  EXPECT_EQ(ladder.first_above(100)->instant, 200u);  // strictly above
+  EXPECT_EQ(ladder.first_above(299)->instant, 300u);
+  EXPECT_EQ(ladder.first_above(300), nullptr);
 }
 
 TEST(Ladder, DisabledLadderWantsNothing) {
@@ -74,6 +75,7 @@ TEST(Ladder, DisabledLadderWantsNothing) {
   EXPECT_FALSE(ladder.wants(0));
   EXPECT_FALSE(ladder.wants(64));
   EXPECT_EQ(ladder.best_at_or_below(~0ull), nullptr);
+  EXPECT_EQ(ladder.first_above(0), nullptr);
 }
 
 TEST(Ladder, WantsOnlyOnGridAndForward) {

@@ -340,6 +340,109 @@ TEST(RtlCore, PipelineOverlapIsReal) {
   EXPECT_GE(cpi, 1.0);
 }
 
+// ---- time-shift invariance ------------------------------------------------------
+
+// The nine sequence numbers of a checkpoint: the six slot tags, the next
+// fetch, redirect-after and annul numbers.
+u64& seq_number(CoreCheckpoint& ck, std::size_t i) {
+  switch (i) {
+    case 6: return ck.next_fetch_seq;
+    case 7: return ck.redirect_after_seq;
+    case 8: return ck.annul_seq;
+    default: return ck.slot_seq.at(i);
+  }
+}
+constexpr std::size_t kSeqNumbers = 9;
+
+CoreCheckpoint shifted(CoreCheckpoint ck, u64 k, u64 j, u64 d) {
+  ck.cycle += k;
+  ck.instret += j;
+  for (std::size_t i = 0; i < kSeqNumbers; ++i) seq_number(ck, i) += d;
+  return ck;
+}
+
+struct Remainder {
+  HaltReason halt = HaltReason::kRunning;
+  std::vector<BusRecord> writes;
+  iss::ArchState state;
+  Memory mem;
+  u64 cycles = 0;
+  u64 instret = 0;
+};
+
+// Restore a fresh core from `ck` on a clone of `mem` and run it to halt.
+Remainder run_from(const CoreCheckpoint& ck, const Memory& mem,
+                   const OffCoreTrace& trace) {
+  Remainder r;
+  r.mem = mem.clone();
+  Leon3Core core(r.mem);
+  core.restore(ck, trace);
+  r.halt = core.run();
+  r.writes = core.offcore().writes();
+  r.state = core.arch_state();
+  r.cycles = core.cycles();
+  r.instret = core.instret();
+  return r;
+}
+
+// A core steps from its node values, halt status, write count and the
+// differences between its sequence numbers alone: step() only stamps bus
+// records with the cycle count, only counts retired instructions, and
+// compares sequence numbers only with each other. So a golden checkpoint
+// moved in time (cycle + k, instret + j, every sequence number + d) runs to
+// the same writes, end state, memory and halt as the original, its cycle
+// stamps k later, and matches() takes either for the other; a checkpoint
+// with one sequence number offset differently is no match. This is the
+// proof behind GoldenReplay's shifted convergence cut-off.
+TEST(RtlCore, CheckpointShiftedInTimeRunsTheSameRemainder) {
+  const Program prog =
+      workloads::build("rspeed", {.iterations = 1, .data_seed = 1});
+  Memory ref_mem;
+  Leon3Core ref(ref_mem);
+  ref.load(prog);
+  ASSERT_EQ(ref.run(), HaltReason::kHalted);
+
+  Memory mem;
+  Leon3Core golden(mem);
+  golden.load(prog);
+  constexpr u64 k = 37, j = 5, d = 11;
+  for (const u64 quarter : {1u, 2u, 3u}) {
+    golden.advance(ref.cycles() * quarter / 4 - golden.cycles());
+    SCOPED_TRACE("cycle " + std::to_string(golden.cycles()));
+    const CoreCheckpoint ck = golden.checkpoint();
+    const CoreCheckpoint moved = shifted(ck, k, j, d);
+
+    const Remainder base = run_from(ck, mem, ref.offcore());
+    const Remainder late = run_from(moved, mem, ref.offcore());
+    ASSERT_EQ(base.halt, HaltReason::kHalted);
+    EXPECT_EQ(late.halt, base.halt);
+    ASSERT_EQ(late.writes.size(), base.writes.size());
+    for (std::size_t i = 0; i < base.writes.size(); ++i) {
+      EXPECT_TRUE(late.writes[i].same_payload(base.writes[i])) << i;
+      if (i >= ck.writes) {
+        EXPECT_EQ(late.writes[i].cycle, base.writes[i].cycle + k) << i;
+      }
+    }
+    EXPECT_EQ(late.state, base.state);
+    EXPECT_TRUE(late.mem.equals(base.mem));
+    EXPECT_EQ(late.cycles, base.cycles + k);
+    EXPECT_EQ(late.instret, base.instret + j);
+
+    Memory scratch;
+    Leon3Core core(scratch);
+    core.restore(ck, ref.offcore());
+    EXPECT_TRUE(core.matches(ck));
+    EXPECT_TRUE(core.matches(moved)) << "golden run late";
+    for (std::size_t i = 0; i < kSeqNumbers; ++i) {
+      CoreCheckpoint odd = moved;
+      ++seq_number(odd, i);
+      EXPECT_FALSE(core.matches(odd)) << "sequence number " << i;
+    }
+    core.restore(moved, ref.offcore());
+    EXPECT_TRUE(core.matches(ck)) << "golden run early";
+  }
+}
+
 // ---- full workloads ---------------------------------------------------------------
 
 class WorkloadCosim : public ::testing::TestWithParam<std::string> {};
