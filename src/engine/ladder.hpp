@@ -38,8 +38,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <deque>
 #include <memory>
-#include <vector>
 
 #include "common/types.hpp"
 
@@ -125,7 +125,7 @@ class CheckpointLadder {
   /// Drop every rung off the (just doubled) stride grid. The newest rung is
   /// always retained so the ladder keeps its hottest restore point.
   void thin_to_stride() {
-    std::vector<Rung> kept;
+    std::deque<Rung> kept;
     for (std::size_t i = 0; i < rungs_.size(); ++i) {
       if (rungs_[i].instant % stride_ == 0 || i + 1 == rungs_.size()) {
         kept.push_back(std::move(rungs_[i]));
@@ -140,7 +140,7 @@ class CheckpointLadder {
   u64 stride_ = 0;
   std::size_t total_bytes_ = 0;
   u64 evicted_ = 0;
-  std::vector<Rung> rungs_;  ///< ascending by instant
+  std::deque<Rung> rungs_;  ///< ascending by instant
 };
 
 }  // namespace issrtl::engine

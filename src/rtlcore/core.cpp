@@ -1,6 +1,5 @@
 #include "rtlcore/core.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace issrtl::rtlcore {
@@ -917,27 +916,6 @@ void Leon3Core::restore(const CoreCheckpoint& ck,
   // cleared here so a restored core is indistinguishable from one that
   // reached this cycle by stepping.
   clear_cycle_scratch();
-}
-
-bool Leon3Core::matches(const CoreCheckpoint& ck) const {
-  // Cheap rejects first, the most selective first: the convergence cut-off
-  // asks every suffix cycle. Within a mul/div stall only the EX countdown
-  // tells two cycles apart.
-  const rtl::NodeId pc = fetch_pc_.id();
-  const rtl::NodeId busy = ex_busy_.id();
-  const std::vector<u32>& nodes = ck.node_values;
-  if (std::max(pc, busy) >= nodes.size() ||
-      ctx_.value_at(pc) != nodes[pc] || ctx_.value_at(busy) != nodes[busy] ||
-      bus_.writes().size() != ck.writes || halt_ != ck.halt) {
-    return false;
-  }
-  // Unsigned differences: equal offsets compare equal whichever run leads.
-  const u64 d = next_fetch_seq_ - ck.next_fetch_seq;
-  return de_.seq - ck.slot_seq[0] == d && ra_.seq - ck.slot_seq[1] == d &&
-         ex_.seq - ck.slot_seq[2] == d && me_.seq - ck.slot_seq[3] == d &&
-         xc_.seq - ck.slot_seq[4] == d && wb_.seq - ck.slot_seq[5] == d &&
-         redirect_after_seq_ - ck.redirect_after_seq == d &&
-         annul_seq_ - ck.annul_seq == d && ctx_.values_equal(nodes);
 }
 
 iss::ArchState Leon3Core::arch_state() const {

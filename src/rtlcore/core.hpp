@@ -12,6 +12,7 @@
 // description of the Leon3 IU + CMEM (paper Fig. 2).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <string>
@@ -188,7 +189,27 @@ class Leon3Core {
   /// does, its cycle stamps later by cycle() - ck.cycle. The exact match is
   /// the d = 0 case at ck.cycle. The caller compares Memory and write
   /// payloads.
-  bool matches(const CoreCheckpoint& ck) const;
+  bool matches(const CoreCheckpoint& ck) const {
+    // Inline, cheap rejects first and the most selective first: the
+    // convergence cut-off asks on every suffix cycle within its window of
+    // a rung, and nearly every call ends at the fetch PC. Within a mul/div
+    // stall only the EX countdown tells two cycles apart.
+    const rtl::NodeId pc = fetch_pc_.id();
+    const rtl::NodeId busy = ex_busy_.id();
+    const std::vector<u32>& nodes = ck.node_values;
+    if (std::max(pc, busy) >= nodes.size() ||
+        ctx_.value_at(pc) != nodes[pc] || ctx_.value_at(busy) != nodes[busy] ||
+        bus_.writes().size() != ck.writes || halt_ != ck.halt) {
+      return false;
+    }
+    // Unsigned differences: equal offsets compare equal whichever run leads.
+    const u64 d = next_fetch_seq_ - ck.next_fetch_seq;
+    return de_.seq - ck.slot_seq[0] == d && ra_.seq - ck.slot_seq[1] == d &&
+           ex_.seq - ck.slot_seq[2] == d && me_.seq - ck.slot_seq[3] == d &&
+           xc_.seq - ck.slot_seq[4] == d && wb_.seq - ck.slot_seq[5] == d &&
+           redirect_after_seq_ - ck.redirect_after_seq == d &&
+           annul_seq_ - ck.annul_seq == d && ctx_.values_equal(nodes);
+  }
 
  private:
   /// Handshake reset + the seven stage evaluators (commit excluded).
